@@ -35,7 +35,7 @@ from .multiplier import (
     tensor_oracle,
     verify,
 )
-from .witt import WittTable, b_sequence, divisors, moebius, witt_count
+from .witt import b_sequence, divisors, moebius, witt_count
 
 __version__ = "0.1.0"
 
@@ -63,7 +63,6 @@ __all__ = [
     "nilpotent_multiplier",
     "tensor_oracle",
     "verify",
-    "WittTable",
     "b_sequence",
     "divisors",
     "moebius",

@@ -2,20 +2,31 @@
 
 A group arrives as a multiset of cyclic orders (``CyclicDecomposition``) and
 is normalized to its invariant-factor chain (``InvariantFactors``): the unique
-list n_1, n_2, ... with n_{i+1} | n_i and every entry >= 2.  Two independent
-normalization routes are provided; ``canonicalize`` (lcm/gcd fixpoint, no
-factorization) is the default and ``canonicalize_primary`` (primary
-decomposition) is its cross-check.
+list n_1, n_2, ... with n_{i+1} | n_i and every entry >= 2.  ``canonicalize``
+(lcm/gcd fixpoint, no factorization) is the default.  The primary route is
+one run-length core, ``compressed_invariant_form``, which the commutator
+oracle calls directly; ``canonicalize_primary`` is its expansion and serves
+as the cross-check for ``canonicalize``.  ``trial_division`` is the one
+factorization loop; ``factorize`` bounds it to admissible orders, and the
+Moebius function and divisor lists in ``nilmult.witt`` derive from it.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from typing import Mapping
 
 # Largest accepted cyclic order.  Any n <= 10**12 has at most one prime factor
 # above 10**6, so trial division up to sqrt(n) fully factors every input.
 MAX_ORDER = 10**12
+
+
+def _require_int(value: object, what: str) -> None:
+    # bool is a subclass of int, but True is not an order
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{what} must be an int, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -34,6 +45,7 @@ class CyclicDecomposition:
     def __post_init__(self) -> None:
         object.__setattr__(self, "orders", tuple(self.orders))
         for r in self.orders:
+            _require_int(r, "cyclic order")
             if r < 1:
                 raise ValueError(f"cyclic order must be >= 1, got {r}")
             if r > MAX_ORDER:
@@ -62,6 +74,7 @@ class InvariantFactors:
     def __post_init__(self) -> None:
         object.__setattr__(self, "chain", tuple(self.chain))
         for n in self.chain:
+            _require_int(n, "invariant factor")
             if n < 2:
                 raise ValueError(f"invariant factor must be >= 2, got {n}")
         for a, b in zip(self.chain, self.chain[1:]):
@@ -104,34 +117,82 @@ def canonicalize(decomposition: CyclicDecomposition) -> InvariantFactors:
 def canonicalize_primary(decomposition: CyclicDecomposition) -> InvariantFactors:
     """Invariant factors via primary decomposition; cross-check for ``canonicalize``.
 
-    Each order is factored once; per prime, exponents are sorted descending
-    and the i-th invariant factor collects every prime's i-th largest power.
+    The expansion of ``compressed_invariant_form``: equal orders are counted,
+    trivial ones dropped, and the resulting runs written out one by one.
+
+    >>> canonicalize_primary(CyclicDecomposition((8, 12, 1))).chain
+    (24, 4)
     """
-    exponents: dict[int, list[int]] = {}
-    for r in decomposition.orders:
-        for p, e in factorize(r).items():
-            exponents.setdefault(p, []).append(e)
-    for exps in exponents.values():
-        exps.sort(reverse=True)
-    length = max((len(exps) for exps in exponents.values()), default=0)
-    chain = []
-    for i in range(length):
-        n = 1
-        for p, exps in exponents.items():
-            if i < len(exps):
-                n *= p ** exps[i]
-        chain.append(n)
-    return InvariantFactors(tuple(chain))
+    multiset = Counter(r for r in decomposition.orders if r > 1)
+    return InvariantFactors(
+        tuple(order for order, run in compressed_invariant_form(multiset) for _ in range(run))
+    )
+
+
+def compressed_invariant_form(multiset: Mapping[int, int]) -> tuple[tuple[int, int], ...]:
+    """Invariant factors of a multiset {cyclic order: multiplicity}, run-length encoded.
+
+    Returns (invariant factor, run length) pairs with strictly decreasing
+    factors.  Each distinct order is factored once; per prime, exponent runs
+    are merged and swept from the largest down, so multiplicities stay
+    run-length encoded throughout and are never expanded.
+
+    >>> compressed_invariant_form({2: 5, 3: 5, 4: 1})
+    ((12, 1), (6, 4), (2, 1))
+    """
+    exponent_runs: dict[int, list[list[int]]] = {}
+    for order, multiplicity in multiset.items():
+        if order < 2 or multiplicity < 1:
+            raise ValueError(f"bad multiset entry {order}: {multiplicity}")
+        for p, e in factorize(order).items():
+            exponent_runs.setdefault(p, []).append([e, multiplicity])
+    runs: dict[int, list[list[int]]] = {}
+    for p, pairs in exponent_runs.items():
+        pairs.sort(reverse=True)
+        merged: list[list[int]] = []
+        for e, m in pairs:
+            if merged and merged[-1][0] == e:
+                merged[-1][1] += m
+            else:
+                merged.append([e, m])
+        runs[p] = merged
+    summands: list[tuple[int, int]] = []
+    while runs:
+        factor = math.prod(p ** pairs[0][0] for p, pairs in runs.items())
+        step = min(pairs[0][1] for pairs in runs.values())
+        summands.append((factor, step))
+        for p in list(runs):
+            head = runs[p][0]
+            head[1] -= step
+            if head[1] == 0:
+                runs[p].pop(0)
+                if not runs[p]:
+                    del runs[p]
+    return tuple(summands)
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization {p: e} by trial division, for 1 <= n <= MAX_ORDER.
+    """Prime factorization {p: e} of an admissible order, 1 <= n <= MAX_ORDER.
 
     >>> factorize(360)
     {2: 3, 3: 2, 5: 1}
     """
     if not 1 <= n <= MAX_ORDER:
         raise ValueError(f"can only factor integers in [1, {MAX_ORDER}], got {n}")
+    return trial_division(n)
+
+
+def trial_division(n: int) -> dict[int, int]:
+    """Prime factorization {p: e} of any n >= 1, by trial division on a 6k +- 1 wheel.
+
+    Unbounded: the loop runs up to the larger of the second-largest prime
+    factor and the square root of the largest.
+
+    >>> trial_division(2 * 10**12)
+    {2: 13, 5: 12}
+    """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     factors: dict[int, int] = {}
     for p in (2, 3):
         while n % p == 0:

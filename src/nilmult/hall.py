@@ -17,7 +17,6 @@ from __future__ import annotations
 import functools
 import os
 import re
-from collections import Counter
 from dataclasses import dataclass, field
 
 from .witt import witt_count
@@ -69,7 +68,8 @@ class BasicCommutator:
     """One basic commutator: a leaf letter x_i or a bracket of two subtrees.
 
     Identity is carried by ``rendered``, the canonical bracket string, which
-    determines the whole tree; ``weight`` is the leaf count.  Instances are
+    determines the whole tree; ``weight`` is the leaf count and
+    ``letter_set`` the set of letter indices that occur.  Instances are
     immutable and freely shareable.
     """
 
@@ -78,27 +78,6 @@ class BasicCommutator:
     letter: int | None = field(compare=False, repr=False)
     parts: tuple[BasicCommutator, BasicCommutator] | None = field(compare=False, repr=False)
     letter_set: frozenset[int] = field(compare=False, repr=False)
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.parts is None
-
-    def max_letter(self) -> int:
-        """Largest letter index occurring in the commutator."""
-        return max(self.letter_set)
-
-    def distinct_letters(self) -> frozenset[int]:
-        """The set of letter indices that occur."""
-        return self.letter_set
-
-    def letter_multiset(self) -> Counter[int]:
-        """Occurrence count per letter; the counts sum to the weight."""
-        if self.letter is not None:
-            return Counter((self.letter,))
-        left, right = self.parts
-        counts = left.letter_multiset()
-        counts.update(right.letter_multiset())
-        return counts
 
     def __str__(self) -> str:
         return self.rendered

@@ -8,7 +8,9 @@ commutators of weight c+1 on i letters.
 ``tensor_oracle`` recomputes the same group from first principles: it
 enumerates the basic commutators of weight c+1 on the given cyclic factors,
 maps each to the cyclic group of order gcd(orders of its letters), and
-canonicalizes the accumulated multiset.  ``verify`` runs both and compares.
+canonicalizes the accumulated multiset with the run-length primary core
+``abelian.compressed_invariant_form``, so multiplicities are never expanded.
+``verify`` runs both and compares.
 """
 
 from __future__ import annotations
@@ -17,9 +19,13 @@ import math
 import sys
 from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping
 
-from .abelian import CyclicDecomposition, InvariantFactors, canonicalize, factorize
+from .abelian import (
+    CyclicDecomposition,
+    InvariantFactors,
+    canonicalize,
+    compressed_invariant_form,
+)
 from .hall import enumerate_basic
 from .witt import b_sequence
 
@@ -88,7 +94,7 @@ def nilpotent_multiplier(group: InvariantFactors, nilpotency_class: int) -> Mult
     chain = group.chain
     if len(chain) <= 1:
         return MultiplierResult((), nilpotency_class, group)
-    counts = b_sequence(nilpotency_class, len(chain)).counts
+    counts = b_sequence(nilpotency_class, len(chain))
     summands: list[list[int]] = []
     for i in range(2, len(chain) + 1):
         order = chain[i - 1]
@@ -123,50 +129,10 @@ def tensor_oracle(
         return MultiplierResult((), nilpotency_class, source)
     occurring: Counter[int] = Counter()
     for comm in enumerate_basic(nilpotency_class + 1, len(orders), cap=cap):
-        g = math.gcd(*(orders[i - 1] for i in comm.distinct_letters()))
+        g = math.gcd(*(orders[i - 1] for i in comm.letter_set))
         if g > 1:
             occurring[g] += 1
-    return MultiplierResult(
-        _compressed_invariant_form(occurring), nilpotency_class, source
-    )
-
-
-def _compressed_invariant_form(multiset: Mapping[int, int]) -> tuple[tuple[int, int], ...]:
-    """Canonicalize a multiset {cyclic order: multiplicity} without expanding it.
-
-    Each distinct order is factored once; per prime, exponent runs are merged
-    and swept from the largest down, so multiplicities stay run-length encoded
-    throughout.
-    """
-    exponent_runs: dict[int, list[list[int]]] = {}
-    for order, multiplicity in multiset.items():
-        if order < 2 or multiplicity < 1:
-            raise ValueError(f"bad multiset entry {order}: {multiplicity}")
-        for p, e in factorize(order).items():
-            exponent_runs.setdefault(p, []).append([e, multiplicity])
-    runs: dict[int, list[list[int]]] = {}
-    for p, pairs in exponent_runs.items():
-        pairs.sort(reverse=True)
-        merged: list[list[int]] = []
-        for e, m in pairs:
-            if merged and merged[-1][0] == e:
-                merged[-1][1] += m
-            else:
-                merged.append([e, m])
-        runs[p] = merged
-    summands: list[tuple[int, int]] = []
-    while runs:
-        factor = math.prod(p ** pairs[0][0] for p, pairs in runs.items())
-        step = min(pairs[0][1] for pairs in runs.values())
-        summands.append((factor, step))
-        for p in list(runs):
-            head = runs[p][0]
-            head[1] -= step
-            if head[1] == 0:
-                runs[p].pop(0)
-                if not runs[p]:
-                    del runs[p]
-    return tuple(summands)
+    return MultiplierResult(compressed_invariant_form(occurring), nilpotency_class, source)
 
 
 def multiplier_order(result: MultiplierResult) -> tuple[int | None, str]:

@@ -4,48 +4,37 @@
 alphabet of q letters, computed exactly as (1/w) * sum_{d | w} mu(d) * q^(w/d).
 The divisibility of the Moebius sum by w is checked, never rounded away; the
 enumeration in ``nilmult.hall`` independently confirms the counts in tests.
+The Moebius function and the divisor lists derive from the one trial-division
+loop in ``nilmult.abelian``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .abelian import trial_division
 
 
 def divisors(n: int) -> list[int]:
-    """Sorted positive divisors of n >= 1."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+    """Sorted positive divisors of n >= 1, built from its prime factorization.
+
+    >>> divisors(12)
+    [1, 2, 3, 4, 6, 12]
+    """
+    result = [1]
+    for p, e in trial_division(n).items():
+        result = [d * p**k for d in result for k in range(e + 1)]
+    return sorted(result)
 
 
 def moebius(n: int) -> int:
-    """Moebius function mu(n) in {-1, 0, 1}, by trial division.
+    """Moebius function mu(n) in {-1, 0, 1} for n >= 1, from its prime factorization.
 
     >>> [moebius(n) for n in (1, 2, 4, 6, 12, 30)]
     [1, -1, 0, 1, 0, -1]
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    prime_count = 0
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return 0
-            prime_count += 1
-        d += 1
-    if n > 1:
-        prime_count += 1
-    return -1 if prime_count % 2 else 1
+    exponents = trial_division(n).values()
+    if max(exponents, default=1) > 1:
+        return 0
+    return -1 if len(exponents) % 2 else 1
 
 
 def witt_count(weight: int, letters: int) -> int:
@@ -72,29 +61,10 @@ def witt_count(weight: int, letters: int) -> int:
     return total // weight
 
 
-@dataclass(frozen=True)
-class WittTable:
-    """Counts b_i of basic commutators of weight class+1 on i letters, i = 1..rank."""
+def b_sequence(nilpotency_class: int, rank: int) -> tuple[int, ...]:
+    """The counts b_i = witt_count(class + 1, i) for i = 1..rank.
 
-    nilpotency_class: int
-    counts: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "counts", tuple(self.counts))
-        if self.nilpotency_class < 1:
-            raise ValueError(f"nilpotency class must be >= 1, got {self.nilpotency_class}")
-        if not self.counts:
-            raise ValueError("a WittTable needs at least one entry")
-
-    @property
-    def rank(self) -> int:
-        return len(self.counts)
-
-
-def b_sequence(nilpotency_class: int, rank: int) -> WittTable:
-    """The table b_i = witt_count(class + 1, i) for i = 1..rank.
-
-    >>> b_sequence(1, 4).counts
+    >>> b_sequence(1, 4)
     (0, 1, 3, 6)
     """
     if nilpotency_class < 1:
@@ -102,7 +72,4 @@ def b_sequence(nilpotency_class: int, rank: int) -> WittTable:
     if rank < 1:
         raise ValueError(f"rank must be >= 1, got {rank}")
     weight = nilpotency_class + 1
-    return WittTable(
-        nilpotency_class,
-        tuple(witt_count(weight, i) for i in range(1, rank + 1)),
-    )
+    return tuple(witt_count(weight, i) for i in range(1, rank + 1))

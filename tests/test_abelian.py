@@ -1,4 +1,6 @@
 import math
+import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given
@@ -130,6 +132,18 @@ def test_factorize_large_inputs():
 def test_decomposition_rejects_bad_orders(bad):
     with pytest.raises(ValueError):
         CyclicDecomposition((bad,))
+
+
+@pytest.mark.parametrize("bad", [True, False, 2.0, 6.0, "4", None, Fraction(4)])
+def test_decomposition_rejects_non_int_orders(bad):
+    with pytest.raises(TypeError, match=re.escape(repr(bad))):
+        CyclicDecomposition((bad, 4))
+
+
+@pytest.mark.parametrize("bad", [True, 2.0, "4", Fraction(4)])
+def test_invariant_factors_reject_non_int_entries(bad):
+    with pytest.raises(TypeError, match=re.escape(repr(bad))):
+        InvariantFactors((4, bad))
 
 
 @pytest.mark.parametrize("bad_chain", [(1,), (6, 4), (2, 4), (12, 5)])

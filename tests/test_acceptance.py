@@ -118,7 +118,7 @@ def test_criterion_6_order_law():
             value, _ = multiplier_order(result)
             expected = 1
             if len(chain) >= 2:
-                counts = b_sequence(c, len(chain)).counts
+                counts = b_sequence(c, len(chain))
                 for i in range(2, len(chain) + 1):
                     expected *= chain[i - 1] ** (counts[i - 1] - counts[i - 2])
             assert value == expected, (chain, c)

@@ -103,7 +103,7 @@ def test_matches_brute_force(weight, letters):
 
 
 def _as_tuple_tree(commutator):
-    if commutator.is_leaf:
+    if commutator.parts is None:
         return commutator.letter
     u, v = commutator.parts
     return (_as_tuple_tree(u), _as_tuple_tree(v))
@@ -165,24 +165,24 @@ def test_accessors():
     c = bracket(bracket(leaf(3), leaf(1)), leaf(1))
     assert c.rendered == "[[x3,x1],x1]"
     assert c.weight == 3
-    assert c.max_letter() == 3
-    assert c.distinct_letters() == frozenset((1, 3))
-    assert c.letter_multiset() == Counter({1: 2, 3: 1})
+    assert c.letter_set == frozenset((1, 3))
     assert leaf(2).rendered == "x2"
-    assert leaf(2).max_letter() == 2
+    assert leaf(2).letter_set == frozenset((2,))
     assert str(bracket(leaf(2), leaf(1))) == "[x2,x1]"
 
 
 def test_letter_multiset_sums_to_weight():
+    # the multiset is read off the rendered string, independently of the tree
     for c in enumerate_basic(5, 3):
-        assert sum(c.letter_multiset().values()) == c.weight == 5
-        assert set(c.letter_multiset()) == set(c.distinct_letters())
+        letters = Counter(int(i) for i in re.findall(r"x(\d+)", c.rendered))
+        assert sum(letters.values()) == c.weight == 5
+        assert set(letters) == c.letter_set
 
 
 def test_weight_two_plus_needs_two_letters():
     for w in (2, 3, 4):
         for c in enumerate_basic(w, 3):
-            assert len(c.distinct_letters()) >= 2
+            assert len(c.letter_set) >= 2
 
 
 def test_parse_round_trip_examples():
