@@ -19,6 +19,7 @@ from .abelian import CyclicDecomposition, InvariantFactors, canonicalize
 from .hall import CapExceeded, enumerate_basic
 from .multiplier import (
     MultiplierResult,
+    VerificationReport,
     decimal_str,
     multiplier_order,
     nilpotent_multiplier,
@@ -71,9 +72,23 @@ def parse_group_spec(text: str) -> CyclicDecomposition:
     return CyclicDecomposition(tuple(orders))
 
 
-def format_group_spec(decomposition: CyclicDecomposition) -> str:
-    """Comma-list rendering; parses back to the same decomposition."""
-    return ",".join(str(r) for r in decomposition.orders)
+def _summand_records(result: MultiplierResult) -> list[dict]:
+    """The summands with each multiplicity rendered to decimal, once."""
+    return [
+        {"order": order, "multiplicity": decimal_str(mult)}
+        for order, mult in result.summands
+    ]
+
+
+def _direct_sum(summands: list[dict]) -> str:
+    """Rendered summands as a direct sum, e.g. "Z6 (+) Z2^(2)"."""
+    if not summands:
+        return "trivial"
+    return " (+) ".join(
+        f"Z{s['order']}" if s["multiplicity"] == "1"
+        else f"Z{s['order']}^({s['multiplicity']})"
+        for s in summands
+    )
 
 
 def _output_record(
@@ -84,24 +99,24 @@ def _output_record(
     result: MultiplierResult,
     verified: bool | None,
 ) -> dict:
-    order_decimal, order_factored = multiplier_order(result)
+    summands = _summand_records(result)
+    order = multiplier_order(result)
     return {
         "schema_version": SCHEMA_VERSION,
         "input": list(decomposition.orders),
         "canonical": list(chain.chain),
         "class": nilpotency_class,
         "method": method,
-        "summands": [
-            {"order": order, "multiplicity": decimal_str(mult)}
-            for order, mult in result.summands
-        ],
-        "order_factored": order_factored,
-        "order_decimal": decimal_str(order_decimal) if order_decimal is not None else None,
+        "summands": summands,
+        "order_factored": " · ".join(
+            f"{s['order']}^{s['multiplicity']}" for s in summands
+        ),
+        "order_decimal": decimal_str(order) if order is not None else None,
         "verified": verified,
     }
 
 
-def _print_record(record: dict, result: MultiplierResult, fmt: str) -> None:
+def _print_record(record: dict, fmt: str) -> None:
     if fmt == "json":
         print(json.dumps(record, ensure_ascii=False))
         return
@@ -109,7 +124,7 @@ def _print_record(record: dict, result: MultiplierResult, fmt: str) -> None:
     print(f"canonical: {','.join(str(n) for n in record['canonical'])}")
     print(f"class: {record['class']}")
     print(f"method: {record['method']}")
-    print(f"multiplier: {result}")
+    print(f"multiplier: {_direct_sum(record['summands'])}")
     if record["order_decimal"] is not None and record["order_factored"]:
         print(f"order: {record['order_decimal']} = {record['order_factored']}")
     elif record["order_factored"]:
@@ -120,33 +135,37 @@ def _print_record(record: dict, result: MultiplierResult, fmt: str) -> None:
         print(f"verified: {'equal' if record['verified'] else 'MISMATCH'}")
 
 
+def _mismatch(report: VerificationReport) -> str:
+    return (
+        f"formula={_direct_sum(_summand_records(report.formula))} "
+        f"oracle={_direct_sum(_summand_records(report.oracle))}"
+    )
+
+
 def cmd_compute(args: argparse.Namespace) -> int:
     if args.class_c < 1:
         raise ValueError("--class must be >= 1")
     decomposition = parse_group_spec(args.group)
-    chain = canonicalize(decomposition)
     verified: bool | None = None
     try:
-        if args.method == "formula":
-            result = nilpotent_multiplier(chain, args.class_c)
-        elif args.method == "oracle":
-            result = tensor_oracle(decomposition, args.class_c)
-        else:
+        if args.method == "both":
             report = verify(decomposition, args.class_c)
-            result = report.formula
-            verified = report.equal
+            chain, result, verified = report.group, report.formula, report.equal
             if not verified:
-                print(
-                    f"mismatch: formula={report.formula} oracle={report.oracle}",
-                    file=sys.stderr,
-                )
+                print(f"mismatch: {_mismatch(report)}", file=sys.stderr)
+        else:
+            chain = canonicalize(decomposition)
+            if args.method == "formula":
+                result = nilpotent_multiplier(chain, args.class_c)
+            else:
+                result = tensor_oracle(decomposition, args.class_c)
     except CapExceeded as exc:
         print(f"error: {exc}; rerun with --method formula", file=sys.stderr)
         return EXIT_CAP
     record = _output_record(
         decomposition, chain, args.class_c, args.method, result, verified
     )
-    _print_record(record, result, args.format)
+    _print_record(record, args.format)
     return EXIT_OK if verified is not False else EXIT_MISMATCH
 
 
@@ -193,10 +212,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             checked += 1
             if not report.equal:
                 mismatched += 1
-                print(
-                    f"MISMATCH: chain={list(chain)} class={c} "
-                    f"formula={report.formula} oracle={report.oracle}"
-                )
+                print(f"MISMATCH: chain={list(chain)} class={c} {_mismatch(report)}")
     print(f"checked {checked} (chain, class) pairs: "
           f"{checked - mismatched} equal, {mismatched} mismatched")
     return EXIT_MISMATCH if mismatched else EXIT_OK

@@ -10,7 +10,8 @@ enumerates the basic commutators of weight c+1 on the given cyclic factors,
 maps each to the cyclic group of order gcd(orders of its letters), and
 canonicalizes the accumulated multiset with the run-length primary core
 ``abelian.compressed_invariant_form``, so multiplicities are never expanded.
-``verify`` runs both and compares.
+``verify`` canonicalizes the input once, runs both and compares.  Results are
+summands only; rendering them as text is the command line's job.
 """
 
 from __future__ import annotations
@@ -29,9 +30,10 @@ from .abelian import (
 from .hall import enumerate_basic
 from .witt import b_sequence
 
-# Exact decimal expansions are reported only up to this many digits; beyond
-# it, only the factored form is rendered.
+# multiplier_order gives the exact order only up to this many decimal digits;
+# beyond it, callers fall back to the factored form.
 DIGIT_LIMIT = 10**4
+_DECIMAL_BOUND = 10**DIGIT_LIMIT  # the least integer with DIGIT_LIMIT + 1 digits
 
 
 def decimal_str(value: int) -> str:
@@ -53,8 +55,6 @@ class MultiplierResult:
     """
 
     summands: tuple[tuple[int, int], ...]
-    nilpotency_class: int
-    group: InvariantFactors
 
     def __post_init__(self) -> None:
         previous = None
@@ -74,26 +74,18 @@ class MultiplierResult:
     def is_trivial(self) -> bool:
         return not self.summands
 
-    def __str__(self) -> str:
-        if not self.summands:
-            return "trivial"
-        return " (+) ".join(
-            f"Z{order}" if mult == 1 else f"Z{order}^({decimal_str(mult)})"
-            for order, mult in self.summands
-        )
-
 
 def nilpotent_multiplier(group: InvariantFactors, nilpotency_class: int) -> MultiplierResult:
     """Closed-form multiplier of the group for the given nilpotency class.
 
-    >>> str(nilpotent_multiplier(InvariantFactors((12, 6, 2)), 1))
-    'Z6 (+) Z2^(2)'
+    >>> nilpotent_multiplier(InvariantFactors((12, 6, 2)), 1).summands
+    ((6, 1), (2, 2))
     """
     if nilpotency_class < 1:
         raise ValueError(f"nilpotency class must be >= 1, got {nilpotency_class}")
     chain = group.chain
     if len(chain) <= 1:
-        return MultiplierResult((), nilpotency_class, group)
+        return MultiplierResult(())
     counts = b_sequence(nilpotency_class, len(chain))
     summands: list[list[int]] = []
     for i in range(2, len(chain) + 1):
@@ -105,9 +97,7 @@ def nilpotent_multiplier(group: InvariantFactors, nilpotency_class: int) -> Mult
             summands[-1][1] += multiplicity
         else:
             summands.append([order, multiplicity])
-    return MultiplierResult(
-        tuple((order, mult) for order, mult in summands), nilpotency_class, group
-    )
+    return MultiplierResult(tuple((order, mult) for order, mult in summands))
 
 
 def tensor_oracle(
@@ -123,52 +113,42 @@ def tensor_oracle(
     """
     if nilpotency_class < 1:
         raise ValueError(f"nilpotency class must be >= 1, got {nilpotency_class}")
-    source = canonicalize(decomposition)
     orders = decomposition.orders
     if not orders:
-        return MultiplierResult((), nilpotency_class, source)
+        return MultiplierResult(())
     occurring: Counter[int] = Counter()
     for comm in enumerate_basic(nilpotency_class + 1, len(orders), cap=cap):
         g = math.gcd(*(orders[i - 1] for i in comm.letter_set))
         if g > 1:
             occurring[g] += 1
-    return MultiplierResult(compressed_invariant_form(occurring), nilpotency_class, source)
+    return MultiplierResult(compressed_invariant_form(occurring))
 
 
-def multiplier_order(result: MultiplierResult) -> tuple[int | None, str]:
-    """Order of the multiplier: (exact integer or None, factored rendering).
+def multiplier_order(result: MultiplierResult) -> int | None:
+    """Order of the multiplier, or None when it has more than ``DIGIT_LIMIT`` digits.
 
-    The integer is computed whenever its decimal expansion fits in
-    ``DIGIT_LIMIT`` digits, else None; the factored string is always produced
-    ("" for the trivial group).
-
-    >>> m = nilpotent_multiplier(InvariantFactors((12, 6, 2)), 1)
-    >>> multiplier_order(m)
-    (24, '6^1 · 2^2')
+    >>> multiplier_order(nilpotent_multiplier(InvariantFactors((12, 6, 2)), 1))
+    24
     """
-    factored = " · ".join(
-        f"{order}^{decimal_str(mult)}" for order, mult in result.summands
-    )
     # bit_length overestimates log2 by at most a factor of two for n >= 2, so
     # anything within the digit limit lands under this bound.
     bits_upper = sum(mult * order.bit_length() for order, mult in result.summands)
     if bits_upper > 8 * DIGIT_LIMIT:
-        return None, factored
+        return None
     value = 1
     for order, mult in result.summands:
         value *= order**mult
-    if len(decimal_str(value)) > DIGIT_LIMIT:
-        return None, factored
-    return value, factored
+    return value if value < _DECIMAL_BOUND else None
 
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Both computation routes for one input, plus the equality verdict."""
+    """Both computation routes for one input, the verdict, and the input's chain."""
 
     formula: MultiplierResult
     oracle: MultiplierResult
     equal: bool
+    group: InvariantFactors
 
 
 def verify(
@@ -179,6 +159,7 @@ def verify(
     The verdict is expected to be equal on every valid input; anything else
     means an implementation bug, not a property of the input.
     """
-    formula = nilpotent_multiplier(canonicalize(decomposition), nilpotency_class)
+    group = canonicalize(decomposition)
+    formula = nilpotent_multiplier(group, nilpotency_class)
     oracle = tensor_oracle(decomposition, nilpotency_class, cap=cap)
-    return VerificationReport(formula, oracle, formula == oracle)
+    return VerificationReport(formula, oracle, formula == oracle, group)

@@ -37,6 +37,21 @@ def moebius(n: int) -> int:
     return -1 if len(exponents) % 2 else 1
 
 
+def _moebius_terms(weight: int) -> list[tuple[int, int]]:
+    """The nonzero terms (mu(d), weight // d) of the Witt sum, over d | weight."""
+    return [(mu, weight // d) for d in divisors(weight) if (mu := moebius(d))]
+
+
+def _witt_sum(terms: list[tuple[int, int]], weight: int, letters: int) -> int:
+    total = sum(mu * letters**exponent for mu, exponent in terms)
+    if total % weight:
+        raise ArithmeticError(
+            f"Moebius sum {total} for weight {weight} on {letters} letters "
+            f"is not divisible by {weight}"
+        )
+    return total // weight
+
+
 def witt_count(weight: int, letters: int) -> int:
     """Number of basic commutators of the given weight on `letters` letters.
 
@@ -52,17 +67,13 @@ def witt_count(weight: int, letters: int) -> int:
         raise ValueError(f"weight must be >= 1, got {weight}")
     if letters < 0:
         raise ValueError(f"letters must be >= 0, got {letters}")
-    total = sum(moebius(d) * letters ** (weight // d) for d in divisors(weight))
-    if total % weight:
-        raise ArithmeticError(
-            f"Moebius sum {total} for weight {weight} on {letters} letters "
-            f"is not divisible by {weight}"
-        )
-    return total // weight
+    return _witt_sum(_moebius_terms(weight), weight, letters)
 
 
 def b_sequence(nilpotency_class: int, rank: int) -> tuple[int, ...]:
     """The counts b_i = witt_count(class + 1, i) for i = 1..rank.
+
+    The weight is factored once; each count keeps its own divisibility check.
 
     >>> b_sequence(1, 4)
     (0, 1, 3, 6)
@@ -72,4 +83,5 @@ def b_sequence(nilpotency_class: int, rank: int) -> tuple[int, ...]:
     if rank < 1:
         raise ValueError(f"rank must be >= 1, got {rank}")
     weight = nilpotency_class + 1
-    return tuple(witt_count(weight, i) for i in range(1, rank + 1))
+    terms = _moebius_terms(weight)
+    return tuple(_witt_sum(terms, weight, i) for i in range(1, rank + 1))

@@ -115,7 +115,7 @@ def test_criterion_6_order_law():
     for chain in invariant_chains(12, 3):
         for c in (1, 2, 3):
             result = nilpotent_multiplier(InvariantFactors(chain), c)
-            value, _ = multiplier_order(result)
+            value = multiplier_order(result)
             expected = 1
             if len(chain) >= 2:
                 counts = b_sequence(c, len(chain))

@@ -1,16 +1,22 @@
+import contextlib
+import io
 import json
+import math
+import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nilmult import abelian, multiplier
+from nilmult.abelian import CyclicDecomposition
 from nilmult.cli import (
     GroupSpecError,
-    format_group_spec,
     invariant_chains,
     main,
     parse_group_spec,
 )
+from nilmult.multiplier import MultiplierResult
 from nilmult.witt import witt_count
 
 
@@ -18,6 +24,28 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def record_calls(monkeypatch, module, name):
+    """Wrap `name` in every nilmult module that binds it; return its first arguments."""
+    original = getattr(module, name)
+    seen = []
+
+    def wrapper(*args, **kwargs):
+        seen.append(args[0])
+        return original(*args, **kwargs)
+
+    for module_name, bound in list(sys.modules.items()):
+        if module_name.split(".")[0] == "nilmult" and getattr(bound, name, None) is original:
+            monkeypatch.setattr(bound, name, wrapper)
+    return seen
+
+
+def wrong_oracle(monkeypatch):
+    """Make every oracle call answer Z3^(2), so `both` and `sweep` disagree."""
+    monkeypatch.setattr(
+        multiplier, "tensor_oracle", lambda d, c, cap=None: MultiplierResult(((3, 2),))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +96,7 @@ def test_spec_round_trip(orders, power):
     ]
     for text in spellings:
         d = parse_group_spec(text)
-        assert parse_group_spec(format_group_spec(d)) == d
+        assert parse_group_spec(",".join(map(str, d.orders))) == d
 
 
 # ---------------------------------------------------------------------------
@@ -77,21 +105,107 @@ def test_spec_round_trip(orders, power):
 
 
 def test_compute_both_text(capsys):
-    code, out, _ = run(
+    code, out, err = run(
         capsys, "compute", "--group", "12,6,2", "--class", "1", "--method", "both"
     )
     assert code == 0
-    assert "multiplier: Z6 (+) Z2^(2)" in out
-    assert "canonical: 12,6,2" in out
-    assert "order: 24 = 6^1 · 2^2" in out
-    assert "verified: equal" in out
+    assert err == ""
+    assert out == (
+        "input: 12,6,2\n"
+        "canonical: 12,6,2\n"
+        "class: 1\n"
+        "method: both\n"
+        "multiplier: Z6 (+) Z2^(2)\n"
+        "order: 24 = 6^1 · 2^2\n"
+        "verified: equal\n"
+    )
 
 
 def test_compute_trivial(capsys):
-    code, out, _ = run(capsys, "compute", "--group", "Z5", "--class", "7")
+    code, out, err = run(capsys, "compute", "--group", "Z5", "--class", "7")
     assert code == 0
-    assert "multiplier: trivial" in out
-    assert "order: 1" in out
+    assert err == ""
+    assert out == (
+        "input: 5\n"
+        "canonical: 5\n"
+        "class: 7\n"
+        "method: formula\n"
+        "multiplier: trivial\n"
+        "order: 1\n"
+    )
+
+
+def test_compute_huge_multiplicity_text(capsys):
+    code, out, err = run(capsys, "compute", "--group", "2,2", "--class", "40")
+    assert code == 0
+    assert err == ""
+    assert out == (
+        "input: 2,2\n"
+        "canonical: 2,2\n"
+        "class: 40\n"
+        "method: formula\n"
+        "multiplier: Z2^(53634713550)\n"
+        "order: 2^53634713550\n"
+    )
+
+
+@given(st.lists(st.integers(1, 12), min_size=1, max_size=4), st.integers(1, 3))
+@settings(deadline=None)
+def test_order_factored_multiplies_out_to_the_order(entries, c):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["compute", "--group", ",".join(map(str, entries)),
+                     "--class", str(c), "--format", "json"])
+    assert code == 0
+    record = json.loads(out.getvalue())
+    factors = [s.split("^") for s in record["order_factored"].split(" · ") if s]
+    assert factors == [
+        [str(s["order"]), s["multiplicity"]] for s in record["summands"]
+    ]
+    assert math.prod(int(base) ** int(exp) for base, exp in factors) == int(
+        record["order_decimal"]
+    )
+
+
+@pytest.mark.parametrize("method", ["formula", "oracle", "both"])
+def test_compute_canonicalizes_once(capsys, monkeypatch, method):
+    calls = record_calls(monkeypatch, abelian, "canonicalize")
+    code, out, _ = run(
+        capsys, "compute", "--group", "4,6", "--class", "2", "--method", method
+    )
+    assert code == 0
+    assert "canonical: 12,2" in out
+    assert calls == [CyclicDecomposition((4, 6))]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize(
+    "argv, rendered",
+    [
+        (("--group", "12,6,2", "--class", "1", "--method", "both"), [1, 2, 24]),
+        (("--group", "2,2", "--class", "40"), [53634713550]),
+        (("--group", "Z5", "--class", "7"), [1]),
+    ],
+)
+def test_compute_renders_each_integer_once(capsys, monkeypatch, fmt, argv, rendered):
+    calls = record_calls(monkeypatch, multiplier, "decimal_str")
+    code, _, _ = run(capsys, "compute", *argv, "--format", fmt)
+    assert code == 0
+    assert calls == rendered
+
+
+def test_compute_mismatch_exits_2(capsys, monkeypatch):
+    wrong_oracle(monkeypatch)
+    argv = ("compute", "--group", "12,6,2", "--class", "1", "--method", "both")
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out.splitlines()[-1] == "verified: MISMATCH"
+    assert "multiplier: Z6 (+) Z2^(2)" in out
+    assert err == "mismatch: formula=Z6 (+) Z2^(2) oracle=Z3^(2)\n"
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert code == 2
+    assert json.loads(out)["verified"] is False
+    assert err == "mismatch: formula=Z6 (+) Z2^(2) oracle=Z3^(2)\n"
 
 
 def test_compute_canonicalizes_before_the_formula(capsys):
@@ -271,6 +385,20 @@ def test_sweep_cyclic_only(capsys):
     )
     assert code == 0
     assert "10 (chain, class) pairs: 10 equal, 0 mismatched" in out
+
+
+def test_sweep_reports_mismatches(capsys, monkeypatch):
+    wrong_oracle(monkeypatch)
+    code, out, _ = run(
+        capsys, "sweep", "--max-order", "2", "--max-rank", "2", "--max-class", "1"
+    )
+    assert code == 2
+    assert out.splitlines() == [
+        "MISMATCH: chain=[] class=1 formula=trivial oracle=Z3^(2)",
+        "MISMATCH: chain=[2] class=1 formula=trivial oracle=Z3^(2)",
+        "MISMATCH: chain=[2, 2] class=1 formula=Z2 oracle=Z3^(2)",
+        "checked 3 (chain, class) pairs: 0 equal, 3 mismatched",
+    ]
 
 
 def test_sweep_is_deterministic(capsys):

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from nilmult.hall import enumerate_basic
@@ -86,6 +86,8 @@ def test_schur_case_reproduces_the_classical_exponents(k):
 
 
 @given(st.integers(1, 6), st.integers(1, 8))
+@example(63, 8)  # weight 64, a prime power
+@example(359, 8)  # weight 360, highly composite
 def test_b_sequence_table_shape(c, rank):
     counts = b_sequence(c, rank)
     assert isinstance(counts, tuple)
