@@ -4,8 +4,8 @@ Subcommands: ``compute`` (multiplier of a group, by formula, oracle, or both),
 ``witt`` (basic-commutator count), ``basis`` (enumerate basic commutators),
 ``sweep`` (cross-validate formula against oracle over a family of groups).
 
-Exit codes: 0 success, 1 bad input, 2 formula/oracle mismatch, 3 enumeration
-cap exceeded.
+Exit codes: 0 success, 1 bad input (including a result above
+``MAX_RESULT_BITS``), 2 formula/oracle mismatch, 3 enumeration cap exceeded.
 """
 
 from __future__ import annotations
@@ -34,6 +34,11 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_MISMATCH = 2
 EXIT_CAP = 3
+
+# Largest result, in bits, that compute and witt will build.  One at the bound
+# renders in under 2 s (CPython 3.11, x86-64); --class 10**9 on two letters
+# would first build 2**(10**9), 125 MB, and then try to print it.
+MAX_RESULT_BITS = 2**23
 
 
 class GroupSpecError(ValueError):
@@ -70,6 +75,21 @@ def parse_group_spec(text: str) -> CyclicDecomposition:
                 raise GroupSpecError(f"bad order {piece!r} in {text!r}")
             orders.append(int(piece))
     return CyclicDecomposition(tuple(orders))
+
+
+def check_result_size(weight: int, letters: int) -> None:
+    """Refuse, before any arithmetic, a count of basic commutators too big to build.
+
+    The count of weight-w commutators on q letters is below q**w, so it has
+    at most w * log2(q) bits; the estimate w * bit_length(q - 1) is at least
+    that, and is 0 for a single letter.
+    """
+    estimate = weight * max(letters - 1, 0).bit_length()
+    if estimate > MAX_RESULT_BITS:
+        raise ValueError(
+            f"the result would have about {estimate} bits, above the bound of "
+            f"{MAX_RESULT_BITS} bits"
+        )
 
 
 def _summand_records(result: MultiplierResult) -> list[dict]:
@@ -146,6 +166,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
     if args.class_c < 1:
         raise ValueError("--class must be >= 1")
     decomposition = parse_group_spec(args.group)
+    check_result_size(args.class_c + 1, len(decomposition.orders))
     verified: bool | None = None
     try:
         if args.method == "both":
@@ -170,6 +191,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
 
 
 def cmd_witt(args: argparse.Namespace) -> int:
+    check_result_size(args.weight, args.letters)
     print(decimal_str(witt_count(args.weight, args.letters)))
     return EXIT_OK
 

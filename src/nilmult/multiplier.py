@@ -16,8 +16,8 @@ summands only; rendering them as text is the command line's job.
 
 from __future__ import annotations
 
+import functools
 import math
-import sys
 from collections import Counter
 from dataclasses import dataclass
 
@@ -36,13 +36,103 @@ DIGIT_LIMIT = 10**4
 _DECIMAL_BOUND = 10**DIGIT_LIMIT  # the least integer with DIGIT_LIMIT + 1 digits
 
 
+# decimal_str's three methods, chosen by bit length.  2048 bits is at most
+# 617 digits, under 640, the smallest int-to-str digit limit Python allows, so
+# str() never trips the limit here.  Splitting by powers of ten beats the
+# Decimal route up to about 65,000 bits (measured on CPython 3.11, x86-64).
+_STR_MAX_BITS = 2048
+_TENS_MAX_BITS = 65_000
+_TENS_LEAF_DIGITS = 600
+_DECIMAL_LEAF_BITS = 1024
+
+
 def decimal_str(value: int) -> str:
-    """str(value) with the interpreter's int-to-str digit limit lifted as needed."""
-    if hasattr(sys, "get_int_max_str_digits"):
-        needed = value.bit_length() // 3 + 4
-        if needed > sys.get_int_max_str_digits():
-            sys.set_int_max_str_digits(needed)
-    return str(value)
+    """The decimal digits of ``value``, exactly as ``str(value)`` would give them.
+
+    Works for integers of any size, independent of the interpreter's
+    int-to-str digit limit, and changes no interpreter state: neither that
+    limit nor the calling thread's ``decimal`` context.  Time is subquadratic
+    in the digit count for large values.
+
+    >>> decimal_str(-120)
+    '-120'
+    """
+    if value < 0:
+        return "-" + _unsigned_decimal_str(-value)
+    return _unsigned_decimal_str(value)
+
+
+def _unsigned_decimal_str(value: int) -> str:
+    bits = value.bit_length()
+    if bits <= _STR_MAX_BITS:
+        return str(value)
+    if bits <= _TENS_MAX_BITS:
+        # log10(2) < 0.30103, so value < 10**digits
+        digits = bits * 30103 // 100000 + 1
+        level = ((digits - 1) // _TENS_LEAF_DIGITS).bit_length()
+        return _split_by_tens(value, level)
+    return _split_by_twos(value)
+
+
+@functools.cache
+def _ten_power(level: int) -> int:
+    """10 ** (_TENS_LEAF_DIGITS * 2**level); the levels in use are a handful."""
+    return 10 ** (_TENS_LEAF_DIGITS << level)
+
+
+def _split_by_tens(value: int, level: int) -> str:
+    """Digits of 0 <= value < _ten_power(level), without leading zeros."""
+    if level == 0:
+        return str(value)
+    high, low = divmod(value, _ten_power(level - 1))
+    low_text = _split_by_tens(low, level - 1)
+    if not high:
+        return low_text
+    return _split_by_tens(high, level - 1) + low_text.zfill(_TENS_LEAF_DIGITS << (level - 1))
+
+
+def _split_by_twos(value: int) -> str:
+    """Digits of value >= 0 by CPython 3.12's ``_pylong.int_to_decimal`` method.
+
+    Split by powers of two down to 1024-bit leaves, convert each leaf with
+    ``Decimal(int)`` (which reads the int's limbs, not its digits), and
+    recombine with exact Decimal arithmetic, which multiplies big operands
+    subquadratically.  The context is a thread-local copy, restored on exit.
+    """
+    # Imported here: a CLI run that never renders a huge integer should not
+    # pay the import at start-up.
+    import decimal
+
+    powers: dict[int, decimal.Decimal] = {}
+
+    def two_power(width: int) -> decimal.Decimal:
+        result = powers.get(width)
+        if result is None:
+            if width <= _DECIMAL_LEAF_BITS:
+                result = decimal.Decimal(1 << width)
+            elif width - 1 in powers:
+                result = powers[width - 1] * 2
+            else:
+                half = width >> 1
+                # the smaller half first, so the larger is one doubling away
+                result = two_power(half) * two_power(width - half)
+            powers[width] = result
+        return result
+
+    def convert(n: int, width: int) -> decimal.Decimal:
+        if width <= _DECIMAL_LEAF_BITS:
+            return decimal.Decimal(n)
+        half = width >> 1
+        high = n >> half
+        low = n - (high << half)
+        return convert(low, half) + convert(high, width - half) * two_power(half)
+
+    with decimal.localcontext() as context:
+        context.prec = decimal.MAX_PREC
+        context.Emax = decimal.MAX_EMAX
+        context.Emin = decimal.MIN_EMIN
+        context.traps[decimal.Inexact] = True
+        return str(convert(value, value.bit_length()))
 
 
 @dataclass(frozen=True)

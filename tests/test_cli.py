@@ -1,17 +1,22 @@
 import contextlib
+import decimal
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nilmult import abelian, multiplier
+from nilmult import abelian, multiplier, witt
 from nilmult.abelian import CyclicDecomposition
 from nilmult.cli import (
+    MAX_RESULT_BITS,
     GroupSpecError,
+    check_result_size,
     invariant_chains,
     main,
     parse_group_spec,
@@ -310,6 +315,69 @@ def test_input_errors_exit_1(capsys, argv):
     except SystemExit as exc:  # argparse usage failures
         code = exc.code
     assert code == 1
+
+
+def test_check_result_size_bound():
+    check_result_size(MAX_RESULT_BITS, 2)
+    check_result_size(MAX_RESULT_BITS // 2, 4)
+    check_result_size(10**9, 1)  # a single letter has one commutator or none
+    with pytest.raises(ValueError, match=f"{MAX_RESULT_BITS + 1} bits"):
+        check_result_size(MAX_RESULT_BITS + 1, 2)
+    with pytest.raises(ValueError, match=f"{MAX_RESULT_BITS + 2} bits"):
+        check_result_size(MAX_RESULT_BITS // 2 + 1, 4)
+
+
+@pytest.mark.parametrize(
+    "argv, bits",
+    [
+        (("compute", "--group", "2,2", "--class", "1000000000"), 10**9 + 1),
+        (("compute", "--group", "2,2", "--class", "1000000000",
+          "--method", "oracle"), 10**9 + 1),
+        (("compute", "--group", "2,2", "--class", "1000000000",
+          "--method", "both"), 10**9 + 1),
+        (("witt", "--weight", "1000000000", "--letters", "2"), 10**9),
+    ],
+)
+def test_oversized_results_exit_1_before_any_arithmetic(capsys, monkeypatch, argv, bits):
+    def refuse(*args):
+        raise AssertionError("a Witt sum was computed")
+
+    monkeypatch.setattr(witt, "_witt_sum", refuse)
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == (
+        f"error: the result would have about {bits} bits, "
+        f"above the bound of {MAX_RESULT_BITS} bits\n"
+    )
+
+
+def test_commands_leave_interpreter_state_unchanged(capsys):
+    def state():
+        context = decimal.getcontext()
+        return (sys.get_int_max_str_digits(), context.prec, context.Emax,
+                context.Emin, dict(context.traps))
+
+    original_limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)
+        before = state()
+        assert main(["compute", "--group", "2,2", "--class", "60000",
+                     "--format", "json"]) == 0
+        assert main(["witt", "--weight", "100001", "--letters", "6"]) == 0
+        after = state()
+    finally:
+        sys.set_int_max_str_digits(original_limit)
+    capsys.readouterr()
+    assert after == before
+
+
+def test_cli_import_does_not_load_decimal():
+    # decimal_str imports decimal only for huge values, keeping CLI start-up lean
+    src = os.path.dirname(os.path.dirname(multiplier.__file__))
+    probe = "import nilmult.cli, sys; assert 'decimal' not in sys.modules"
+    subprocess.run([sys.executable, "-c", probe], check=True,
+                   env={**os.environ, "PYTHONPATH": src})
 
 
 def test_cap_exceeded_exits_3(capsys, monkeypatch):

@@ -1,4 +1,6 @@
 import math
+import random
+import sys
 from collections import Counter
 
 import pytest
@@ -8,6 +10,9 @@ from hypothesis import strategies as st
 from nilmult.abelian import CyclicDecomposition, InvariantFactors, canonicalize
 from nilmult.hall import CapExceeded
 from nilmult.multiplier import (
+    _STR_MAX_BITS,
+    _TENS_LEAF_DIGITS,
+    _TENS_MAX_BITS,
     MultiplierResult,
     decimal_str,
     multiplier_order,
@@ -176,8 +181,30 @@ def test_order_decimal_boundary():
 
 
 def test_decimal_str_handles_huge_values():
-    text = decimal_str(2**200_000)
-    assert text.startswith("998005") and len(text) == 60206
+    # decimal_str must equal str() on every method it picks, under any limit
+    values = [0, 1, -1, 2**200_000]
+    for bits in (_STR_MAX_BITS, _TENS_MAX_BITS):
+        digits = math.floor(bits * math.log10(2))
+        for k in (bits - 1, bits, bits + 1):
+            values += [2**k - 1, 2**k]
+        for k in (digits - 1, digits, digits + 1, digits + 2):
+            values += [10**k - 1, 10**k]
+    for level in range(7):  # the split points of the powers-of-ten method
+        split = 10 ** (_TENS_LEAF_DIGITS << level)
+        values += [split - 1, split]
+    rng = random.Random(4)
+    for _ in range(12):
+        value = rng.getrandbits(rng.randrange(1, 300_001))
+        values += [value, -value]
+    original_limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        expected = [str(value) for value in values]
+        assert [decimal_str(value) for value in values] == expected
+        sys.set_int_max_str_digits(640)  # the smallest limit Python allows
+        assert [decimal_str(value) for value in values] == expected
+    finally:
+        sys.set_int_max_str_digits(original_limit)
 
 
 # ---------------------------------------------------------------------------
