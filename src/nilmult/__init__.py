@@ -21,11 +21,8 @@ from .hall import (
     DEFAULT_ENUM_CAP,
     BasicCommutator,
     CapExceeded,
-    bracket,
     enumerate_basic,
     enumeration_cap,
-    leaf,
-    parse_commutator,
 )
 from .multiplier import (
     MultiplierResult,
@@ -52,11 +49,8 @@ __all__ = [
     "DEFAULT_ENUM_CAP",
     "BasicCommutator",
     "CapExceeded",
-    "bracket",
     "enumerate_basic",
     "enumeration_cap",
-    "leaf",
-    "parse_commutator",
     "MultiplierResult",
     "VerificationReport",
     "multiplier_order",

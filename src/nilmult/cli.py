@@ -35,7 +35,7 @@ EXIT_INPUT = 1
 EXIT_MISMATCH = 2
 EXIT_CAP = 3
 
-# Largest result, in bits, that compute and witt will build.  One at the bound
+# Largest count, in bits, that compute, witt and basis will build.  One at the bound
 # renders in under 2 s (CPython 3.11, x86-64); --class 10**9 on two letters
 # would first build 2**(10**9), 125 MB, and then try to print it.
 MAX_RESULT_BITS = 2**23
@@ -197,6 +197,7 @@ def cmd_witt(args: argparse.Namespace) -> int:
 
 
 def cmd_basis(args: argparse.Namespace) -> int:
+    check_result_size(args.weight, args.letters)
     for comm in enumerate_basic(args.weight, args.letters):
         print(comm.rendered)
     return EXIT_OK

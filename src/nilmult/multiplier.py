@@ -191,26 +191,34 @@ def nilpotent_multiplier(group: InvariantFactors, nilpotency_class: int) -> Mult
 
 
 def tensor_oracle(
-    decomposition: CyclicDecomposition, nilpotency_class: int, cap: int | None = None
+    decomposition: CyclicDecomposition, nilpotency_class: int
 ) -> MultiplierResult:
     """Multiplier recomputed from the basic commutators themselves.
 
     Works on any decomposition, canonical or not; each basic commutator of
     weight class+1 on the t factors contributes the cyclic group of order
-    gcd of the orders of its distinct letters (repeats cannot change a gcd).
-    Raises ``CapExceeded`` when the enumeration would be too large, in which
-    case ``nilpotent_multiplier`` is the way to go.
+    gcd of the orders of its distinct letters (repeats cannot change a gcd),
+    so commutators are counted per letter set and each set's gcd is taken
+    once.  Raises ``CapExceeded`` when the enumeration would be too large, in
+    which case ``nilpotent_multiplier`` is the way to go.
     """
     if nilpotency_class < 1:
         raise ValueError(f"nilpotency class must be >= 1, got {nilpotency_class}")
     orders = decomposition.orders
     if not orders:
         return MultiplierResult(())
+    per_mask = Counter(
+        comm.letter_mask for comm in enumerate_basic(nilpotency_class + 1, len(orders))
+    )
     occurring: Counter[int] = Counter()
-    for comm in enumerate_basic(nilpotency_class + 1, len(orders), cap=cap):
-        g = math.gcd(*(orders[i - 1] for i in comm.letter_set))
+    for mask, count in per_mask.items():
+        g = 0
+        while mask:  # one step per letter in the set: bit i - 1 is x_i
+            low = mask & -mask
+            g = math.gcd(g, orders[low.bit_length() - 1])
+            mask ^= low
         if g > 1:
-            occurring[g] += 1
+            occurring[g] += count
     return MultiplierResult(compressed_invariant_form(occurring))
 
 
@@ -242,7 +250,7 @@ class VerificationReport:
 
 
 def verify(
-    decomposition: CyclicDecomposition, nilpotency_class: int, cap: int | None = None
+    decomposition: CyclicDecomposition, nilpotency_class: int
 ) -> VerificationReport:
     """Run the closed form and the commutator oracle and compare them.
 
@@ -251,5 +259,5 @@ def verify(
     """
     group = canonicalize(decomposition)
     formula = nilpotent_multiplier(group, nilpotency_class)
-    oracle = tensor_oracle(decomposition, nilpotency_class, cap=cap)
+    oracle = tensor_oracle(decomposition, nilpotency_class)
     return VerificationReport(formula, oracle, formula == oracle, group)

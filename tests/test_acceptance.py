@@ -144,3 +144,16 @@ def test_criterion_8_spot_values():
     assert witt_count(3, 2) == 2
     assert tensor_oracle(CyclicDecomposition((3, 2)), 1).is_trivial
     done("criterion 8: spot values")
+
+
+def test_criterion_9_wide_formula_oracle_equivalence():
+    done = timed(30.0)
+    cases = 0
+    for chain in invariant_chains(32, 5):
+        for c in range(1, 6):
+            report = verify(CyclicDecomposition(chain), c)
+            assert report.equal, (chain, c)
+            cases += 1
+    assert cases == 5710
+    done(f"criterion 9: formula == oracle on all {cases} (chain, class) cases, "
+         "entries <= 32, rank <= 5, class <= 5")

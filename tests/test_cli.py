@@ -1,5 +1,6 @@
 import contextlib
 import decimal
+import hashlib
 import io
 import json
 import math
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from nilmult import abelian, multiplier, witt
 from nilmult.abelian import CyclicDecomposition
+from nilmult.hall import CapExceeded, enumerate_basic
 from nilmult.cli import (
     MAX_RESULT_BITS,
     GroupSpecError,
@@ -49,7 +51,7 @@ def record_calls(monkeypatch, module, name):
 def wrong_oracle(monkeypatch):
     """Make every oracle call answer Z3^(2), so `both` and `sweep` disagree."""
     monkeypatch.setattr(
-        multiplier, "tensor_oracle", lambda d, c, cap=None: MultiplierResult(((3, 2),))
+        multiplier, "tensor_oracle", lambda d, c: MultiplierResult(((3, 2),))
     )
 
 
@@ -336,6 +338,7 @@ def test_check_result_size_bound():
         (("compute", "--group", "2,2", "--class", "1000000000",
           "--method", "both"), 10**9 + 1),
         (("witt", "--weight", "1000000000", "--letters", "2"), 10**9),
+        (("basis", "--weight", "1000000000", "--letters", "2"), 10**9),
     ],
 )
 def test_oversized_results_exit_1_before_any_arithmetic(capsys, monkeypatch, argv, bits):
@@ -392,6 +395,32 @@ def test_cap_exceeded_exits_3(capsys, monkeypatch):
     assert "cap" in err
 
 
+def test_cap_message_fits_any_count(capsys, monkeypatch):
+    # counts past 2048 bits are shown as a power of two, so the message never
+    # depends on the int-to-str digit limit
+    monkeypatch.delenv("NILMULT_ENUM_CAP", raising=False)
+    compute = ("compute", "--group", "2,2", "--class", "20000", "--method", "oracle")
+    basis = ("basis", "--weight", "3000000", "--letters", "2")
+    original_limit = sys.get_int_max_str_digits()
+    try:
+        for limit in (original_limit, 640):
+            sys.set_int_max_str_digits(limit)
+            assert run(capsys, *compute) == (3, "", (
+                "error: about 2^19986 basic commutators of weight 20001 on 2 "
+                "letters exceed the enumeration cap 1000000; "
+                "rerun with --method formula\n"
+            ))
+            assert run(capsys, *basis) == (3, "", (
+                "error: about 2^2999978 basic commutators of weight 3000000 on 2 "
+                "letters exceed the enumeration cap 1000000\n"
+            ))
+    finally:
+        sys.set_int_max_str_digits(original_limit)
+    with pytest.raises(CapExceeded) as exc_info:
+        enumerate_basic(20001, 2)
+    assert exc_info.value.count == witt_count(20001, 2)
+
+
 # ---------------------------------------------------------------------------
 # witt / basis
 # ---------------------------------------------------------------------------
@@ -413,6 +442,22 @@ def test_basis_command(capsys):
     assert out.splitlines() == ["[[x2,x1],x1]", "[[x2,x1],x2]"]
     code, out, _ = run(capsys, "basis", "--weight", "1", "--letters", "2")
     assert out.splitlines() == ["x1", "x2"]
+
+
+@pytest.mark.parametrize(
+    "weight, letters, digest",
+    [
+        (6, 4, "afa2fc77c5756ad88633480dc66d3d8643f190dab7003e0d3fb3f5070d6fc682"),
+        (3, 12, "5ee242a3340d0b45008b615434d5f716423cd1452aeca7d004013f301296702d"),
+    ],
+)
+def test_basis_output_is_pinned(capsys, weight, letters, digest):
+    # the pinned basis order, byte for byte
+    code, out, _ = run(
+        capsys, "basis", "--weight", str(weight), "--letters", str(letters)
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("weight, letters", [(2, 3), (4, 2), (5, 3)])

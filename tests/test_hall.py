@@ -1,18 +1,14 @@
+import ast
 import re
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from nilmult.hall import (
     DEFAULT_ENUM_CAP,
     CapExceeded,
-    bracket,
     enumerate_basic,
     enumeration_cap,
-    leaf,
-    parse_commutator,
 )
 from nilmult.witt import witt_count
 
@@ -102,11 +98,10 @@ def test_matches_brute_force(weight, letters):
     assert set(enumerated) == brute_force_hall_set(weight, letters)
 
 
-def _as_tuple_tree(commutator):
-    if commutator.parts is None:
-        return commutator.letter
-    u, v = commutator.parts
-    return (_as_tuple_tree(u), _as_tuple_tree(v))
+def _as_tuple_tree(rendered):
+    """Read a rendered commutator back as a tree: "[[x2,x1],x1]" -> ((2, 1), 1)."""
+    nested = re.sub(r"x(\d+)", r"\1", rendered).translate(str.maketrans("[]", "()"))
+    return ast.literal_eval(nested)
 
 
 @pytest.mark.parametrize("weight, letters", [(6, 3), (7, 2), (4, 4)])
@@ -115,7 +110,7 @@ def test_every_element_passes_the_independent_validator(weight, letters):
     level = enumerate_basic(weight, letters)
     assert len({c.rendered for c in level}) == len(level) == witt_count(weight, letters)
     for c in level:
-        assert _is_hall(_as_tuple_tree(c)), c.rendered
+        assert _is_hall(_as_tuple_tree(c.rendered)), c.rendered
 
 
 def test_counts_agree_with_witt():
@@ -146,6 +141,15 @@ def test_enumeration_is_sorted_and_fresh():
     assert first == second and first is not second
 
 
+def test_enumeration_follows_the_pinned_order():
+    for w in range(1, 6):
+        for t in range(1, 4):
+            expected = sorted(
+                brute_force_hall_set(w, t), key=lambda r: _key(_as_tuple_tree(r))
+            )
+            assert [c.rendered for c in enumerate_basic(w, t)] == expected, (w, t)
+
+
 def test_wide_alphabets_order_letters_numerically():
     letters = [c.rendered for c in enumerate_basic(1, 12)]
     assert letters == [f"x{i}" for i in range(1, 13)]
@@ -157,73 +161,41 @@ def test_wide_alphabets_order_letters_numerically():
 
 
 # ---------------------------------------------------------------------------
-# Accessors and parsing
+# Fields: the rendered string and the letter mask
 # ---------------------------------------------------------------------------
 
 
 def test_accessors():
-    c = bracket(bracket(leaf(3), leaf(1)), leaf(1))
-    assert c.rendered == "[[x3,x1],x1]"
-    assert c.weight == 3
-    assert c.letter_set == frozenset((1, 3))
-    assert leaf(2).rendered == "x2"
-    assert leaf(2).letter_set == frozenset((2,))
-    assert str(bracket(leaf(2), leaf(1))) == "[x2,x1]"
+    c = enumerate_basic(3, 3)[2]
+    assert c.rendered == "[[x2,x1],x3]"
+    assert c.letter_mask == 0b111
+    assert enumerate_basic(1, 2)[1] == ("x2", 0b10)
+    assert enumerate_basic(3, 3)[3] == ("[[x3,x1],x1]", 0b101)
 
 
 def test_letter_multiset_sums_to_weight():
-    # the multiset is read off the rendered string, independently of the tree
+    # the multiset is read off the rendered string, independently of the mask
     for c in enumerate_basic(5, 3):
         letters = Counter(int(i) for i in re.findall(r"x(\d+)", c.rendered))
-        assert sum(letters.values()) == c.weight == 5
-        assert set(letters) == c.letter_set
+        assert sum(letters.values()) == 5
+        assert sum(1 << (i - 1) for i in letters) == c.letter_mask
 
 
 def test_weight_two_plus_needs_two_letters():
     for w in (2, 3, 4):
         for c in enumerate_basic(w, 3):
-            assert len(c.letter_set) >= 2
+            assert bin(c.letter_mask).count("1") >= 2
 
 
-def test_parse_round_trip_examples():
-    for text in ("x1", "x17", "[x2,x1]", "[[x2,x1],[x3,x1]]"):
-        assert parse_commutator(text).rendered == text
-
-
-def test_parse_round_trips_every_enumerated_commutator():
-    for c in enumerate_basic(5, 3):
-        assert parse_commutator(c.rendered) == c
-
-
-@pytest.mark.parametrize("bad", ["", "x", "x0", "[x1]", "[x2,x1", "x1,x2", "[x2,x1]]"])
-def test_parse_rejects_junk(bad):
-    with pytest.raises(ValueError):
-        parse_commutator(bad)
-
-
-def test_leaf_index_must_be_positive():
-    with pytest.raises(ValueError):
-        leaf(0)
-
-
-# ---------------------------------------------------------------------------
-# Ordering
-# ---------------------------------------------------------------------------
-
-
-def test_total_order_is_weight_major():
-    a = leaf(9)
-    b = bracket(leaf(2), leaf(1))
-    assert a < b
-    assert b > a
-    assert bracket(leaf(3), leaf(1)) < bracket(leaf(3), leaf(2))
-
-
-@given(st.integers(1, 4), st.integers(1, 3))
-@settings(max_examples=30, deadline=None)
-def test_enumeration_respects_the_dataclass_order(weight, letters):
-    level = enumerate_basic(weight, letters)
-    assert all(a < b for a, b in zip(level, level[1:]))
+def test_mask_count_depends_only_on_popcount():
+    # the symmetry that turns the oracle into b_i - b_(i-1) copies of Z_(n_i)
+    for w in range(1, 7):
+        for t in range(1, 5):
+            per_mask = Counter(c.letter_mask for c in enumerate_basic(w, t))
+            by_size = {}
+            for mask in range(1, 1 << t):
+                by_size.setdefault(bin(mask).count("1"), set()).add(per_mask[mask])
+            assert all(len(counts) == 1 for counts in by_size.values()), (w, t)
 
 
 # ---------------------------------------------------------------------------
@@ -231,12 +203,14 @@ def test_enumeration_respects_the_dataclass_order(weight, letters):
 # ---------------------------------------------------------------------------
 
 
-def test_cap_exceeded():
+def test_cap_exceeded(monkeypatch):
+    monkeypatch.setenv("NILMULT_ENUM_CAP", "17")
     with pytest.raises(CapExceeded) as exc_info:
-        enumerate_basic(4, 3, cap=17)
+        enumerate_basic(4, 3)
     err = exc_info.value
     assert (err.weight, err.letters, err.count, err.cap) == (4, 3, 18, 17)
-    assert enumerate_basic(4, 3, cap=18)  # equal to the cap is allowed
+    monkeypatch.setenv("NILMULT_ENUM_CAP", "18")
+    assert enumerate_basic(4, 3)  # equal to the cap is allowed
 
 
 def test_default_cap(monkeypatch):

@@ -97,9 +97,10 @@ def test_oracle_ignores_trivial_factors():
     assert with_ones.summands == without.summands == ((6, 1), (2, 2))
 
 
-def test_oracle_propagates_the_cap():
+def test_oracle_propagates_the_cap(monkeypatch):
+    monkeypatch.setenv("NILMULT_ENUM_CAP", "5")
     with pytest.raises(CapExceeded):
-        tensor_oracle(CyclicDecomposition((2, 2, 2)), 2, cap=5)
+        tensor_oracle(CyclicDecomposition((2, 2, 2)), 2)
 
 
 # ---------------------------------------------------------------------------
