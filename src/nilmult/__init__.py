@@ -12,10 +12,7 @@ from .abelian import (
     InvariantFactors,
     canonicalize,
     canonicalize_primary,
-    direct_sum,
     factorize,
-    group_order,
-    groups_isomorphic,
 )
 from .hall import (
     DEFAULT_ENUM_CAP,
@@ -32,7 +29,7 @@ from .multiplier import (
     tensor_oracle,
     verify,
 )
-from .witt import b_sequence, divisors, moebius, witt_count
+from .witt import b_sequence, divisors, witt_count
 
 __version__ = "0.1.0"
 
@@ -42,10 +39,7 @@ __all__ = [
     "InvariantFactors",
     "canonicalize",
     "canonicalize_primary",
-    "direct_sum",
     "factorize",
-    "group_order",
-    "groups_isomorphic",
     "DEFAULT_ENUM_CAP",
     "BasicCommutator",
     "CapExceeded",
@@ -59,6 +53,5 @@ __all__ = [
     "verify",
     "b_sequence",
     "divisors",
-    "moebius",
     "witt_count",
 ]

@@ -3,12 +3,13 @@
 A group arrives as a multiset of cyclic orders (``CyclicDecomposition``) and
 is normalized to its invariant-factor chain (``InvariantFactors``): the unique
 list n_1, n_2, ... with n_{i+1} | n_i and every entry >= 2.  ``canonicalize``
-(lcm/gcd fixpoint, no factorization) is the default.  The primary route is
-one run-length core, ``compressed_invariant_form``, which the commutator
-oracle calls directly; ``canonicalize_primary`` is its expansion and serves
-as the cross-check for ``canonicalize``.  ``trial_division`` is the one
-factorization loop; ``factorize`` bounds it to admissible orders, and the
-Moebius function and divisor lists in ``nilmult.witt`` derive from it.
+is the default: one lcm/gcd pass over the counted orders, with no
+factorization.  The primary route is one run-length core,
+``compressed_invariant_form``, which the commutator oracle calls directly;
+``canonicalize_primary`` is its expansion and serves as the cross-check for
+``canonicalize``.  ``trial_division`` is the one factorization loop;
+``factorize`` bounds it to admissible orders, and the Witt terms and divisor
+lists in ``nilmult.witt`` derive from it.
 """
 
 from __future__ import annotations
@@ -89,29 +90,29 @@ class InvariantFactors:
 
 
 def canonicalize(decomposition: CyclicDecomposition) -> InvariantFactors:
-    """Invariant factors of the group, by the lcm/gcd pairwise fixpoint.
+    """Invariant factors of the group, in one pass over the counted orders.
 
-    Any pair violating divisibility is replaced by (lcm, gcd) until stable;
-    the multiset's product is preserved at every step and no factorization is
-    needed.  Trivial factors are dropped.
+    Equal orders are counted and trivial ones dropped.  All copies of an order
+    r enter the chain c at once: entry j becomes lcm(c_j, gcd(c_{j-copies}, r)),
+    where the gcd is r itself for j < copies and c_j is 1 past the end.  Once
+    that gcd is 1 it stays 1, so the rest of the chain is left as it is.  No
+    factorization is needed.
 
     >>> canonicalize(CyclicDecomposition((8, 12))).chain
     (24, 4)
     >>> canonicalize(CyclicDecomposition((1, 1, 1))).chain
     ()
     """
-    entries = sorted((r for r in decomposition.orders if r > 1), reverse=True)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(entries)):
-            for j in range(i + 1, len(entries)):
-                a, b = entries[i], entries[j]
-                if a % b:
-                    g = math.gcd(a, b)
-                    entries[i], entries[j] = a // g * b, g
-                    changed = True
-    return InvariantFactors(tuple(e for e in entries if e > 1))
+    chain: list[int] = []
+    for order, copies in Counter(r for r in decomposition.orders if r > 1).items():
+        merged: list[int] = []
+        for j in range(len(chain) + copies):
+            g = order if j < copies else math.gcd(chain[j - copies], order)
+            if g == 1:
+                break
+            merged.append(math.lcm(chain[j], g) if j < len(chain) else g)
+        chain[: len(merged)] = merged
+    return InvariantFactors(tuple(chain))
 
 
 def canonicalize_primary(decomposition: CyclicDecomposition) -> InvariantFactors:
@@ -208,22 +209,3 @@ def trial_division(n: int) -> dict[int, int]:
     if n > 1:
         factors[n] = factors.get(n, 0) + 1
     return factors
-
-
-def group_order(factors: InvariantFactors) -> int:
-    """Order of the group: the product of the chain; 1 for the trivial group."""
-    return math.prod(factors.chain)
-
-
-def direct_sum(a: CyclicDecomposition, b: CyclicDecomposition) -> CyclicDecomposition:
-    """Concatenate two decompositions (direct sum of the groups)."""
-    return CyclicDecomposition(a.orders + b.orders)
-
-
-def groups_isomorphic(a: CyclicDecomposition, b: CyclicDecomposition) -> bool:
-    """True iff both decompositions present isomorphic groups.
-
-    >>> groups_isomorphic(CyclicDecomposition((2, 3)), CyclicDecomposition((6,)))
-    True
-    """
-    return canonicalize(a) == canonicalize(b)

@@ -5,12 +5,14 @@ Subcommands: ``compute`` (multiplier of a group, by formula, oracle, or both),
 ``sweep`` (cross-validate formula against oracle over a family of groups).
 
 Exit codes: 0 success, 1 bad input (including a result above
-``MAX_RESULT_BITS``), 2 formula/oracle mismatch, 3 enumeration cap exceeded.
+``MAX_RESULT_BITS`` and a sweep above ``MAX_SWEEP_CASES``), 2 formula/oracle
+mismatch, 3 enumeration cap exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -39,6 +41,11 @@ EXIT_CAP = 3
 # renders in under 2 s (CPython 3.11, x86-64); --class 10**9 on two letters
 # would first build 2**(10**9), 125 MB, and then try to print it.
 MAX_RESULT_BITS = 2**23
+
+# Most (chain, class) cases sweep will check.  A small case takes about 1 ms
+# (acceptance criterion 9 checks 5,710 in about 6 s), so a sweep at the bound
+# runs for minutes, not hours.
+MAX_SWEEP_CASES = 10**5
 
 
 class GroupSpecError(ValueError):
@@ -87,15 +94,15 @@ def check_result_size(weight: int, letters: int) -> None:
     estimate = weight * max(letters - 1, 0).bit_length()
     if estimate > MAX_RESULT_BITS:
         raise ValueError(
-            f"the result would have about {estimate} bits, above the bound of "
-            f"{MAX_RESULT_BITS} bits"
+            f"the result would have about {decimal_str(estimate)} bits, "
+            f"above the bound of {MAX_RESULT_BITS} bits"
         )
 
 
 def _summand_records(result: MultiplierResult) -> list[dict]:
-    """The summands with each multiplicity rendered to decimal, once."""
+    """The summands with each order and multiplicity rendered to decimal, once."""
     return [
-        {"order": order, "multiplicity": decimal_str(mult)}
+        {"order": decimal_str(order), "multiplicity": decimal_str(mult)}
         for order, mult in result.summands
     ]
 
@@ -119,12 +126,18 @@ def _output_record(
     result: MultiplierResult,
     verified: bool | None,
 ) -> dict:
+    """Everything a query prints, built before anything is printed.
+
+    ``input`` holds the parsed orders, which are at most ``MAX_ORDER``.  Chain
+    entries, summand orders and multiplicities are decimal strings from
+    ``decimal_str``: a chain entry can be the lcm of hundreds of orders.
+    """
     summands = _summand_records(result)
     order = multiplier_order(result)
     return {
         "schema_version": SCHEMA_VERSION,
         "input": list(decomposition.orders),
-        "canonical": list(chain.chain),
+        "canonical": [decimal_str(n) for n in chain.chain],
         "class": nilpotency_class,
         "method": method,
         "summands": summands,
@@ -136,12 +149,33 @@ def _output_record(
     }
 
 
+def _json_line(record: dict) -> str:
+    """The record as ``json.dumps(record, ensure_ascii=False)`` would write it.
+
+    Chain entries and summand orders are JSON numbers written from their
+    rendered digits, spliced in where ``json.dumps`` wrote a placeholder:
+    it would format them with int's repr, which the interpreter's int-to-str
+    digit limit can refuse.  No other field can hold a NUL character.
+    """
+    canonical = f"[{', '.join(record['canonical'])}]"
+    summands = "[" + ", ".join(
+        f'{{"order": {s["order"]}, "multiplicity": "{s["multiplicity"]}"}}'
+        for s in record["summands"]
+    ) + "]"
+    text = json.dumps(
+        {**record, "canonical": "\0canonical", "summands": "\0summands"},
+        ensure_ascii=False,
+    )
+    return (text.replace('"\\u0000canonical"', canonical, 1)
+            .replace('"\\u0000summands"', summands, 1))
+
+
 def _print_record(record: dict, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(record, ensure_ascii=False))
+        print(_json_line(record))
         return
     print(f"input: {','.join(str(r) for r in record['input'])}")
-    print(f"canonical: {','.join(str(n) for n in record['canonical'])}")
+    print(f"canonical: {','.join(record['canonical'])}")
     print(f"class: {record['class']}")
     print(f"method: {record['method']}")
     print(f"multiplier: {_direct_sum(record['summands'])}")
@@ -220,6 +254,33 @@ def invariant_chains(max_order: int, max_rank: int):
     yield from extend(())
 
 
+def sweep_cases(max_order: int, max_rank: int, max_class: int) -> int:
+    """(chain, class) cases in a sweep, counted only until they pass MAX_SWEEP_CASES.
+
+    A result above the bound is a lower bound on the true count.
+    ``chains_from(n)[k]`` counts the chains that start with n and have at most
+    k + 1 entries: n alone, or n followed by a chain from n itself or from a
+    proper divisor d >= 2 of n, memoized over divisors.
+    """
+
+    @functools.cache
+    def chains_from(n: int) -> list[int]:
+        below = [chains_from(d) for d in divisors(n)[1:-1]] if max_rank > 1 else []
+        counts = [1]
+        while len(counts) < max_rank and counts[-1] * max_class <= MAX_SWEEP_CASES:
+            k = len(counts)
+            counts.append(1 + counts[k - 1] + sum(c[k - 1] for c in below))
+        return counts
+
+    chains = 1  # the empty chain
+    if max_rank:
+        for n in range(2, max_order + 1):
+            if chains * max_class > MAX_SWEEP_CASES:
+                break
+            chains += chains_from(n)[-1]
+    return chains * max_class
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.max_order < 1:
         raise ValueError("--max-order must be >= 1")
@@ -227,6 +288,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ValueError("--max-rank must be >= 0")
     if args.max_class < 1:
         raise ValueError("--max-class must be >= 1")
+    cases = sweep_cases(args.max_order, args.max_rank, args.max_class)
+    if cases > MAX_SWEEP_CASES:
+        raise ValueError(
+            f"the sweep would check at least {cases} (chain, class) cases, "
+            f"above the bound of {MAX_SWEEP_CASES}"
+        )
     checked = 0
     mismatched = 0
     for chain in invariant_chains(args.max_order, args.max_rank):

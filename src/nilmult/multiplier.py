@@ -181,7 +181,7 @@ def nilpotent_multiplier(group: InvariantFactors, nilpotency_class: int) -> Mult
     for i in range(2, len(chain) + 1):
         order = chain[i - 1]
         multiplicity = counts[i - 1] - counts[i - 2]
-        if multiplicity == 0 or order == 1:
+        if multiplicity == 0:
             continue
         if summands and summands[-1][0] == order:
             summands[-1][1] += multiplicity

@@ -4,8 +4,8 @@
 alphabet of q letters, computed exactly as (1/w) * sum_{d | w} mu(d) * q^(w/d).
 The divisibility of the Moebius sum by w is checked, never rounded away; the
 enumeration in ``nilmult.hall`` independently confirms the counts in tests.
-The Moebius function and the divisor lists derive from the one trial-division
-loop in ``nilmult.abelian``.
+The terms (mu(d), w/d) come from one factorization of w, and the divisor
+lists from the same trial-division loop in ``nilmult.abelian``.
 """
 
 from __future__ import annotations
@@ -25,21 +25,16 @@ def divisors(n: int) -> list[int]:
     return sorted(result)
 
 
-def moebius(n: int) -> int:
-    """Moebius function mu(n) in {-1, 0, 1} for n >= 1, from its prime factorization.
-
-    >>> [moebius(n) for n in (1, 2, 4, 6, 12, 30)]
-    [1, -1, 0, 1, 0, -1]
-    """
-    exponents = trial_division(n).values()
-    if max(exponents, default=1) > 1:
-        return 0
-    return -1 if len(exponents) % 2 else 1
-
-
 def _moebius_terms(weight: int) -> list[tuple[int, int]]:
-    """The nonzero terms (mu(d), weight // d) of the Witt sum, over d | weight."""
-    return [(mu, weight // d) for d in divisors(weight) if (mu := moebius(d))]
+    """The nonzero terms (mu(d), weight // d) of the Witt sum, over d | weight.
+
+    One factorization of the weight: each prime p doubles the terms so far,
+    adding (-mu, exponent // p) for every (mu, exponent) already present.
+    """
+    terms = [(1, weight)]
+    for p in trial_division(weight):
+        terms += [(-mu, exponent // p) for mu, exponent in terms]
+    return terms
 
 
 def _witt_sum(terms: list[tuple[int, int]], weight: int, letters: int) -> int:

@@ -1,9 +1,10 @@
 import math
 import re
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nilmult.abelian import (
@@ -12,16 +13,22 @@ from nilmult.abelian import (
     InvariantFactors,
     canonicalize,
     canonicalize_primary,
-    direct_sum,
     factorize,
-    group_order,
-    groups_isomorphic,
 )
 
 # orders small enough that the lcm of four of them stays within MAX_ORDER,
 # so canonical chains can be fed back in as decompositions
 small_orders = st.lists(st.integers(1, 1000), max_size=4)
 decompositions = small_orders.map(lambda v: CyclicDecomposition(tuple(v)))
+
+# 1, prime powers, and twice two 12-digit primes, in runs of up to 50 copies:
+# the counted pass adds a whole run to the chain at once
+REPEAT_POOL = (1, 2, 4, 8, 3, 9, 27, 5, 25, 7, 2 * 100_000_000_003, 2 * 100_000_000_019)
+repeated_decompositions = st.lists(
+    st.tuples(st.sampled_from(REPEAT_POOL), st.integers(1, 50)), max_size=6
+).map(lambda runs: CyclicDecomposition(
+    tuple(order for order, copies in runs for _ in range(copies))[:60]
+))
 
 
 @pytest.mark.parametrize(
@@ -35,44 +42,12 @@ decompositions = small_orders.map(lambda v: CyclicDecomposition(tuple(v)))
         ((), ()),
         ((3, 2), (6,)),
         ((12, 6, 2), (12, 6, 2)),
+        ((2, 2), (2, 2)),
+        ((4, 1), (4,)),
     ],
 )
 def test_canonicalize_examples(orders, expected):
     assert canonicalize(CyclicDecomposition(orders)).chain == expected
-
-
-@pytest.mark.parametrize(
-    "chain, expected",
-    [((), 1), ((12, 6, 2), 144), ((24, 4), 96)],
-)
-def test_group_order(chain, expected):
-    assert group_order(InvariantFactors(chain)) == expected
-
-
-@pytest.mark.parametrize(
-    "a, b, expected",
-    [
-        ((4,), (2,), (4, 2)),
-        ((), (7,), (7,)),
-        ((6, 4), (3,), (6, 4, 3)),
-    ],
-)
-def test_direct_sum(a, b, expected):
-    total = direct_sum(CyclicDecomposition(a), CyclicDecomposition(b))
-    assert total.orders == expected
-
-
-@pytest.mark.parametrize(
-    "a, b, expected",
-    [
-        ((2, 3), (6,), True),
-        ((4,), (2, 2), False),
-        ((), (1,), True),
-        ((8, 12), (24, 4), True),
-    ],
-)
-def test_groups_isomorphic(a, b, expected):
-    assert groups_isomorphic(CyclicDecomposition(a), CyclicDecomposition(b)) is expected
 
 
 @given(decompositions)
@@ -83,7 +58,7 @@ def test_canonicalize_is_idempotent(d):
 
 @given(decompositions)
 def test_canonicalize_preserves_group_order(d):
-    assert group_order(canonicalize(d)) == math.prod(d.orders)
+    assert math.prod(canonicalize(d).chain) == math.prod(d.orders)
 
 
 @given(decompositions, st.randoms(use_true_random=False))
@@ -110,6 +85,23 @@ def test_coprime_pairs_merge(m, n):
 def test_fixpoint_agrees_with_primary_decomposition(orders):
     d = CyclicDecomposition(tuple(orders))
     assert canonicalize(d) == canonicalize_primary(d)
+
+
+@given(repeated_decompositions)
+@settings(deadline=None)
+def test_canonicalize_agrees_with_primary_on_repeated_orders(d):
+    assert canonicalize(d) == canonicalize_primary(d)
+
+
+def test_canonicalize_many_repeats_is_fast():
+    # two distinct orders: one step per chain entry for each, not one per
+    # pair of the 120,000 entries
+    d = CyclicDecomposition((2,) * 60000 + (6,) * 60000)
+    start = time.perf_counter()
+    chain = canonicalize(d).chain
+    elapsed = time.perf_counter() - start
+    assert chain == (6,) * 60000 + (2,) * 60000
+    assert elapsed < 1.0, elapsed
 
 
 @given(st.integers(1, 10**6))

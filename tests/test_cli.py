@@ -2,28 +2,32 @@ import contextlib
 import decimal
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nilmult import abelian, multiplier, witt
-from nilmult.abelian import CyclicDecomposition
+from nilmult import abelian, cli, multiplier, witt
+from nilmult.abelian import CyclicDecomposition, canonicalize
 from nilmult.hall import CapExceeded, enumerate_basic
 from nilmult.cli import (
     MAX_RESULT_BITS,
+    MAX_SWEEP_CASES,
     GroupSpecError,
     check_result_size,
     invariant_chains,
     main,
     parse_group_spec,
+    sweep_cases,
 )
-from nilmult.multiplier import MultiplierResult
+from nilmult.multiplier import MultiplierResult, decimal_str
 from nilmult.witt import witt_count
 
 
@@ -189,9 +193,10 @@ def test_compute_canonicalizes_once(capsys, monkeypatch, method):
 @pytest.mark.parametrize(
     "argv, rendered",
     [
-        (("--group", "12,6,2", "--class", "1", "--method", "both"), [1, 2, 24]),
-        (("--group", "2,2", "--class", "40"), [53634713550]),
-        (("--group", "Z5", "--class", "7"), [1]),
+        (("--group", "12,6,2", "--class", "1", "--method", "both"),
+         [6, 1, 2, 2, 12, 6, 2, 24]),
+        (("--group", "2,2", "--class", "40"), [2, 53634713550, 2, 2]),
+        (("--group", "Z5", "--class", "7"), [5, 1]),
     ],
 )
 def test_compute_renders_each_integer_once(capsys, monkeypatch, fmt, argv, rendered):
@@ -199,6 +204,67 @@ def test_compute_renders_each_integer_once(capsys, monkeypatch, fmt, argv, rende
     code, _, _ = run(capsys, "compute", *argv, "--format", fmt)
     assert code == 0
     assert calls == rendered
+
+
+def probable_primes(start, count):
+    """The first `count` integers from `start` on that pass Fermat tests to bases 2 and 3."""
+    passing = (n for n in itertools.count(start) if pow(2, n - 1, n) == pow(3, n - 1, n) == 1)
+    return list(itertools.islice(passing, count))
+
+
+def test_compute_prints_integers_past_the_digit_limit(capsys):
+    # 400 distinct orders near 10**12 make one chain entry of about 4,800
+    # digits; 800 orders near 10**6, each listed twice, make two entries of
+    # about 4,800 digits and a summand of that order
+    wide = probable_primes(10**12 - 10**7, 400)
+    doubled = probable_primes(10**6, 800) * 2
+    original_limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        expected = {}
+        for orders in (wide, doubled):
+            chain = canonicalize(CyclicDecomposition(tuple(orders))).chain
+            assert chain == (math.lcm(*orders),) * (len(orders) // len(set(orders)))
+            big = str(chain[0])
+            assert len(big) > 4300
+            group = ",".join(map(str, orders))
+            if len(chain) == 1:
+                summands, multiplier_text, order_text = [], "trivial", "1"
+            else:
+                summands, multiplier_text = [{"order": chain[0], "multiplicity": "1"}], f"Z{big}"
+                order_text = f"{big} = {big}^1"
+            expected[group, "text"] = (
+                f"input: {group}\ncanonical: {','.join(map(str, chain))}\nclass: 1\n"
+                f"method: formula\nmultiplier: {multiplier_text}\norder: {order_text}\n"
+            )
+            expected[group, "json"] = json.dumps({
+                "schema_version": "1", "input": orders, "canonical": list(chain),
+                "class": 1, "method": "formula", "summands": summands,
+                "order_factored": f"{big}^1" if summands else "",
+                "order_decimal": big if summands else "1", "verified": None,
+            }, ensure_ascii=False) + "\n"
+        for limit in (original_limit, 640):
+            sys.set_int_max_str_digits(limit)
+            for (group, fmt), out in expected.items():
+                assert run(capsys, "compute", "--group", group, "--class", "1",
+                           "--format", fmt) == (0, out, ""), (limit, fmt)
+    finally:
+        sys.set_int_max_str_digits(original_limit)
+
+
+def test_compute_many_repeated_orders(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "compute", "--group", "Z2^60000", "--class", "1")
+    elapsed = time.perf_counter() - start
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1:] == [
+        "canonical: " + ",".join(["2"] * 60000),
+        "class: 1",
+        "method: formula",
+        f"multiplier: Z2^({60000 * 59999 // 2})",
+        f"order: 2^{60000 * 59999 // 2}",
+    ]
+    assert elapsed < 5.0, elapsed
 
 
 def test_compute_mismatch_exits_2(capsys, monkeypatch):
@@ -354,6 +420,18 @@ def test_oversized_results_exit_1_before_any_arithmetic(capsys, monkeypatch, arg
         f"above the bound of {MAX_RESULT_BITS} bits\n"
     )
 
+
+def test_oversized_result_message_fits_any_estimate(capsys):
+    # a 4,299-digit weight still parses, but the estimate of 14,000 bits per
+    # unit of weight has 4,303 digits, past the default int-to-str limit
+    weight = 10**4299 - 1
+    code, out, err = run(capsys, "witt", "--weight", str(weight),
+                         "--letters", str(2**14000))
+    assert (code, out) == (1, "")
+    assert err == (
+        f"error: the result would have about {decimal_str(weight * 14000)} bits, "
+        f"above the bound of {MAX_RESULT_BITS} bits\n"
+    )
 
 def test_commands_leave_interpreter_state_unchanged(capsys):
     def state():
@@ -518,3 +596,31 @@ def test_sweep_is_deterministic(capsys):
     first = run(capsys, "sweep", "--max-order", "8", "--max-rank", "2", "--max-class", "2")
     second = run(capsys, "sweep", "--max-order", "8", "--max-rank", "2", "--max-class", "2")
     assert first == second
+
+
+@pytest.mark.parametrize(
+    "max_order, max_rank, max_class, cases",
+    [(1, 3, 2, 2), (2, 1, 5, 10), (6, 2, 2, 28), (12, 0, 4, 4), (20, 4, 1, 292),
+     (12, 3, 3, 222), (32, 5, 5, 5710)],  # the last is acceptance criterion 9
+)
+def test_sweep_cases_count_the_chains(max_order, max_rank, max_class, cases):
+    assert sum(1 for _ in invariant_chains(max_order, max_rank)) * max_class == cases
+    assert sweep_cases(max_order, max_rank, max_class) == cases
+
+
+def test_oversized_sweep_exits_1_before_any_verify(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a case was verified")
+
+    monkeypatch.setattr(cli, "verify", refuse)
+    for argv, cases in [
+        (("--max-order", "100000", "--max-rank", "2", "--max-class", "1"), 100001),
+        (("--max-order", "2", "--max-rank", "1000000000", "--max-class", "1"), 100002),
+        (("--max-order", str(10**12), "--max-rank", "1", "--max-class", "3"), 100002),
+    ]:
+        code, out, err = run(capsys, "sweep", *argv)
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: the sweep would check at least {cases} (chain, class) cases, "
+            f"above the bound of {MAX_SWEEP_CASES}\n"
+        )

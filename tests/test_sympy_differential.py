@@ -1,8 +1,9 @@
 """Differential tests of the factorization layer against sympy.
 
-``factorize``, ``moebius`` and ``divisors`` all rest on the one trial-division
-loop in ``nilmult.abelian``; sympy is an independent implementation of each.
-The module is skipped when sympy is not installed.
+``factorize``, ``divisors`` and the Witt terms ``witt._moebius_terms`` all
+rest on the one trial-division loop in ``nilmult.abelian``; sympy is an
+independent implementation of each (``factorint``, ``divisors`` and
+``mobius``).  The module is skipped when sympy is not installed.
 """
 
 import pytest
@@ -10,9 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilmult.abelian import MAX_ORDER, factorize
-from nilmult.witt import divisors, moebius
+from nilmult.witt import _moebius_terms, divisors
 
 sympy = pytest.importorskip("sympy")
+
+
+def sympy_moebius_terms(n):
+    """The nonzero (mu(d), n // d) over d | n, in sympy's divisor order."""
+    return [(mu, n // d) for d in sympy.divisors(n) if (mu := int(sympy.mobius(d)))]
 
 
 @st.composite
@@ -40,13 +46,15 @@ def test_factorize_splits_semiprimes_straddling_a_million(n):
 @given(straddling_semiprimes())
 @settings(max_examples=25, deadline=None)
 def test_moebius_matches_mobius_on_semiprimes(n):
-    assert moebius(n) == sympy.mobius(n) == 1
+    terms = sorted(_moebius_terms(n))
+    assert terms == sorted(sympy_moebius_terms(n))
+    assert len(terms) == 4
 
 
-@given(st.integers(1, 10**7))
-@settings(deadline=None)
+@given(st.integers(1, MAX_ORDER))
+@settings(max_examples=50, deadline=None)
 def test_moebius_matches_mobius(n):
-    assert moebius(n) == sympy.mobius(n)
+    assert sorted(_moebius_terms(n)) == sorted(sympy_moebius_terms(n))
 
 
 @given(st.integers(1, 10**6))
@@ -59,6 +67,6 @@ def test_divisors_match_sympy(n):
 def test_moebius_is_unbounded(n):
     # the shared loop carries no MAX_ORDER guard; only factorize does
     assert n > MAX_ORDER
-    assert moebius(n) == sympy.mobius(n)
+    assert sorted(_moebius_terms(n)) == sorted(sympy_moebius_terms(n))
     with pytest.raises(ValueError):
         factorize(n)
