@@ -7,9 +7,12 @@ is the default: one lcm/gcd pass over the counted orders, with no
 factorization.  The primary route is one run-length core,
 ``compressed_invariant_form``, which the commutator oracle calls directly;
 ``canonicalize_primary`` is its expansion and serves as the cross-check for
-``canonicalize``.  ``trial_division`` is the one factorization loop;
-``factorize`` bounds it to admissible orders, and the Witt terms and divisor
-lists in ``nilmult.witt`` derive from it.
+``canonicalize``.  That core factors nothing either: it splits the distinct
+orders into a pairwise coprime base by repeated gcds and treats the base
+elements as primes.  ``trial_division`` is the one factorization loop; the
+Witt terms and divisor lists in ``nilmult.witt`` derive from it.
+``factorize`` bounds it to admissible orders and is kept as public API; no
+code in the package calls it.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Mapping
 
 # Largest accepted cyclic order.  Any n <= 10**12 has at most one prime factor
 # above 10**6, so trial division up to sqrt(n) fully factors every input.
@@ -134,21 +137,34 @@ def compressed_invariant_form(multiset: Mapping[int, int]) -> tuple[tuple[int, i
     """Invariant factors of a multiset {cyclic order: multiplicity}, run-length encoded.
 
     Returns (invariant factor, run length) pairs with strictly decreasing
-    factors.  Each distinct order is factored once; per prime, exponent runs
-    are merged and swept from the largest down, so multiplicities stay
-    run-length encoded throughout and are never expanded.
+    factors.  Nothing is factored into primes: the distinct orders are refined
+    into a pairwise coprime base (``_coprime_base``), and each order is a
+    product of powers b**e of base elements.  Every prime of b then occurs in
+    that order with e times its exponent in b, so base elements stand in for
+    primes.  Per base element, exponent runs are merged and swept from the
+    largest down, so multiplicities stay run-length encoded throughout and are
+    never expanded.  Orders need not be at most ``MAX_ORDER``.
 
     >>> compressed_invariant_form({2: 5, 3: 5, 4: 1})
     ((12, 1), (6, 4), (2, 1))
     """
-    exponent_runs: dict[int, list[list[int]]] = {}
     for order, multiplicity in multiset.items():
         if order < 2 or multiplicity < 1:
             raise ValueError(f"bad multiset entry {order}: {multiplicity}")
-        for p, e in factorize(order).items():
-            exponent_runs.setdefault(p, []).append([e, multiplicity])
+    base = _coprime_base(multiset)
+    exponent_runs: dict[int, list[list[int]]] = {}
+    for order, multiplicity in multiset.items():
+        for b in base:
+            e = 0
+            while order % b == 0:
+                order //= b
+                e += 1
+            if e:
+                exponent_runs.setdefault(b, []).append([e, multiplicity])
+                if order == 1:
+                    break
     runs: dict[int, list[list[int]]] = {}
-    for p, pairs in exponent_runs.items():
+    for b, pairs in exponent_runs.items():
         pairs.sort(reverse=True)
         merged: list[list[int]] = []
         for e, m in pairs:
@@ -156,20 +172,50 @@ def compressed_invariant_form(multiset: Mapping[int, int]) -> tuple[tuple[int, i
                 merged[-1][1] += m
             else:
                 merged.append([e, m])
-        runs[p] = merged
+        runs[b] = merged
     summands: list[tuple[int, int]] = []
     while runs:
-        factor = math.prod(p ** pairs[0][0] for p, pairs in runs.items())
+        factor = math.prod(b ** pairs[0][0] for b, pairs in runs.items())
         step = min(pairs[0][1] for pairs in runs.values())
         summands.append((factor, step))
-        for p in list(runs):
-            head = runs[p][0]
+        for b in list(runs):
+            head = runs[b][0]
             head[1] -= step
             if head[1] == 0:
-                runs[p].pop(0)
-                if not runs[p]:
-                    del runs[p]
+                runs[b].pop(0)
+                if not runs[b]:
+                    del runs[b]
     return tuple(summands)
+
+
+def _coprime_base(numbers: Iterable[int]) -> list[int]:
+    """Pairwise coprime b >= 2 such that each of ``numbers`` is a product of powers b**e.
+
+    Factor refinement (Bach, Driscoll and Shallit, J. Algorithms 15, 1993) by
+    insertion: a pending x joins the base when it is coprime to every element;
+    it is dropped when it equals the first element b it shares a factor with;
+    otherwise b leaves the base and g = gcd(b, x), b / g and x / g are pending.
+    Each step divides the product of base and pending numbers by x or by g > 1,
+    so the loop ends.
+
+    >>> sorted(_coprime_base([12, 18]))
+    [2, 3]
+    """
+    base: list[int] = []
+    pending = list(numbers)
+    while pending:
+        x = pending.pop()
+        for i, b in enumerate(base):
+            g = math.gcd(b, x)
+            if g > 1:
+                break
+        else:
+            base.append(x)
+            continue
+        if b != x:
+            del base[i]
+            pending += [y for y in (g, b // g, x // g) if y > 1]
+    return base
 
 
 def factorize(n: int) -> dict[int, int]:

@@ -5,8 +5,9 @@ Subcommands: ``compute`` (multiplier of a group, by formula, oracle, or both),
 ``sweep`` (cross-validate formula against oracle over a family of groups).
 
 Exit codes: 0 success, 1 bad input (including a result above
-``MAX_RESULT_BITS`` and a sweep above ``MAX_SWEEP_CASES``), 2 formula/oracle
-mismatch, 3 enumeration cap exceeded.
+``MAX_RESULT_BITS`` and a sweep above ``MAX_SWEEP_CASES`` or
+``MAX_SWEEP_COMMUTATORS``), 2 formula/oracle mismatch, 3 enumeration cap
+exceeded.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import functools
 import json
 import re
 import sys
+from collections import Counter
 
 from .abelian import CyclicDecomposition, InvariantFactors, canonicalize
 from .hall import CapExceeded, enumerate_basic
@@ -46,6 +48,12 @@ MAX_RESULT_BITS = 2**23
 # (acceptance criterion 9 checks 5,710 in about 6 s), so a sweep at the bound
 # runs for minutes, not hours.
 MAX_SWEEP_CASES = 10**5
+
+# Most basic commutators the oracle runs of one sweep will enumerate, summed
+# over its cases.  A sweep just under the bound (--max-order 2 --max-rank 390
+# --max-class 1, 9.9 million) takes about 30 s (CPython 3.11, x86-64);
+# acceptance criterion 9 enumerates 2,115,960.
+MAX_SWEEP_COMMUTATORS = 10**7
 
 
 class GroupSpecError(ValueError):
@@ -238,29 +246,37 @@ def cmd_basis(args: argparse.Namespace) -> int:
 
 
 def invariant_chains(max_order: int, max_rank: int):
-    """All divisibility chains with entries in 2..max_order and length <= max_rank."""
+    """All divisibility chains with entries in 2..max_order and length <= max_rank.
 
-    def extend(prefix: tuple[int, ...]):
-        yield prefix
-        if len(prefix) >= max_rank:
-            return
-        if prefix:
-            candidates = [d for d in divisors(prefix[-1]) if d >= 2]
+    Depth first, each chain before its extensions, which go by increasing
+    next entry.  ``pending[k]`` holds the candidates for entry k that are not
+    yet tried, so the depth is bounded by the rank, not by the call stack.
+    """
+    yield ()
+    chain: list[int] = []
+    pending = [iter(range(2, max_order + 1))] if max_rank > 0 else []
+    while pending:
+        n = next(pending[-1], None)
+        if n is None:
+            pending.pop()
+            if chain:
+                chain.pop()
+            continue
+        chain.append(n)
+        yield tuple(chain)
+        if len(chain) < max_rank:
+            pending.append(iter([d for d in divisors(n) if d >= 2]))
         else:
-            candidates = list(range(2, max_order + 1))
-        for n in candidates:
-            yield from extend(prefix + (n,))
-
-    yield from extend(())
+            chain.pop()
 
 
-def sweep_cases(max_order: int, max_rank: int, max_class: int) -> int:
-    """(chain, class) cases in a sweep, counted only until they pass MAX_SWEEP_CASES.
+def _chain_counter(max_rank: int, max_class: int):
+    """``chains_from``: per-length chain counts by first entry, memoized over divisors.
 
-    A result above the bound is a lower bound on the true count.
     ``chains_from(n)[k]`` counts the chains that start with n and have at most
     k + 1 entries: n alone, or n followed by a chain from n itself or from a
-    proper divisor d >= 2 of n, memoized over divisors.
+    proper divisor d >= 2 of n.  A list stops early, short of ``max_rank``
+    entries, once its last count passes MAX_SWEEP_CASES / max_class.
     """
 
     @functools.cache
@@ -272,6 +288,15 @@ def sweep_cases(max_order: int, max_rank: int, max_class: int) -> int:
             counts.append(1 + counts[k - 1] + sum(c[k - 1] for c in below))
         return counts
 
+    return chains_from
+
+
+def sweep_cases(max_order: int, max_rank: int, max_class: int) -> int:
+    """(chain, class) cases in a sweep, counted only until they pass MAX_SWEEP_CASES.
+
+    A result above the bound is a lower bound on the true count.
+    """
+    chains_from = _chain_counter(max_rank, max_class)
     chains = 1  # the empty chain
     if max_rank:
         for n in range(2, max_order + 1):
@@ -279,6 +304,31 @@ def sweep_cases(max_order: int, max_rank: int, max_class: int) -> int:
                 break
             chains += chains_from(n)[-1]
     return chains * max_class
+
+
+def sweep_commutators(max_order: int, max_rank: int, max_class: int) -> int:
+    """Basic commutators a sweep's oracle runs enumerate, counted until they pass
+    MAX_SWEEP_COMMUTATORS.
+
+    A case (chain, c) enumerates ``witt_count(c + 1, len(chain))`` of them.
+    Exact only for a sweep within MAX_SWEEP_CASES, whose ``chains_from``
+    lists are complete; a result above the bound is a lower bound.
+    """
+    chains_from = _chain_counter(max_rank, max_class)
+    # of_length[k]: chains with exactly k >= 2 entries; fewer than 2 letters
+    # have no basic commutators of weight 2 or more
+    of_length: Counter[int] = Counter()
+    for n in range(2, max_order + 1):
+        counts = chains_from(n)
+        for k in range(1, len(counts)):
+            of_length[k + 1] += counts[k] - counts[k - 1]
+    total = 0
+    for length, chains in sorted(of_length.items()):
+        for c in range(1, max_class + 1):
+            total += chains * witt_count(c + 1, length)
+            if total > MAX_SWEEP_COMMUTATORS:
+                return total
+    return total
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -294,6 +344,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             f"the sweep would check at least {cases} (chain, class) cases, "
             f"above the bound of {MAX_SWEEP_CASES}"
         )
+    commutators = sweep_commutators(args.max_order, args.max_rank, args.max_class)
+    if commutators > MAX_SWEEP_COMMUTATORS:
+        raise ValueError(
+            f"the sweep would enumerate at least {decimal_str(commutators)} basic "
+            f"commutators, above the bound of {MAX_SWEEP_COMMUTATORS}"
+        )
     checked = 0
     mismatched = 0
     for chain in invariant_chains(args.max_order, args.max_rank):
@@ -302,7 +358,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             checked += 1
             if not report.equal:
                 mismatched += 1
-                print(f"MISMATCH: chain={list(chain)} class={c} {_mismatch(report)}")
+                group = ",".join(map(decimal_str, chain)) or "1"
+                print(f"MISMATCH: chain={list(chain)} class={c} {_mismatch(report)} "
+                      f'reproducer: nilmult compute --group "{group}" --class {c} '
+                      f"--method both")
     print(f"checked {checked} (chain, class) pairs: "
           f"{checked - mismatched} equal, {mismatched} mismatched")
     return EXIT_MISMATCH if mismatched else EXIT_OK

@@ -10,6 +10,8 @@ enumerates the basic commutators of weight c+1 on the given cyclic factors,
 maps each to the cyclic group of order gcd(orders of its letters), and
 canonicalizes the accumulated multiset with the run-length primary core
 ``abelian.compressed_invariant_form``, so multiplicities are never expanded.
+That core refines the distinct gcds into a pairwise coprime base by repeated
+gcds, so the oracle factors no integer into primes.
 ``verify`` canonicalizes the input once, runs both and compares.  Results are
 summands only; rendering them as text is the command line's job.
 """

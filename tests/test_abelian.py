@@ -7,14 +7,17 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from nilmult import abelian
 from nilmult.abelian import (
     MAX_ORDER,
     CyclicDecomposition,
     InvariantFactors,
     canonicalize,
     canonicalize_primary,
+    compressed_invariant_form,
     factorize,
 )
+from nilmult.multiplier import nilpotent_multiplier, tensor_oracle
 
 # orders small enough that the lcm of four of them stays within MAX_ORDER,
 # so canonical chains can be fed back in as decompositions
@@ -102,6 +105,61 @@ def test_canonicalize_many_repeats_is_fast():
     elapsed = time.perf_counter() - start
     assert chain == (6,) * 60000 + (2,) * 60000
     assert elapsed < 1.0, elapsed
+
+
+# a 12-digit prime shared by several orders
+P12 = 999_999_999_989
+
+
+@pytest.mark.parametrize(
+    "multiset, expected",
+    [
+        # powers of one prime
+        ({2: 3, 4: 1, 8: 2, 1024: 1}, ((1024, 1), (8, 2), (4, 1), (2, 3))),
+        ({3**7: 1, 3: 4, 9: 2}, ((3**7, 1), (9, 2), (3, 4))),
+        # p^a * q^b mixes
+        ({12: 1, 18: 2, 8: 1, 27: 1}, ((216, 1), (36, 1), (18, 1), (6, 1))),
+        ({2**5 * 3: 1, 2 * 3**4: 3, 6: 2}, ((2**5 * 3**4, 1), (2 * 3**4, 2), (6, 3))),
+        # equal orders
+        ({6: 4}, ((6, 4),)),
+        ({10**12: 3}, ((10**12, 3),)),
+        # several orders sharing one 12-digit prime
+        ({2 * P12: 1, 3 * P12: 2, 5 * P12: 1, P12: 1},
+         ((30 * P12, 1), (3 * P12, 1), (P12, 3))),
+        ({P12: 2, 2 * P12: 1, 4: 1}, ((4 * P12, 1), (2 * P12, 1), (P12, 1))),
+        # a base element that a later order splits, in either insertion order
+        ({6: 1, 4: 1}, ((12, 1), (2, 1))),
+        ({4: 1, 6: 1}, ((12, 1), (2, 1))),
+        ({30: 1, 6: 1, 4: 1, 9: 1}, ((180, 1), (6, 2))),
+        ({}, ()),
+    ],
+)
+def test_compressed_invariant_form_cases(multiset, expected):
+    assert compressed_invariant_form(multiset) == expected
+
+
+@pytest.mark.parametrize("bad", [{1: 2}, {0: 1}, {4: 0}, {6: 1, 2: -1}])
+def test_compressed_invariant_form_rejects_bad_entries(bad):
+    with pytest.raises(ValueError, match="bad multiset entry"):
+        compressed_invariant_form(bad)
+
+
+def test_compressed_invariant_form_and_oracle_factor_nothing(monkeypatch):
+    orders = (12, 18, 8, P12, P12, 6 * 999_983, 4 * 999_983, 27)
+    formula = nilpotent_multiplier(canonicalize(CyclicDecomposition(orders)), 2)
+
+    def refuse(n):
+        raise AssertionError(f"factored {n}")
+
+    monkeypatch.setattr(abelian, "factorize", refuse)
+    monkeypatch.setattr(abelian, "trial_division", refuse)
+    assert compressed_invariant_form({12: 1, 18: 2, 8: 1, 27: 1}) == (
+        (216, 1), (36, 1), (18, 1), (6, 1)
+    )
+    assert tensor_oracle(CyclicDecomposition(orders), 2) == formula
+    assert canonicalize_primary(CyclicDecomposition(orders)) == canonicalize(
+        CyclicDecomposition(orders)
+    )
 
 
 @given(st.integers(1, 10**6))

@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -20,15 +21,18 @@ from nilmult.hall import CapExceeded, enumerate_basic
 from nilmult.cli import (
     MAX_RESULT_BITS,
     MAX_SWEEP_CASES,
+    MAX_SWEEP_COMMUTATORS,
     GroupSpecError,
     check_result_size,
     invariant_chains,
     main,
     parse_group_spec,
     sweep_cases,
+    sweep_commutators,
 )
 from nilmult.multiplier import MultiplierResult, decimal_str
 from nilmult.witt import witt_count
+from test_acceptance import invariant_chains as recursive_invariant_chains
 
 
 def run(capsys, *argv):
@@ -562,6 +566,22 @@ def test_invariant_chains_generation():
     assert len(chains) == 14
 
 
+@pytest.mark.parametrize("max_order, max_rank", [(12, 3), (32, 5), (6, 0), (1, 4)])
+def test_invariant_chains_match_the_recursive_reference(max_order, max_rank):
+    assert list(invariant_chains(max_order, max_rank)) == list(
+        recursive_invariant_chains(max_order, max_rank)
+    )
+
+
+def test_invariant_chains_deeper_than_the_recursion_limit():
+    # counted as they stream by: the chains hold 12.5 million entries in all
+    count, last = 0, None
+    for count, last in enumerate(invariant_chains(2, 5000), 1):
+        pass
+    assert count == 5001
+    assert last == (2,) * 5000
+
+
 def test_sweep_small(capsys):
     code, out, _ = run(
         capsys, "sweep", "--max-order", "6", "--max-rank", "2", "--max-class", "2"
@@ -585,11 +605,39 @@ def test_sweep_reports_mismatches(capsys, monkeypatch):
     )
     assert code == 2
     assert out.splitlines() == [
-        "MISMATCH: chain=[] class=1 formula=trivial oracle=Z3^(2)",
-        "MISMATCH: chain=[2] class=1 formula=trivial oracle=Z3^(2)",
-        "MISMATCH: chain=[2, 2] class=1 formula=Z2 oracle=Z3^(2)",
+        "MISMATCH: chain=[] class=1 formula=trivial oracle=Z3^(2) "
+        'reproducer: nilmult compute --group "1" --class 1 --method both',
+        "MISMATCH: chain=[2] class=1 formula=trivial oracle=Z3^(2) "
+        'reproducer: nilmult compute --group "2" --class 1 --method both',
+        "MISMATCH: chain=[2, 2] class=1 formula=Z2 oracle=Z3^(2) "
+        'reproducer: nilmult compute --group "2,2" --class 1 --method both',
         "checked 3 (chain, class) pairs: 0 equal, 3 mismatched",
     ]
+
+
+def test_sweep_mismatch_reproducer_reproduces(capsys, monkeypatch):
+    wrong_oracle(monkeypatch)
+    code, out, _ = run(
+        capsys, "sweep", "--max-order", "4", "--max-rank", "2", "--max-class", "2"
+    )
+    assert code == 2
+    lines = [line for line in out.splitlines() if line.startswith("MISMATCH: ")]
+    # 16 cases; (3, 3) at class 2 really is Z3^(2)
+    assert len(lines) == 15
+    for line in lines:
+        head, command = line.split(" reproducer: ")
+        argv = shlex.split(command)
+        assert argv[:2] == ["nilmult", "compute"]
+        chain = head.split("chain=")[1].split(" class=")[0]
+        assert argv[argv.index("--group") + 1] == (chain[1:-1].replace(" ", "") or "1")
+        assert run(capsys, *argv[1:])[0] == 2
+
+
+def test_sweep_without_mismatch_prints_no_reproducer(capsys):
+    code, out, _ = run(
+        capsys, "sweep", "--max-order", "4", "--max-rank", "2", "--max-class", "2"
+    )
+    assert (code, out) == (0, "checked 16 (chain, class) pairs: 16 equal, 0 mismatched\n")
 
 
 def test_sweep_is_deterministic(capsys):
@@ -624,3 +672,36 @@ def test_oversized_sweep_exits_1_before_any_verify(capsys, monkeypatch):
             f"error: the sweep would check at least {cases} (chain, class) cases, "
             f"above the bound of {MAX_SWEEP_CASES}\n"
         )
+
+
+@pytest.mark.parametrize(
+    "max_order, max_rank, max_class",
+    [(1, 3, 2), (2, 1, 5), (6, 2, 2), (12, 3, 3), (20, 4, 1), (32, 5, 5)],
+)
+def test_sweep_commutators_count_the_enumeration(max_order, max_rank, max_class):
+    expected = sum(
+        witt_count(c + 1, len(chain))
+        for chain in invariant_chains(max_order, max_rank)
+        for c in range(1, max_class + 1)
+    )
+    assert sweep_commutators(max_order, max_rank, max_class) == expected
+    # the criterion-9 family, (32, 5, 5), enumerates 2,115,960 and stays in bounds
+    assert expected <= MAX_SWEEP_COMMUTATORS
+
+
+def test_sweep_over_the_commutator_bound_exits_1_before_any_verify(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a case was verified")
+
+    monkeypatch.setattr(cli, "verify", refuse)
+    # 2,001 cases, under MAX_SWEEP_CASES, but chains of up to 2,000 letters
+    argv = ("--max-order", "2", "--max-rank", "2000", "--max-class", "1")
+    assert sweep_cases(2, 2000, 1) == 2001
+    count = sweep_commutators(2, 2000, 1)
+    assert count > MAX_SWEEP_COMMUTATORS
+    code, out, err = run(capsys, "sweep", *argv)
+    assert (code, out) == (1, "")
+    assert err == (
+        f"error: the sweep would enumerate at least {count} basic commutators, "
+        f"above the bound of {MAX_SWEEP_COMMUTATORS}\n"
+    )

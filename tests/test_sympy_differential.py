@@ -1,16 +1,18 @@
-"""Differential tests of the factorization layer against sympy.
+"""Differential tests of the arithmetic core against sympy.
 
 ``factorize``, ``divisors`` and the Witt terms ``witt._moebius_terms`` all
 rest on the one trial-division loop in ``nilmult.abelian``; sympy is an
 independent implementation of each (``factorint``, ``divisors`` and
-``mobius``).  The module is skipped when sympy is not installed.
+``mobius``).  ``compressed_invariant_form`` factors nothing (it works on a
+coprime base); its reference here is the primary decomposition built from
+``factorint``.  The module is skipped when sympy is not installed.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nilmult.abelian import MAX_ORDER, factorize
+from nilmult.abelian import MAX_ORDER, compressed_invariant_form, factorize
 from nilmult.witt import _moebius_terms, divisors
 
 sympy = pytest.importorskip("sympy")
@@ -70,3 +72,72 @@ def test_moebius_is_unbounded(n):
     assert sorted(_moebius_terms(n)) == sorted(sympy_moebius_terms(n))
     with pytest.raises(ValueError):
         factorize(n)
+
+
+def factorint_invariant_form(multiset):
+    """Run-length invariant factors via sympy's prime factorization of each order.
+
+    Per prime, the exponents of all copies are sorted from the largest down;
+    invariant factor j is the product of every prime to its j-th exponent.
+    """
+    exponents = {}
+    for order, multiplicity in multiset.items():
+        for p, e in sympy.factorint(order).items():
+            exponents.setdefault(p, []).extend([e] * multiplicity)
+    for column in exponents.values():
+        column.sort(reverse=True)
+    length = max(map(len, exponents.values()), default=0)
+    runs = []
+    for j in range(length):
+        factor = 1
+        for p, column in exponents.items():
+            if j < len(column):
+                factor *= p ** column[j]
+        if runs and runs[-1][0] == factor:
+            runs[-1][1] += 1
+        else:
+            runs.append([factor, 1])
+    return tuple(map(tuple, runs))
+
+
+SHARED_PRIMES = (2, 3, 5, 7, 999_983, 1_000_003, 100_000_000_003, 999_999_999_989)
+
+
+@st.composite
+def admissible_orders(draw):
+    # plain integers rarely share a factor beyond small primes, so half the
+    # orders are products of powers of a few primes, some of them large
+    if draw(st.booleans()):
+        return draw(st.integers(2, MAX_ORDER))
+    order = 1
+    for p in draw(st.lists(st.sampled_from(SHARED_PRIMES), min_size=1, max_size=6)):
+        if order * p <= MAX_ORDER:
+            order *= p
+    return max(order, 2)
+
+
+@given(st.dictionaries(admissible_orders(), st.integers(1, 4), max_size=8))
+@settings(max_examples=100, deadline=None)
+def test_compressed_invariant_form_matches_factorint(multiset):
+    assert compressed_invariant_form(multiset) == factorint_invariant_form(multiset)
+
+
+BIG = 10**12 + 39  # prime, just above MAX_ORDER
+
+
+@pytest.mark.parametrize(
+    "multiset",
+    [
+        {BIG * 999_983: 1},
+        {BIG * 999_983: 2, 999_983**2: 1, BIG: 3},
+        {999_999_999_989**2: 1, 100_000_000_003**2: 2},
+        {999_999_999_989**2: 1, 999_999_999_989 * 100_000_000_003: 2, 100_000_000_003**3: 1},
+        {BIG**2 * 12: 1, BIG * 18: 1, 8: 2},
+    ],
+)
+def test_compressed_invariant_form_beyond_max_order(multiset):
+    # factorize refuses these orders; the coprime base needs no bound
+    assert max(multiset) > MAX_ORDER
+    with pytest.raises(ValueError):
+        factorize(max(multiset))
+    assert compressed_invariant_form(multiset) == factorint_invariant_form(multiset)
