@@ -44,14 +44,14 @@ EXIT_CAP = 3
 # would first build 2**(10**9), 125 MB, and then try to print it.
 MAX_RESULT_BITS = 2**23
 
-# Most (chain, class) cases sweep will check.  A small case takes about 1 ms
-# (acceptance criterion 9 checks 5,710 in about 6 s), so a sweep at the bound
-# runs for minutes, not hours.
+# Most (chain, class) cases sweep will check.  A small case takes about 0.1 ms
+# (acceptance criterion 10 checks 11,568 in about 1 s), so a sweep at the
+# bound runs for seconds or minutes, not hours.
 MAX_SWEEP_CASES = 10**5
 
 # Most basic commutators the oracle runs of one sweep will enumerate, summed
 # over its cases.  A sweep just under the bound (--max-order 2 --max-rank 390
-# --max-class 1, 9.9 million) takes about 30 s (CPython 3.11, x86-64);
+# --max-class 1, 9.9 million) takes about 1 s (CPython 3.11, x86-64);
 # acceptance criterion 9 enumerates 2,115,960.
 MAX_SWEEP_COMMUTATORS = 10**7
 
@@ -411,9 +411,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except CapExceeded as exc:

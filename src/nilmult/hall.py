@@ -13,11 +13,19 @@ lexicographic order of the rendered strings with embedded letter numbers
 compared numerically (so x_2 < x_10 on wide alphabets).  Any fixed refinement
 of the weight order yields the same counts; this one is pinned for
 reproducible output.
+
+The count of basic commutators whose letters are exactly a given set does not
+depend on that order either (Hall 1950), and permuting the letters is such a
+reordering, so it depends only on the size of the set.  ``letter_profile``
+returns those counts by set size; it enumerates once per process for each
+(weight, min(weight, letters)) and is all the multiplier oracle reads.
 """
 
 from __future__ import annotations
 
+import functools
 import os
+from collections import Counter
 from typing import NamedTuple
 
 from .witt import witt_count
@@ -71,16 +79,8 @@ class BasicCommutator(NamedTuple):
     letter_mask: int
 
 
-def enumerate_basic(weight: int, letters: int) -> list[BasicCommutator]:
-    """Every basic commutator of exactly `weight` on letters x_1..x_letters.
-
-    Returned in the module's within-weight order; the length equals
-    ``witt_count(weight, letters)``.  Raises ``CapExceeded`` when that count
-    exceeds the cap (the NILMULT_ENUM_CAP environment variable, else 10**6).
-
-    >>> [c.rendered for c in enumerate_basic(3, 2)]
-    ['[[x2,x1],x1]', '[[x2,x1],x2]']
-    """
+def _check_cap(weight: int, letters: int) -> int:
+    """``witt_count(weight, letters)``, or ``CapExceeded`` if it is above the cap."""
     if weight < 1:
         raise ValueError(f"weight must be >= 1, got {weight}")
     if letters < 0:
@@ -89,6 +89,52 @@ def enumerate_basic(weight: int, letters: int) -> list[BasicCommutator]:
     count = witt_count(weight, letters)
     if count > cap:
         raise CapExceeded(weight, letters, count, cap)
+    return count
+
+
+def letter_profile(weight: int, letters: int) -> tuple[int, ...]:
+    """Basic commutators of `weight` per letter set, by the size of the set.
+
+    Entry k - 1 counts those whose letters are exactly x_1..x_k, for
+    k = 1..min(weight, letters); by symmetry it is the count for every
+    k-letter set.  Raises ``CapExceeded`` as ``enumerate_basic(weight,
+    letters)`` would, on every call, cached or not.
+
+    >>> letter_profile(4, 9)
+    (0, 3, 9, 6)
+    """
+    _check_cap(weight, letters)
+    return _profile(weight, min(weight, letters))
+
+
+# Bounded and thread-safe; a profile has at most `weight` entries, and on two
+# or more letters the default cap admits weights up to 24 only.
+@functools.lru_cache(maxsize=256)
+def _profile(weight: int, letters: int) -> tuple[int, ...]:
+    # Counted off the enumeration, not derived from witt_count, so the oracle
+    # stays independent of the closed form.
+    per_mask = Counter(
+        comm.letter_mask
+        for comm in enumerate_basic(weight, letters)
+        if not comm.letter_mask & (comm.letter_mask + 1)  # x_1..x_k: mask 2^k - 1
+    )
+    return tuple(per_mask[(1 << k) - 1] for k in range(1, letters + 1))
+
+
+def enumerate_basic(weight: int, letters: int) -> list[BasicCommutator]:
+    """Every basic commutator of exactly `weight` on letters x_1..x_letters.
+
+    Returned in the module's within-weight order; the length equals
+    ``witt_count(weight, letters)``.  Raises ``CapExceeded`` when that count
+    exceeds the cap (the NILMULT_ENUM_CAP environment variable, else 10**6).
+    The order and the strings are for ``nilmult basis``; the multiplier
+    oracle reads this only through the cached ``letter_profile``.
+
+    >>> [c.rendered for c in enumerate_basic(3, 2)]
+    ['[[x2,x1],x1]', '[[x2,x1],x2]']
+    """
+    if not _check_cap(weight, letters):
+        return []  # fewer than two letters above weight 1, or none at all
 
     # Nodes are integer ids into parallel lists; a letter's parts are -1.
     # Levels are built in increasing weight and each is stored sorted, so id

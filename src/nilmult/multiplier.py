@@ -5,11 +5,13 @@ factors n_1, ..., n_k and class c, the multiplier is the direct sum over
 i = 2..k of (b_i - b_{i-1}) copies of Z_{n_i}, where b_i counts basic
 commutators of weight c+1 on i letters.
 
-``tensor_oracle`` recomputes the same group from first principles: it
-enumerates the basic commutators of weight c+1 on the given cyclic factors,
-maps each to the cyclic group of order gcd(orders of its letters), and
-canonicalizes the accumulated multiset with the run-length primary core
-``abelian.compressed_invariant_form``, so multiplicities are never expanded.
+``tensor_oracle`` recomputes the same group from first principles: each
+basic commutator of weight c+1 on the given cyclic factors contributes the
+cyclic group of order gcd(orders of its letters).  It takes the number of
+commutators per letter set from the enumerated ``hall.letter_profile``, folds
+one gcd per set, and canonicalizes the accumulated multiset with the
+run-length primary core ``abelian.compressed_invariant_form``, so
+multiplicities are never expanded.
 That core refines the distinct gcds into a pairwise coprime base by repeated
 gcds, so the oracle factors no integer into primes.
 ``verify`` canonicalizes the input once, runs both and compares.  Results are
@@ -19,6 +21,7 @@ summands only; rendering them as text is the command line's job.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -29,7 +32,7 @@ from .abelian import (
     canonicalize,
     compressed_invariant_form,
 )
-from .hall import enumerate_basic
+from .hall import letter_profile
 from .witt import b_sequence
 
 # multiplier_order gives the exact order only up to this many decimal digits;
@@ -199,28 +202,27 @@ def tensor_oracle(
 
     Works on any decomposition, canonical or not; each basic commutator of
     weight class+1 on the t factors contributes the cyclic group of order
-    gcd of the orders of its distinct letters (repeats cannot change a gcd),
-    so commutators are counted per letter set and each set's gcd is taken
-    once.  Raises ``CapExceeded`` when the enumeration would be too large, in
-    which case ``nilpotent_multiplier`` is the way to go.
+    gcd of the orders of its distinct letters (repeats cannot change a gcd).
+    Every k-letter set carries the same number of commutators, entry k - 1
+    of ``letter_profile``, so the gcd of each set with a nonzero entry is
+    taken once and weighted by it: no more sets than commutators.  Raises
+    ``CapExceeded`` when the enumeration would be too large, in which case
+    ``nilpotent_multiplier`` is the way to go.
     """
     if nilpotency_class < 1:
         raise ValueError(f"nilpotency class must be >= 1, got {nilpotency_class}")
     orders = decomposition.orders
     if not orders:
         return MultiplierResult(())
-    per_mask = Counter(
-        comm.letter_mask for comm in enumerate_basic(nilpotency_class + 1, len(orders))
-    )
+    profile = letter_profile(nilpotency_class + 1, len(orders))
     occurring: Counter[int] = Counter()
-    for mask, count in per_mask.items():
-        g = 0
-        while mask:  # one step per letter in the set: bit i - 1 is x_i
-            low = mask & -mask
-            g = math.gcd(g, orders[low.bit_length() - 1])
-            mask ^= low
-        if g > 1:
-            occurring[g] += count
+    for size, per_set in enumerate(profile, start=1):
+        if not per_set:
+            continue
+        sets = Counter(itertools.starmap(math.gcd, itertools.combinations(orders, size)))
+        for g, count in sets.items():
+            if g > 1:
+                occurring[g] += count * per_set
     return MultiplierResult(compressed_invariant_form(occurring))
 
 

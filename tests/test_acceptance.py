@@ -157,3 +157,16 @@ def test_criterion_9_wide_formula_oracle_equivalence():
     assert cases == 5710
     done(f"criterion 9: formula == oracle on all {cases} (chain, class) cases, "
          "entries <= 32, rank <= 5, class <= 5")
+
+
+def test_criterion_10_wider_formula_oracle_equivalence():
+    done = timed(30.0)
+    cases = 0
+    for chain in invariant_chains(32, 6):
+        for c in range(1, 7):
+            report = verify(CyclicDecomposition(chain), c)
+            assert report.equal, (chain, c)
+            cases += 1
+    assert cases == 11568
+    done(f"criterion 10: formula == oracle on all {cases} (chain, class) cases, "
+         "entries <= 32, rank <= 6, class <= 6")

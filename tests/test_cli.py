@@ -9,13 +9,14 @@ import os
 import shlex
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nilmult import abelian, cli, multiplier, witt
+from nilmult import abelian, cli, hall, multiplier, witt
 from nilmult.abelian import CyclicDecomposition, canonicalize
 from nilmult.hall import CapExceeded, enumerate_basic
 from nilmult.cli import (
@@ -549,6 +550,122 @@ def test_basis_line_count_matches_witt(capsys, weight, letters):
     )
     assert code == 0
     assert len(out.splitlines()) == witt_count(weight, letters)
+
+
+def test_fewer_than_two_letters_answer_at_once(capsys):
+    # no basic commutator above weight 1 has fewer than two letters, so nothing
+    # is enumerated; the first call took 27 s while the level loops still ran
+    trivial = ["canonical: 2", "multiplier: trivial", "order: 1"]
+    for argv, lines in [
+        (("compute", "--group", "2", "--class", "20000", "--method", "oracle"), trivial),
+        (("basis", "--weight", "20000", "--letters", "0"), []),
+        (("compute", "--group", "2", "--class", "100000", "--method", "both"),
+         trivial + ["verified: equal"]),
+        (("basis", "--weight", "100000", "--letters", "1"), []),
+    ]:
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        elapsed = time.perf_counter() - start
+        assert (code, err) == (0, ""), argv
+        assert [line for line in out.splitlines() if line in lines] == lines, argv
+        assert elapsed < 2.0, (argv, elapsed)
+
+
+# ---------------------------------------------------------------------------
+# One parser per process
+# ---------------------------------------------------------------------------
+
+PARSER_QUERIES = [
+    ("compute", "--group", "12,6,2", "--class", "1", "--method", "both"),
+    ("compute", "--group", "Z2^3", "--class", "2", "--format", "json"),
+    ("compute", "--group", "8,4", "--class", "3", "--method", "oracle"),
+    ("witt", "--weight", "6", "--letters", "4"),
+    ("basis", "--weight", "3", "--letters", "3"),
+    ("sweep", "--max-order", "6", "--max-rank", "2", "--max-class", "2"),
+    ("compute", "--group", "nonsense", "--class", "1"),
+    ("compute", "--group", "4,2", "--class", "x"),
+    ("unknown-command",),
+]
+
+
+def main_exit_code(argv):
+    try:
+        return main(list(argv))
+    except SystemExit as exc:  # argparse usage failures
+        return exc.code
+
+
+def test_main_builds_the_parser_once(capsys, monkeypatch):
+    built = []
+    original = cli.build_parser
+
+    def counting_build_parser():
+        built.append(1)
+        return original()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    cli._parser.cache_clear()
+    try:
+        codes = [main_exit_code(argv) for argv in PARSER_QUERIES * 3]
+    finally:
+        cli._parser.cache_clear()
+    capsys.readouterr()
+    assert codes == [0, 0, 0, 0, 0, 0, 1, 1, 1] * 3
+    assert len(built) == 1
+
+
+class ThreadSplitStream:
+    """A text stream that keeps what each thread writes apart."""
+
+    def __init__(self):
+        self._local = threading.local()
+
+    def write(self, text):
+        self._local.__dict__.setdefault("parts", []).append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+    def take(self):
+        """Everything the calling thread wrote since its last take."""
+        return "".join(self._local.__dict__.pop("parts", []))
+
+
+def test_main_from_several_threads_matches_a_serial_run(monkeypatch):
+    out, err = ThreadSplitStream(), ThreadSplitStream()
+    monkeypatch.setattr(sys, "stdout", out)
+    monkeypatch.setattr(sys, "stderr", err)
+
+    def run_all(queries):
+        return [(main_exit_code(argv), out.take(), err.take()) for argv in queries]
+
+    serial = run_all(PARSER_QUERIES)
+    threads = 4
+    rotations = [PARSER_QUERIES[k:] + PARSER_QUERIES[:k] for k in range(threads)]
+    results = [None] * threads
+    start = threading.Barrier(threads)
+
+    def worker(k):
+        start.wait()
+        results[k] = run_all(rotations[k] * 5)
+
+    # the threads race to build the parser and the letter profiles, too
+    cli._parser.cache_clear()
+    hall._profile.cache_clear()
+    workers = [threading.Thread(target=worker, args=(k,)) for k in range(threads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in workers:
+            thread.start()
+        for thread in workers:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in workers)
+    for k in range(threads):
+        assert results[k] == (serial[k:] + serial[:k]) * 5, k
 
 
 # ---------------------------------------------------------------------------

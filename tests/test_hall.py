@@ -9,6 +9,7 @@ from nilmult.hall import (
     CapExceeded,
     enumerate_basic,
     enumeration_cap,
+    letter_profile,
 )
 from nilmult.witt import witt_count
 
@@ -196,6 +197,49 @@ def test_mask_count_depends_only_on_popcount():
             for mask in range(1, 1 << t):
                 by_size.setdefault(bin(mask).count("1"), set()).add(per_mask[mask])
             assert all(len(counts) == 1 for counts in by_size.values()), (w, t)
+
+
+# ---------------------------------------------------------------------------
+# Letter profile
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "weight, letters",
+    [(w, t) for w in range(1, 8) for t in range(0, 9) if witt_count(w, t) <= 400_000],
+)
+def test_letter_profile_equals_the_per_mask_counts(weight, letters):
+    profile = letter_profile(weight, letters)
+    assert len(profile) == min(weight, letters)
+    per_mask = Counter(c.letter_mask for c in enumerate_basic(weight, letters))
+    sizes = {mask: bin(mask).count("1") for mask in range(1, 1 << letters)}
+    expected = {
+        mask: profile[k - 1]
+        for mask, k in sizes.items()
+        if k <= len(profile) and profile[k - 1]
+    }
+    assert per_mask == expected
+
+
+def test_letter_profile_checks_the_cap_after_caching(monkeypatch):
+    monkeypatch.delenv("NILMULT_ENUM_CAP", raising=False)
+    assert letter_profile(4, 3) == (0, 3, 9)
+    monkeypatch.setenv("NILMULT_ENUM_CAP", "17")
+    with pytest.raises(CapExceeded) as exc_info:
+        letter_profile(4, 3)
+    err = exc_info.value
+    assert (err.weight, err.letters, err.count, err.cap) == (4, 3, 18, 17)
+    # the cap is on the full alphabet, though the profile stops at the weight
+    monkeypatch.setenv("NILMULT_ENUM_CAP", str(witt_count(3, 9) - 1))
+    with pytest.raises(CapExceeded):
+        letter_profile(3, 9)
+
+
+def test_letter_profile_validation():
+    with pytest.raises(ValueError):
+        letter_profile(0, 2)
+    with pytest.raises(ValueError):
+        letter_profile(2, -1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,20 @@
 import math
 import random
 import sys
+import time
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nilmult.abelian import CyclicDecomposition, InvariantFactors, canonicalize
-from nilmult.hall import CapExceeded
+from nilmult.abelian import (
+    CyclicDecomposition,
+    InvariantFactors,
+    canonicalize,
+    compressed_invariant_form,
+)
+from nilmult.hall import CapExceeded, enumerate_basic
 from nilmult.multiplier import (
     _STR_MAX_BITS,
     _TENS_LEAF_DIGITS,
@@ -101,6 +107,51 @@ def test_oracle_propagates_the_cap(monkeypatch):
     monkeypatch.setenv("NILMULT_ENUM_CAP", "5")
     with pytest.raises(CapExceeded):
         tensor_oracle(CyclicDecomposition((2, 2, 2)), 2)
+
+
+def per_mask_oracle(decomposition, nilpotency_class):
+    """The oracle folded over every enumerated letter set, one gcd per mask."""
+    orders = decomposition.orders
+    if not orders:
+        return MultiplierResult(())
+    per_mask = Counter(
+        comm.letter_mask for comm in enumerate_basic(nilpotency_class + 1, len(orders))
+    )
+    occurring = Counter()
+    for mask, count in per_mask.items():
+        g = math.gcd(*(n for i, n in enumerate(orders) if mask >> i & 1))
+        if g > 1:
+            occurring[g] += count
+    return MultiplierResult(compressed_invariant_form(occurring))
+
+
+@given(st.lists(st.integers(1, 60), max_size=6), st.integers(1, 4))
+@settings(deadline=None)
+def test_oracle_matches_the_per_mask_fold(orders, c):
+    d = CyclicDecomposition(tuple(orders))
+    assert tensor_oracle(d, c) == per_mask_oracle(d, c)
+
+
+def primes_from(start, count):
+    found = []
+    n = start
+    while len(found) < count:
+        if n > 1 and all(n % p for p in range(2, math.isqrt(n) + 1)):
+            found.append(n)
+        n += 1
+    return found
+
+
+def test_oracle_on_more_than_61_letters():
+    # masks of many letters once hashed alike (an int hashes modulo 2**61 - 1),
+    # which made this query quadratic: 46 s before the letter profile
+    primes = primes_from(10**5, 1401)
+    d = CyclicDecomposition(tuple(p * q for p, q in zip(primes, primes[1:])))
+    start = time.perf_counter()
+    oracle = tensor_oracle(d, 1)
+    elapsed = time.perf_counter() - start
+    assert oracle == nilpotent_multiplier(canonicalize(d), 1)
+    assert elapsed < 10.0, elapsed
 
 
 # ---------------------------------------------------------------------------
