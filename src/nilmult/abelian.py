@@ -8,11 +8,15 @@ factorization.  The primary route is one run-length core,
 ``compressed_invariant_form``, which the commutator oracle calls directly;
 ``canonicalize_primary`` is its expansion and serves as the cross-check for
 ``canonicalize``.  That core factors nothing either: it splits the distinct
-orders into a pairwise coprime base by repeated gcds and treats the base
-elements as primes.  ``trial_division`` is the one factorization loop; the
-Witt terms and divisor lists in ``nilmult.witt`` derive from it.
-``factorize`` bounds it to admissible orders and is kept as public API; no
-code in the package calls it.
+orders into a pairwise coprime base by repeated gcds, treats the base
+elements as primes, and emits the summands in one walk over the positions
+where some element's exponent drops.  A new order joins the base after one
+gcd against the product of the base; a base element that divides it stays
+and is stripped from it, and only a proper common factor splits one.
+``trial_division`` is the one factorization loop; the Witt terms and divisor
+lists in ``nilmult.witt`` derive from it.  ``factorize`` bounds it to
+admissible orders and is kept as public API; no code in the package calls
+it.
 """
 
 from __future__ import annotations
@@ -98,7 +102,8 @@ def canonicalize(decomposition: CyclicDecomposition) -> InvariantFactors:
     Equal orders are counted and trivial ones dropped.  All copies of an order
     r enter the chain c at once: entry j becomes lcm(c_j, gcd(c_{j-copies}, r)),
     where the gcd is r itself for j < copies and c_j is 1 past the end.  Once
-    that gcd is 1 it stays 1, so the rest of the chain is left as it is.  No
+    that gcd is 1 it stays 1, so the rest of the chain is left as it is; when
+    it already divides c_j, the entry stays as it is and no lcm is taken.  No
     factorization is needed.
 
     >>> canonicalize(CyclicDecomposition((8, 12))).chain
@@ -109,11 +114,16 @@ def canonicalize(decomposition: CyclicDecomposition) -> InvariantFactors:
     chain: list[int] = []
     for order, copies in Counter(r for r in decomposition.orders if r > 1).items():
         merged: list[int] = []
-        for j in range(len(chain) + copies):
+        length = len(chain)
+        for j in range(length + copies):
             g = order if j < copies else math.gcd(chain[j - copies], order)
             if g == 1:
                 break
-            merged.append(math.lcm(chain[j], g) if j < len(chain) else g)
+            if j < length:
+                c = chain[j]
+                merged.append(c if c % g == 0 else math.lcm(c, g))
+            else:
+                merged.append(g)
         chain[: len(merged)] = merged
     return InvariantFactors(tuple(chain))
 
@@ -141,9 +151,14 @@ def compressed_invariant_form(multiset: Mapping[int, int]) -> tuple[tuple[int, i
     into a pairwise coprime base (``_coprime_base``), and each order is a
     product of powers b**e of base elements.  Every prime of b then occurs in
     that order with e times its exponent in b, so base elements stand in for
-    primes.  Per base element, exponent runs are merged and swept from the
-    largest down, so multiplicities stay run-length encoded throughout and are
-    never expanded.  Orders need not be at most ``MAX_ORDER``.
+    primes.  Per base element, a plain dict counts the multiplicity of each
+    exponent; an order that is, or is reduced to, a base element ends its scan
+    with one lookup.  Sorted from the largest down, each element's exponent
+    runs give drop events: the summand position where its exponent falls, and
+    by how much.  One walk over all events, sorted by position, emits the
+    current factor at each position and then divides it by b**drop, so
+    multiplicities stay run-length encoded throughout and are never expanded.
+    Orders need not be at most ``MAX_ORDER``.
 
     >>> compressed_invariant_form({2: 5, 3: 5, 4: 1})
     ((12, 1), (6, 4), (2, 1))
@@ -152,39 +167,39 @@ def compressed_invariant_form(multiset: Mapping[int, int]) -> tuple[tuple[int, i
         if order < 2 or multiplicity < 1:
             raise ValueError(f"bad multiset entry {order}: {multiplicity}")
     base = _coprime_base(multiset)
-    exponent_runs: dict[int, list[list[int]]] = {}
+    counts: dict[int, dict[int, int]] = {b: {} for b in base}
     for order, multiplicity in multiset.items():
-        for b in base:
-            e = 0
-            while order % b == 0:
-                order //= b
-                e += 1
-            if e:
-                exponent_runs.setdefault(b, []).append([e, multiplicity])
-                if order == 1:
-                    break
-    runs: dict[int, list[list[int]]] = {}
-    for b, pairs in exponent_runs.items():
-        pairs.sort(reverse=True)
-        merged: list[list[int]] = []
-        for e, m in pairs:
-            if merged and merged[-1][0] == e:
-                merged[-1][1] += m
-            else:
-                merged.append([e, m])
-        runs[b] = merged
+        if order not in counts:
+            for b in base:
+                if order % b == 0:
+                    e = 0
+                    while order % b == 0:
+                        order //= b
+                        e += 1
+                    runs = counts[b]
+                    runs[e] = runs.get(e, 0) + multiplicity
+                    if order == 1 or order in counts:
+                        break
+        if order > 1:
+            runs = counts[order]
+            runs[1] = runs.get(1, 0) + multiplicity
+    factor = 1
+    events: list[tuple[int, int, int]] = []
+    for b, runs in counts.items():
+        exponents = sorted(runs, reverse=True)
+        factor *= b ** exponents[0]
+        position = 0
+        for e, lower in zip(exponents, exponents[1:] + [0]):
+            position += runs[e]
+            events.append((position, b, e - lower))
+    events.sort()
     summands: list[tuple[int, int]] = []
-    while runs:
-        factor = math.prod(b ** pairs[0][0] for b, pairs in runs.items())
-        step = min(pairs[0][1] for pairs in runs.values())
-        summands.append((factor, step))
-        for b in list(runs):
-            head = runs[b][0]
-            head[1] -= step
-            if head[1] == 0:
-                runs[b].pop(0)
-                if not runs[b]:
-                    del runs[b]
+    previous = 0
+    for position, b, drop in events:
+        if position > previous:
+            summands.append((factor, position - previous))
+            previous = position
+        factor //= b**drop
     return tuple(summands)
 
 
@@ -192,29 +207,44 @@ def _coprime_base(numbers: Iterable[int]) -> list[int]:
     """Pairwise coprime b >= 2 such that each of ``numbers`` is a product of powers b**e.
 
     Factor refinement (Bach, Driscoll and Shallit, J. Algorithms 15, 1993) by
-    insertion: a pending x joins the base when it is coprime to every element;
-    it is dropped when it equals the first element b it shares a factor with;
-    otherwise b leaves the base and g = gcd(b, x), b / g and x / g are pending.
-    Each step divides the product of base and pending numbers by x or by g > 1,
-    so the loop ends.
+    insertion.  A pending x is tested against the product of the base with
+    one gcd; if they are coprime, x joins the base.  Otherwise the base is
+    scanned: a base element b that divides x stays, and every power of b is
+    stripped from x; once x is 1 it is dropped, and if it is coprime to the
+    whole base it joins it.  Only on a proper common factor g = gcd(b, x)
+    does b leave the base, with g, b / g and x / g pending.  Each step either
+    moves x from pending to the base, or divides the product of base and
+    pending numbers by a factor > 1 (a power of b, or g), so the loop ends.
 
     >>> sorted(_coprime_base([12, 18]))
     [2, 3]
     """
     base: list[int] = []
+    product = 1
     pending = list(numbers)
     while pending:
         x = pending.pop()
+        if math.gcd(product, x) == 1:
+            base.append(x)
+            product *= x
+            continue
         for i, b in enumerate(base):
             g = math.gcd(b, x)
+            if g == b:
+                x //= b
+                while x % b == 0:
+                    x //= b
+                if x == 1:
+                    break
+                g = math.gcd(b, x)
             if g > 1:
+                del base[i]
+                product //= b
+                pending += [y for y in (g, b // g, x // g) if y > 1]
                 break
         else:
             base.append(x)
-            continue
-        if b != x:
-            del base[i]
-            pending += [y for y in (g, b // g, x // g) if y > 1]
+            product *= x
     return base
 
 

@@ -1,10 +1,12 @@
+import itertools
 import math
+import random
 import re
 import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nilmult import abelian
@@ -136,6 +138,81 @@ P12 = 999_999_999_989
 )
 def test_compressed_invariant_form_cases(multiset, expected):
     assert compressed_invariant_form(multiset) == expected
+
+
+# small primes, their powers and P12; products of one to three of them make
+# base elements that divide, are divided by, or equal later inputs
+BASE_POOL = (2, 3, 5, 7, 4, 8, 9, 27, 25, P12)
+base_inputs = st.lists(
+    st.lists(st.sampled_from(BASE_POOL), min_size=1, max_size=3).map(math.prod),
+    max_size=8,
+)
+
+
+@given(base_inputs, st.randoms(use_true_random=False))
+@example([2, 12], random.Random(0))  # b divides a later x
+@example([12, 2], random.Random(0))  # x divides b
+@example([6, 6], random.Random(0))  # x equals b
+@example([6, 4], random.Random(0))
+@example([4, 6], random.Random(0))
+@example([P12 * 2, P12**2, 4], random.Random(0))
+def test_coprime_base_properties(numbers, rng):
+    base = abelian._coprime_base(numbers)
+    assert all(b >= 2 for b in base)
+    assert all(math.gcd(a, b) == 1 for a, b in itertools.combinations(base, 2))
+    for x in numbers:
+        for b in base:
+            while x % b == 0:
+                x //= b
+        assert x == 1
+    assert all(any(x % b == 0 for x in numbers) for b in base)
+    shuffled = list(numbers)
+    rng.shuffle(shuffled)
+    for reordered in (numbers[::-1], shuffled):
+        assert sorted(abelian._coprime_base(reordered)) == sorted(base)
+
+
+@given(
+    st.dictionaries(
+        st.lists(st.sampled_from(BASE_POOL), min_size=1, max_size=3).map(math.prod),
+        st.integers(1, 50),
+        max_size=8,
+    ),
+    st.randoms(use_true_random=False),
+)
+@example({6: 1, 4: 1}, random.Random(0))
+@example({4: 2, 6: 3, 2: 1}, random.Random(0))
+def test_compressed_invariant_form_ignores_insertion_order(multiset, rng):
+    items = list(multiset.items())
+    expected = compressed_invariant_form(multiset)
+    assert compressed_invariant_form(dict(items[::-1])) == expected
+    rng.shuffle(items)
+    assert compressed_invariant_form(dict(items)) == expected
+
+
+def _primes_from(start, count):
+    # a sieve of [start, start + 20 * count): primes near 10**6 are about
+    # 14 apart on average
+    limit = start + 20 * count
+    sieve = bytearray([1]) * (limit - start)
+    for d in range(2, math.isqrt(limit) + 1):
+        first = -start % d
+        sieve[first::d] = bytes(len(range(first, limit - start, d)))
+    return [start + i for i, flag in enumerate(sieve) if flag][:count]
+
+
+def test_compressed_invariant_form_many_coprime_orders_is_fast():
+    # one gcd against the product of the base admits each new prime, so
+    # thousands of pairwise coprime orders do not rescan the base
+    primes = _primes_from(10**6, 3000)
+    assert len(primes) == 3000
+    start = time.perf_counter()
+    summands = compressed_invariant_form({p: 1 for p in primes})
+    elapsed = time.perf_counter() - start
+    assert summands == ((math.prod(primes), 1),)
+    assert elapsed < 0.5, elapsed
+    d = CyclicDecomposition(tuple(primes))
+    assert canonicalize_primary(d) == canonicalize(d)
 
 
 @pytest.mark.parametrize("bad", [{1: 2}, {0: 1}, {4: 0}, {6: 1, 2: -1}])
