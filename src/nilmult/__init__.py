@@ -14,13 +14,7 @@ from .abelian import (
     canonicalize_primary,
     factorize,
 )
-from .hall import (
-    DEFAULT_ENUM_CAP,
-    BasicCommutator,
-    CapExceeded,
-    enumerate_basic,
-    enumeration_cap,
-)
+from .hall import BasicCommutator, CapExceeded, enumerate_basic
 from .multiplier import (
     MultiplierResult,
     VerificationReport,
@@ -40,11 +34,9 @@ __all__ = [
     "canonicalize",
     "canonicalize_primary",
     "factorize",
-    "DEFAULT_ENUM_CAP",
     "BasicCommutator",
     "CapExceeded",
     "enumerate_basic",
-    "enumeration_cap",
     "MultiplierResult",
     "VerificationReport",
     "multiplier_order",

@@ -49,10 +49,11 @@ MAX_RESULT_BITS = 2**23
 # bound runs for seconds or minutes, not hours.
 MAX_SWEEP_CASES = 10**5
 
-# Most basic commutators the oracle runs of one sweep will enumerate, summed
-# over its cases.  A sweep just under the bound (--max-order 2 --max-rank 390
-# --max-class 1, 9.9 million) takes about 1 s (CPython 3.11, x86-64);
-# acceptance criterion 9 enumerates 2,115,960.
+# Most basic commutators of weight c + 1 on a sweep's chains, summed over its
+# cases: no fewer than the letter sets its oracle runs fold, one gcd each.  A
+# sweep just under the bound (--max-order 2 --max-rank 390 --max-class 1, 9.9
+# million pairs of letters) takes about 1.5 s (CPython 3.11, x86-64);
+# acceptance criterion 9 counts 2,115,960.
 MAX_SWEEP_COMMUTATORS = 10**7
 
 
@@ -97,7 +98,8 @@ def check_result_size(weight: int, letters: int) -> None:
 
     The count of weight-w commutators on q letters is below q**w, so it has
     at most w * log2(q) bits; the estimate w * bit_length(q - 1) is at least
-    that, and is 0 for a single letter.
+    that, and is 0 for a single letter.  For ``compute`` the letters are the
+    factors of order > 1: a trivial factor adds no commutator to either route.
     """
     estimate = weight * max(letters - 1, 0).bit_length()
     if estimate > MAX_RESULT_BITS:
@@ -208,7 +210,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
     if args.class_c < 1:
         raise ValueError("--class must be >= 1")
     decomposition = parse_group_spec(args.group)
-    check_result_size(args.class_c + 1, len(decomposition.orders))
+    check_result_size(args.class_c + 1, sum(n > 1 for n in decomposition.orders))
     verified: bool | None = None
     try:
         if args.method == "both":
@@ -270,13 +272,19 @@ def invariant_chains(max_order: int, max_rank: int):
             chain.pop()
 
 
-def _chain_counter(max_rank: int, max_class: int):
-    """``chains_from``: per-length chain counts by first entry, memoized over divisors.
+def sweep_size(max_order: int, max_rank: int, max_class: int) -> tuple[int, int]:
+    """(chain, class) cases of a sweep, and basic commutators on their chains.
 
     ``chains_from(n)[k]`` counts the chains that start with n and have at most
     k + 1 entries: n alone, or n followed by a chain from n itself or from a
-    proper divisor d >= 2 of n.  A list stops early, short of ``max_rank``
-    entries, once its last count passes MAX_SWEEP_CASES / max_class.
+    proper divisor d >= 2 of n.  One walk over first entries sums them, in all
+    and by length, and stops once the cases pass MAX_SWEEP_CASES; a list stops
+    too, short of ``max_rank`` entries, once its last count passes
+    MAX_SWEEP_CASES / max_class.  A case (chain, c) folds at most
+    ``witt_count(c + 1, len(chain))`` letter sets, since each set it folds
+    carries a basic commutator; those counts are summed, until they pass
+    MAX_SWEEP_COMMUTATORS, only when the cases are within their bound (else
+    the second number is 0).  A count above its bound is a lower bound.
     """
 
     @functools.cache
@@ -288,47 +296,26 @@ def _chain_counter(max_rank: int, max_class: int):
             counts.append(1 + counts[k - 1] + sum(c[k - 1] for c in below))
         return counts
 
-    return chains_from
-
-
-def sweep_cases(max_order: int, max_rank: int, max_class: int) -> int:
-    """(chain, class) cases in a sweep, counted only until they pass MAX_SWEEP_CASES.
-
-    A result above the bound is a lower bound on the true count.
-    """
-    chains_from = _chain_counter(max_rank, max_class)
     chains = 1  # the empty chain
-    if max_rank:
-        for n in range(2, max_order + 1):
-            if chains * max_class > MAX_SWEEP_CASES:
-                break
-            chains += chains_from(n)[-1]
-    return chains * max_class
-
-
-def sweep_commutators(max_order: int, max_rank: int, max_class: int) -> int:
-    """Basic commutators a sweep's oracle runs enumerate, counted until they pass
-    MAX_SWEEP_COMMUTATORS.
-
-    A case (chain, c) enumerates ``witt_count(c + 1, len(chain))`` of them.
-    Exact only for a sweep within MAX_SWEEP_CASES, whose ``chains_from``
-    lists are complete; a result above the bound is a lower bound.
-    """
-    chains_from = _chain_counter(max_rank, max_class)
     # of_length[k]: chains with exactly k >= 2 entries; fewer than 2 letters
     # have no basic commutators of weight 2 or more
     of_length: Counter[int] = Counter()
-    for n in range(2, max_order + 1):
+    for n in range(2, max_order + 1) if max_rank else ():
+        if chains * max_class > MAX_SWEEP_CASES:
+            break
         counts = chains_from(n)
+        chains += counts[-1]
         for k in range(1, len(counts)):
             of_length[k + 1] += counts[k] - counts[k - 1]
-    total = 0
-    for length, chains in sorted(of_length.items()):
+    cases, commutators = chains * max_class, 0
+    if cases > MAX_SWEEP_CASES:
+        return cases, commutators
+    for length, count in sorted(of_length.items()):
         for c in range(1, max_class + 1):
-            total += chains * witt_count(c + 1, length)
-            if total > MAX_SWEEP_COMMUTATORS:
-                return total
-    return total
+            commutators += count * witt_count(c + 1, length)
+            if commutators > MAX_SWEEP_COMMUTATORS:
+                return cases, commutators
+    return cases, commutators
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -338,13 +325,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ValueError("--max-rank must be >= 0")
     if args.max_class < 1:
         raise ValueError("--max-class must be >= 1")
-    cases = sweep_cases(args.max_order, args.max_rank, args.max_class)
+    cases, commutators = sweep_size(args.max_order, args.max_rank, args.max_class)
     if cases > MAX_SWEEP_CASES:
         raise ValueError(
             f"the sweep would check at least {cases} (chain, class) cases, "
             f"above the bound of {MAX_SWEEP_CASES}"
         )
-    commutators = sweep_commutators(args.max_order, args.max_rank, args.max_class)
     if commutators > MAX_SWEEP_COMMUTATORS:
         raise ValueError(
             f"the sweep would enumerate at least {decimal_str(commutators)} basic "

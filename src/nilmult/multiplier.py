@@ -185,9 +185,8 @@ def nilpotent_multiplier(group: InvariantFactors, nilpotency_class: int) -> Mult
     summands: list[list[int]] = []
     for i in range(2, len(chain) + 1):
         order = chain[i - 1]
+        # >= 1: the Hall basis on i letters strictly contains the one on i - 1
         multiplicity = counts[i - 1] - counts[i - 2]
-        if multiplicity == 0:
-            continue
         if summands and summands[-1][0] == order:
             summands[-1][1] += multiplicity
         else:
@@ -203,6 +202,8 @@ def tensor_oracle(
     Works on any decomposition, canonical or not; each basic commutator of
     weight class+1 on the t factors contributes the cyclic group of order
     gcd of the orders of its distinct letters (repeats cannot change a gcd).
+    A factor of order 1 makes every such gcd 1, so those factors are dropped
+    first and are not letters.
     Every k-letter set carries the same number of commutators, entry k - 1
     of ``letter_profile``, so the gcd of each set with a nonzero entry is
     taken once and weighted by it: no more sets than commutators.  Raises
@@ -211,7 +212,7 @@ def tensor_oracle(
     """
     if nilpotency_class < 1:
         raise ValueError(f"nilpotency class must be >= 1, got {nilpotency_class}")
-    orders = decomposition.orders
+    orders = [n for n in decomposition.orders if n > 1]
     if not orders:
         return MultiplierResult(())
     profile = letter_profile(nilpotency_class + 1, len(orders))

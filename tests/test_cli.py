@@ -28,8 +28,7 @@ from nilmult.cli import (
     invariant_chains,
     main,
     parse_group_spec,
-    sweep_cases,
-    sweep_commutators,
+    sweep_size,
 )
 from nilmult.multiplier import MultiplierResult, decimal_str
 from nilmult.witt import witt_count
@@ -571,6 +570,32 @@ def test_fewer_than_two_letters_answer_at_once(capsys):
         assert elapsed < 2.0, (argv, elapsed)
 
 
+def test_trivial_factors_are_not_oracle_letters(capsys):
+    # Z1^1500 + Z2^2 is the group Z2^2: the enumeration cap sees two letters,
+    # not 1,502
+    code, out, err = run(capsys, "compute", "--group", "Z1^1500+Z2^2",
+                         "--class", "1", "--method", "oracle")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1:] == [
+        "canonical: 2,2", "class: 1", "method: oracle", "multiplier: Z2",
+        "order: 2 = 2^1",
+    ]
+
+
+def test_trivial_factors_are_not_letters_of_the_result_bound(capsys):
+    # one letter of order 2 has no commutator above weight 1, whatever the class
+    code, out, err = run(capsys, "compute", "--group", "Z1^3+Z2", "--class", "10000000")
+    assert (code, err) == (0, "")
+    assert out == (
+        "input: 1,1,1,2\n"
+        "canonical: 2\n"
+        "class: 10000000\n"
+        "method: formula\n"
+        "multiplier: trivial\n"
+        "order: 1\n"
+    )
+
+
 # ---------------------------------------------------------------------------
 # One parser per process
 # ---------------------------------------------------------------------------
@@ -770,7 +795,7 @@ def test_sweep_is_deterministic(capsys):
 )
 def test_sweep_cases_count_the_chains(max_order, max_rank, max_class, cases):
     assert sum(1 for _ in invariant_chains(max_order, max_rank)) * max_class == cases
-    assert sweep_cases(max_order, max_rank, max_class) == cases
+    assert sweep_size(max_order, max_rank, max_class)[0] == cases
 
 
 def test_oversized_sweep_exits_1_before_any_verify(capsys, monkeypatch):
@@ -801,8 +826,8 @@ def test_sweep_commutators_count_the_enumeration(max_order, max_rank, max_class)
         for chain in invariant_chains(max_order, max_rank)
         for c in range(1, max_class + 1)
     )
-    assert sweep_commutators(max_order, max_rank, max_class) == expected
-    # the criterion-9 family, (32, 5, 5), enumerates 2,115,960 and stays in bounds
+    assert sweep_size(max_order, max_rank, max_class)[1] == expected
+    # the criterion-9 family, (32, 5, 5), counts 2,115,960 and stays in bounds
     assert expected <= MAX_SWEEP_COMMUTATORS
 
 
@@ -813,12 +838,38 @@ def test_sweep_over_the_commutator_bound_exits_1_before_any_verify(capsys, monke
     monkeypatch.setattr(cli, "verify", refuse)
     # 2,001 cases, under MAX_SWEEP_CASES, but chains of up to 2,000 letters
     argv = ("--max-order", "2", "--max-rank", "2000", "--max-class", "1")
-    assert sweep_cases(2, 2000, 1) == 2001
-    count = sweep_commutators(2, 2000, 1)
+    cases, count = sweep_size(2, 2000, 1)
+    assert cases == 2001
     assert count > MAX_SWEEP_COMMUTATORS
     code, out, err = run(capsys, "sweep", *argv)
     assert (code, out) == (1, "")
     assert err == (
         f"error: the sweep would enumerate at least {count} basic commutators, "
         f"above the bound of {MAX_SWEEP_COMMUTATORS}\n"
+    )
+
+
+@given(st.integers(1, 24), st.integers(0, 5), st.integers(1, 4))
+@settings(deadline=None, max_examples=60)
+def test_sweep_size_counts_cases_and_letter_set_bound(max_order, max_rank, max_class):
+    chains = list(invariant_chains(max_order, max_rank))
+    assert sweep_size(max_order, max_rank, max_class) == (
+        len(chains) * max_class,
+        sum(witt_count(c + 1, len(chain))
+            for chain in chains for c in range(1, max_class + 1)),
+    )
+
+
+def test_rank_0_sweep_over_huge_orders_checks_its_one_case():
+    # the empty chain is the only case; sizing once walked every first entry
+    # up to --max-order, and timed out
+    src = os.path.dirname(os.path.dirname(multiplier.__file__))
+    result = subprocess.run(
+        [sys.executable, "-m", "nilmult", "sweep", "--max-order", str(10**12),
+         "--max-rank", "0", "--max-class", "1"],
+        capture_output=True, text=True, timeout=10,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (
+        0, "checked 1 (chain, class) pairs: 1 equal, 0 mismatched\n", ""
     )
