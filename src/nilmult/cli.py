@@ -4,10 +4,10 @@ Subcommands: ``compute`` (multiplier of a group, by formula, oracle, or both),
 ``witt`` (basic-commutator count), ``basis`` (enumerate basic commutators),
 ``sweep`` (cross-validate formula against oracle over a family of groups).
 
-Exit codes: 0 success, 1 bad input (including a result above
-``MAX_RESULT_BITS`` and a sweep above ``MAX_SWEEP_CASES`` or
-``MAX_SWEEP_COMMUTATORS``), 2 formula/oracle mismatch, 3 enumeration cap
-exceeded.
+Exit codes: 0 success, 1 bad input (including a group spec above
+``MAX_FACTORS`` factors, a result above ``MAX_RESULT_BITS`` and a sweep above
+``MAX_SWEEP_CASES`` or ``MAX_SWEEP_COMMUTATORS``), 2 formula/oracle mismatch,
+3 enumeration cap exceeded.
 """
 
 from __future__ import annotations
@@ -27,8 +27,10 @@ from .multiplier import (
     decimal_str,
     multiplier_order,
     nilpotent_multiplier,
+    summand_digits,
     tensor_oracle,
     verify,
+    witt_count_digits,
 )
 from .witt import divisors, witt_count
 
@@ -57,6 +59,13 @@ MAX_SWEEP_CASES = 10**5
 MAX_SWEEP_COMMUTATORS = 10**7
 
 
+# Most cyclic factors a group spec may list, powers counted out.  The parsed
+# orders take about 16 bytes each, in a list and then a tuple: Z1^1000000000
+# would ask for about 16 GB before any other bound could refuse it.  At the
+# bound, parsing takes about 0.25 s and 16 MiB (CPython 3.11, x86-64).
+MAX_FACTORS = 10**6
+
+
 class GroupSpecError(ValueError):
     """A group specification that does not match the accepted grammar."""
 
@@ -69,28 +78,44 @@ def parse_group_spec(text: str) -> CyclicDecomposition:
     """Parse a group spec: "12,6,2", "Z12+Z6+Z2", or "Z2^3" (whitespace-free forms).
 
     Whitespace is ignored everywhere; anything outside the three spellings is
-    rejected rather than guessed.
+    rejected rather than guessed.  A spec of more than ``MAX_FACTORS`` factors,
+    powers counted out, is refused before any list of orders is built.
     """
     compact = "".join(text.split())
     if not compact:
         raise GroupSpecError("empty group specification")
     orders: list[int] = []
     if compact.startswith("Z"):
+        powers: list[tuple[int, int]] = []
+        factors = 0
         for term in compact.split("+"):
             m = _SUMMAND.fullmatch(term)
             if not m:
                 raise GroupSpecError(f"bad summand {term!r} in {text!r}")
-            order = int(m.group(1))
             power = int(m.group(2)) if m.group(2) else 1
             if power < 1:
                 raise GroupSpecError(f"power must be >= 1 in {term!r}")
+            powers.append((int(m.group(1)), power))
+            factors += power
+        _check_factor_count(factors)
+        for order, power in powers:
             orders.extend([order] * power)
     else:
-        for piece in compact.split(","):
+        pieces = compact.split(",")
+        _check_factor_count(len(pieces))
+        for piece in pieces:
             if not _PLAIN_INT.fullmatch(piece):
                 raise GroupSpecError(f"bad order {piece!r} in {text!r}")
             orders.append(int(piece))
     return CyclicDecomposition(tuple(orders))
+
+
+def _check_factor_count(factors: int) -> None:
+    if factors > MAX_FACTORS:
+        raise GroupSpecError(
+            f"the group spec has {decimal_str(factors)} factors, "
+            f"above the bound of {MAX_FACTORS}"
+        )
 
 
 def check_result_size(weight: int, letters: int) -> None:
@@ -112,8 +137,7 @@ def check_result_size(weight: int, letters: int) -> None:
 def _summand_records(result: MultiplierResult) -> list[dict]:
     """The summands with each order and multiplicity rendered to decimal, once."""
     return [
-        {"order": decimal_str(order), "multiplicity": decimal_str(mult)}
-        for order, mult in result.summands
+        {"order": order, "multiplicity": mult} for order, mult in summand_digits(result)
     ]
 
 
@@ -139,8 +163,9 @@ def _output_record(
     """Everything a query prints, built before anything is printed.
 
     ``input`` holds the parsed orders, which are at most ``MAX_ORDER``.  Chain
-    entries, summand orders and multiplicities are decimal strings from
-    ``decimal_str``: a chain entry can be the lcm of hundreds of orders.
+    entries, summand orders and multiplicities are decimal strings, from
+    ``decimal_str`` or ``summand_digits``: a chain entry can be the lcm of
+    hundreds of orders.
     """
     summands = _summand_records(result)
     order = multiplier_order(result)
@@ -236,7 +261,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
 
 def cmd_witt(args: argparse.Namespace) -> int:
     check_result_size(args.weight, args.letters)
-    print(decimal_str(witt_count(args.weight, args.letters)))
+    print(witt_count_digits(args.weight, args.letters))
     return EXIT_OK
 
 

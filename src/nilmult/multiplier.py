@@ -14,8 +14,13 @@ run-length primary core ``abelian.compressed_invariant_form``, so
 multiplicities are never expanded.
 That core refines the distinct gcds into a pairwise coprime base by repeated
 gcds, so the oracle factors no integer into primes.
-``verify`` canonicalizes the input once, runs both and compares.  Results are
-summands only; rendering them as text is the command line's job.
+``verify`` canonicalizes the input once, runs both and compares.  A result's
+value is its summands.  Its text is the command line's job, but the digits
+come from here: ``summand_digits`` renders orders with ``decimal_str``, and
+multiplicities too, unless ``nilpotent_multiplier`` already holds their digits.
+Once a Witt count passes ``_EXACT_DECIMAL_BITS``, it evaluates the counts a
+second time as exact ``decimal.Decimal`` integers, whose digits need no
+conversion from binary, and checks each multiplicity against its int twin.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import functools
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .abelian import (
     CyclicDecomposition,
@@ -33,7 +38,7 @@ from .abelian import (
     compressed_invariant_form,
 )
 from .hall import letter_profile
-from .witt import b_sequence
+from .witt import b_sequence, decimal_counts, exact_context, witt_count
 
 # multiplier_order gives the exact order only up to this many decimal digits;
 # beyond it, callers fall back to the factored form.
@@ -49,6 +54,16 @@ _STR_MAX_BITS = 2048
 _TENS_MAX_BITS = 65_000
 _TENS_LEAF_DIGITS = 600
 _DECIMAL_LEAF_BITS = 1024
+
+# Witt counts of more bits than this are evaluated a second time, in exact
+# decimal, for their digits.  Below it libmpdec's powers cost more than
+# decimal_str's conversion of the int; the two break even near 30,000 bits on
+# ranks 2-6 (CPython 3.11, x86-64).
+_EXACT_DECIMAL_BITS = 30_000
+
+# A multiplicity evaluated in exact decimal must equal its int twin modulo
+# this prime (2**61 - 1); the check is linear in the digits.
+_CHECK_PRIME = 2**61 - 1
 
 
 def decimal_str(value: int) -> str:
@@ -102,7 +117,7 @@ def _split_by_twos(value: int) -> str:
     Split by powers of two down to 1024-bit leaves, convert each leaf with
     ``Decimal(int)`` (which reads the int's limbs, not its digits), and
     recombine with exact Decimal arithmetic, which multiplies big operands
-    subquadratically.  The context is a thread-local copy, restored on exit.
+    subquadratically, in a thread-local ``exact_context()``.
     """
     # Imported here: a CLI run that never renders a huge integer should not
     # pay the import at start-up.
@@ -132,11 +147,7 @@ def _split_by_twos(value: int) -> str:
         low = n - (high << half)
         return convert(low, half) + convert(high, width - half) * two_power(half)
 
-    with decimal.localcontext() as context:
-        context.prec = decimal.MAX_PREC
-        context.Emax = decimal.MAX_EMAX
-        context.Emin = decimal.MIN_EMIN
-        context.traps[decimal.Inexact] = True
+    with decimal.localcontext(exact_context()):
         return str(convert(value, value.bit_length()))
 
 
@@ -147,11 +158,23 @@ class MultiplierResult:
     ``summands`` lists (order, multiplicity) pairs with strictly decreasing
     orders, each dividing its predecessor; multiplicities are exact integers
     and can be astronomically large.  The empty tuple is the trivial group.
+    ``multiplicity_digits`` holds the multiplicities' decimal digits when
+    ``nilpotent_multiplier`` evaluated them exactly in decimal; it is not part
+    of the value, so equality and repr ignore it.
     """
 
     summands: tuple[tuple[int, int], ...]
+    multiplicity_digits: tuple[str, ...] | None = field(
+        default=None, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
+        digits = self.multiplicity_digits
+        if digits is not None and len(digits) != len(self.summands):
+            raise ValueError(
+                f"{len(digits)} multiplicity digit strings for "
+                f"{len(self.summands)} summands"
+            )
         previous = None
         for order, multiplicity in self.summands:
             if order < 2:
@@ -164,10 +187,6 @@ class MultiplierResult:
                     f"chain; got {previous} then {order}"
                 )
             previous = order
-
-    @property
-    def is_trivial(self) -> bool:
-        return not self.summands
 
 
 def nilpotent_multiplier(group: InvariantFactors, nilpotency_class: int) -> MultiplierResult:
@@ -182,7 +201,19 @@ def nilpotent_multiplier(group: InvariantFactors, nilpotency_class: int) -> Mult
     if len(chain) <= 1:
         return MultiplierResult(())
     counts = b_sequence(nilpotency_class, len(chain))
-    summands: list[list[int]] = []
+    summands = _summands(chain, counts)
+    digits = None
+    if counts[-1].bit_length() > _EXACT_DECIMAL_BITS:
+        digits = _exact_digits(chain, nilpotency_class, summands)
+    return MultiplierResult(summands, digits)
+
+
+def _summands(chain: tuple[int, ...], counts) -> tuple:
+    """(n_i, b_i - b_{i-1}) for i = 2..k, with equal orders merged.
+
+    ``counts`` are ints, or exact Decimals inside ``exact_context()``.
+    """
+    summands: list[list] = []
     for i in range(2, len(chain) + 1):
         order = chain[i - 1]
         # >= 1: the Hall basis on i letters strictly contains the one on i - 1
@@ -191,7 +222,63 @@ def nilpotent_multiplier(group: InvariantFactors, nilpotency_class: int) -> Mult
             summands[-1][1] += multiplicity
         else:
             summands.append([order, multiplicity])
-    return MultiplierResult(tuple((order, mult) for order, mult in summands))
+    return tuple((order, mult) for order, mult in summands)
+
+
+def _exact_digits(
+    chain: tuple[int, ...], nilpotency_class: int, summands: tuple
+) -> tuple[str, ...]:
+    """The multiplicities' digits, from the Witt counts evaluated in exact decimal.
+
+    Each decimal multiplicity must equal its int twin in ``summands`` modulo
+    ``_CHECK_PRIME``; a disagreement raises ``ArithmeticError``.
+    """
+    import decimal
+
+    counts = decimal_counts(nilpotency_class + 1, range(1, len(chain) + 1))
+    digits = []
+    with decimal.localcontext(exact_context()):
+        twins = _summands(chain, counts)
+        for index, ((_, mult), (_, twin)) in enumerate(zip(summands, twins)):
+            if twin % _CHECK_PRIME != mult % _CHECK_PRIME:
+                raise ArithmeticError(
+                    f"the decimal multiplicity of summand {index} disagrees "
+                    f"with its int twin modulo {_CHECK_PRIME}"
+                )
+            digits.append(str(twin))
+    return tuple(digits)
+
+
+def summand_digits(result: MultiplierResult) -> list[tuple[str, str]]:
+    """The decimal digits of each summand's (order, multiplicity), in order.
+
+    Orders go through ``decimal_str``; multiplicities come from
+    ``result.multiplicity_digits`` when present, else from ``decimal_str``.
+
+    >>> summand_digits(nilpotent_multiplier(InvariantFactors((12, 6, 2)), 1))
+    [('6', '1'), ('2', '2')]
+    """
+    exact = result.multiplicity_digits
+    return [
+        (decimal_str(order), exact[i] if exact is not None else decimal_str(mult))
+        for i, (order, mult) in enumerate(result.summands)
+    ]
+
+
+def witt_count_digits(weight: int, letters: int) -> str:
+    """The decimal digits of ``witt_count(weight, letters)``.
+
+    The count is below letters**weight, which has at most weight *
+    bit_length(letters - 1) bits.  Past ``_EXACT_DECIMAL_BITS`` by that
+    estimate it is evaluated by ``decimal_counts`` and printed as it is: no
+    int, no ``decimal_str``.
+
+    >>> witt_count_digits(6, 4)
+    '670'
+    """
+    if weight * max(letters - 1, 0).bit_length() <= _EXACT_DECIMAL_BITS:
+        return decimal_str(witt_count(weight, letters))
+    return str(decimal_counts(weight, [letters])[0])
 
 
 def tensor_oracle(

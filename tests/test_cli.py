@@ -17,9 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilmult import abelian, cli, hall, multiplier, witt
-from nilmult.abelian import CyclicDecomposition, canonicalize
+from nilmult.abelian import CyclicDecomposition, InvariantFactors, canonicalize
 from nilmult.hall import CapExceeded, enumerate_basic
 from nilmult.cli import (
+    MAX_FACTORS,
     MAX_RESULT_BITS,
     MAX_SWEEP_CASES,
     MAX_SWEEP_COMMUTATORS,
@@ -30,7 +31,7 @@ from nilmult.cli import (
     parse_group_spec,
     sweep_size,
 )
-from nilmult.multiplier import MultiplierResult, decimal_str
+from nilmult.multiplier import MultiplierResult, decimal_str, nilpotent_multiplier
 from nilmult.witt import witt_count
 from test_acceptance import invariant_chains as recursive_invariant_chains
 
@@ -100,6 +101,29 @@ def test_parse_group_spec_order_bounds():
         parse_group_spec("0")
     with pytest.raises(ValueError):
         parse_group_spec(str(10**12 + 1))
+
+
+def test_parse_group_spec_factor_bound():
+    # at the bound a spec parses; one factor more is refused before any list
+    # of orders is built, in either spelling
+    assert len(parse_group_spec(f"Z1^{MAX_FACTORS - 1}+Z2").orders) == MAX_FACTORS
+    message = f"the group spec has {MAX_FACTORS + 1} factors, above the bound of {MAX_FACTORS}"
+    for text in (f"Z1^{MAX_FACTORS}+Z2", ",".join(["1"] * (MAX_FACTORS + 1))):
+        start = time.perf_counter()
+        with pytest.raises(GroupSpecError, match=message):
+            parse_group_spec(text)
+        assert time.perf_counter() - start < 0.5
+
+
+def test_huge_power_exits_1_at_once(capsys):
+    # expanded, Z1^1000000000 would need about 16 GB
+    start = time.perf_counter()
+    code, out, err = run(capsys, "compute", "--group", "Z1^1000000000", "--class", "1")
+    assert (code, out) == (1, "")
+    assert err == (
+        f"error: the group spec has 1000000000 factors, above the bound of {MAX_FACTORS}\n"
+    )
+    assert time.perf_counter() - start < 0.5
 
 
 @given(st.lists(st.integers(1, 999), min_size=1, max_size=5), st.integers(1, 4))
@@ -208,6 +232,36 @@ def test_compute_renders_each_integer_once(capsys, monkeypatch, fmt, argv, rende
     code, _, _ = run(capsys, "compute", *argv, "--format", fmt)
     assert code == 0
     assert calls == rendered
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_large_formula_multiplicities_skip_decimal_str(capsys, monkeypatch, fmt):
+    # the multiplicities, of about 30,000 to 78,000 digits, come as exact
+    # decimal digits from the formula; only orders and chain entries are rendered
+    calls = record_calls(monkeypatch, multiplier, "decimal_str")
+    code, out, _ = run(capsys, "compute", "--group", "12,12,6,6,2,2", "--class", "100000",
+                       "--format", fmt)
+    assert code == 0
+    assert calls == [12, 6, 2, 12, 12, 6, 6, 2, 2]
+    monkeypatch.undo()
+    result = nilpotent_multiplier(InvariantFactors((12, 12, 6, 6, 2, 2)), 10**5)
+    expected = [decimal_str(mult) for _, mult in result.summands]
+    if fmt == "json":
+        printed = [s["multiplicity"] for s in json.loads(out)["summands"]]
+    else:
+        multiplier_line = out.splitlines()[4]
+        printed = [term.split("^(")[1].rstrip(")") for term in multiplier_line.split(" (+) ")]
+    assert printed == expected
+
+
+def test_large_witt_counts_skip_the_int(capsys, monkeypatch):
+    rendered = record_calls(monkeypatch, multiplier, "decimal_str")
+    counted = record_calls(monkeypatch, witt, "witt_count")
+    code, out, _ = run(capsys, "witt", "--weight", "20001", "--letters", "7")
+    assert code == 0
+    assert (rendered, counted) == ([], [])
+    monkeypatch.undo()
+    assert out == decimal_str(witt_count(20001, 7)) + "\n"
 
 
 def probable_primes(start, count):

@@ -1,3 +1,4 @@
+import decimal
 import math
 import random
 import sys
@@ -15,7 +16,9 @@ from nilmult.abelian import (
     compressed_invariant_form,
 )
 from nilmult.hall import CapExceeded, enumerate_basic
+from nilmult import multiplier
 from nilmult.multiplier import (
+    _EXACT_DECIMAL_BITS,
     _STR_MAX_BITS,
     _TENS_LEAF_DIGITS,
     _TENS_MAX_BITS,
@@ -23,8 +26,10 @@ from nilmult.multiplier import (
     decimal_str,
     multiplier_order,
     nilpotent_multiplier,
+    summand_digits,
     tensor_oracle,
     verify,
+    witt_count_digits,
 )
 from nilmult.witt import b_sequence, witt_count
 
@@ -52,8 +57,8 @@ def test_cyclic_groups_have_trivial_multiplier():
     for n in (2, 5, 97):
         for c in (1, 2, 7):
             result = nilpotent_multiplier(chain_of(n), c)
-            assert result.is_trivial
-    assert nilpotent_multiplier(InvariantFactors(()), 4).is_trivial
+            assert not result.summands
+    assert not nilpotent_multiplier(InvariantFactors(()), 4).summands
 
 
 def test_elementary_abelian_class_two():
@@ -78,9 +83,9 @@ def test_two_generator_groups_follow_the_witt_count():
 
 
 def test_oracle_spot_values():
-    assert tensor_oracle(CyclicDecomposition((3, 2)), 1).is_trivial
+    assert not tensor_oracle(CyclicDecomposition((3, 2)), 1).summands
     assert tensor_oracle(CyclicDecomposition((2, 2)), 2).summands == ((2, 2),)
-    assert tensor_oracle(CyclicDecomposition(()), 3).is_trivial
+    assert not tensor_oracle(CyclicDecomposition(()), 3).summands
 
 
 def test_oracle_matches_formula_on_two_generator_chains():
@@ -257,6 +262,92 @@ def test_decimal_str_handles_huge_values():
         assert [decimal_str(value) for value in values] == expected
     finally:
         sys.set_int_max_str_digits(original_limit)
+
+
+# ---------------------------------------------------------------------------
+# Multiplicity digits from exact decimal Witt counts
+# ---------------------------------------------------------------------------
+
+
+def with_repeats(rank):
+    """A chain of the given rank in which equal entries merge summands."""
+    return (12, 12, 12, 6, 6, 2, 2)[:rank]
+
+
+def strict(rank):
+    return (720, 360, 120, 60, 12, 6, 2)[-rank:]
+
+
+@pytest.mark.parametrize("rank", range(2, 8))
+@pytest.mark.parametrize("make_chain", [with_repeats, strict])
+def test_summand_digits_equal_decimal_str(rank, make_chain):
+    # classes on both sides of the exact-decimal threshold at every rank
+    chain = chain_of(*make_chain(rank))
+    for c in (1, 2, 700, 2000, 10**4, 10**5):
+        result = nilpotent_multiplier(chain, c)
+        assert summand_digits(result) == [
+            (decimal_str(order), decimal_str(mult)) for order, mult in result.summands
+        ], (chain, c)
+        exact = b_sequence(c, rank)[-1].bit_length() > _EXACT_DECIMAL_BITS
+        assert (result.multiplicity_digits is not None) == exact, (chain, c)
+        assert exact == (c == 10**5)
+
+
+def test_exact_digits_are_not_part_of_the_value():
+    result = nilpotent_multiplier(chain_of(4, 4, 2), 10**5)
+    assert result.multiplicity_digits is not None
+    twin = MultiplierResult(result.summands)
+    assert result == twin
+    assert hash(result) == hash(twin)
+    small = MultiplierResult(((4, 3), (2, 5)), ("3", "5"))
+    assert repr(small) == repr(MultiplierResult(small.summands)) == (
+        "MultiplierResult(summands=((4, 3), (2, 5)))"
+    )
+    with pytest.raises(ValueError):
+        MultiplierResult(small.summands, ("3",))
+
+
+def test_corrupted_decimal_count_raises(monkeypatch):
+    original = multiplier.decimal_counts
+
+    def off_by_one(weight, letters):
+        counts = original(weight, letters)
+        counts[-1] += 1
+        return counts
+
+    monkeypatch.setattr(multiplier, "decimal_counts", off_by_one)
+    with pytest.raises(ArithmeticError, match="int twin"):
+        nilpotent_multiplier(chain_of(6, 2, 2), 10**5)
+
+
+def test_large_formula_leaves_the_callers_decimal_context_unchanged():
+    def state(context):
+        return (context.prec, context.rounding, context.Emax, context.Emin,
+                context.capitals, context.clamp, dict(context.traps),
+                dict(context.flags))
+
+    with decimal.localcontext() as context:
+        context.prec = 7
+        context.rounding = decimal.ROUND_FLOOR
+        context.Emax = 99
+        context.traps[decimal.Inexact] = True
+        context.traps[decimal.DivisionByZero] = False
+        before = state(context)
+        result = nilpotent_multiplier(chain_of(6, 6, 3), 10**5)
+        digits = witt_count_digits(10**5 + 1, 4)
+        assert decimal.getcontext() is context
+        assert state(context) == before
+    assert result.multiplicity_digits is not None
+    assert digits == decimal_str(witt_count(10**5 + 1, 4))
+
+
+@pytest.mark.parametrize(
+    "weight, letters",
+    [(1, 0), (6, 4), (2049, 2), (_EXACT_DECIMAL_BITS + 1, 2),
+     (_EXACT_DECIMAL_BITS // 2 + 1, 3), (10**4, 7), (10**4 + 1, 7)],
+)
+def test_witt_count_digits_equal_decimal_str(weight, letters):
+    assert witt_count_digits(weight, letters) == decimal_str(witt_count(weight, letters))
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from nilmult.hall import enumerate_basic
-from nilmult.witt import _moebius_terms, b_sequence, divisors, witt_count
+from nilmult.multiplier import decimal_str
+from nilmult.witt import _moebius_terms, b_sequence, decimal_counts, divisors, witt_count
 
 
 @pytest.mark.parametrize(
@@ -107,8 +108,21 @@ def test_b_sequence_table_shape(c, rank):
         lambda: b_sequence(2, 0),
         lambda: _moebius_terms(0),
         lambda: divisors(0),
+        lambda: decimal_counts(0, [3]),
+        lambda: decimal_counts(2, [2, -1]),
     ],
 )
 def test_input_validation(call):
     with pytest.raises(ValueError):
         call()
+
+
+@given(st.integers(1, 400), st.lists(st.integers(0, 40), max_size=5))
+@example(100001, [6])
+def test_decimal_counts_equal_witt_count(weight, letters):
+    counts = decimal_counts(weight, letters)
+    assert [str(count) for count in counts] == [
+        decimal_str(witt_count(weight, q)) for q in letters
+    ]
+    # exact integers: exponent 0, never scientific notation
+    assert all(count.as_tuple().exponent == 0 for count in counts)
