@@ -11,7 +11,6 @@ from .abelian import (
     CyclicDecomposition,
     InvariantFactors,
     canonicalize,
-    canonicalize_primary,
     factorize,
 )
 from .hall import BasicCommutator, CapExceeded, enumerate_basic
@@ -32,7 +31,6 @@ __all__ = [
     "CyclicDecomposition",
     "InvariantFactors",
     "canonicalize",
-    "canonicalize_primary",
     "factorize",
     "BasicCommutator",
     "CapExceeded",

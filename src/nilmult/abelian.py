@@ -6,8 +6,8 @@ list n_1, n_2, ... with n_{i+1} | n_i and every entry >= 2.  ``canonicalize``
 is the default: one lcm/gcd pass over the counted orders, with no
 factorization.  The primary route is one run-length core,
 ``compressed_invariant_form``, which the commutator oracle calls directly;
-``canonicalize_primary`` is its expansion and serves as the cross-check for
-``canonicalize``.  That core factors nothing either: it splits the distinct
+the tests write its runs out to cross-check ``canonicalize``.  That core
+factors nothing either: it splits the distinct
 orders into a pairwise coprime base by repeated gcds, treats the base
 elements as primes, and emits the summands in one walk over the positions
 where some element's exponent drops.  A new order joins the base after one
@@ -26,8 +26,12 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-# Largest accepted cyclic order.  Any n <= 10**12 has at most one prime factor
-# above 10**6, so trial division up to sqrt(n) fully factors every input.
+# Largest accepted cyclic order.  No computation needs it: nothing factors an
+# input, and chain entries and results are unbounded.  It bounds what a spec
+# may ask for, so the CLI echoes every input order with plain str() and as a
+# JSON number, 13 digits at most, far under any int-to-str digit limit, and
+# the public ``factorize`` still factors any admissible order by trial
+# division up to 10**6.
 MAX_ORDER = 10**12
 
 
@@ -126,21 +130,6 @@ def canonicalize(decomposition: CyclicDecomposition) -> InvariantFactors:
                 merged.append(g)
         chain[: len(merged)] = merged
     return InvariantFactors(tuple(chain))
-
-
-def canonicalize_primary(decomposition: CyclicDecomposition) -> InvariantFactors:
-    """Invariant factors via primary decomposition; cross-check for ``canonicalize``.
-
-    The expansion of ``compressed_invariant_form``: equal orders are counted,
-    trivial ones dropped, and the resulting runs written out one by one.
-
-    >>> canonicalize_primary(CyclicDecomposition((8, 12, 1))).chain
-    (24, 4)
-    """
-    multiset = Counter(r for r in decomposition.orders if r > 1)
-    return InvariantFactors(
-        tuple(order for order, run in compressed_invariant_form(multiset) for _ in range(run))
-    )
 
 
 def compressed_invariant_form(multiset: Mapping[int, int]) -> tuple[tuple[int, int], ...]:

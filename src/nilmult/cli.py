@@ -18,8 +18,9 @@ import json
 import re
 import sys
 from collections import Counter
+from collections.abc import Sequence
 
-from .abelian import CyclicDecomposition, InvariantFactors, canonicalize
+from .abelian import MAX_ORDER, CyclicDecomposition, InvariantFactors, canonicalize
 from .hall import CapExceeded, enumerate_basic
 from .multiplier import (
     MultiplierResult,
@@ -32,7 +33,7 @@ from .multiplier import (
     verify,
     witt_count_digits,
 )
-from .witt import divisors, witt_count
+from .witt import divisors, exact_context, witt_count
 
 SCHEMA_VERSION = "1"
 
@@ -65,6 +66,13 @@ MAX_SWEEP_COMMUTATORS = 10**7
 # bound, parsing takes about 0.25 s and 16 MiB (CPython 3.11, x86-64).
 MAX_FACTORS = 10**6
 
+# A power or an order with more digits than its bound, leading zeros aside,
+# is above the bound and is refused by its length, before int() reads it: the
+# interpreter's int-to-str digit limit would refuse a long one with its own
+# message.
+_FACTOR_DIGITS = len(str(MAX_FACTORS))
+_ORDER_DIGITS = len(str(MAX_ORDER))
+
 
 class GroupSpecError(ValueError):
     """A group specification that does not match the accepted grammar."""
@@ -79,7 +87,9 @@ def parse_group_spec(text: str) -> CyclicDecomposition:
 
     Whitespace is ignored everywhere; anything outside the three spellings is
     rejected rather than guessed.  A spec of more than ``MAX_FACTORS`` factors,
-    powers counted out, is refused before any list of orders is built.
+    powers counted out, is refused before any list of orders is built, and an
+    order above ``MAX_ORDER`` or a power above ``MAX_FACTORS`` by its length
+    alone before it is converted.
     """
     compact = "".join(text.split())
     if not compact:
@@ -87,17 +97,29 @@ def parse_group_spec(text: str) -> CyclicDecomposition:
     orders: list[int] = []
     if compact.startswith("Z"):
         powers: list[tuple[int, int]] = []
+        long_powers: list[str] = []
         factors = 0
         for term in compact.split("+"):
             m = _SUMMAND.fullmatch(term)
             if not m:
                 raise GroupSpecError(f"bad summand {term!r} in {text!r}")
-            power = int(m.group(2)) if m.group(2) else 1
-            if power < 1:
-                raise GroupSpecError(f"power must be >= 1 in {term!r}")
-            powers.append((int(m.group(1)), power))
+            order, power = m.groups()
+            if power is None:
+                power = 1
+            else:
+                if len(power) > _FACTOR_DIGITS:
+                    power = power.lstrip("0") or "0"
+                    if len(power) > _FACTOR_DIGITS:
+                        long_powers.append(power)
+                        continue
+                power = int(power)
+                if power < 1:
+                    raise GroupSpecError(f"power must be >= 1 in {term!r}")
+            if len(order) > _ORDER_DIGITS:
+                order = _long_order(order)
+            powers.append((int(order), power))
             factors += power
-        _check_factor_count(factors)
+        _check_factor_count(factors, long_powers)
         for order, power in powers:
             orders.extend([order] * power)
     else:
@@ -106,16 +128,43 @@ def parse_group_spec(text: str) -> CyclicDecomposition:
         for piece in pieces:
             if not _PLAIN_INT.fullmatch(piece):
                 raise GroupSpecError(f"bad order {piece!r} in {text!r}")
+            if len(piece) > _ORDER_DIGITS:
+                piece = _long_order(piece)
             orders.append(int(piece))
     return CyclicDecomposition(tuple(orders))
 
 
-def _check_factor_count(factors: int) -> None:
-    if factors > MAX_FACTORS:
-        raise GroupSpecError(
-            f"the group spec has {decimal_str(factors)} factors, "
-            f"above the bound of {MAX_FACTORS}"
-        )
+def _long_order(digits: str) -> str:
+    """Digits longer than ``MAX_ORDER`` without their leading zeros, if that makes them fit.
+
+    Otherwise the order is above the bound by its length alone, and is refused.
+    """
+    significant = digits.lstrip("0") or "0"
+    if len(significant) > _ORDER_DIGITS:
+        # the message CyclicDecomposition gives for an order above the bound
+        raise GroupSpecError(f"cyclic order {significant} exceeds the bound {MAX_ORDER}")
+    return significant
+
+
+def _check_factor_count(factors: int, long_powers: Sequence[str] = ()) -> None:
+    """Refuse ``factors`` and ``long_powers`` if they sum above ``MAX_FACTORS``.
+
+    A long power, digits without leading zeros, is above the bound by its
+    length alone; it is never converted to an int, and the count in the
+    message is summed in exact decimal.
+    """
+    if factors <= MAX_FACTORS and not long_powers:
+        return
+    if long_powers:
+        import decimal
+
+        with decimal.localcontext(exact_context()):
+            count = str(factors + sum(map(decimal.Decimal, long_powers)))
+    else:
+        count = decimal_str(factors)
+    raise GroupSpecError(
+        f"the group spec has {count} factors, above the bound of {MAX_FACTORS}"
+    )
 
 
 def check_result_size(weight: int, letters: int) -> None:

@@ -16,11 +16,12 @@ That core refines the distinct gcds into a pairwise coprime base by repeated
 gcds, so the oracle factors no integer into primes.
 ``verify`` canonicalizes the input once, runs both and compares.  A result's
 value is its summands.  Its text is the command line's job, but the digits
-come from here: ``summand_digits`` renders orders with ``decimal_str``, and
-multiplicities too, unless ``nilpotent_multiplier`` already holds their digits.
-Once a Witt count passes ``_EXACT_DECIMAL_BITS``, it evaluates the counts a
-second time as exact ``decimal.Decimal`` integers, whose digits need no
-conversion from binary, and checks each multiplicity against its int twin.
+come from here, made only when ``summand_digits`` asks for them: orders go
+through ``decimal_str``, and so do multiplicities, unless the largest Witt
+count of a formula result passes ``_EXACT_DECIMAL_BITS``.  Then the counts of
+the chain and class the result carries are evaluated a second time as exact
+``decimal.Decimal`` integers, whose digits need no conversion from binary,
+and each multiplicity is checked against its int twin.
 """
 
 from __future__ import annotations
@@ -158,23 +159,18 @@ class MultiplierResult:
     ``summands`` lists (order, multiplicity) pairs with strictly decreasing
     orders, each dividing its predecessor; multiplicities are exact integers
     and can be astronomically large.  The empty tuple is the trivial group.
-    ``multiplicity_digits`` holds the multiplicities' decimal digits when
-    ``nilpotent_multiplier`` evaluated them exactly in decimal; it is not part
-    of the value, so equality and repr ignore it.
+    ``digits_source`` is the (chain, class) of a formula result whose largest
+    Witt count passes ``_EXACT_DECIMAL_BITS``, from which ``summand_digits``
+    evaluates the multiplicities again in exact decimal; it is not part of
+    the value, so equality, hashing and repr ignore it.
     """
 
     summands: tuple[tuple[int, int], ...]
-    multiplicity_digits: tuple[str, ...] | None = field(
+    digits_source: tuple[tuple[int, ...], int] | None = field(
         default=None, compare=False, repr=False
     )
 
     def __post_init__(self) -> None:
-        digits = self.multiplicity_digits
-        if digits is not None and len(digits) != len(self.summands):
-            raise ValueError(
-                f"{len(digits)} multiplicity digit strings for "
-                f"{len(self.summands)} summands"
-            )
         previous = None
         for order, multiplicity in self.summands:
             if order < 2:
@@ -187,6 +183,11 @@ class MultiplierResult:
                     f"chain; got {previous} then {order}"
                 )
             previous = order
+
+    @functools.cached_property
+    def _multiplicity_digits(self) -> tuple[str, ...]:
+        """The multiplicities' digits from ``digits_source``, made on first use."""
+        return _exact_digits(*self.digits_source, self.summands)
 
 
 def nilpotent_multiplier(group: InvariantFactors, nilpotency_class: int) -> MultiplierResult:
@@ -201,11 +202,10 @@ def nilpotent_multiplier(group: InvariantFactors, nilpotency_class: int) -> Mult
     if len(chain) <= 1:
         return MultiplierResult(())
     counts = b_sequence(nilpotency_class, len(chain))
-    summands = _summands(chain, counts)
-    digits = None
+    source = None
     if counts[-1].bit_length() > _EXACT_DECIMAL_BITS:
-        digits = _exact_digits(chain, nilpotency_class, summands)
-    return MultiplierResult(summands, digits)
+        source = (chain, nilpotency_class)
+    return MultiplierResult(_summands(chain, counts), source)
 
 
 def _summands(chain: tuple[int, ...], counts) -> tuple:
@@ -239,6 +239,10 @@ def _exact_digits(
     digits = []
     with decimal.localcontext(exact_context()):
         twins = _summands(chain, counts)
+        if len(twins) != len(summands):
+            raise ArithmeticError(
+                f"{len(twins)} decimal multiplicities for {len(summands)} summands"
+            )
         for index, ((_, mult), (_, twin)) in enumerate(zip(summands, twins)):
             if twin % _CHECK_PRIME != mult % _CHECK_PRIME:
                 raise ArithmeticError(
@@ -252,13 +256,16 @@ def _exact_digits(
 def summand_digits(result: MultiplierResult) -> list[tuple[str, str]]:
     """The decimal digits of each summand's (order, multiplicity), in order.
 
-    Orders go through ``decimal_str``; multiplicities come from
-    ``result.multiplicity_digits`` when present, else from ``decimal_str``.
+    Orders and multiplicities go through ``decimal_str``, except for a formula
+    result whose largest Witt count passes ``_EXACT_DECIMAL_BITS``: its
+    multiplicities' digits come from the counts evaluated again in exact
+    decimal, each checked against its int multiplicity, once per result.  The
+    caller's ``decimal`` context is left unchanged.
 
     >>> summand_digits(nilpotent_multiplier(InvariantFactors((12, 6, 2)), 1))
     [('6', '1'), ('2', '2')]
     """
-    exact = result.multiplicity_digits
+    exact = result._multiplicity_digits if result.digits_source is not None else None
     return [
         (decimal_str(order), exact[i] if exact is not None else decimal_str(mult))
         for i, (order, mult) in enumerate(result.summands)

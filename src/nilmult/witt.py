@@ -7,16 +7,30 @@ enumeration in ``nilmult.hall`` independently confirms the counts in tests.
 The terms (mu(d), w/d) come from one factorization of w, and the divisor
 lists from the same trial-division loop in ``nilmult.abelian``.
 
-``decimal_counts`` evaluates the same terms and the same checked sum in exact
-``decimal.Decimal`` arithmetic, inside ``exact_context()``.  str() of a
-Decimal integer is its digits, so a count is printed without a conversion
-from binary; past about 30,000 bits libmpdec's powers cost less than that
-conversion.  ``decimal`` is imported only when such a count is asked for.
+All counts come from one routine, ``_witt_sums``, which evaluates the sum for
+several letter counts at once and shares the powers among them.  It makes
+the powers q^e one exponent at a time, the half of an exponent before the
+exponent, and keeps only the previous exponent's powers.  A power is made
+from one it already holds when that is cheaper than raising q afresh: an int
+q = r * 2^k with r odd is r^e shifted by k * e bits, q = m^2 is (m^e)^2, and
+q^e is (q^(e/2))^2 when e/2 was the previous exponent.  At weight 100000 on
+6 letters, the int powers of 2, 4 and 6 then cost a shift, and every other
+power of the top exponent one squaring.
+
+``decimal_counts`` evaluates the same terms and the same checked sums, with
+the same routine, in exact ``decimal.Decimal`` arithmetic, inside
+``exact_context()``.  str() of a Decimal integer is its digits, so a count is
+printed without a conversion from binary; past about 30,000 bits libmpdec's
+powers cost less than that conversion.  ``decimal`` is imported only when
+such a count is asked for.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+import functools
+import math
+import operator
+from collections.abc import Iterable, Sequence
 
 from .abelian import trial_division
 
@@ -33,31 +47,96 @@ def divisors(n: int) -> list[int]:
     return sorted(result)
 
 
-def _moebius_terms(weight: int) -> list[tuple[int, int]]:
+@functools.lru_cache(maxsize=256)
+def _moebius_terms(weight: int) -> tuple[tuple[int, int], ...]:
     """The nonzero terms (mu(d), weight // d) of the Witt sum, over d | weight.
 
     One factorization of the weight: each prime p doubles the terms so far,
     adding (-mu, exponent // p) for every (mu, exponent) already present.
+    The primes come in increasing order, so p = 2 puts each exponent's half
+    right after it; the terms are returned in reverse, each half first.
     """
     terms = [(1, weight)]
     for p in trial_division(weight):
         terms += [(-mu, exponent // p) for mu, exponent in terms]
-    return terms
+    return tuple(reversed(terms))
 
 
-def _witt_sum(terms: list[tuple[int, int]], weight: int, letters):
-    """(1/weight) * sum of mu * letters**exponent over the terms, checked exact.
+# How _witt_sums makes a power; see _recipes.
+_SHIFT, _SQUARE, _RAISE = 0, 1, 2
 
-    ``letters`` is an int, or a ``decimal.Decimal`` integer inside
-    ``exact_context()``; the sum has the same type.
+
+def _witt_sums(weight: int, letters: Sequence[int], number=int) -> list:
+    """``witt_count(weight, q)`` for each q in ``letters``, each sum checked exact.
+
+    ``letters`` is a hashable sequence of distinct nonnegative ints in
+    increasing order, such as a tuple or a range; the counts come as
+    ``number``: ``int``, or ``decimal.Decimal`` inside ``exact_context()``.
+    The powers are made one exponent at a time, as ``_recipes`` says, and
+    only the previous exponent's powers are kept.
     """
-    total = sum(mu * letters**exponent for mu, exponent in terms)
-    if total % weight:
-        raise ArithmeticError(
-            f"Moebius sum {total} for weight {weight} on {letters} letters "
-            f"is not divisible by {weight}"
-        )
-    return total // weight
+    recipes = _recipes(letters, number)
+    totals = None
+    previous_exponent, previous = 0, []
+    for mu, exponent in _moebius_terms(weight):
+        halve = exponent == 2 * previous_exponent
+        level: list = []
+        for rule, operand, shift in recipes:
+            if rule == _SHIFT:
+                power = (level[operand] if operand >= 0 else 1) << shift * exponent
+            elif rule == _SQUARE:
+                power = level[operand] * level[operand]
+            elif halve:
+                power = previous[len(level)] * previous[len(level)]
+            else:
+                power = operand**exponent
+            level.append(power)
+        if totals is None:
+            totals = level if mu > 0 else list(map(operator.neg, level))
+        else:
+            totals = list(map(operator.add if mu > 0 else operator.sub, totals, level))
+        previous_exponent, previous = exponent, level
+    counts = []
+    for q, total in zip(letters, totals):
+        count, remainder = divmod(total, weight)
+        if remainder:
+            raise ArithmeticError(
+                f"the Moebius sum for weight {weight} on {q} letters "
+                f"is not divisible by {weight}"
+            )
+        counts.append(count)
+    return counts
+
+
+# Cached, like _moebius_terms, so that a small table costs no more than
+# raising each letter on its own.
+@functools.lru_cache(maxsize=256)
+def _recipes(letters: Sequence[int], number) -> tuple[tuple, ...]:
+    """How ``_witt_sums`` makes q**e for each q in ``letters``, at every exponent e.
+
+    A power is made from one already made at e when that is cheaper than
+    raising q afresh:
+
+    - ``(_SHIFT, i, k)``: an int q = r * 2**k with r odd and k >= 1 is r**e,
+      letter i (or 1 when i is -1, for r = 1 not listed), shifted left by
+      k * e bits;
+    - ``(_SQUARE, i, 0)``: q = m**2, with m >= 2 letter i, is (m**e)**2;
+    - ``(_RAISE, number(q), 0)``: q**e, or (q**(e/2))**2 when e / 2 is the
+      previous exponent.
+    """
+    position = {q: i for i, q in enumerate(letters)}
+    recipes = []
+    for q in letters:
+        k = (q & -q).bit_length() - 1  # the 2-adic valuation; -1 for q = 0
+        odd = q >> max(k, 0)
+        root = math.isqrt(q)
+        if number is int and k > 0 and (odd == 1 or odd in position):
+            recipes.append((_SHIFT, position.get(odd, -1), k))
+        elif root > 1 and root * root == q and root in position:
+            recipes.append((_SQUARE, position[root], 0))
+        else:
+            recipes.append((_RAISE, number(q), 0))
+    return tuple(recipes)
 
 
 def witt_count(weight: int, letters: int) -> int:
@@ -75,13 +154,14 @@ def witt_count(weight: int, letters: int) -> int:
         raise ValueError(f"weight must be >= 1, got {weight}")
     if letters < 0:
         raise ValueError(f"letters must be >= 0, got {letters}")
-    return _witt_sum(_moebius_terms(weight), weight, letters)
+    return _witt_sums(weight, (letters,))[0]
 
 
 def b_sequence(nilpotency_class: int, rank: int) -> tuple[int, ...]:
     """The counts b_i = witt_count(class + 1, i) for i = 1..rank.
 
-    The weight is factored once; each count keeps its own divisibility check.
+    The weight is factored once and the powers are shared across letters;
+    each count keeps its own divisibility check.
 
     >>> b_sequence(1, 4)
     (0, 1, 3, 6)
@@ -90,9 +170,7 @@ def b_sequence(nilpotency_class: int, rank: int) -> tuple[int, ...]:
         raise ValueError(f"nilpotency class must be >= 1, got {nilpotency_class}")
     if rank < 1:
         raise ValueError(f"rank must be >= 1, got {rank}")
-    weight = nilpotency_class + 1
-    terms = _moebius_terms(weight)
-    return tuple(_witt_sum(terms, weight, i) for i in range(1, rank + 1))
+    return tuple(_witt_sums(nilpotency_class + 1, range(1, rank + 1)))
 
 
 def exact_context():
@@ -116,7 +194,7 @@ def exact_context():
 def decimal_counts(weight: int, letters: Iterable[int]) -> list:
     """``witt_count(weight, q)`` for each q in ``letters``, as exact ``decimal.Decimal``.
 
-    The same terms and the same checked sum as ``witt_count``; the caller's
+    The same terms, powers and checked sums as ``witt_count``; the caller's
     ``decimal`` context is left unchanged.  Arithmetic on the results is exact
     only inside ``exact_context()``.
 
@@ -127,11 +205,11 @@ def decimal_counts(weight: int, letters: Iterable[int]) -> list:
 
     if weight < 1:
         raise ValueError(f"weight must be >= 1, got {weight}")
-    terms = _moebius_terms(weight)
+    letters = list(letters)
+    for q in letters:
+        if q < 0:
+            raise ValueError(f"letters must be >= 0, got {q}")
+    distinct = tuple(sorted(set(letters)))
     with decimal.localcontext(exact_context()):
-        counts = []
-        for q in letters:
-            if q < 0:
-                raise ValueError(f"letters must be >= 0, got {q}")
-            counts.append(_witt_sum(terms, weight, decimal.Decimal(q)))
-        return counts
+        counts = dict(zip(distinct, _witt_sums(weight, distinct, decimal.Decimal)))
+    return [counts[q] for q in letters]

@@ -15,11 +15,11 @@ from nilmult.abelian import (
     CyclicDecomposition,
     InvariantFactors,
     canonicalize,
-    canonicalize_primary,
     compressed_invariant_form,
     factorize,
 )
 from nilmult.multiplier import nilpotent_multiplier, tensor_oracle
+from test_acceptance import canonicalize_primary
 
 # orders small enough that the lcm of four of them stays within MAX_ORDER,
 # so canonical chains can be fed back in as decompositions

@@ -15,11 +15,23 @@ from nilmult.abelian import (
     CyclicDecomposition,
     InvariantFactors,
     canonicalize,
-    canonicalize_primary,
+    compressed_invariant_form,
 )
 from nilmult.hall import enumerate_basic
 from nilmult.multiplier import multiplier_order, nilpotent_multiplier, tensor_oracle, verify
 from nilmult.witt import b_sequence, witt_count
+
+
+def canonicalize_primary(decomposition):
+    """Invariant factors via primary decomposition, the cross-check for ``canonicalize``.
+
+    ``compressed_invariant_form`` of the counted nontrivial orders, its runs
+    written out one by one.
+    """
+    multiset = Counter(r for r in decomposition.orders if r > 1)
+    return InvariantFactors(
+        tuple(order for order, run in compressed_invariant_form(multiset) for _ in range(run))
+    )
 
 
 def invariant_chains(max_order, max_rank):

@@ -126,6 +126,34 @@ def test_huge_power_exits_1_at_once(capsys):
     assert time.perf_counter() - start < 0.5
 
 
+ONES = "1" * 5000
+FACTOR_BOUND = f"above the bound of {MAX_FACTORS}"
+ORDER_BOUND = f"exceeds the bound {abelian.MAX_ORDER}"
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        (f"Z2^{ONES}", f"the group spec has {ONES} factors, {FACTOR_BOUND}"),
+        (f"Z2^{ONES}+Z3^2", f"the group spec has {ONES[:-1]}3 factors, {FACTOR_BOUND}"),
+        ("Z2^11111111", f"the group spec has 11111111 factors, {FACTOR_BOUND}"),
+        (f"Z{ONES}", f"cyclic order {ONES} {ORDER_BOUND}"),
+        (ONES, f"cyclic order {ONES} {ORDER_BOUND}"),
+        (f"6,{'0' * 5000}{'1' * 14}", f"cyclic order {'1' * 14} {ORDER_BOUND}"),
+    ],
+)
+def test_over_long_numbers_get_their_bounds_message(capsys, spec, message):
+    # refused by their length: int() would trip the default int-to-str digit limit
+    code, out, err = run(capsys, "compute", "--group", spec, "--class", "1")
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_leading_zeros_do_not_count_towards_a_bound():
+    zeros = "0" * 5000
+    assert parse_group_spec(f"Z{zeros}4^{zeros}3").orders == (4, 4, 4)
+    assert parse_group_spec(f"{zeros}12,{zeros}6").orders == (12, 6)
+
+
 @given(st.lists(st.integers(1, 999), min_size=1, max_size=5), st.integers(1, 4))
 def test_spec_round_trip(orders, power):
     spellings = [
@@ -469,7 +497,7 @@ def test_oversized_results_exit_1_before_any_arithmetic(capsys, monkeypatch, arg
     def refuse(*args):
         raise AssertionError("a Witt sum was computed")
 
-    monkeypatch.setattr(witt, "_witt_sum", refuse)
+    monkeypatch.setattr(witt, "_witt_sums", refuse)
     code, out, err = run(capsys, *argv)
     assert code == 1
     assert out == ""

@@ -278,33 +278,52 @@ def strict(rank):
     return (720, 360, 120, 60, 12, 6, 2)[-rank:]
 
 
+@pytest.fixture
+def decimal_calls(monkeypatch):
+    """The weights of the ``decimal_counts`` calls the multiplier module makes."""
+    calls = []
+    original = multiplier.decimal_counts
+
+    def counted(weight, letters):
+        calls.append(weight)
+        return original(weight, letters)
+
+    monkeypatch.setattr(multiplier, "decimal_counts", counted)
+    return calls
+
+
 @pytest.mark.parametrize("rank", range(2, 8))
 @pytest.mark.parametrize("make_chain", [with_repeats, strict])
-def test_summand_digits_equal_decimal_str(rank, make_chain):
-    # classes on both sides of the exact-decimal threshold at every rank
+def test_summand_digits_equal_decimal_str(rank, make_chain, decimal_calls):
+    # classes on both sides of the exact-decimal threshold at every rank; the
+    # formula does no decimal arithmetic, and summand_digits only past it
     chain = chain_of(*make_chain(rank))
     for c in (1, 2, 700, 2000, 10**4, 10**5):
         result = nilpotent_multiplier(chain, c)
+        assert decimal_calls == []
         assert summand_digits(result) == [
             (decimal_str(order), decimal_str(mult)) for order, mult in result.summands
         ], (chain, c)
         exact = b_sequence(c, rank)[-1].bit_length() > _EXACT_DECIMAL_BITS
-        assert (result.multiplicity_digits is not None) == exact, (chain, c)
+        assert (result.digits_source is not None) == exact, (chain, c)
+        assert decimal_calls == ([c + 1] if exact else []), (chain, c)
         assert exact == (c == 10**5)
+        decimal_calls.clear()
 
 
-def test_exact_digits_are_not_part_of_the_value():
+def test_exact_digits_are_not_part_of_the_value(decimal_calls):
     result = nilpotent_multiplier(chain_of(4, 4, 2), 10**5)
-    assert result.multiplicity_digits is not None
+    digits = summand_digits(result)
+    assert summand_digits(result) == digits
+    assert decimal_calls == [10**5 + 1]  # the digits are made once per result
     twin = MultiplierResult(result.summands)
     assert result == twin
     assert hash(result) == hash(twin)
-    small = MultiplierResult(((4, 3), (2, 5)), ("3", "5"))
-    assert repr(small) == repr(MultiplierResult(small.summands)) == (
-        "MultiplierResult(summands=((4, 3), (2, 5)))"
-    )
-    with pytest.raises(ValueError):
-        MultiplierResult(small.summands, ("3",))
+    assert summand_digits(twin) == digits
+    assert decimal_calls == [10**5 + 1]  # the twin's come from decimal_str
+    small = MultiplierResult(((4, 3), (2, 5)), ((8, 4, 2), 1))
+    assert repr(small) == "MultiplierResult(summands=((4, 3), (2, 5)))"
+    assert small == MultiplierResult(small.summands, ((4, 2), 7))
 
 
 def test_corrupted_decimal_count_raises(monkeypatch):
@@ -316,8 +335,17 @@ def test_corrupted_decimal_count_raises(monkeypatch):
         return counts
 
     monkeypatch.setattr(multiplier, "decimal_counts", off_by_one)
+    result = nilpotent_multiplier(chain_of(6, 2, 2), 10**5)
     with pytest.raises(ArithmeticError, match="int twin"):
-        nilpotent_multiplier(chain_of(6, 2, 2), 10**5)
+        summand_digits(result)
+    # a result carrying another chain is caught too
+    monkeypatch.setattr(multiplier, "decimal_counts", original)
+    wrong = MultiplierResult(result.summands, ((2, 2, 2, 2), 10**5))
+    with pytest.raises(ArithmeticError, match="int twin"):
+        summand_digits(wrong)
+    wrong = MultiplierResult(result.summands, ((6, 6, 2), 10**5))
+    with pytest.raises(ArithmeticError, match="2 decimal multiplicities for 1 summands"):
+        summand_digits(wrong)
 
 
 def test_large_formula_leaves_the_callers_decimal_context_unchanged():
@@ -334,10 +362,11 @@ def test_large_formula_leaves_the_callers_decimal_context_unchanged():
         context.traps[decimal.DivisionByZero] = False
         before = state(context)
         result = nilpotent_multiplier(chain_of(6, 6, 3), 10**5)
+        summands = summand_digits(result)
         digits = witt_count_digits(10**5 + 1, 4)
         assert decimal.getcontext() is context
         assert state(context) == before
-    assert result.multiplicity_digits is not None
+    assert summands == [(decimal_str(o), decimal_str(m)) for o, m in result.summands]
     assert digits == decimal_str(witt_count(10**5 + 1, 4))
 
 

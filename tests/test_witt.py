@@ -1,10 +1,20 @@
+import decimal
+import functools
+
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from nilmult.hall import enumerate_basic
 from nilmult.multiplier import decimal_str
-from nilmult.witt import _moebius_terms, b_sequence, decimal_counts, divisors, witt_count
+from nilmult.witt import (
+    _moebius_terms,
+    b_sequence,
+    decimal_counts,
+    divisors,
+    exact_context,
+    witt_count,
+)
 
 
 @pytest.mark.parametrize(
@@ -126,3 +136,62 @@ def test_decimal_counts_equal_witt_count(weight, letters):
     ]
     # exact integers: exponent 0, never scientific notation
     assert all(count.as_tuple().exponent == 0 for count in counts)
+
+
+# ---------------------------------------------------------------------------
+# The shared power table against the per-letter sum
+# ---------------------------------------------------------------------------
+
+# weights whose Moebius exponents pair up for halving (2**k, 3 * 2**k and
+# 100000 = 2**5 * 5**5), odd ones with no halving (p**2, 99999, 100001), and 1
+GRID_WEIGHTS = [1, 2, 3, 4, 64, 12, 96, 49, 121, 99999, 100000, 100001]
+GRID_LETTERS = range(41)
+
+
+@functools.cache
+def per_letter_counts(weight):
+    """The Witt counts on 0..40 letters, each power of each letter raised afresh."""
+    counts = []
+    for q in GRID_LETTERS:
+        total = sum(mu * q**exponent for mu, exponent in _moebius_terms(weight))
+        assert total % weight == 0
+        counts.append(total // weight)
+    return counts
+
+
+@pytest.mark.parametrize("weight", GRID_WEIGHTS)
+def test_b_sequence_and_witt_count_equal_the_per_letter_sum(weight):
+    expected = per_letter_counts(weight)
+    assert [witt_count(weight, q) for q in GRID_LETTERS] == expected
+    if weight == 1:
+        return  # class 0 has no b sequence
+    # each table holds every rank below it; the large weights try the ranks at
+    # which a rule first has a letter to use
+    ranks = range(1, 41) if weight < 1000 else (1, 2, 3, 4, 6, 9, 16, 40)
+    for rank in ranks:
+        assert b_sequence(weight - 1, rank) == tuple(expected[1 : rank + 1]), rank
+
+
+@pytest.mark.parametrize("weight", GRID_WEIGHTS)
+def test_decimal_counts_equal_the_per_letter_sum(weight):
+    expected = per_letter_counts(weight)
+    counts = decimal_counts(weight, GRID_LETTERS)
+    assert all(isinstance(count, decimal.Decimal) for count in counts)
+    assert all(count.as_tuple().exponent == 0 for count in counts)
+    if weight < 1000:
+        assert counts == expected
+        return
+    # digits of the large counts cost more than the counts; residues modulo two
+    # Mersenne primes and the last 30 digits compare them
+    with decimal.localcontext(exact_context()):
+        for modulus in (2**61 - 1, 2**127 - 1, 10**30):
+            assert [int(count % modulus) for count in counts] == [
+                count % modulus for count in expected
+            ], modulus
+
+
+@pytest.mark.parametrize("weight", [1, 2, 3, 4, 100000])
+def test_decimal_counts_are_decimals_on_no_letter_and_one(weight):
+    counts = decimal_counts(weight, [1, 0, 1])
+    assert [type(count) for count in counts] == [decimal.Decimal] * 3
+    assert counts == [1 if weight == 1 else 0, 0, 1 if weight == 1 else 0]
