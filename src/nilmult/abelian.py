@@ -93,11 +93,24 @@ class InvariantFactors:
             if a % b:
                 raise ValueError(f"broken divisibility chain: {b} does not divide {a}")
 
+    def __repr__(self) -> str:
+        # the dataclass repr, with every entry written by decimal_str: an lcm
+        # of hundreds of orders can pass the int-to-str digit limit
+        from .multiplier import decimal_str
+
+        return f"InvariantFactors(chain={_tuple_repr(map(decimal_str, self.chain))})"
+
     def __iter__(self):
         return iter(self.chain)
 
     def __len__(self) -> int:
         return len(self.chain)
+
+
+def _tuple_repr(items: Iterable[str]) -> str:
+    """The repr of a tuple whose items have the reprs ``items``."""
+    items = list(items)
+    return f"({items[0]},)" if len(items) == 1 else f"({', '.join(items)})"
 
 
 def canonicalize(decomposition: CyclicDecomposition) -> InvariantFactors:

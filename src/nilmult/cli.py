@@ -4,21 +4,31 @@ Subcommands: ``compute`` (multiplier of a group, by formula, oracle, or both),
 ``witt`` (basic-commutator count), ``basis`` (enumerate basic commutators),
 ``sweep`` (cross-validate formula against oracle over a family of groups).
 
-Exit codes: 0 success, 1 bad input (including a group spec above
-``MAX_FACTORS`` factors, a result above ``MAX_RESULT_BITS`` and a sweep above
-``MAX_SWEEP_CASES`` or ``MAX_SWEEP_COMMUTATORS``), 2 formula/oracle mismatch,
-3 enumeration cap exceeded.
+The command line is read against one option table, ``build_parser()``: for
+each subcommand its handler, its help, and its options, each with a dest, a
+conversion (``int``, ``str`` or a tuple of choices), a default or
+``REQUIRED``, and a help string.  Usage lines, ``--help`` and the parser's
+error messages are all rendered from that table.  A flag may be spelled in
+full, by a unique prefix (``--gr``), and with ``=`` (``--group=12,6,2``);
+the rules are argparse's (Python 3.11), which the module does not import.
+
+Exit codes: 0 success (``-h``/``--help`` included), 1 bad input (including a
+command line the table refuses, a group spec above ``MAX_FACTORS`` factors,
+a result above ``MAX_RESULT_BITS`` and a sweep above ``MAX_SWEEP_CASES`` or
+``MAX_SWEEP_COMMUTATORS``), 2 formula/oracle mismatch, 3 enumeration cap
+exceeded.  ``main`` returns the code; it does not raise ``SystemExit``.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import re
 import sys
 from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
+from types import SimpleNamespace
+from typing import NamedTuple
 
 from .abelian import MAX_ORDER, CyclicDecomposition, InvariantFactors, canonicalize
 from .hall import CapExceeded, enumerate_basic
@@ -280,7 +290,7 @@ def _mismatch(report: VerificationReport) -> str:
     )
 
 
-def cmd_compute(args: argparse.Namespace) -> int:
+def cmd_compute(args: SimpleNamespace) -> int:
     if args.class_c < 1:
         raise ValueError("--class must be >= 1")
     decomposition = parse_group_spec(args.group)
@@ -308,13 +318,13 @@ def cmd_compute(args: argparse.Namespace) -> int:
     return EXIT_OK if verified is not False else EXIT_MISMATCH
 
 
-def cmd_witt(args: argparse.Namespace) -> int:
+def cmd_witt(args: SimpleNamespace) -> int:
     check_result_size(args.weight, args.letters)
     print(witt_count_digits(args.weight, args.letters))
     return EXIT_OK
 
 
-def cmd_basis(args: argparse.Namespace) -> int:
+def cmd_basis(args: SimpleNamespace) -> int:
     check_result_size(args.weight, args.letters)
     for comm in enumerate_basic(args.weight, args.letters):
         print(comm.rendered)
@@ -392,7 +402,7 @@ def sweep_size(max_order: int, max_rank: int, max_class: int) -> tuple[int, int]
     return cases, commutators
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
+def cmd_sweep(args: SimpleNamespace) -> int:
     if args.max_order < 1:
         raise ValueError("--max-order must be >= 1")
     if args.max_rank < 0:
@@ -427,58 +437,279 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_MISMATCH if mismatched else EXIT_OK
 
 
-class _ArgumentParser(argparse.ArgumentParser):
-    # usage problems are input errors (exit 1); argparse's default exit 2 is
-    # reserved for verification mismatches
-    def error(self, message: str):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _ArgumentParser(
-        prog="nilmult",
-        description="Exact nilpotent Schur multipliers of finite abelian groups.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    compute = sub.add_parser("compute", help="multiplier of a group")
-    compute.add_argument("--group", required=True,
-                         help='e.g. "12,6,2", "Z12+Z6+Z2", or "Z2^3"')
-    compute.add_argument("--class", dest="class_c", type=int, required=True,
-                         help="nilpotency class c >= 1")
-    compute.add_argument("--method", choices=("formula", "oracle", "both"),
-                         default="formula")
-    compute.add_argument("--format", choices=("text", "json"), default="text")
-    compute.set_defaults(func=cmd_compute)
+# ---------------------------------------------------------------------------
+# The command line: one option table, and the parser that reads it
+# ---------------------------------------------------------------------------
 
-    witt = sub.add_parser("witt", help="count basic commutators")
-    witt.add_argument("--weight", type=int, required=True)
-    witt.add_argument("--letters", type=int, required=True)
-    witt.set_defaults(func=cmd_witt)
+DESCRIPTION = "Exact nilpotent Schur multipliers of finite abelian groups."
 
-    basis = sub.add_parser("basis", help="list basic commutators")
-    basis.add_argument("--weight", type=int, required=True)
-    basis.add_argument("--letters", type=int, required=True)
-    basis.set_defaults(func=cmd_basis)
+# The default of an option that must be given.
+REQUIRED = None
 
-    sweep = sub.add_parser("sweep", help="cross-validate formula against oracle")
-    sweep.add_argument("--max-order", type=int, required=True)
-    sweep.add_argument("--max-rank", type=int, required=True)
-    sweep.add_argument("--max-class", type=int, required=True)
-    sweep.set_defaults(func=cmd_sweep)
 
-    return parser
+class Option(NamedTuple):
+    """One ``--flag VALUE`` of a command.
+
+    ``kind`` converts the value: ``int`` (plain ``int()``), ``str``, or a
+    tuple of the accepted values.  ``default`` is the value of ``dest`` when
+    the flag is absent, or ``REQUIRED``.
+    """
+
+    dest: str
+    kind: type | tuple[str, ...] | None
+    default: object
+    help: str
+
+
+class Command(NamedTuple):
+    """A subcommand: its handler, its one-line help, and its options by flag."""
+
+    handler: Callable[[SimpleNamespace], int]
+    help: str
+    options: dict[str, Option]
+
+
+# -h/--help, which the program and every command take
+HELP = Option("help", None, None, "show this help and exit")
+
+# A token that reads as a negative number is a value, not a flag.
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+class UsageExit(Exception):
+    """A command line that ends at the parser, with ``code`` and ``text``.
+
+    Code 0 is a request for help, whose text goes to stdout.  Code 1 is a
+    refused command line, whose text, a usage line and an ``error:`` line,
+    goes to stderr.
+    """
+
+    def __init__(self, code: int, text: str) -> None:
+        super().__init__(text)
+        self.code = code
+        self.text = text
+
+
+def build_parser() -> dict[str, Command]:
+    """The option table: every subcommand by name, in the order help lists them."""
+    return {
+        "compute": Command(cmd_compute, "multiplier of a group", {
+            "--group": Option("group", str, REQUIRED,
+                              'e.g. "12,6,2", "Z12+Z6+Z2", or "Z2^3"'),
+            "--class": Option("class_c", int, REQUIRED, "nilpotency class c >= 1"),
+            "--method": Option("method", ("formula", "oracle", "both"), "formula",
+                               "closed form, Hall-basis oracle, or both, compared"),
+            "--format": Option("format", ("text", "json"), "text", "output format"),
+        }),
+        "witt": Command(cmd_witt, "count basic commutators", {
+            "--weight": Option("weight", int, REQUIRED, "commutator weight w >= 1"),
+            "--letters": Option("letters", int, REQUIRED, "number of letters q >= 0"),
+        }),
+        "basis": Command(cmd_basis, "list basic commutators", {
+            "--weight": Option("weight", int, REQUIRED, "commutator weight w >= 1"),
+            "--letters": Option("letters", int, REQUIRED, "number of letters q >= 0"),
+        }),
+        "sweep": Command(cmd_sweep, "cross-validate formula against oracle", {
+            "--max-order": Option("max_order", int, REQUIRED, "largest chain entry"),
+            "--max-rank": Option("max_rank", int, REQUIRED, "most chain entries"),
+            "--max-class": Option("max_class", int, REQUIRED, "largest nilpotency class"),
+        }),
+    }
+
+
+def parse_args(argv: Sequence[str], table: dict[str, Command]) -> SimpleNamespace:
+    """The handler (``func``) and the option values (by ``dest``) that ``argv`` selects.
+
+    Before the command name only -h/--help is known; an unknown flag there is
+    kept, and refused once the whole command line is read.  Raises
+    ``UsageExit`` for help and for every command line the table refuses.
+    """
+    extras: list[str] = []
+    name = None
+    try:
+        for i, token in enumerate(argv):
+            match = None if token == "--" else _classify(token, {})
+            if match is None:
+                if token not in table:
+                    raise UsageExit(EXIT_INPUT, (
+                        f"argument command: invalid choice: {token!r} "
+                        f"(choose from {', '.join(map(repr, table))})"
+                    ))
+                name = token
+                return _parse_command(table[name], argv[i + 1:], extras)
+            if match[1] is HELP:
+                _take_help(match[0], match[2])
+            extras.append(token)
+        raise UsageExit(EXIT_INPUT, "the following arguments are required: command")
+    except UsageExit as exc:
+        if exc.code == EXIT_OK:
+            raise UsageExit(EXIT_OK, _help(table, name)) from None
+        prog = "nilmult" if name is None else f"nilmult {name}"
+        raise UsageExit(EXIT_INPUT, (
+            f"{_usage(table, name)}\n{prog}: error: {exc.text}\n"
+        )) from None
+
+
+def _parse_command(command: Command, tokens: Sequence[str],
+                   extras: list[str]) -> SimpleNamespace:
+    """Read one command's tokens left to right; ``UsageExit`` carries a bare message.
+
+    Every token before the first "--" is classified before any is read, so
+    an ambiguous prefix is refused even after -h.  An option takes the next
+    token as its value only if that token is a value, not a flag or "--";
+    when an option repeats, the last value wins.  The "--", what follows it
+    and every stray token are unrecognized.
+    """
+    options = command.options
+    end = tokens.index("--") if "--" in tokens else len(tokens)
+    matches = [_classify(token, options) for token in tokens[:end]]
+    values = {option.dest: option.default for option in options.values()
+              if option.default is not REQUIRED}
+    i = 0
+    while i < end:
+        match = matches[i]
+        i += 1
+        if match is None or match[1] is None:
+            extras.append(tokens[i - 1])
+            continue
+        flag, option, value = match
+        if option is HELP:
+            _take_help(flag, value)
+        if value is None:
+            if i == end or matches[i] is not None:
+                raise UsageExit(EXIT_INPUT, f"argument {flag}: expected one argument")
+            value = tokens[i]
+            i += 1
+        values[option.dest] = _convert(flag, option, value)
+    extras += tokens[end:]
+    missing = [flag for flag, option in options.items() if option.dest not in values]
+    if missing:
+        raise UsageExit(EXIT_INPUT,
+                        f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        raise UsageExit(EXIT_INPUT, f"unrecognized arguments: {' '.join(map(repr, extras))}")
+    return SimpleNamespace(func=command.handler, **values)
+
+
+def _classify(token: str, options: dict[str, Option]) -> tuple | None:
+    """What ``token`` is among ``options`` and -h/--help.
+
+    None for a value: a token that does not start with "-", "-" itself, and,
+    unless it names a flag, a negative number or a token with a space in it.
+    Otherwise (flag, option, explicit value or None), with option None for an
+    unknown flag.  A flag is found by its full name, then by its name before
+    an "=", then, for "--" flags, by a unique prefix before any "=".  "-h"
+    followed by more characters is -h with those as its explicit value.
+    """
+    if token[:1] != "-" or token == "-":
+        return None
+    if token in options:
+        return token, options[token], None
+    if token in ("-h", "--help"):
+        return token, HELP, None
+    if token[1] == "-":
+        prefix, equals, value = token.partition("=")
+        flags = [*options, "--help"]
+        if prefix in flags:
+            flags = [prefix]
+        else:
+            flags = [flag for flag in flags if flag.startswith(prefix)]
+            if len(flags) > 1:
+                raise UsageExit(EXIT_INPUT,
+                                f"ambiguous option: {token!r} could match {', '.join(flags)}")
+        if flags:
+            return flags[0], options.get(flags[0], HELP), value if equals else None
+    elif token.startswith("-h"):
+        return "-h", HELP, token[3:] if token[2] == "=" else token[2:]
+    if _NEGATIVE_NUMBER.match(token) or " " in token:
+        return None
+    return token, None, None
+
+
+def _take_help(flag: str, value: str | None) -> None:
+    """Ask for help, unless -h/--help carries a value that is not more -h flags.
+
+    "-hh" and "-h=h" are -h twice; "--help=x" and "-hx" are refused.
+    """
+    if value is None or (flag == "-h" and value and not value.strip("h")):
+        raise UsageExit(EXIT_OK, "")
+    raise UsageExit(EXIT_INPUT, f"argument -h/--help: ignored explicit argument {value!r}")
+
+
+def _convert(flag: str, option: Option, text: str) -> object:
+    if option.kind is int:
+        try:
+            return int(text)
+        except ValueError:
+            raise UsageExit(EXIT_INPUT,
+                            f"argument {flag}: invalid int value: {text!r}") from None
+    if option.kind is not str and text not in option.kind:
+        raise UsageExit(EXIT_INPUT, (
+            f"argument {flag}: invalid choice: {text!r} "
+            f"(choose from {', '.join(map(repr, option.kind))})"
+        ))
+    return text
+
+
+def _metavar(flag: str, option: Option) -> str:
+    if isinstance(option.kind, tuple):
+        return "{" + ",".join(option.kind) + "}"
+    return flag[2:].upper().replace("-", "_")
+
+
+def _usage(table: dict[str, Command], name: str | None) -> str:
+    """The usage line of the program (``name`` None) or of one command."""
+    if name is None:
+        return f"usage: nilmult [-h] {{{','.join(table)}}} ..."
+    spelled = []
+    for flag, option in table[name].options.items():
+        text = f"{flag} {_metavar(flag, option)}"
+        spelled.append(text if option.default is REQUIRED else f"[{text}]")
+    return f"usage: nilmult {name} [-h] {' '.join(spelled)}"
+
+
+def _help(table: dict[str, Command], name: str | None) -> str:
+    """The help of the program (``name`` None) or of one command."""
+    sections: dict[str, list[tuple[str, str]]] = {}
+    options = [("-h, --help", HELP.help)]
+    if name is None:
+        about = DESCRIPTION
+        sections["commands"] = [(command, entry.help) for command, entry in table.items()]
+    else:
+        about = table[name].help
+        for flag, option in table[name].options.items():
+            default = "" if option.default is REQUIRED else f" (default: {option.default})"
+            options.append((f"{flag} {_metavar(flag, option)}", option.help + default))
+    sections["options"] = options
+    width = max(len(left) for rows in sections.values() for left, _ in rows)
+    lines = [_usage(table, name), "", about]
+    for heading, rows in sections.items():
+        lines += ["", f"{heading}:", *(f"  {left:<{width}}  {text}" for left, text in rows)]
+    if name is None:
+        lines += ["", 'Run "nilmult COMMAND --help" for the options of a command.']
+    return "\n".join(lines) + "\n"
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The one parser of the process, built on first use; parsing leaves it unchanged."""
+def _parser() -> dict[str, Command]:
+    """The option table of the process, built on first use; parsing leaves it unchanged."""
     return build_parser()
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+def main(argv: Sequence[str] | None = None) -> int:
+    """Run one command line and return its exit code; never raises ``SystemExit``.
+
+    ``argv`` defaults to ``sys.argv[1:]``.  Help exits 0 and a refused
+    command line exits 1, like any other input error.
+    """
+    try:
+        args = parse_args(sys.argv[1:] if argv is None else argv, _parser())
+    except UsageExit as exc:
+        print(exc.text, end="", file=sys.stderr if exc.code else sys.stdout)
+        return exc.code
     try:
         return args.func(args)
     except CapExceeded as exc:

@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 from .abelian import (
     CyclicDecomposition,
     InvariantFactors,
+    _tuple_repr,
     canonicalize,
     compressed_invariant_form,
 )
@@ -166,9 +167,7 @@ class MultiplierResult:
     """
 
     summands: tuple[tuple[int, int], ...]
-    digits_source: tuple[tuple[int, ...], int] | None = field(
-        default=None, compare=False, repr=False
-    )
+    digits_source: tuple[tuple[int, ...], int] | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         previous = None
@@ -183,6 +182,12 @@ class MultiplierResult:
                     f"chain; got {previous} then {order}"
                 )
             previous = order
+
+    def __repr__(self) -> str:
+        # the dataclass repr, with every int written by decimal_str, so that a
+        # multiplicity of any size has one
+        summands = _tuple_repr(_tuple_repr(map(decimal_str, pair)) for pair in self.summands)
+        return f"MultiplierResult(summands={summands})"
 
     @functools.cached_property
     def _multiplicity_digits(self) -> tuple[str, ...]:

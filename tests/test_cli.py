@@ -1,5 +1,7 @@
+import argparse
 import contextlib
 import decimal
+import functools
 import hashlib
 import io
 import itertools
@@ -25,9 +27,11 @@ from nilmult.cli import (
     MAX_SWEEP_CASES,
     MAX_SWEEP_COMMUTATORS,
     GroupSpecError,
+    build_parser,
     check_result_size,
     invariant_chains,
     main,
+    parse_args,
     parse_group_spec,
     sweep_size,
 )
@@ -464,11 +468,8 @@ def test_compute_oracle_method(capsys):
     ],
 )
 def test_input_errors_exit_1(capsys, argv):
-    try:
-        code = main(list(argv))
-    except SystemExit as exc:  # argparse usage failures
-        code = exc.code
-    assert code == 1
+    # a refused command line returns 1 too; main never raises SystemExit
+    assert main(list(argv)) == 1
 
 
 def test_check_result_size_bound():
@@ -679,6 +680,253 @@ def test_trivial_factors_are_not_letters_of_the_result_bound(capsys):
 
 
 # ---------------------------------------------------------------------------
+# The option table, against the argparse parser it replaced
+# ---------------------------------------------------------------------------
+
+
+class ReferenceParser(argparse.ArgumentParser):
+    # usage problems are input errors (exit 1), as in nilmult
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+@functools.cache
+def reference_parser() -> argparse.ArgumentParser:
+    """The argparse parser that ``build_parser`` returned before the option table."""
+    parser = ReferenceParser(
+        prog="nilmult",
+        description="Exact nilpotent Schur multipliers of finite abelian groups.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    compute = sub.add_parser("compute", help="multiplier of a group")
+    compute.add_argument("--group", required=True,
+                         help='e.g. "12,6,2", "Z12+Z6+Z2", or "Z2^3"')
+    compute.add_argument("--class", dest="class_c", type=int, required=True,
+                         help="nilpotency class c >= 1")
+    compute.add_argument("--method", choices=("formula", "oracle", "both"),
+                         default="formula")
+    compute.add_argument("--format", choices=("text", "json"), default="text")
+
+    witt = sub.add_parser("witt", help="count basic commutators")
+    witt.add_argument("--weight", type=int, required=True)
+    witt.add_argument("--letters", type=int, required=True)
+
+    basis = sub.add_parser("basis", help="list basic commutators")
+    basis.add_argument("--weight", type=int, required=True)
+    basis.add_argument("--letters", type=int, required=True)
+
+    sweep = sub.add_parser("sweep", help="cross-validate formula against oracle")
+    sweep.add_argument("--max-order", type=int, required=True)
+    sweep.add_argument("--max-rank", type=int, required=True)
+    sweep.add_argument("--max-class", type=int, required=True)
+    return parser
+
+
+def main_outcome(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_refused(argv):
+    code, out, err = main_outcome(argv)
+    assert (code, out) == (1, ""), argv
+    assert err.startswith("usage: nilmult"), (argv, err)
+    assert "error:" in err.splitlines()[-1], (argv, err)
+
+
+def assert_parses_like_argparse(argv):
+    """The table reads ``argv`` as the reference parser does.
+
+    Where argparse accepts it, every value a handler reads is the same.
+    Where argparse prints help, so does the table, for the same command.
+    Where argparse refuses it, the table exits 1 with an error on stderr.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            reference = reference_parser().parse_args(list(argv))
+    except SystemExit as exc:
+        if exc.code == 0:
+            code, table_out, table_err = main_outcome(argv)
+            assert (code, table_err) == (0, ""), argv
+            # "usage: nilmult [-h]" or "usage: nilmult compute"
+            assert table_out.split()[:3] == out.getvalue().split()[:3], argv
+        else:
+            assert exc.code == 1
+            assert_refused(argv)
+        return
+    command = build_parser()[reference.command]
+    dests = [option.dest for option in command.options.values()]
+    if any(getattr(reference, dest) == [] for dest in dests):
+        # argparse drops the "--" of "--flag=--" and stores [], on which the
+        # handlers crash; the table keeps "--", which every option refuses
+        assert_refused(argv)
+        return
+    args = parse_args(list(argv), build_parser())
+    assert args.func is command.handler, argv
+    for dest in dests:
+        assert getattr(args, dest) == getattr(reference, dest), (argv, dest)
+
+
+# argparse's rules on Python 3.11: (argv, the values a handler reads, or the
+# exit code of help (0) or of a refused command line (1))
+COMPUTE_DEFAULTS = {"method": "formula", "format": "text"}
+RULE_CASES = [
+    (["compute", "--group", "4,2", "--class", "1"],
+     {"group": "4,2", "class_c": 1, **COMPUTE_DEFAULTS}),
+    (["compute", "--group=4,2", "--class=1", "--method=both"],
+     {"group": "4,2", "class_c": 1, "method": "both", "format": "text"}),
+    (["compute", "--group=", "--class", "1"],
+     {"group": "", "class_c": 1, **COMPUTE_DEFAULTS}),
+    # a unique prefix
+    (["compute", "--gr", "12,6,2", "--cl", "1", "--m", "both", "--for=json"],
+     {"group": "12,6,2", "class_c": 1, "method": "both", "format": "json"}),
+    (["sweep", "--max-o", "2", "--max-r=1", "--max-c", "1"],
+     {"max_order": 2, "max_rank": 1, "max_class": 1}),
+    (["sweep", "--max", "1", "--max-order", "2", "--max-rank", "1", "--max-class", "1"], 1),
+    (["sweep", "-h", "--max", "1"], 1),  # every flag is read before -h acts
+    # the last occurrence wins
+    (["witt", "--weight", "2", "--letters", "3", "--weight", "5", "--w", "6"],
+     {"weight": 6, "letters": 3}),
+    # a value that starts with "-": "-", a negative number, or one with a space
+    (["compute", "--group", "-", "--class", "1"],
+     {"group": "-", "class_c": 1, **COMPUTE_DEFAULTS}),
+    (["compute", "--group", "4,2", "--class", "-1"],
+     {"group": "4,2", "class_c": -1, **COMPUTE_DEFAULTS}),
+    (["compute", "--group", "-1 2", "--class", "1"],
+     {"group": "-1 2", "class_c": 1, **COMPUTE_DEFAULTS}),
+    (["compute", "--group", "--gr x", "--class", "1"],
+     {"group": "--gr x", "class_c": 1, **COMPUTE_DEFAULTS}),
+    (["compute", "--group", "-x", "--class", "1"], 1),
+    (["compute", "--group", "--class", "1"], 1),
+    (["compute", "--group", "--group=1 2", "--class", "1"], 1),
+    (["witt", "--weight", "2", "--letters", "-x"], 1),
+    # plain int()
+    (["witt", "--weight", " +1_0 ", "--letters", "007"], {"weight": 10, "letters": 7}),
+    (["witt", "--weight", "1.0", "--letters", "2"], 1),
+    (["compute", "--group", "4,2", "--class", "1", "--method", "Both"], 1),
+    # "--", a stray positional, a single-dash flag, a bad or missing command
+    (["compute", "--group", "4,2", "--class", "1", "--"], 1),
+    (["compute", "--group", "--", "4,2", "--class", "1"], 1),
+    (["--", "compute", "--group", "4,2", "--class", "1"], 1),
+    (["compute", "--group", "4,2", "--class", "1", "stray"], 1),
+    (["compute", "-group", "4,2", "--class", "1"], 1),
+    (["--group", "4,2", "compute", "--class", "1"], 1),
+    (["--foo", "compute", "--group", "4,2", "--class", "1"], 1),
+    (["frobnicate"], 1),
+    ([], 1),
+    # help, before and after the command, and its prefixes
+    (["-h"], 0),
+    (["--help"], 0),
+    (["--he"], 0),
+    (["-h", "frobnicate"], 0),
+    (["compute", "-h"], 0),
+    (["compute", "--h"], 0),
+    (["compute", "--group", "4,2", "stray", "--help"], 0),
+    (["--foo", "witt", "-h"], 0),
+    (["compute", "--class", "x", "-h"], 1),  # flags act left to right
+    (["compute", "-hh"], 0),  # -h twice
+    (["compute", "-hx"], 1),
+    (["--help=x"], 1),
+]
+
+
+@pytest.mark.parametrize("argv, expected", RULE_CASES)
+def test_option_table_rules(argv, expected):
+    if isinstance(expected, dict):
+        args = parse_args(argv, build_parser())
+        assert args.func is build_parser()[argv[0]].handler
+        assert {dest: getattr(args, dest) for dest in expected} == expected
+        assert vars(args).keys() == {"func", *expected}
+    elif expected == 0:
+        code, out, err = main_outcome(argv)
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: nilmult")
+    else:
+        assert_refused(argv)
+
+
+# The reference is argparse of the running interpreter; later releases changed
+# its handling of "--" and of some prefixes, so it is argparse 3.11 that the
+# table follows.
+on_argparse_311 = pytest.mark.skipif(
+    sys.version_info[:2] != (3, 11), reason="the table follows argparse 3.11's rules"
+)
+
+
+@on_argparse_311
+@pytest.mark.parametrize("argv", [argv for argv, _ in RULE_CASES])
+def test_option_table_rules_are_argparse_rules(argv):
+    assert_parses_like_argparse(argv)
+
+
+FLAGS = [flag for command in build_parser().values() for flag in command.options]
+COMMAND_TOKENS = [*build_parser(), "comp", "frobnicate", "Compute", ""]
+FLAG_TOKENS = [
+    *FLAGS, "--gr", "--g", "--cl", "--c", "--m", "--me", "--for", "--f", "--we",
+    "--w", "--l", "--let", "--max-o", "--max-r", "--max-c", "--max", "--ma",
+    "--max-", "-group", "-g", "--foo", "---", "--", "-", "-h", "--help", "--he",
+    "--h", "-hh", "-hx",
+]
+VALUE_TOKENS = [
+    "4,2", "Z2^3", "12,6,2", "1", "2", "3", "0", "-1", "-2", "-1.5", "-.5", "-5\n",
+    " +1_0 ", "1_000", "007", "+3", "x", "٣", "-٣", "formula", "oracle",
+    "both", "text", "json", "-1 2", "a b", "-x y", "--gr x", "", "-", "--", "-x",
+]
+token = st.one_of(
+    st.sampled_from(COMMAND_TOKENS + FLAG_TOKENS + VALUE_TOKENS),
+    st.builds("{}={}".format, st.sampled_from(FLAG_TOKENS), st.sampled_from(VALUE_TOKENS)),
+)
+# mostly flags with their values, so that argparse accepts many of them
+option_pair = st.tuples(st.sampled_from(FLAGS), st.sampled_from(VALUE_TOKENS)).map(list)
+argv_lists = st.builds(
+    lambda head, command, tail: [*head, command, *itertools.chain.from_iterable(tail)],
+    st.lists(token, max_size=2),
+    st.sampled_from(COMMAND_TOKENS),
+    st.lists(st.one_of(option_pair, option_pair, token.map(lambda t: [t])), max_size=5),
+)
+
+
+@on_argparse_311
+@settings(max_examples=400, deadline=None)
+@given(argv_lists)
+def test_option_table_parses_like_argparse(argv):
+    assert_parses_like_argparse(argv)
+
+
+def test_main_reads_sys_argv_by_default(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["nilmult", "witt", "--w", "2", "--letters=4"])
+    assert main() == 0
+    assert capsys.readouterr().out == "6\n"
+
+
+def test_help_names_every_command_and_option(capsys):
+    table = build_parser()
+    code, out, err = run(capsys, "-h")
+    assert (code, err) == (0, "")
+    for name, command in table.items():
+        assert any(line.split()[:1] == [name] and command.help in line
+                   for line in out.splitlines()), name
+    code, out, err = run(capsys, "compute", "--help")
+    assert (code, err) == (0, "")
+    for flag, option in table["compute"].options.items():
+        assert any(line.split()[:1] == [flag] and option.help in line
+                   for line in out.splitlines()), flag
+
+
+def test_cli_import_does_not_load_argparse():
+    src = os.path.dirname(os.path.dirname(multiplier.__file__))
+    probe = ("import nilmult.cli, sys; nilmult.cli.build_parser(); "
+             "assert 'argparse' not in sys.modules")
+    subprocess.run([sys.executable, "-c", probe], check=True,
+                   env={**os.environ, "PYTHONPATH": src})
+
+
+# ---------------------------------------------------------------------------
 # One parser per process
 # ---------------------------------------------------------------------------
 
@@ -696,10 +944,7 @@ PARSER_QUERIES = [
 
 
 def main_exit_code(argv):
-    try:
-        return main(list(argv))
-    except SystemExit as exc:  # argparse usage failures
-        return exc.code
+    return main(list(argv))
 
 
 def test_main_builds_the_parser_once(capsys, monkeypatch):

@@ -326,6 +326,42 @@ def test_exact_digits_are_not_part_of_the_value(decimal_calls):
     assert small == MultiplierResult(small.summands, ((4, 2), 7))
 
 
+@pytest.mark.parametrize("limit", [None, 640])
+def test_reprs_are_total(limit):
+    # the dataclass reprs wrote ints with str(), which the int-to-str digit
+    # limit refuses past 4,300 digits (here 640): a multiplicity of 77,800
+    # digits, and a chain entry of 4,772
+    values = [
+        nilpotent_multiplier(chain_of(4, 4, 2), 10**5),
+        chain_of(3**10000),
+        MultiplierResult(((4, 3),), ((8, 4, 2), 1)),
+        MultiplierResult(()),
+        chain_of(7),
+        chain_of(),
+        chain_of(24, 4),
+    ]
+    original = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        expected = [
+            f"MultiplierResult(summands={v.summands!r})" if isinstance(v, MultiplierResult)
+            else f"InvariantFactors(chain={v.chain!r})"
+            for v in values
+        ]
+        sys.set_int_max_str_digits(original if limit is None else limit)
+        reprs = [repr(v) for v in values]
+    finally:
+        sys.set_int_max_str_digits(original)
+    assert reprs == expected
+    assert reprs[2:] == [
+        "MultiplierResult(summands=((4, 3),))",
+        "MultiplierResult(summands=())",
+        "InvariantFactors(chain=(7,))",
+        "InvariantFactors(chain=())",
+        "InvariantFactors(chain=(24, 4))",
+    ]
+
+
 def test_corrupted_decimal_count_raises(monkeypatch):
     original = multiplier.decimal_counts
 
