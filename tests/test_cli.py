@@ -943,10 +943,6 @@ PARSER_QUERIES = [
 ]
 
 
-def main_exit_code(argv):
-    return main(list(argv))
-
-
 def test_main_builds_the_parser_once(capsys, monkeypatch):
     built = []
     original = cli.build_parser
@@ -958,7 +954,7 @@ def test_main_builds_the_parser_once(capsys, monkeypatch):
     monkeypatch.setattr(cli, "build_parser", counting_build_parser)
     cli._parser.cache_clear()
     try:
-        codes = [main_exit_code(argv) for argv in PARSER_QUERIES * 3]
+        codes = [main(list(argv)) for argv in PARSER_QUERIES * 3]
     finally:
         cli._parser.cache_clear()
     capsys.readouterr()
@@ -990,7 +986,7 @@ def test_main_from_several_threads_matches_a_serial_run(monkeypatch):
     monkeypatch.setattr(sys, "stderr", err)
 
     def run_all(queries):
-        return [(main_exit_code(argv), out.take(), err.take()) for argv in queries]
+        return [(main(list(argv)), out.take(), err.take()) for argv in queries]
 
     serial = run_all(PARSER_QUERIES)
     threads = 4
