@@ -13,7 +13,7 @@ from .abelian import (
     canonicalize,
     factorize,
 )
-from .hall import BasicCommutator, CapExceeded, enumerate_basic
+from .hall import CapExceeded, enumerate_basic
 from .multiplier import (
     MultiplierResult,
     VerificationReport,
@@ -32,7 +32,6 @@ __all__ = [
     "InvariantFactors",
     "canonicalize",
     "factorize",
-    "BasicCommutator",
     "CapExceeded",
     "enumerate_basic",
     "MultiplierResult",

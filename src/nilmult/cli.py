@@ -327,7 +327,7 @@ def cmd_witt(args: SimpleNamespace) -> int:
 def cmd_basis(args: SimpleNamespace) -> int:
     check_result_size(args.weight, args.letters)
     for comm in enumerate_basic(args.weight, args.letters):
-        print(comm.rendered)
+        print(comm)
     return EXIT_OK
 
 

@@ -1,4 +1,4 @@
-"""Hall basic commutators: enumeration of the Hall family on an ordered alphabet.
+"""Hall basic commutators: the Hall family on an ordered alphabet, listed or counted.
 
 The family is built by the standard recursion.  Weight-1 basic commutators are
 the letters x_1 < x_2 < ... < x_t.  With everything of lower weight defined and
@@ -17,16 +17,16 @@ reproducible output.
 The count of basic commutators whose letters are exactly a given set does not
 depend on that order either (Hall 1950), and permuting the letters is such a
 reordering, so it depends only on the size of the set.  ``letter_profile``
-returns those counts by set size; it enumerates once per process for each
-(weight, min(weight, letters)) and is all the multiplier oracle reads.
+returns those counts by set size, all the multiplier oracle reads.  It counts,
+without building it, the top level of the level builder that
+``enumerate_basic`` renders, once per process for each (weight, letters).
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import os
-from collections import Counter
-from typing import NamedTuple
 
 from .witt import witt_count
 
@@ -68,17 +68,6 @@ def enumeration_cap() -> int:
     return cap
 
 
-class BasicCommutator(NamedTuple):
-    """One basic commutator: its canonical bracket string and its letters.
-
-    ``rendered`` (e.g. "[[x2,x1],x1]") determines the whole tree;
-    bit i - 1 of ``letter_mask`` is set when x_i occurs in it.
-    """
-
-    rendered: str
-    letter_mask: int
-
-
 def _check_cap(weight: int, letters: int) -> int:
     """``witt_count(weight, letters)``, or ``CapExceeded`` if it is above the cap."""
     if weight < 1:
@@ -111,68 +100,80 @@ def letter_profile(weight: int, letters: int) -> tuple[int, ...]:
 # or more letters the default cap admits weights up to 24 only.
 @functools.lru_cache(maxsize=256)
 def _profile(weight: int, letters: int) -> tuple[int, ...]:
-    # Counted off the enumeration, not derived from witt_count, so the oracle
-    # stays independent of the closed form.
-    per_mask = Counter(
-        comm.letter_mask
-        for comm in enumerate_basic(weight, letters)
-        if not comm.letter_mask & (comm.letter_mask + 1)  # x_1..x_k: mask 2^k - 1
+    # T(weight, j) on j = 0..letters, counted off the Hall recursion, not taken
+    # from witt_count, so the oracle stays independent of the closed form.
+    # T(w, j) = sum_k C(j, k) p_k, and inclusion-exclusion inverts it.
+    if weight == 1:
+        return (1,) * letters
+    totals = [0, 0]  # no brackets on fewer than two letters: nothing to walk
+    for j in range(2, letters + 1):
+        _, right, starts, _ = _levels(weight, j)
+        totals.append(sum(max(high - low, 0) for _, low, high in _ranges(weight, right, starts)))
+    return tuple(
+        sum((-1) ** (k - j) * math.comb(k, j) * totals[j] for j in range(k + 1))
+        for k in range(1, letters + 1)
     )
-    return tuple(per_mask[(1 << k) - 1] for k in range(1, letters + 1))
 
 
-def enumerate_basic(weight: int, letters: int) -> list[BasicCommutator]:
-    """Every basic commutator of exactly `weight` on letters x_1..x_letters.
+def _ranges(weight: int, right: list[int], level_start: list[int]):
+    """Yield (u, low, high): [u, v] is basic of `weight` exactly for low <= v < high.
 
-    Returned in the module's within-weight order; the length equals
-    ``witt_count(weight, letters)``.  Raises ``CapExceeded`` when that count
-    exceeds the cap (the NILMULT_ENUM_CAP environment variable, else 10**6).
-    The order and the strings are for ``nilmult basis``; the multiplier
-    oracle reads this only through the cached ``letter_profile``.
+    u runs over the left parts in id order; the levels below `weight` must exist.
+    """
+    for left_weight in range((weight + 1) // 2, weight):
+        first, end = level_start[weight - left_weight - 1], level_start[weight - left_weight]
+        for u in range(level_start[left_weight - 1], level_start[left_weight]):
+            # u > v, and v >= u2 when u = [u1, u2]
+            yield u, max(first, right[u]), min(end, u)
 
-    >>> [c.rendered for c in enumerate_basic(3, 2)]
+
+def _levels(weight: int, letters: int) -> tuple[list[int], ...]:
+    """Node ids of the letters and of the Hall levels of weight 2..weight - 1.
+
+    Node n < letters is x_(n+1), else [left[n], right[n]].  Each level is in
+    the within-weight order, so id order is the Hall order; level_start[w - 1]
+    is the first id of weight w.  rank[n] is n's place in the structural order
+    of all nodes: brackets by (rank of left, rank of right), then the letters.
+    """
+    left = [-1] * letters
+    right = [-1] * letters
+    level_start = [0, letters]
+    rank = list(range(letters))
+    brackets: list[int] = []
+    for w in range(2, weight):
+        # each v range lies in one level, already in order, so sorting the
+        # left parts by rank sorts the pairs by (rank of u, rank of v)
+        for u, low, high in sorted(_ranges(w, right, level_start), key=lambda r: rank[r[0]]):
+            left.extend([u] * (high - low))
+            right.extend(range(low, high))
+        brackets.extend(range(level_start[-1], len(left)))
+        level_start.append(len(left))
+        # old keys keep their relative order, so sorting on them merges
+        brackets.sort(key=lambda n: (rank[left[n]], rank[right[n]]))
+        rank = [0] * len(left)
+        for i, n in enumerate([*brackets, *range(letters)]):
+            rank[n] = i
+    return left, right, level_start, rank
+
+
+def enumerate_basic(weight: int, letters: int) -> list[str]:
+    """Every basic commutator of exactly `weight` on x_1..x_letters, as its string.
+
+    In the module's within-weight order, for ``nilmult basis``; there are
+    ``witt_count(weight, letters)`` of them.  Raises ``CapExceeded`` when that
+    count exceeds the cap (the NILMULT_ENUM_CAP environment variable, else 10**6).
+
+    >>> enumerate_basic(3, 2)
     ['[[x2,x1],x1]', '[[x2,x1],x2]']
     """
     if not _check_cap(weight, letters):
         return []  # fewer than two letters above weight 1, or none at all
-
-    # Nodes are integer ids into parallel lists; a letter's parts are -1.
-    # Levels are built in increasing weight and each is stored sorted, so id
-    # order is the Hall order: weight first, then the within-weight order.
-    # level_start[w - 1]..level_start[w] - 1 are the ids of weight w.
+    left, right, level_start, rank = _levels(weight, letters)
     rendered = [f"x{i}" for i in range(1, letters + 1)]
-    mask = [1 << i for i in range(letters)]
-    left = [-1] * letters
-    right = [-1] * letters
-    level_start = [0, letters]
-    # rank[n]: place of node n in the structural order of all nodes built so
-    # far (brackets by (rank of left, rank of right), then the letters).
-    rank = list(range(letters))
-    brackets: list[int] = []
-    for w in range(2, weight + 1):
-        pairs: list[tuple[int, int]] = []
-        for left_weight in range((w + 1) // 2, w):
-            first, end = level_start[w - left_weight - 1], level_start[w - left_weight]
-            for u in range(level_start[left_weight - 1], level_start[left_weight]):
-                # u > v, and v >= u2 when u = [u1, u2]
-                pairs.extend((u, v) for v in range(max(first, right[u]), min(end, u)))
-        pairs.sort(key=lambda pair: (rank[pair[0]], rank[pair[1]]))
-        if w == weight:
-            return [
-                BasicCommutator(f"[{rendered[u]},{rendered[v]}]", mask[u] | mask[v])
-                for u, v in pairs
-            ]
-        start = len(rendered)
-        for u, v in pairs:
-            rendered.append(f"[{rendered[u]},{rendered[v]}]")
-            mask.append(mask[u] | mask[v])
-            left.append(u)
-            right.append(v)
-        level_start.append(len(rendered))
-        # old keys keep their relative order, so sorting on them merges
-        brackets.extend(range(start, len(rendered)))
-        brackets.sort(key=lambda n: (rank[left[n]], rank[right[n]]))
-        rank = [0] * len(rendered)
-        for i, n in enumerate([*brackets, *range(letters)]):
-            rank[n] = i
-    return [BasicCommutator(r, m) for r, m in zip(rendered, mask)]
+    for u, v in zip(left[letters:], right[letters:]):
+        rendered.append(f"[{rendered[u]},{rendered[v]}]")
+    return rendered if weight == 1 else [
+        f"[{rendered[u]},{rendered[v]}]"
+        for u, low, high in sorted(_ranges(weight, right, level_start), key=lambda r: rank[r[0]])
+        for v in range(low, high)
+    ]

@@ -8,7 +8,7 @@ commutators of weight c+1 on i letters.
 ``tensor_oracle`` recomputes the same group from first principles: each
 basic commutator of weight c+1 on the given cyclic factors contributes the
 cyclic group of order gcd(orders of its letters).  It takes the number of
-commutators per letter set from the enumerated ``hall.letter_profile``, folds
+commutators per letter set from the counted ``hall.letter_profile``, folds
 one gcd per set, and canonicalizes the accumulated multiset with the
 run-length primary core ``abelian.compressed_invariant_form``, so
 multiplicities are never expanded.

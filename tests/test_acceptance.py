@@ -182,3 +182,18 @@ def test_criterion_10_wider_formula_oracle_equivalence():
     assert cases == 11568
     done(f"criterion 10: formula == oracle on all {cases} (chain, class) cases, "
          "entries <= 32, rank <= 6, class <= 6")
+
+
+def test_criterion_11_high_rank_formula_oracle_equivalence():
+    done = timed(30.0)
+    cases = 0
+    for chain in invariant_chains(12, 8):
+        if len(chain) < 7:
+            continue
+        for c in range(1, 7):
+            report = verify(CyclicDecomposition(chain), c)
+            assert report.equal, (chain, c)
+            cases += 1
+    assert cases == 1932
+    done(f"criterion 11: formula == oracle on all {cases} (chain, class) cases, "
+         "entries <= 12, rank 7-8, class <= 6")

@@ -1,9 +1,12 @@
 import ast
+import math
 import re
+import time
 from collections import Counter
 
 import pytest
 
+from nilmult import hall
 from nilmult.hall import (
     DEFAULT_ENUM_CAP,
     CapExceeded,
@@ -67,22 +70,22 @@ def brute_force_hall_set(weight, letters):
 
 
 def test_weight_one_is_the_alphabet():
-    assert [c.rendered for c in enumerate_basic(1, 3)] == ["x1", "x2", "x3"]
+    assert enumerate_basic(1, 3) == ["x1", "x2", "x3"]
 
 
 def test_weight_two_on_two_letters():
-    assert [c.rendered for c in enumerate_basic(2, 2)] == ["[x2,x1]"]
+    assert enumerate_basic(2, 2) == ["[x2,x1]"]
 
 
 def test_weight_three_on_two_letters():
-    assert [c.rendered for c in enumerate_basic(3, 2)] == [
+    assert enumerate_basic(3, 2) == [
         "[[x2,x1],x1]",
         "[[x2,x1],x2]",
     ]
 
 
 def test_weight_two_on_three_letters():
-    assert [c.rendered for c in enumerate_basic(2, 3)] == [
+    assert enumerate_basic(2, 3) == [
         "[x2,x1]",
         "[x3,x1]",
         "[x3,x2]",
@@ -94,7 +97,7 @@ def test_weight_two_on_three_letters():
     [(w, t) for w in range(1, 6) for t in range(1, 4)] + [(6, 2), (6, 1)],
 )
 def test_matches_brute_force(weight, letters):
-    enumerated = [c.rendered for c in enumerate_basic(weight, letters)]
+    enumerated = enumerate_basic(weight, letters)
     assert len(set(enumerated)) == len(enumerated)
     assert set(enumerated) == brute_force_hall_set(weight, letters)
 
@@ -109,9 +112,9 @@ def _as_tuple_tree(rendered):
 def test_every_element_passes_the_independent_validator(weight, letters):
     # beyond brute-force reach: check the Hall condition node by node
     level = enumerate_basic(weight, letters)
-    assert len({c.rendered for c in level}) == len(level) == witt_count(weight, letters)
+    assert len(set(level)) == len(level) == witt_count(weight, letters)
     for c in level:
-        assert _is_hall(_as_tuple_tree(c.rendered)), c.rendered
+        assert _is_hall(_as_tuple_tree(c)), c
 
 
 def test_counts_agree_with_witt():
@@ -130,8 +133,8 @@ def test_empty_alphabet_and_single_letter():
 @pytest.mark.parametrize("weight", [1, 2, 3, 4])
 def test_alphabet_monotonicity(weight):
     for t in range(1, 4):
-        smaller = {c.rendered for c in enumerate_basic(weight, t)}
-        larger = {c.rendered for c in enumerate_basic(weight, t + 1)}
+        smaller = set(enumerate_basic(weight, t))
+        larger = set(enumerate_basic(weight, t + 1))
         assert smaller <= larger
 
 
@@ -148,51 +151,61 @@ def test_enumeration_follows_the_pinned_order():
             expected = sorted(
                 brute_force_hall_set(w, t), key=lambda r: _key(_as_tuple_tree(r))
             )
-            assert [c.rendered for c in enumerate_basic(w, t)] == expected, (w, t)
+            assert enumerate_basic(w, t) == expected, (w, t)
 
 
 def test_wide_alphabets_order_letters_numerically():
-    letters = [c.rendered for c in enumerate_basic(1, 12)]
+    letters = enumerate_basic(1, 12)
     assert letters == [f"x{i}" for i in range(1, 13)]
     # x10 sorts after x9, so [x10,..] pairs follow every [x9,..] pair
-    pairs = [c.rendered for c in enumerate_basic(2, 11)]
+    pairs = enumerate_basic(2, 11)
     assert pairs == [
         f"[x{j},x{i}]" for j in range(2, 12) for i in range(1, j)
     ]
 
 
 # ---------------------------------------------------------------------------
-# Fields: the rendered string and the letter mask
+# Letters: a commutator's letter mask, read off its string in the tests
 # ---------------------------------------------------------------------------
 
 
+def _mask(rendered):
+    """Bit i - 1 is set when x_i occurs in the rendered commutator."""
+    return sum(1 << (i - 1) for i in {int(i) for i in re.findall(r"x(\d+)", rendered)})
+
+
+def _leaves(tree):
+    return [tree] if isinstance(tree, int) else _leaves(tree[0]) + _leaves(tree[1])
+
+
 def test_accessors():
-    c = enumerate_basic(3, 3)[2]
-    assert c.rendered == "[[x2,x1],x3]"
-    assert c.letter_mask == 0b111
-    assert enumerate_basic(1, 2)[1] == ("x2", 0b10)
-    assert enumerate_basic(3, 3)[3] == ("[[x3,x1],x1]", 0b101)
+    cases = [((3, 3, 2), "[[x2,x1],x3]", 0b111), ((1, 2, 1), "x2", 0b10),
+             ((3, 3, 3), "[[x3,x1],x1]", 0b101)]
+    for (weight, letters, index), rendered, mask in cases:
+        c = enumerate_basic(weight, letters)[index]
+        assert (c, _mask(c)) == (rendered, mask)
 
 
 def test_letter_multiset_sums_to_weight():
-    # the multiset is read off the rendered string, independently of the mask
+    # the multiset read off the string agrees with the leaves of the parsed tree
     for c in enumerate_basic(5, 3):
-        letters = Counter(int(i) for i in re.findall(r"x(\d+)", c.rendered))
+        letters = Counter(int(i) for i in re.findall(r"x(\d+)", c))
         assert sum(letters.values()) == 5
-        assert sum(1 << (i - 1) for i in letters) == c.letter_mask
+        assert letters == Counter(_leaves(_as_tuple_tree(c)))
+        assert sum(1 << (i - 1) for i in letters) == _mask(c)
 
 
 def test_weight_two_plus_needs_two_letters():
     for w in (2, 3, 4):
         for c in enumerate_basic(w, 3):
-            assert bin(c.letter_mask).count("1") >= 2
+            assert bin(_mask(c)).count("1") >= 2
 
 
 def test_mask_count_depends_only_on_popcount():
     # the symmetry that turns the oracle into b_i - b_(i-1) copies of Z_(n_i)
     for w in range(1, 7):
         for t in range(1, 5):
-            per_mask = Counter(c.letter_mask for c in enumerate_basic(w, t))
+            per_mask = Counter(_mask(c) for c in enumerate_basic(w, t))
             by_size = {}
             for mask in range(1, 1 << t):
                 by_size.setdefault(bin(mask).count("1"), set()).add(per_mask[mask])
@@ -206,12 +219,17 @@ def test_mask_count_depends_only_on_popcount():
 
 @pytest.mark.parametrize(
     "weight, letters",
-    [(w, t) for w in range(1, 8) for t in range(0, 9) if witt_count(w, t) <= 400_000],
+    [
+        (w, t)
+        for w in range(1, 9)
+        for t in range(0, 9)
+        if witt_count(w, t) <= DEFAULT_ENUM_CAP
+    ],
 )
 def test_letter_profile_equals_the_per_mask_counts(weight, letters):
     profile = letter_profile(weight, letters)
     assert len(profile) == min(weight, letters)
-    per_mask = Counter(c.letter_mask for c in enumerate_basic(weight, letters))
+    per_mask = Counter(_mask(c) for c in enumerate_basic(weight, letters))
     sizes = {mask: bin(mask).count("1") for mask in range(1, 1 << letters)}
     expected = {
         mask: profile[k - 1]
@@ -219,6 +237,36 @@ def test_letter_profile_equals_the_per_mask_counts(weight, letters):
         if k <= len(profile) and profile[k - 1]
     }
     assert per_mask == expected
+
+
+def test_profile_is_counted_without_enumeration_or_witt(monkeypatch):
+    # the oracle's counts come from the Hall recursion alone, never from the
+    # rendered basis or the closed form it is meant to check
+    def refuse(*args):
+        raise AssertionError("the letter profile must not call this")
+
+    hall._profile.cache_clear()
+    monkeypatch.setattr(hall, "enumerate_basic", refuse)
+    monkeypatch.setattr(hall, "witt_count", refuse)
+    assert hall._profile(4, 4) == (0, 3, 9, 6)
+    assert hall._profile(5, 5) == (0, 6, 30, 48, 24)
+    assert hall._profile(6, 6) == (0, 9, 89, 260, 300, 120)
+    assert hall._profile(7, 7) == (0, 18, 258, 1200, 2400, 2160, 720)
+    assert hall._profile(8, 6) == (0, 30, 720, 5100, 15750, 23940)
+    # above the cap, so only the private core reaches it
+    eight = hall._profile(8, 8)
+    assert eight == (0, 30, 720, 5100, 15750, 23940, 17640, 5040)
+    total = sum(math.comb(8, k) * count for k, count in enumerate(eight, start=1))
+    assert total == witt_count(8, 8) == 2_096_640
+
+
+@pytest.mark.parametrize("call, nothing", [(letter_profile, (0,)), (enumerate_basic, [])])
+def test_fewer_than_two_letters_answer_at_once(call, nothing):
+    # a walk over the empty levels would take about 2.5 * 10^9 steps here
+    hall._profile.cache_clear()
+    start = time.perf_counter()
+    assert call(100001, 1) == nothing
+    assert time.perf_counter() - start < 1.0
 
 
 def test_letter_profile_checks_the_cap_after_caching(monkeypatch):

@@ -1,6 +1,7 @@
 import decimal
 import math
 import random
+import re
 import sys
 import time
 from collections import Counter
@@ -115,12 +116,16 @@ def test_oracle_propagates_the_cap(monkeypatch):
 
 
 def per_mask_oracle(decomposition, nilpotency_class):
-    """The oracle folded over every enumerated letter set, one gcd per mask."""
+    """The oracle folded over every enumerated letter set, one gcd per mask.
+
+    A commutator's mask has bit i - 1 set when x_i occurs in its string.
+    """
     orders = decomposition.orders
     if not orders:
         return MultiplierResult(())
     per_mask = Counter(
-        comm.letter_mask for comm in enumerate_basic(nilpotency_class + 1, len(orders))
+        sum(1 << (int(i) - 1) for i in set(re.findall(r"x(\d+)", comm)))
+        for comm in enumerate_basic(nilpotency_class + 1, len(orders))
     )
     occurring = Counter()
     for mask, count in per_mask.items():
