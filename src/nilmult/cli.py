@@ -31,7 +31,7 @@ from types import SimpleNamespace
 from typing import NamedTuple
 
 from .abelian import MAX_ORDER, CyclicDecomposition, InvariantFactors, canonicalize
-from .hall import CapExceeded, enumerate_basic
+from .hall import CapExceeded, check_cap, enumerate_basic
 from .multiplier import (
     MultiplierResult,
     VerificationReport,
@@ -43,7 +43,7 @@ from .multiplier import (
     verify,
     witt_count_digits,
 )
-from .witt import divisors, exact_context, witt_count
+from .witt import divisors, exact_context
 
 SCHEMA_VERSION = "1"
 
@@ -369,6 +369,8 @@ def sweep_size(max_order: int, max_rank: int, max_class: int) -> tuple[int, int]
     carries a basic commutator; those counts are summed, until they pass
     MAX_SWEEP_COMMUTATORS, only when the cases are within their bound (else
     the second number is 0).  A count above its bound is a lower bound.
+    Each count comes from ``check_cap``, so a case that the oracle would
+    refuse raises ``CapExceeded`` here, before the sweep checks any case.
     """
 
     @functools.cache
@@ -396,7 +398,7 @@ def sweep_size(max_order: int, max_rank: int, max_class: int) -> tuple[int, int]
         return cases, commutators
     for length, count in sorted(of_length.items()):
         for c in range(1, max_class + 1):
-            commutators += count * witt_count(c + 1, length)
+            commutators += count * check_cap(c + 1, length)
             if commutators > MAX_SWEEP_COMMUTATORS:
                 return cases, commutators
     return cases, commutators

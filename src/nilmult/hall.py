@@ -20,18 +20,21 @@ reordering, so it depends only on the size of the set.  ``letter_profile``
 returns those counts by set size, all the multiplier oracle reads.  It counts,
 without building it, the top level of the level builder that
 ``enumerate_basic`` renders, once per process for each (weight, letters).
+
+``enumerate_basic`` and ``letter_profile`` refuse, with ``CapExceeded``, a
+family of more than ``ENUM_CAP`` (10**6) commutators; the cap is fixed, and
+``check_cap`` is its one comparison.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import os
 
 from .witt import witt_count
 
-DEFAULT_ENUM_CAP = 10**6
-ENUM_CAP_ENV = "NILMULT_ENUM_CAP"
+# Most basic commutators one call lists or counts.
+ENUM_CAP = 10**6
 
 # Counts up to this many bits are written out in CapExceeded's message; 2048
 # bits is at most 617 digits, under the smallest int-to-str digit limit (640).
@@ -54,51 +57,33 @@ class CapExceeded(Exception):
         )
 
 
-def enumeration_cap() -> int:
-    """The enumeration cap: NILMULT_ENUM_CAP if set, else the default."""
-    raw = os.environ.get(ENUM_CAP_ENV)
-    if raw is None:
-        return DEFAULT_ENUM_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValueError(f"{ENUM_CAP_ENV} must be a positive integer, got {raw!r}") from None
-    if cap < 1:
-        raise ValueError(f"{ENUM_CAP_ENV} must be a positive integer, got {raw!r}")
-    return cap
-
-
-def _check_cap(weight: int, letters: int) -> int:
-    """``witt_count(weight, letters)``, or ``CapExceeded`` if it is above the cap."""
-    if weight < 1:
-        raise ValueError(f"weight must be >= 1, got {weight}")
-    if letters < 0:
-        raise ValueError(f"letters must be >= 0, got {letters}")
-    cap = enumeration_cap()
+def check_cap(weight: int, letters: int) -> int:
+    """``witt_count(weight, letters)``, or ``CapExceeded`` if it is above ``ENUM_CAP``."""
     count = witt_count(weight, letters)
-    if count > cap:
-        raise CapExceeded(weight, letters, count, cap)
+    if count > ENUM_CAP:
+        raise CapExceeded(weight, letters, count, ENUM_CAP)
     return count
 
 
+# Bounded and thread-safe; a profile has at most `weight` entries, and on two
+# or more letters the cap admits weights up to 24 only.  A refusal raises and
+# so is never cached.
+@functools.lru_cache(maxsize=256)
 def letter_profile(weight: int, letters: int) -> tuple[int, ...]:
     """Basic commutators of `weight` per letter set, by the size of the set.
 
     Entry k - 1 counts those whose letters are exactly x_1..x_k, for
     k = 1..min(weight, letters); by symmetry it is the count for every
     k-letter set.  Raises ``CapExceeded`` as ``enumerate_basic(weight,
-    letters)`` would, on every call, cached or not.
+    letters)`` would, on every refused call.
 
     >>> letter_profile(4, 9)
     (0, 3, 9, 6)
     """
-    _check_cap(weight, letters)
+    check_cap(weight, letters)
     return _profile(weight, min(weight, letters))
 
 
-# Bounded and thread-safe; a profile has at most `weight` entries, and on two
-# or more letters the default cap admits weights up to 24 only.
-@functools.lru_cache(maxsize=256)
 def _profile(weight: int, letters: int) -> tuple[int, ...]:
     # T(weight, j) on j = 0..letters, counted off the Hall recursion, not taken
     # from witt_count, so the oracle stays independent of the closed form.
@@ -161,12 +146,12 @@ def enumerate_basic(weight: int, letters: int) -> list[str]:
 
     In the module's within-weight order, for ``nilmult basis``; there are
     ``witt_count(weight, letters)`` of them.  Raises ``CapExceeded`` when that
-    count exceeds the cap (the NILMULT_ENUM_CAP environment variable, else 10**6).
+    count exceeds ``ENUM_CAP`` (10**6).
 
     >>> enumerate_basic(3, 2)
     ['[[x2,x1],x1]', '[[x2,x1],x2]']
     """
-    if not _check_cap(weight, letters):
+    if not check_cap(weight, letters):
         return []  # fewer than two letters above weight 1, or none at all
     left, right, level_start, rank = _levels(weight, letters)
     rendered = [f"x{i}" for i in range(1, letters + 1)]

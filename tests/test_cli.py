@@ -548,22 +548,21 @@ def test_cli_import_does_not_load_decimal():
                    env={**os.environ, "PYTHONPATH": src})
 
 
-def test_cap_exceeded_exits_3(capsys, monkeypatch):
-    monkeypatch.setenv("NILMULT_ENUM_CAP", "4")
+def test_cap_exceeded_exits_3(capsys):
+    # both ask for the 2,096,640 basic commutators of weight 8 on 8 letters
     code, _, err = run(
-        capsys, "compute", "--group", "2,2,2", "--class", "2", "--method", "oracle"
+        capsys, "compute", "--group", "2,2,2,2,2,2,2,2", "--class", "7", "--method", "oracle"
     )
     assert code == 3
     assert "--method formula" in err
-    code, _, err = run(capsys, "basis", "--weight", "3", "--letters", "3")
+    code, _, err = run(capsys, "basis", "--weight", "8", "--letters", "8")
     assert code == 3
     assert "cap" in err
 
 
-def test_cap_message_fits_any_count(capsys, monkeypatch):
+def test_cap_message_fits_any_count(capsys):
     # counts past 2048 bits are shown as a power of two, so the message never
     # depends on the int-to-str digit limit
-    monkeypatch.delenv("NILMULT_ENUM_CAP", raising=False)
     compute = ("compute", "--group", "2,2", "--class", "20000", "--method", "oracle")
     basis = ("basis", "--weight", "3000000", "--letters", "2")
     original_limit = sys.get_int_max_str_digits()
@@ -1000,7 +999,7 @@ def test_main_from_several_threads_matches_a_serial_run(monkeypatch):
 
     # the threads race to build the parser and the letter profiles, too
     cli._parser.cache_clear()
-    hall._profile.cache_clear()
+    hall.letter_profile.cache_clear()
     workers = [threading.Thread(target=worker, args=(k,)) for k in range(threads)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -1137,6 +1136,22 @@ def test_oversized_sweep_exits_1_before_any_verify(capsys, monkeypatch):
             f"error: the sweep would check at least {cases} (chain, class) cases, "
             f"above the bound of {MAX_SWEEP_CASES}\n"
         )
+
+
+def test_sweep_over_the_cap_exits_3_before_any_verify(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a case was verified")
+
+    monkeypatch.setattr(cli, "verify", refuse)
+    # 63 cases and 3,644,784 commutators, within both bounds, but the case
+    # (2,2,2,2,2,2,2,2) at class 7 asks for 2,096,640 of weight 8
+    code, out, err = run(capsys, "sweep", "--max-order", "2", "--max-rank", "8",
+                         "--max-class", "7")
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: 2096640 basic commutators of weight 8 on 8 letters exceed the "
+        "enumeration cap 1000000\n"
+    )
 
 
 @pytest.mark.parametrize(

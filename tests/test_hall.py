@@ -6,14 +6,14 @@ from collections import Counter
 
 import pytest
 
-from nilmult import hall
+from nilmult import CyclicDecomposition, hall
 from nilmult.hall import (
-    DEFAULT_ENUM_CAP,
+    ENUM_CAP,
     CapExceeded,
     enumerate_basic,
-    enumeration_cap,
     letter_profile,
 )
+from nilmult.multiplier import tensor_oracle
 from nilmult.witt import witt_count
 
 # ---------------------------------------------------------------------------
@@ -223,7 +223,7 @@ def test_mask_count_depends_only_on_popcount():
         (w, t)
         for w in range(1, 9)
         for t in range(0, 9)
-        if witt_count(w, t) <= DEFAULT_ENUM_CAP
+        if witt_count(w, t) <= ENUM_CAP
     ],
 )
 def test_letter_profile_equals_the_per_mask_counts(weight, letters):
@@ -245,7 +245,7 @@ def test_profile_is_counted_without_enumeration_or_witt(monkeypatch):
     def refuse(*args):
         raise AssertionError("the letter profile must not call this")
 
-    hall._profile.cache_clear()
+    letter_profile.cache_clear()
     monkeypatch.setattr(hall, "enumerate_basic", refuse)
     monkeypatch.setattr(hall, "witt_count", refuse)
     assert hall._profile(4, 4) == (0, 3, 9, 6)
@@ -263,24 +263,43 @@ def test_profile_is_counted_without_enumeration_or_witt(monkeypatch):
 @pytest.mark.parametrize("call, nothing", [(letter_profile, (0,)), (enumerate_basic, [])])
 def test_fewer_than_two_letters_answer_at_once(call, nothing):
     # a walk over the empty levels would take about 2.5 * 10^9 steps here
-    hall._profile.cache_clear()
+    letter_profile.cache_clear()
     start = time.perf_counter()
     assert call(100001, 1) == nothing
     assert time.perf_counter() - start < 1.0
 
 
-def test_letter_profile_checks_the_cap_after_caching(monkeypatch):
-    monkeypatch.delenv("NILMULT_ENUM_CAP", raising=False)
-    assert letter_profile(4, 3) == (0, 3, 9)
-    monkeypatch.setenv("NILMULT_ENUM_CAP", "17")
-    with pytest.raises(CapExceeded) as exc_info:
-        letter_profile(4, 3)
-    err = exc_info.value
-    assert (err.weight, err.letters, err.count, err.cap) == (4, 3, 18, 17)
-    # the cap is on the full alphabet, though the profile stops at the weight
-    monkeypatch.setenv("NILMULT_ENUM_CAP", str(witt_count(3, 9) - 1))
-    with pytest.raises(CapExceeded):
-        letter_profile(3, 9)
+def test_letter_profile_checks_the_cap_after_caching():
+    # the cap is on the full alphabet, though the profile stops at the weight:
+    # 995,280 commutators on 144 letters are admitted, 1,016,160 on 145 are not
+    letter_profile.cache_clear()
+    assert witt_count(3, 144) <= ENUM_CAP < witt_count(3, 145)
+    for _ in range(2):
+        assert letter_profile(3, 144) == (0, 2, 2)
+        with pytest.raises(CapExceeded) as exc_info:
+            letter_profile(3, 145)
+        err = exc_info.value
+        assert (err.weight, err.letters, err.count, err.cap) == (3, 145, 1_016_160, ENUM_CAP)
+
+
+def test_letter_profile_sums_witt_once_per_key(monkeypatch):
+    # the answer depends on (weight, letters) alone, so the cap check's Witt
+    # sum runs once per key; a refusal is never cached
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return witt_count(*args)
+
+    monkeypatch.setattr(hall, "witt_count", counted)
+    letter_profile.cache_clear()
+    for _ in range(50):
+        tensor_oracle(CyclicDecomposition((12, 6, 2)), 2)
+    assert calls == [(3, 3)]
+    for _ in range(2):
+        with pytest.raises(CapExceeded):
+            letter_profile(8, 8)
+    assert calls == [(3, 3), (8, 8), (8, 8)]
 
 
 def test_letter_profile_validation():
@@ -296,31 +315,40 @@ def test_letter_profile_validation():
 
 
 def test_cap_exceeded(monkeypatch):
-    monkeypatch.setenv("NILMULT_ENUM_CAP", "17")
+    monkeypatch.setattr(hall, "ENUM_CAP", 17)
     with pytest.raises(CapExceeded) as exc_info:
         enumerate_basic(4, 3)
     err = exc_info.value
     assert (err.weight, err.letters, err.count, err.cap) == (4, 3, 18, 17)
-    monkeypatch.setenv("NILMULT_ENUM_CAP", "18")
+    monkeypatch.setattr(hall, "ENUM_CAP", 18)
     assert enumerate_basic(4, 3)  # equal to the cap is allowed
 
 
 def test_default_cap(monkeypatch):
+    # the cap is a fixed 10**6 commutators, whatever the environment holds
     monkeypatch.delenv("NILMULT_ENUM_CAP", raising=False)
-    assert enumeration_cap() == DEFAULT_ENUM_CAP
+    assert ENUM_CAP == 10**6
+    with pytest.raises(CapExceeded) as exc_info:
+        enumerate_basic(8, 8)
+    assert (exc_info.value.count, exc_info.value.cap) == (2_096_640, 10**6)
 
 
 def test_env_var_overrides_cap(monkeypatch):
-    monkeypatch.setenv("NILMULT_ENUM_CAP", "5")
-    assert enumeration_cap() == 5
-    with pytest.raises(CapExceeded):
-        enumerate_basic(4, 3)
-    monkeypatch.setenv("NILMULT_ENUM_CAP", "0")
-    with pytest.raises(ValueError):
-        enumeration_cap()
-    monkeypatch.setenv("NILMULT_ENUM_CAP", "lots")
-    with pytest.raises(ValueError):
-        enumeration_cap()
+    # NILMULT_ENUM_CAP was once read on every call; now "5", "0" or "lots"
+    # overrides nothing and changes no answer
+    def answers():
+        return (enumerate_basic(4, 3), letter_profile(5, 4),
+                tensor_oracle(CyclicDecomposition((12, 6, 2)), 3))
+
+    monkeypatch.delenv("NILMULT_ENUM_CAP", raising=False)
+    expected = answers()
+    for value in ("5", "0", "lots"):
+        letter_profile.cache_clear()
+        monkeypatch.setenv("NILMULT_ENUM_CAP", value)
+        assert answers() == expected
+        with pytest.raises(CapExceeded) as exc_info:
+            enumerate_basic(8, 8)
+        assert exc_info.value.cap == 10**6
 
 
 def test_validation():

@@ -109,10 +109,10 @@ def test_oracle_ignores_trivial_factors():
     assert with_ones.summands == without.summands == ((6, 1), (2, 2))
 
 
-def test_oracle_propagates_the_cap(monkeypatch):
-    monkeypatch.setenv("NILMULT_ENUM_CAP", "5")
+def test_oracle_propagates_the_cap():
+    # 2,096,640 basic commutators of weight 8 on 8 letters
     with pytest.raises(CapExceeded):
-        tensor_oracle(CyclicDecomposition((2, 2, 2)), 2)
+        tensor_oracle(CyclicDecomposition((2,) * 8), 7)
 
 
 def per_mask_oracle(decomposition, nilpotency_class):
