@@ -12,6 +12,11 @@ error messages are all rendered from that table.  A flag may be spelled in
 full, by a unique prefix (``--gr``), and with ``=`` (``--group=12,6,2``);
 the rules are argparse's (Python 3.11), which the module does not import.
 
+``compute`` writes its whole output in one pass from the result's digits.
+Its ``--format json`` line has the bytes ``json.dumps(record,
+ensure_ascii=False)`` would give for the record, and is written directly:
+the module does not import ``json``.
+
 Exit codes: 0 success (``-h``/``--help`` included), 1 bad input (including a
 command line the table refuses, a group spec above ``MAX_FACTORS`` factors,
 a result above ``MAX_RESULT_BITS`` and a sweep above ``MAX_SWEEP_CASES`` or
@@ -22,7 +27,6 @@ exceeded.  ``main`` returns the code; it does not raise ``SystemExit``.
 from __future__ import annotations
 
 import functools
-import json
 import re
 import sys
 from collections import Counter
@@ -193,100 +197,84 @@ def check_result_size(weight: int, letters: int) -> None:
         )
 
 
-def _summand_records(result: MultiplierResult) -> list[dict]:
-    """The summands with each order and multiplicity rendered to decimal, once."""
-    return [
-        {"order": order, "multiplicity": mult} for order, mult in summand_digits(result)
-    ]
-
-
-def _direct_sum(summands: list[dict]) -> str:
-    """Rendered summands as a direct sum, e.g. "Z6 (+) Z2^(2)"."""
-    if not summands:
+def _direct_sum(digits: list[tuple[str, str]]) -> str:
+    """Summands' (order, multiplicity) digits as a direct sum, e.g. "Z6 (+) Z2^(2)"."""
+    if not digits:
         return "trivial"
     return " (+) ".join(
-        f"Z{s['order']}" if s["multiplicity"] == "1"
-        else f"Z{s['order']}^({s['multiplicity']})"
-        for s in summands
+        f"Z{order}" if mult == "1" else f"Z{order}^({mult})" for order, mult in digits
     )
 
 
-def _output_record(
+_JSON_VERIFIED = {None: "null", True: "true", False: "false"}
+
+
+def _compute_output(
     decomposition: CyclicDecomposition,
     chain: InvariantFactors,
     nilpotency_class: int,
     method: str,
+    fmt: str,
     result: MultiplierResult,
     verified: bool | None,
-) -> dict:
-    """Everything a query prints, built before anything is printed.
+) -> str:
+    """The whole stdout of a ``compute`` query, written in one pass.
 
-    ``input`` holds the parsed orders, which are at most ``MAX_ORDER``.  Chain
-    entries, summand orders and multiplicities are decimal strings, from
-    ``decimal_str`` or ``summand_digits``: a chain entry can be the lcm of
-    hundreds of orders.
+    Each integer is rendered once, in this order: the summands (by
+    ``summand_digits``), the chain entries (by ``decimal_str``; an entry can
+    be the lcm of hundreds of orders), then the order (``multiplier_order``).
+    ``str`` writes only the input orders, which are at most ``MAX_ORDER``,
+    and the class, which ``int()`` read, so the interpreter's int-to-str
+    digit limit never refuses a result.
+
+    For ``json`` the line is the one ``json.dumps(record, ensure_ascii=False)``
+    would write for the record: chain entries and summand orders as numbers,
+    multiplicities and the order as decimal strings.  It is written directly:
+    no string in it needs an escape, since each holds only digits, "^",
+    " · " or a ``--method`` choice.
     """
-    summands = _summand_records(result)
-    order = multiplier_order(result)
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "input": list(decomposition.orders),
-        "canonical": [decimal_str(n) for n in chain.chain],
-        "class": nilpotency_class,
-        "method": method,
-        "summands": summands,
-        "order_factored": " · ".join(
-            f"{s['order']}^{s['multiplicity']}" for s in summands
-        ),
-        "order_decimal": decimal_str(order) if order is not None else None,
-        "verified": verified,
-    }
-
-
-def _json_line(record: dict) -> str:
-    """The record as ``json.dumps(record, ensure_ascii=False)`` would write it.
-
-    Chain entries and summand orders are JSON numbers written from their
-    rendered digits, spliced in where ``json.dumps`` wrote a placeholder:
-    it would format them with int's repr, which the interpreter's int-to-str
-    digit limit can refuse.  No other field can hold a NUL character.
-    """
-    canonical = f"[{', '.join(record['canonical'])}]"
-    summands = "[" + ", ".join(
-        f'{{"order": {s["order"]}, "multiplicity": "{s["multiplicity"]}"}}'
-        for s in record["summands"]
-    ) + "]"
-    text = json.dumps(
-        {**record, "canonical": "\0canonical", "summands": "\0summands"},
-        ensure_ascii=False,
-    )
-    return (text.replace('"\\u0000canonical"', canonical, 1)
-            .replace('"\\u0000summands"', summands, 1))
-
-
-def _print_record(record: dict, fmt: str) -> None:
+    digits = summand_digits(result)
+    canonical = [decimal_str(n) for n in chain.chain]
+    total = multiplier_order(result)
+    order_decimal = None if total is None else decimal_str(total)
+    factored = " · ".join([f"{order}^{mult}" for order, mult in digits])
     if fmt == "json":
-        print(_json_line(record))
-        return
-    print(f"input: {','.join(str(r) for r in record['input'])}")
-    print(f"canonical: {','.join(record['canonical'])}")
-    print(f"class: {record['class']}")
-    print(f"method: {record['method']}")
-    print(f"multiplier: {_direct_sum(record['summands'])}")
-    if record["order_decimal"] is not None and record["order_factored"]:
-        print(f"order: {record['order_decimal']} = {record['order_factored']}")
-    elif record["order_factored"]:
-        print(f"order: {record['order_factored']}")
+        summands = ", ".join([
+            f'{{"order": {order}, "multiplicity": "{mult}"}}' for order, mult in digits
+        ])
+        order_field = "null" if order_decimal is None else f'"{order_decimal}"'
+        return (
+            f'{{"schema_version": "{SCHEMA_VERSION}", '
+            f'"input": {list(decomposition.orders)}, '
+            f'"canonical": [{", ".join(canonical)}], '
+            f'"class": {nilpotency_class}, "method": "{method}", '
+            f'"summands": [{summands}], "order_factored": "{factored}", '
+            f'"order_decimal": {order_field}, "verified": {_JSON_VERIFIED[verified]}}}\n'
+        )
+    if not digits:
+        order_text = "1"
+    elif order_decimal is None:
+        order_text = factored
     else:
-        print("order: 1")
-    if record["verified"] is not None:
-        print(f"verified: {'equal' if record['verified'] else 'MISMATCH'}")
+        order_text = f"{order_decimal} = {factored}"
+    verdict = "" if verified is None else (
+        f"verified: {'equal' if verified else 'MISMATCH'}\n"
+    )
+    return (
+        f"input: {','.join(map(str, decomposition.orders))}\n"
+        f"canonical: {','.join(canonical)}\n"
+        f"class: {nilpotency_class}\n"
+        f"method: {method}\n"
+        f"multiplier: {_direct_sum(digits)}\n"
+        f"order: {order_text}\n"
+        f"{verdict}"
+    )
 
 
 def _mismatch(report: VerificationReport) -> str:
     return (
-        f"formula={_direct_sum(_summand_records(report.formula))} "
-        f"oracle={_direct_sum(_summand_records(report.oracle))}"
+        f"formula={_direct_sum(summand_digits(report.formula))} "
+        f"oracle={_direct_sum(summand_digits(report.oracle))}"
     )
 
 
@@ -311,10 +299,9 @@ def cmd_compute(args: SimpleNamespace) -> int:
     except CapExceeded as exc:
         print(f"error: {exc}; rerun with --method formula", file=sys.stderr)
         return EXIT_CAP
-    record = _output_record(
-        decomposition, chain, args.class_c, args.method, result, verified
-    )
-    _print_record(record, args.format)
+    sys.stdout.write(_compute_output(
+        decomposition, chain, args.class_c, args.method, args.format, result, verified
+    ))
     return EXIT_OK if verified is not False else EXIT_MISMATCH
 
 

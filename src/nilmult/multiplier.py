@@ -46,6 +46,7 @@ from .witt import b_sequence, decimal_counts, exact_context, witt_count
 # beyond it, callers fall back to the factored form.
 DIGIT_LIMIT = 10**4
 _DECIMAL_BOUND = 10**DIGIT_LIMIT  # the least integer with DIGIT_LIMIT + 1 digits
+_DECIMAL_BOUND_BITS = _DECIMAL_BOUND.bit_length()  # 2**this > _DECIMAL_BOUND
 
 
 # decimal_str's three methods, chosen by bit length.  2048 bits is at most
@@ -332,10 +333,13 @@ def multiplier_order(result: MultiplierResult) -> int | None:
     >>> multiplier_order(nilpotent_multiplier(InvariantFactors((12, 6, 2)), 1))
     24
     """
-    # bit_length overestimates log2 by at most a factor of two for n >= 2, so
-    # anything within the digit limit lands under this bound.
-    bits_upper = sum(mult * order.bit_length() for order, mult in result.summands)
-    if bits_upper > 8 * DIGIT_LIMIT:
+    # An order n is at least 2**(n.bit_length() - 1), so the order of the
+    # multiplier is at least 2**floor_bits: at _DECIMAL_BOUND_BITS or more it
+    # is above the bound, and nothing is multiplied.  Below it, every order is
+    # at least 2 and so adds at least its multiplicity to floor_bits, and the
+    # product has fewer than 2 * _DECIMAL_BOUND_BITS bits.
+    floor_bits = sum(mult * (order.bit_length() - 1) for order, mult in result.summands)
+    if floor_bits >= _DECIMAL_BOUND_BITS:
         return None
     value = 1
     for order, mult in result.summands:

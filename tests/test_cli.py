@@ -15,7 +15,7 @@ import threading
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nilmult import abelian, cli, hall, multiplier, witt
@@ -35,7 +35,12 @@ from nilmult.cli import (
     parse_group_spec,
     sweep_size,
 )
-from nilmult.multiplier import MultiplierResult, decimal_str, nilpotent_multiplier
+from nilmult.multiplier import (
+    MultiplierResult,
+    decimal_str,
+    multiplier_order,
+    nilpotent_multiplier,
+)
 from nilmult.witt import witt_count
 from test_acceptance import invariant_chains as recursive_invariant_chains
 
@@ -442,6 +447,113 @@ def test_equivalent_spellings_give_identical_records(capsys):
     assert outputs[0] == outputs[1] == outputs[2]
 
 
+def record_line(decomposition, chain, nilpotency_class, method, result, verified):
+    """The JSON line of a compute query, as ``json.dumps`` writes its record dict.
+
+    The reference for the line the CLI writes directly; it needs the
+    int-to-str digit limit lifted.
+    """
+    summands = [{"order": order, "multiplicity": str(mult)} for order, mult in result.summands]
+    total = multiplier_order(result)
+    record = {
+        "schema_version": "1",
+        "input": list(decomposition.orders),
+        "canonical": list(chain.chain),
+        "class": nilpotency_class,
+        "method": method,
+        "summands": summands,
+        "order_factored": " · ".join(f"{s['order']}^{s['multiplicity']}" for s in summands),
+        "order_decimal": None if total is None else str(total),
+        "verified": verified,
+    }
+    return json.dumps(record, ensure_ascii=False) + "\n"
+
+
+@st.composite
+def divisibility_chains(draw, strict):
+    """Chains n_1, n_2 | n_1, ... of 0-4 entries >= 2, up to about 2**3000."""
+    ratios = draw(st.lists(st.integers(2 if strict else 1, 2**1000), max_size=3))
+    chain = [draw(st.integers(2, 2**100))] if ratios or draw(st.booleans()) else []
+    for ratio in ratios:
+        chain.append(chain[-1] * ratio)
+    return tuple(reversed(chain))
+
+
+@st.composite
+def compute_outcomes(draw):
+    """(decomposition, chain, class, method, result, verified) of a compute query.
+
+    The fields are drawn independently, as the writer takes them.  A result
+    is empty, has summands with multiplicities of up to 40,000 bits, or is
+    the formula's on the drawn chain; at the large classes its
+    multiplicities pass 30,000 bits and their digits come from exact decimal.
+    """
+    orders = draw(st.lists(st.integers(1, abelian.MAX_ORDER), min_size=1, max_size=5))
+    chain = InvariantFactors(draw(divisibility_chains(strict=False)))
+    nilpotency_class = draw(st.sampled_from([1, 2, 3, 12_000, 31_000]))
+    source = draw(st.sampled_from(["empty", "summands", "formula"]))
+    if source == "empty":
+        result = MultiplierResult(())
+    elif source == "summands":
+        orders_out = draw(divisibility_chains(strict=True))
+        mults = [draw(st.integers(1, 2**40_000)) for _ in orders_out]
+        result = MultiplierResult(tuple(zip(orders_out, mults)))
+    else:
+        result = nilpotent_multiplier(chain, nilpotency_class)
+    method = draw(st.sampled_from(["formula", "oracle", "both"]))
+    verified = draw(st.sampled_from([None, True, False]))
+    return CyclicDecomposition(tuple(orders)), chain, nilpotency_class, method, result, verified
+
+
+@given(compute_outcomes())
+@example((CyclicDecomposition((9,)), InvariantFactors((9,)), 2, "formula",
+          MultiplierResult(()), None))
+@example((CyclicDecomposition((2, 2)), InvariantFactors((2, 2)), 40, "oracle",
+          MultiplierResult(((2, 53634713550),)), None))
+@example((CyclicDecomposition((12, 6, 2)), InvariantFactors((12, 6, 2)), 1, "both",
+          MultiplierResult(((6, 1), (2, 2))), True))
+@example((CyclicDecomposition((12, 6, 2)), InvariantFactors((12, 6, 2)), 1, "both",
+          MultiplierResult(((6, 1), (2, 2))), False))
+@example((CyclicDecomposition((12, 12, 6, 6, 2, 2)), InvariantFactors((12, 12, 6, 6, 2, 2)),
+          100_000, "formula", nilpotent_multiplier(InvariantFactors((12, 12, 6, 6, 2, 2)),
+                                                   100_000), None))
+@settings(deadline=None, max_examples=60)
+def test_json_line_is_the_record_json_dumps_writes(outcome):
+    decomposition, chain, nilpotency_class, method, result, verified = outcome
+    original_limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        expected = record_line(*outcome)
+        sys.set_int_max_str_digits(640)
+        line = cli._compute_output(decomposition, chain, nilpotency_class, method, "json",
+                                   result, verified)
+    finally:
+        sys.set_int_max_str_digits(original_limit)
+    assert line == expected
+
+
+@pytest.mark.parametrize(
+    "fmt, digest",
+    [
+        ("text", "e5af055f50482dd5dfaa4be8a75e9c61cdaac45e9f8c3316a571f38305468f7d"),
+        ("json", "139166aea9d7be29fdca2fb91408b3cde7d5858f0878bd5dad18076373f7aa95"),
+    ],
+)
+def test_compute_output_is_pinned(capsys, fmt, digest):
+    # the output of oracle-sweep's query set, byte for byte: --method both on
+    # every chain with entries <= 16 and rank <= 4, at classes 1-4
+    outputs = []
+    for chain in invariant_chains(16, 4):
+        group = ",".join(map(str, chain)) or "1"
+        for c in range(1, 5):
+            code, out, err = run(capsys, "compute", "--group", group, "--class", str(c),
+                                 "--method", "both", "--format", fmt)
+            assert (code, err) == (0, "")
+            outputs.append(out)
+    assert len(outputs) == 816
+    assert hashlib.sha256("".join(outputs).encode()).hexdigest() == digest
+
+
 def test_compute_oracle_method(capsys):
     code, out, _ = run(
         capsys, "compute", "--group", "8,4", "--class", "3", "--method", "oracle"
@@ -544,6 +656,14 @@ def test_cli_import_does_not_load_decimal():
     # decimal_str imports decimal only for huge values, keeping CLI start-up lean
     src = os.path.dirname(os.path.dirname(multiplier.__file__))
     probe = "import nilmult.cli, sys; assert 'decimal' not in sys.modules"
+    subprocess.run([sys.executable, "-c", probe], check=True,
+                   env={**os.environ, "PYTHONPATH": src})
+
+
+def test_cli_import_does_not_load_json():
+    # compute writes its JSON line directly
+    src = os.path.dirname(os.path.dirname(multiplier.__file__))
+    probe = "import nilmult.cli, sys; assert 'json' not in sys.modules"
     subprocess.run([sys.executable, "-c", probe], check=True,
                    env={**os.environ, "PYTHONPATH": src})
 

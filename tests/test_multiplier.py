@@ -242,6 +242,64 @@ def test_order_decimal_boundary():
     assert multiplier_order(MultiplierResult(((2, 33220),))) is None
 
 
+def reference_multiplier_order(result):
+    """The order multiplied out whenever an upper bound on its bits allows."""
+    bits_upper = sum(mult * order.bit_length() for order, mult in result.summands)
+    if bits_upper > 8 * multiplier.DIGIT_LIMIT:
+        return None
+    value = 1
+    for order, mult in result.summands:
+        value *= order**mult
+    return value if value < 10**multiplier.DIGIT_LIMIT else None
+
+
+@st.composite
+def multiplier_results(draw, near_the_limit):
+    """Results of up to four summands, some with orders of about ``DIGIT_LIMIT`` digits.
+
+    Near the limit, the smallest order's multiplicity brings the order to
+    ``DIGIT_LIMIT`` digits, then moves by up to 3; elsewhere multiplicities
+    go up to 10**6.  Powers of two, whose lower bound 2**(bit_length - 1) is
+    exact, are drawn as often as other orders.
+    """
+    entries = st.one_of(st.integers(2, 10**6), st.integers(1, 40).map(lambda k: 2**k))
+    chain = [draw(entries)]
+    for _ in range(draw(st.integers(0, 3))):
+        chain.append(chain[-1] * draw(entries))
+    chain.reverse()
+    if not near_the_limit:
+        mults = [draw(st.integers(1, 10**6)) for _ in chain]
+        return MultiplierResult(tuple(zip(chain, mults)))
+    mults = [draw(st.integers(1, 3000)) for _ in chain[1:]]
+    digits = sum(mult * math.log10(order) for order, mult in zip(chain, mults))
+    last = round((multiplier.DIGIT_LIMIT - digits) / math.log10(chain[-1]))
+    mults.append(max(1, last + draw(st.integers(-3, 3))))
+    return MultiplierResult(tuple(zip(chain, mults)))
+
+
+@pytest.mark.parametrize(
+    "summands, exact",
+    [
+        (((8, 11073),), True),  # 2**33219 < 10**10**4 < 2**33220
+        (((16, 8305),), False),  # 2**33220, refused by its lower bound alone
+        (((12, 1), (4, 16608)), False),  # 3 * 2**33218: multiplied, then refused
+        (((6, 1), (2, 33216)), True),  # 3 * 2**33217
+        ((), True),
+    ],
+)
+def test_multiplier_order_at_the_digit_limit(summands, exact):
+    result = MultiplierResult(summands)
+    expected = reference_multiplier_order(result)
+    assert (expected is not None) == exact
+    assert multiplier_order(result) == expected
+
+
+@given(st.one_of(multiplier_results(near_the_limit=True), multiplier_results(near_the_limit=False)))
+@settings(deadline=None, max_examples=300)
+def test_multiplier_order_matches_the_multiplying_reference(result):
+    assert multiplier_order(result) == reference_multiplier_order(result)
+
+
 def test_decimal_str_handles_huge_values():
     # decimal_str must equal str() on every method it picks, under any limit
     values = [0, 1, -1, 2**200_000]
