@@ -6,13 +6,14 @@ totally ordered (lower weight first), the weight-n members are exactly the
 brackets [u, v] with u, v basic, weight(u) + weight(v) = n, u > v, and, when
 u = [u1, u2], also v >= u2.
 
-Within one weight the order is structural: a bracket comes before a letter,
+Within one weight the order is structural: nodes go by their keys in Python's
+tuple order, the key of the letter x_(i+1) being (1, i) and that of the
+bracket [u, v] being (0, key(u), key(v)).  So a bracket comes before a letter,
 letters go by index, and two brackets compare by their left parts, then by
-their right parts, each in the same structural order.  This equals the
-lexicographic order of the rendered strings with embedded letter numbers
-compared numerically (so x_2 < x_10 on wide alphabets).  Any fixed refinement
-of the weight order yields the same counts; this one is pinned for
-reproducible output.
+their right parts.  This equals the lexicographic order of the rendered
+strings with embedded letter numbers compared numerically (so x_2 < x_10 on
+wide alphabets).  Any fixed refinement of the weight order yields the same
+counts; this one is pinned for reproducible output.
 
 The count of basic commutators whose letters are exactly a given set does not
 depend on that order either (Hall 1950), and permuting the letters is such a
@@ -112,33 +113,28 @@ def _ranges(weight: int, right: list[int], level_start: list[int]):
             yield u, max(first, right[u]), min(end, u)
 
 
-def _levels(weight: int, letters: int) -> tuple[list[int], ...]:
+def _levels(weight: int, letters: int) -> tuple[list, ...]:
     """Node ids of the letters and of the Hall levels of weight 2..weight - 1.
 
-    Node n < letters is x_(n+1), else [left[n], right[n]].  Each level is in
-    the within-weight order, so id order is the Hall order; level_start[w - 1]
-    is the first id of weight w.  rank[n] is n's place in the structural order
-    of all nodes: brackets by (rank of left, rank of right), then the letters.
+    Node n < letters is x_(n+1), else [left[n], right[n]].  keys[n] is n's
+    structural key: (1, n) for a letter, (0, keys[left[n]], keys[right[n]])
+    for a bracket.  Each level is sorted by key, so id order is the Hall
+    order; level_start[w - 1] is the first id of weight w.
     """
     left = [-1] * letters
     right = [-1] * letters
     level_start = [0, letters]
-    rank = list(range(letters))
-    brackets: list[int] = []
+    keys = [(1, i) for i in range(letters)]
     for w in range(2, weight):
-        # each v range lies in one level, already in order, so sorting the
-        # left parts by rank sorts the pairs by (rank of u, rank of v)
-        for u, low, high in sorted(_ranges(w, right, level_start), key=lambda r: rank[r[0]]):
+        # each v range lies in one level, already in key order, so sorting
+        # the left parts by key sorts the pairs by (key of u, key of v)
+        for u, low, high in sorted(_ranges(w, right, level_start), key=lambda r: keys[r[0]]):
             left.extend([u] * (high - low))
             right.extend(range(low, high))
-        brackets.extend(range(level_start[-1], len(left)))
+        first = level_start[-1]
+        keys.extend([(0, keys[u], keys[v]) for u, v in zip(left[first:], right[first:])])
         level_start.append(len(left))
-        # old keys keep their relative order, so sorting on them merges
-        brackets.sort(key=lambda n: (rank[left[n]], rank[right[n]]))
-        rank = [0] * len(left)
-        for i, n in enumerate([*brackets, *range(letters)]):
-            rank[n] = i
-    return left, right, level_start, rank
+    return left, right, level_start, keys
 
 
 def enumerate_basic(weight: int, letters: int) -> list[str]:
@@ -153,12 +149,12 @@ def enumerate_basic(weight: int, letters: int) -> list[str]:
     """
     if not check_cap(weight, letters):
         return []  # fewer than two letters above weight 1, or none at all
-    left, right, level_start, rank = _levels(weight, letters)
+    left, right, level_start, keys = _levels(weight, letters)
     rendered = [f"x{i}" for i in range(1, letters + 1)]
     for u, v in zip(left[letters:], right[letters:]):
         rendered.append(f"[{rendered[u]},{rendered[v]}]")
     return rendered if weight == 1 else [
         f"[{rendered[u]},{rendered[v]}]"
-        for u, low, high in sorted(_ranges(weight, right, level_start), key=lambda r: rank[r[0]])
+        for u, low, high in sorted(_ranges(weight, right, level_start), key=lambda r: keys[r[0]])
         for v in range(low, high)
     ]

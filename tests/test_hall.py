@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import math
 import re
 import time
@@ -162,6 +163,57 @@ def test_wide_alphabets_order_letters_numerically():
     assert pairs == [
         f"[x{j},x{i}]" for j in range(2, 12) for i in range(1, j)
     ]
+
+
+def _levels_rendered(weight, letters):
+    """Every level `_levels` builds, then the top level, each as strings in id order."""
+    left, right, level_start, _ = hall._levels(weight, letters)
+    rendered = [f"x{i}" for i in range(1, letters + 1)]
+    for u, v in zip(left[letters:], right[letters:]):
+        rendered.append(f"[{rendered[u]},{rendered[v]}]")
+    levels = [rendered[a:b] for a, b in zip(level_start, level_start[1:])]
+    return levels + [enumerate_basic(weight, letters)]
+
+
+@pytest.mark.parametrize("weight, letters", [(6, 4), (5, 11), (4, 12)])
+def test_every_level_follows_the_pinned_order(weight, letters):
+    # lower levels too, and two-digit letters inside brackets of weight >= 3
+    levels = _levels_rendered(weight, letters)
+    assert [len(level) for level in levels] == [
+        witt_count(w, letters) for w in range(1, weight + 1)
+    ]
+    for level in levels:
+        assert level == sorted(level, key=lambda r: _key(_as_tuple_tree(r)))
+
+
+def _basis_text(weight, letters):
+    return "\n".join(enumerate_basic(weight, letters)) + "\n"
+
+
+def test_every_admitted_basis_is_pinned():
+    # byte for byte, every basis under the cap with weight <= 8 on <= 8 letters
+    digest = hashlib.sha256()
+    cases = 0
+    for w in range(1, 9):
+        for t in range(0, 9):
+            if witt_count(w, t) <= ENUM_CAP:
+                digest.update(_basis_text(w, t).encode())
+                cases += 1
+    assert cases == 71
+    assert digest.hexdigest() == (
+        "5a67db5c6a45bf241f7997fccb4c18d25a1f1c8eddf6fb094b4cce9d1d09e78e"
+    )
+
+
+@pytest.mark.parametrize(
+    "weight, letters, digest",
+    [
+        (4, 12, "814bb060932e34f94e98a3b0b680e54106e8fe17dc4afd8068c54d1a3fc19ad1"),
+        (5, 11, "b81c11a57896fc2e3ecf885e579c24dbcf44ee96dd04fff73dc91f05e750f4b0"),
+    ],
+)
+def test_two_digit_letter_bases_are_pinned(weight, letters, digest):
+    assert hashlib.sha256(_basis_text(weight, letters).encode()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------
