@@ -8,10 +8,11 @@ commutators of weight c+1 on i letters.
 ``tensor_oracle`` recomputes the same group from first principles: each
 basic commutator of weight c+1 on the given cyclic factors contributes the
 cyclic group of order gcd(orders of its letters).  It takes the number of
-commutators per letter set from the counted ``hall.letter_profile``, folds
-one gcd per set, and canonicalizes the accumulated multiset with the
-run-length primary core ``abelian.compressed_invariant_form``, so
-multiplicities are never expanded.
+commutators per letter set from the counted ``hall.letter_profile``, counts
+the letter sets of each size by their gcd with one fold over the distinct
+orders and their copy counts, and canonicalizes the accumulated multiset
+with the run-length primary core ``abelian.compressed_invariant_form``, so
+neither letter sets nor multiplicities are ever expanded.
 That core refines the distinct gcds into a pairwise coprime base by repeated
 gcds, so the oracle factors no integer into primes.
 ``verify`` canonicalizes the input once, runs both and compares.  A result's
@@ -27,10 +28,8 @@ and each multiplicity is checked against its int twin.
 from __future__ import annotations
 
 import functools
-import itertools
-import math
-from collections import Counter
 from dataclasses import dataclass, field
+from math import comb, gcd
 
 from .abelian import (
     CyclicDecomposition,
@@ -305,25 +304,44 @@ def tensor_oracle(
     A factor of order 1 makes every such gcd 1, so those factors are dropped
     first and are not letters.
     Every k-letter set carries the same number of commutators, entry k - 1
-    of ``letter_profile``, so the gcd of each set with a nonzero entry is
-    taken once and weighted by it: no more sets than commutators.  Raises
+    of ``letter_profile``, so only the number of k-letter sets of each gcd
+    is needed.  A set's gcd depends only on the distinct orders it uses, so
+    those numbers are folded over the distinct orders, one at a time: j of
+    the c copies of n, in C(c, j) ways, joined to a (k - j)-set of gcd g from
+    the orders before n, make a k-set of gcd gcd(g, n).  A gcd of 1 stays 1
+    and is dropped.
+    The work follows the distinct orders and their gcds, not the letters:
+    ``Z2^999`` at class 1 is one order and one gcd per set size.  Raises
     ``CapExceeded`` when the enumeration would be too large, in which case
     ``nilpotent_multiplier`` is the way to go.
     """
     if nilpotency_class < 1:
         raise ValueError(f"nilpotency class must be >= 1, got {nilpotency_class}")
-    orders = [n for n in decomposition.orders if n > 1]
-    if not orders:
+    copies: dict[int, int] = {}
+    for n in decomposition.orders:
+        if n > 1:
+            copies[n] = copies.get(n, 0) + 1
+    if not copies:
         return MultiplierResult(())
-    profile = letter_profile(nilpotency_class + 1, len(orders))
-    occurring: Counter[int] = Counter()
-    for size, per_set in enumerate(profile, start=1):
-        if not per_set:
-            continue
-        sets = Counter(itertools.starmap(math.gcd, itertools.combinations(orders, size)))
-        for g, count in sets.items():
-            if g > 1:
-                occurring[g] += count * per_set
+    profile = letter_profile(nilpotency_class + 1, sum(copies.values()))
+    # sets[k][g]: how many k-letter sets of the orders folded so far have gcd
+    # g > 1; the empty set has gcd 0, since gcd(0, n) = n
+    sets: list[dict[int, int]] = [{0: 1}] + [{} for _ in profile]
+    for n, c in copies.items():
+        # from the top down, so that sets[k - j] holds no copy of n yet
+        for k in range(len(profile), 0, -1):
+            level = sets[k]
+            for j in range(1, min(c, k) + 1):
+                weight = comb(c, j)  # the ways to pick j of the c copies of n
+                for g, count in sets[k - j].items():
+                    g = gcd(g, n)
+                    if g > 1:
+                        level[g] = level.get(g, 0) + weight * count
+    occurring: dict[int, int] = {}
+    for per_set, by_gcd in zip(profile, sets[1:]):
+        if per_set:
+            for g, count in by_gcd.items():
+                occurring[g] = occurring.get(g, 0) + count * per_set
     return MultiplierResult(compressed_invariant_form(occurring))
 
 

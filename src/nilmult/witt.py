@@ -17,6 +17,11 @@ q^e is (q^(e/2))^2 when e/2 was the previous exponent.  At weight 100000 on
 6 letters, the int powers of 2, 4 and 6 then cost a shift, and every other
 power of the top exponent one squaring.
 
+``b_sequence`` keeps each small table b_1..b_k in a bounded per-process
+cache, keyed by (weight, k), so the formula makes it once for all the queries
+of one shape; a table of more than ``_TABLE_MEMO_BITS`` by its estimate is
+made on every call and not kept.
+
 ``decimal_counts`` evaluates the same terms and the same checked sums, with
 the same routine, in exact ``decimal.Decimal`` arithmetic, inside
 ``exact_context()``.  str() of a Decimal integer is its digits, so a count is
@@ -157,11 +162,22 @@ def witt_count(weight: int, letters: int) -> int:
     return _witt_sums(weight, (letters,))[0]
 
 
+# b_sequence keeps a table only if its counts take at most this many bits by
+# the estimate rank * weight * bit_length(rank - 1): the small (class, rank)
+# shapes that sweeps and `--method both` queries repeat, on at most 73
+# letters, so that 256 kept tables hold under a megabyte.  A deep table, such
+# as class 1000 on rank 2 (2002 bits), is made again on every call.
+_TABLE_MEMO_BITS = 1024
+
+
 def b_sequence(nilpotency_class: int, rank: int) -> tuple[int, ...]:
     """The counts b_i = witt_count(class + 1, i) for i = 1..rank.
 
     The weight is factored once and the powers are shared across letters;
-    each count keeps its own divisibility check.
+    each count keeps its own divisibility check.  A small table, of at most
+    ``_TABLE_MEMO_BITS`` by its estimate, is made once per process for each
+    (weight, rank) and kept in a bounded cache; a larger one is made on
+    every call and not kept.
 
     >>> b_sequence(1, 4)
     (0, 1, 3, 6)
@@ -170,7 +186,19 @@ def b_sequence(nilpotency_class: int, rank: int) -> tuple[int, ...]:
         raise ValueError(f"nilpotency class must be >= 1, got {nilpotency_class}")
     if rank < 1:
         raise ValueError(f"rank must be >= 1, got {rank}")
-    return tuple(_witt_sums(nilpotency_class + 1, range(1, rank + 1)))
+    weight = nilpotency_class + 1
+    # b_i < i**weight <= 2**(weight * bit_length(rank - 1)) for i <= rank
+    if rank * weight * (rank - 1).bit_length() <= _TABLE_MEMO_BITS:
+        return _small_table(weight, rank)
+    return _table(weight, rank)
+
+
+def _table(weight: int, rank: int) -> tuple[int, ...]:
+    return tuple(_witt_sums(weight, range(1, rank + 1)))
+
+
+# Bounded and thread-safe, like hall.letter_profile.
+_small_table = functools.lru_cache(maxsize=256)(_table)
 
 
 def exact_context():

@@ -1,4 +1,5 @@
 import decimal
+import itertools
 import math
 import random
 import re
@@ -7,7 +8,7 @@ import time
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nilmult.abelian import (
@@ -16,7 +17,7 @@ from nilmult.abelian import (
     canonicalize,
     compressed_invariant_form,
 )
-from nilmult.hall import CapExceeded, enumerate_basic
+from nilmult.hall import CapExceeded, enumerate_basic, letter_profile
 from nilmult import multiplier
 from nilmult.multiplier import (
     _EXACT_DECIMAL_BITS,
@@ -135,11 +136,55 @@ def per_mask_oracle(decomposition, nilpotency_class):
     return MultiplierResult(compressed_invariant_form(occurring))
 
 
-@given(st.lists(st.integers(1, 60), max_size=6), st.integers(1, 4))
+def letter_set_oracle(decomposition, nilpotency_class):
+    """The oracle folded over every letter set of each size, one gcd per set."""
+    orders = [n for n in decomposition.orders if n > 1]
+    if not orders:
+        return MultiplierResult(())
+    profile = letter_profile(nilpotency_class + 1, len(orders))
+    occurring = Counter()
+    for size, per_set in enumerate(profile, start=1):
+        if per_set:
+            for letters in itertools.combinations(orders, size):
+                g = math.gcd(*letters)
+                if g > 1:
+                    occurring[g] += per_set
+    return MultiplierResult(compressed_invariant_form(occurring))
+
+
+@st.composite
+def repeated_orders(draw, max_size):
+    """Orders drawn from a pool of at most three, 1 among them often, so copies repeat."""
+    pool = draw(st.lists(st.integers(1, 60) | st.just(1), min_size=1, max_size=3))
+    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=max_size))
+
+
+@given(st.lists(st.integers(1, 60), max_size=6) | repeated_orders(8), st.integers(1, 4))
 @settings(deadline=None)
 def test_oracle_matches_the_per_mask_fold(orders, c):
     d = CyclicDecomposition(tuple(orders))
     assert tensor_oracle(d, c) == per_mask_oracle(d, c)
+
+
+@given(
+    st.lists(st.integers(1, 10**6) | st.sampled_from([1, 2, 6, 12, 30, 210]), max_size=40)
+    | repeated_orders(40),
+    st.integers(1, 2),
+)
+@example([2 * 3 ** (k % 10) * 999983 ** (k % 2) for k in range(20)] * 2, 2)  # 40 letters, 20 orders
+@example([6 * k for k in range(1, 41)], 2)  # 40 distinct orders
+@example([1, 4, 4, 4, 4, 4, 6, 6, 6, 6, 6, 6, 6, 9, 9, 9, 9, 9, 9, 9, 9], 2)
+@settings(deadline=None)
+def test_oracle_matches_the_letter_set_fold(orders, c):
+    d = CyclicDecomposition(tuple(orders))
+    assert tensor_oracle(d, c) == letter_set_oracle(d, c)
+
+
+def test_oracle_folds_copies_not_letters():
+    # 498,501 pairs of letters, each of gcd 2, and one distinct order
+    d = CyclicDecomposition((2,) * 999)
+    assert tensor_oracle(d, 1) == nilpotent_multiplier(canonicalize(d), 1)
+    assert tensor_oracle(d, 1).summands == ((2, 999 * 998 // 2),)
 
 
 def primes_from(start, count):

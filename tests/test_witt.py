@@ -5,8 +5,10 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from nilmult import witt
+from nilmult.abelian import CyclicDecomposition
 from nilmult.hall import enumerate_basic
-from nilmult.multiplier import decimal_str
+from nilmult.multiplier import decimal_str, verify
 from nilmult.witt import (
     _moebius_terms,
     b_sequence,
@@ -107,6 +109,52 @@ def test_b_sequence_table_shape(c, rank):
     assert counts[0] == 0
     assert all(a <= b for a, b in zip(counts, counts[1:]))
     assert all(counts[i] == witt_count(c + 1, i + 1) for i in range(rank))
+
+
+@pytest.fixture
+def table_calls(monkeypatch):
+    """The weights of the b tables `_witt_sums` makes, with the table cache cleared."""
+    weights = []
+    sums = witt._witt_sums
+
+    def counted(weight, letters, number=int):
+        if isinstance(letters, range):  # a b table, not a single count
+            weights.append(weight)
+        return sums(weight, letters, number)
+
+    monkeypatch.setattr(witt, "_witt_sums", counted)
+    witt._small_table.cache_clear()
+    yield weights
+    witt._small_table.cache_clear()
+
+
+def test_a_small_table_is_made_once(table_calls):
+    reports = [verify(CyclicDecomposition((12, 6, 2)), 2) for _ in range(50)]
+    assert all(report.equal for report in reports)
+    assert reports[0].formula.summands == ((6, 2), (2, 6))
+    assert table_calls == [3]
+    assert witt._small_table.cache_info().currsize == 1
+
+
+def test_a_large_table_is_made_on_every_call(table_calls):
+    # 6 * 10000 * bit_length(5) bits by the estimate, above _TABLE_MEMO_BITS
+    first, second = b_sequence(9999, 6), b_sequence(9999, 6)
+    assert first == second and first[1] == witt_count(10000, 2)
+    assert table_calls == [10000, 10000]
+    assert witt._small_table.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize(
+    "c, rank, kept",
+    [(1, 1, True), (1, 73, True), (1, 74, False), (127, 4, True), (128, 4, False),
+     (2, 40, True), (4, 4, True), (511, 2, True), (512, 2, False), (999, 2, False)],
+)
+def test_a_table_is_kept_when_its_estimate_is_within_the_bound(table_calls, c, rank, kept):
+    # rank * (c + 1) * bit_length(rank - 1) bits against _TABLE_MEMO_BITS (1024)
+    assert (rank * (c + 1) * (rank - 1).bit_length() <= witt._TABLE_MEMO_BITS) == kept
+    assert b_sequence(c, rank) == b_sequence(c, rank)
+    assert table_calls == [c + 1] * (1 if kept else 2)
+    assert witt._small_table.cache_info().currsize == kept
 
 
 @pytest.mark.parametrize(
