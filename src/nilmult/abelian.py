@@ -5,14 +5,14 @@ is normalized to its invariant-factor chain (``InvariantFactors``): the unique
 list n_1, n_2, ... with n_{i+1} | n_i and every entry >= 2.  ``canonicalize``
 is the default: one lcm/gcd pass over the counted orders, with no
 factorization.  The primary route is one run-length core,
-``compressed_invariant_form``, which the commutator oracle calls directly;
-the tests write its runs out to cross-check ``canonicalize``.  That core
-factors nothing either: it splits the distinct
-orders into a pairwise coprime base by repeated gcds, treats the base
-elements as primes, and emits the summands in one walk over the positions
-where some element's exponent drops.  A new order joins the base after one
-gcd against the product of the base; a base element that divides it stays
-and is stripped from it, and only a proper common factor splits one.
+``compressed_invariant_form``: ``_exponent_counts`` splits the distinct
+orders into a pairwise coprime base by repeated gcds and counts the exponents
+of each base element, treated as a prime, and ``_event_walk`` emits the
+summands in one walk over the positions where some element's exponent drops.
+The commutator oracle calls both steps itself; the tests write the core's
+runs out to cross-check ``canonicalize``.  A new order joins the base after
+one gcd against the product of the base; a base element that divides it
+stays and is stripped from it, and only a proper common factor splits one.
 ``trial_division`` is the one factorization loop; the Witt terms and divisor
 lists in ``nilmult.witt`` derive from it.  ``factorize`` bounds it to
 admissible orders and is kept as public API; no code in the package calls
@@ -149,18 +149,8 @@ def compressed_invariant_form(multiset: Mapping[int, int]) -> tuple[tuple[int, i
     """Invariant factors of a multiset {cyclic order: multiplicity}, run-length encoded.
 
     Returns (invariant factor, run length) pairs with strictly decreasing
-    factors.  Nothing is factored into primes: the distinct orders are refined
-    into a pairwise coprime base (``_coprime_base``), and each order is a
-    product of powers b**e of base elements.  Every prime of b then occurs in
-    that order with e times its exponent in b, so base elements stand in for
-    primes.  Per base element, a plain dict counts the multiplicity of each
-    exponent; an order that is, or is reduced to, a base element ends its scan
-    with one lookup.  Sorted from the largest down, each element's exponent
-    runs give drop events: the summand position where its exponent falls, and
-    by how much.  One walk over all events, sorted by position, emits the
-    current factor at each position and then divides it by b**drop, so
-    multiplicities stay run-length encoded throughout and are never expanded.
-    Orders need not be at most ``MAX_ORDER``.
+    factors, by ``_event_walk`` over ``_exponent_counts``; orders need not be
+    at most ``MAX_ORDER``.
 
     >>> compressed_invariant_form({2: 5, 3: 5, 4: 1})
     ((12, 1), (6, 4), (2, 1))
@@ -168,6 +158,14 @@ def compressed_invariant_form(multiset: Mapping[int, int]) -> tuple[tuple[int, i
     for order, multiplicity in multiset.items():
         if order < 2 or multiplicity < 1:
             raise ValueError(f"bad multiset entry {order}: {multiplicity}")
+    return _event_walk(_exponent_counts(multiset))
+
+
+def _exponent_counts(multiset: Mapping[int, int]) -> dict[int, dict[int, int]]:
+    """{b: {e: multiplicity of the orders with exponent e > 0 of b}}, b in a coprime base.
+
+    An order that is, or is reduced to, a base element ends its scan with one lookup.
+    """
     base = _coprime_base(multiset)
     counts: dict[int, dict[int, int]] = {b: {} for b in base}
     for order, multiplicity in multiset.items():
@@ -185,6 +183,17 @@ def compressed_invariant_form(multiset: Mapping[int, int]) -> tuple[tuple[int, i
         if order > 1:
             runs = counts[order]
             runs[1] = runs.get(1, 0) + multiplicity
+    return counts
+
+
+def _event_walk(counts: Mapping[int, Mapping[int, int]]) -> tuple[tuple[int, int], ...]:
+    """(invariant factor, run length) pairs of summands with these exponent counts.
+
+    counts[b][e] summands, possibly none, have exponent e > 0 of b, and each b
+    has some e.  Each b's exponent runs, from the largest down, drop at some
+    positions; the walk emits the current factor at each new position, then
+    divides it by b**drop.
+    """
     factor = 1
     events: list[tuple[int, int, int]] = []
     for b, runs in counts.items():
@@ -209,14 +218,13 @@ def _coprime_base(numbers: Iterable[int]) -> list[int]:
     """Pairwise coprime b >= 2 such that each of ``numbers`` is a product of powers b**e.
 
     Factor refinement (Bach, Driscoll and Shallit, J. Algorithms 15, 1993) by
-    insertion.  A pending x is tested against the product of the base with
-    one gcd; if they are coprime, x joins the base.  Otherwise the base is
-    scanned: a base element b that divides x stays, and every power of b is
-    stripped from x; once x is 1 it is dropped, and if it is coprime to the
-    whole base it joins it.  Only on a proper common factor g = gcd(b, x)
-    does b leave the base, with g, b / g and x / g pending.  Each step either
-    moves x from pending to the base, or divides the product of base and
-    pending numbers by a factor > 1 (a power of b, or g), so the loop ends.
+    insertion.  A pending x coprime to the product of the base (one gcd)
+    joins it.  Otherwise each base element b that divides x stays and is
+    stripped from x, which is dropped at 1 and joins the base once coprime
+    to all of it; on a proper common factor g = gcd(b, x), b leaves the base
+    with g, b / g and x / g pending.  Each step either moves x to the base or
+    divides the product of base and pending numbers by a factor > 1 (a power
+    of b, or g), so the loop ends.
 
     >>> sorted(_coprime_base([12, 18]))
     [2, 3]

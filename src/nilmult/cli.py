@@ -67,12 +67,11 @@ MAX_RESULT_BITS = 2**23
 MAX_SWEEP_CASES = 10**5
 
 # Most basic commutators of weight c + 1 on a sweep's chains, summed over its
-# cases: no fewer than the letter sets of two or more letters that its oracle
-# runs count by their gcds.  Those runs fold over distinct orders, so the sum
-# bounds their work loosely: a sweep just under the bound (--max-order 2
-# --max-rank 390 --max-class 1, 9.9 million pairs of letters, one distinct
-# order per chain) takes about 0.3 s (CPython 3.11, x86-64), most of it in the
-# formula's Witt tables; acceptance criterion 9 counts 2,115,960.
+# cases.  Its oracle runs count per element of a coprime base of the distinct
+# orders, so the sum bounds their work loosely: a sweep just under the bound
+# (--max-order 2 --max-rank 390 --max-class 1, 9.9 million pairs of letters,
+# one distinct order per chain) takes about 0.3 s (CPython 3.11, x86-64), most
+# of it in the formula's Witt tables; acceptance criterion 9 counts 2,115,960.
 MAX_SWEEP_COMMUTATORS = 10**7
 
 
@@ -354,11 +353,10 @@ def sweep_size(max_order: int, max_rank: int, max_class: int) -> tuple[int, int]
     and by length, and stops once the cases pass MAX_SWEEP_CASES; a list stops
     too, short of ``max_rank`` entries, once its last count passes
     MAX_SWEEP_CASES / max_class.  A case (chain, c) has
-    ``witt_count(c + 1, len(chain))`` basic commutators, no fewer than the
-    letter sets of two or more letters that its oracle counts by their gcds;
-    those counts are summed, until they pass
-    MAX_SWEEP_COMMUTATORS, only when the cases are within their bound (else
-    the second number is 0).  A count above its bound is a lower bound.
+    ``witt_count(c + 1, len(chain))`` basic commutators; those counts are
+    summed, until they pass MAX_SWEEP_COMMUTATORS, only when the cases are
+    within their bound (else the second number is 0).  A count above its
+    bound is a lower bound.
     Each count comes from ``check_cap``, so a case that the oracle would
     refuse raises ``CapExceeded`` here, before the sweep checks any case.
     """

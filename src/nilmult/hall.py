@@ -24,7 +24,8 @@ without building it, the top level of the level builder that
 
 ``enumerate_basic`` and ``letter_profile`` refuse, with ``CapExceeded``, a
 family of more than ``ENUM_CAP`` (10**6) commutators; the cap is fixed, and
-``check_cap`` is its one comparison.
+``check_cap`` is its one comparison.  A count that a bit-length bound puts
+past 2048 bits is refused before it is made.
 """
 
 from __future__ import annotations
@@ -45,21 +46,34 @@ _EXACT_COUNT_BITS = 2048
 class CapExceeded(Exception):
     """Raised when an enumeration would produce more commutators than allowed."""
 
-    def __init__(self, weight: int, letters: int, count: int, cap: int):
+    def __init__(self, weight: int, letters: int, count: int | None, cap: int, at_least: int = 0):
         self.weight = weight
         self.letters = letters
-        self.count = count
         self.cap = cap
-        bits = count.bit_length()
-        shown = str(count) if bits <= _EXACT_COUNT_BITS else f"about 2^{bits - 1}"
+        if count is not None:  # None: check_cap's bound refused it; count is made when read
+            self.count = count
+            at_least = count.bit_length() - 1
+        shown = str(count) if at_least < _EXACT_COUNT_BITS else f"at least 2^{at_least}"
         super().__init__(
             f"{shown} basic commutators of weight {weight} on {letters} letters "
             f"exceed the enumeration cap {cap}"
         )
 
+    @functools.cached_property
+    def count(self) -> int:
+        return witt_count(self.weight, self.letters)
+
 
 def check_cap(weight: int, letters: int) -> int:
-    """``witt_count(weight, letters)``, or ``CapExceeded`` if it is above ``ENUM_CAP``."""
+    """``witt_count(weight, letters)``, or ``CapExceeded`` if it is above ``ENUM_CAP``.
+
+    On q >= 2 letters, w * count > q**w - q**(w//2 + 1) >= q**w / 2 for w >= 3,
+    so count > 2**(w * (bit_length(q) - 1) - bit_length(w) - 1), as for w <= 2;
+    a count past ``_EXACT_COUNT_BITS`` by that bound is refused unmade.
+    """
+    at_least = weight * (max(letters, 1).bit_length() - 1) - weight.bit_length() - 1
+    if at_least >= _EXACT_COUNT_BITS:
+        raise CapExceeded(weight, letters, None, ENUM_CAP, at_least)
     count = witt_count(weight, letters)
     if count > ENUM_CAP:
         raise CapExceeded(weight, letters, count, ENUM_CAP)

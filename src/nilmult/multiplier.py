@@ -7,14 +7,11 @@ commutators of weight c+1 on i letters.
 
 ``tensor_oracle`` recomputes the same group from first principles: each
 basic commutator of weight c+1 on the given cyclic factors contributes the
-cyclic group of order gcd(orders of its letters).  It takes the number of
-commutators per letter set from the counted ``hall.letter_profile``, counts
-the letter sets of each size by their gcd with one fold over the distinct
-orders and their copy counts, and canonicalizes the accumulated multiset
-with the run-length primary core ``abelian.compressed_invariant_form``, so
-neither letter sets nor multiplicities are ever expanded.
-That core refines the distinct gcds into a pairwise coprime base by repeated
-gcds, so the oracle factors no integer into primes.
+cyclic group of order gcd(orders of its letters).  With the commutators per
+letter set from ``hall.letter_profile``, it counts, per element of a coprime
+base, the commutators whose letters all reach each exponent, between the two
+steps of ``abelian.compressed_invariant_form``; it expands no letter set or
+gcd and factors no integer into primes.
 ``verify`` canonicalizes the input once, runs both and compares.  A result's
 value is its summands.  Its text is the command line's job, but the digits
 come from here, made only when ``summand_digits`` asks for them: orders go
@@ -28,15 +25,17 @@ and each multiplicity is checked against its int twin.
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from dataclasses import dataclass, field
-from math import comb, gcd
+from math import comb
 
 from .abelian import (
     CyclicDecomposition,
     InvariantFactors,
+    _event_walk,
+    _exponent_counts,
     _tuple_repr,
     canonicalize,
-    compressed_invariant_form,
 )
 from .hall import letter_profile
 from .witt import b_sequence, decimal_counts, exact_context, witt_count
@@ -299,50 +298,31 @@ def tensor_oracle(
     """Multiplier recomputed from the basic commutators themselves.
 
     Works on any decomposition, canonical or not; each basic commutator of
-    weight class+1 on the t factors contributes the cyclic group of order
-    gcd of the orders of its distinct letters (repeats cannot change a gcd).
-    A factor of order 1 makes every such gcd 1, so those factors are dropped
-    first and are not letters.
-    Every k-letter set carries the same number of commutators, entry k - 1
-    of ``letter_profile``, so only the number of k-letter sets of each gcd
-    is needed.  A set's gcd depends only on the distinct orders it uses, so
-    those numbers are folded over the distinct orders, one at a time: j of
-    the c copies of n, in C(c, j) ways, joined to a (k - j)-set of gcd g from
-    the orders before n, make a k-set of gcd gcd(g, n).  A gcd of 1 stays 1
-    and is dropped.
-    The work follows the distinct orders and their gcds, not the letters:
-    ``Z2^999`` at class 1 is one order and one gcd per set size.  Raises
-    ``CapExceeded`` when the enumeration would be too large, in which case
-    ``nilpotent_multiplier`` is the way to go.
+    weight class+1 contributes the cyclic group of order gcd of the orders of
+    its letters, so factors of order 1 are dropped first and are not letters.
+    Every k-letter set carries p_k commutators (``letter_profile``), so any
+    m letters carry T(m) = sum_k p_k * C(m, k).  Over one coprime base of the
+    distinct orders, a set's gcd has exponent e or more of a base element b
+    exactly when all its letters have, so if N letters reach e and N' exceed
+    it, T(N) - T(N') summands have exponent e of b.  The work follows the
+    distinct orders and their base, not the letters.  Raises ``CapExceeded``
+    when the enumeration would be too large; ``nilpotent_multiplier`` is not
+    capped.
     """
     if nilpotency_class < 1:
         raise ValueError(f"nilpotency class must be >= 1, got {nilpotency_class}")
-    copies: dict[int, int] = {}
-    for n in decomposition.orders:
-        if n > 1:
-            copies[n] = copies.get(n, 0) + 1
+    copies = Counter(n for n in decomposition.orders if n > 1)
     if not copies:
         return MultiplierResult(())
     profile = letter_profile(nilpotency_class + 1, sum(copies.values()))
-    # sets[k][g]: how many k-letter sets of the orders folded so far have gcd
-    # g > 1; the empty set has gcd 0, since gcd(0, n) = n
-    sets: list[dict[int, int]] = [{0: 1}] + [{} for _ in profile]
-    for n, c in copies.items():
-        # from the top down, so that sets[k - j] holds no copy of n yet
-        for k in range(len(profile), 0, -1):
-            level = sets[k]
-            for j in range(1, min(c, k) + 1):
-                weight = comb(c, j)  # the ways to pick j of the c copies of n
-                for g, count in sets[k - j].items():
-                    g = gcd(g, n)
-                    if g > 1:
-                        level[g] = level.get(g, 0) + weight * count
-    occurring: dict[int, int] = {}
-    for per_set, by_gcd in zip(profile, sets[1:]):
-        if per_set:
-            for g, count in by_gcd.items():
-                occurring[g] = occurring.get(g, 0) + count * per_set
-    return MultiplierResult(compressed_invariant_form(occurring))
+    counts = _exponent_counts(copies)
+    for runs in counts.values():
+        at_least = below = 0  # letters with exponent >= e of b; commutators on them
+        for e in sorted(runs, reverse=True):
+            at_least += runs[e]
+            total = sum(p * comb(at_least, k) for k, p in enumerate(profile, 1))
+            runs[e], below = total - below, total
+    return MultiplierResult(_event_walk(counts))
 
 
 def multiplier_order(result: MultiplierResult) -> int | None:

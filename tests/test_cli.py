@@ -3,6 +3,7 @@ import contextlib
 import decimal
 import functools
 import hashlib
+import importlib.util
 import io
 import itertools
 import json
@@ -554,6 +555,35 @@ def test_compute_output_is_pinned(capsys, fmt, digest):
     assert hashlib.sha256("".join(outputs).encode()).hexdigest() == digest
 
 
+def bench_workloads():
+    """The benchmark's query generators, loaded from bench/workloads.py without importing bench."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize(
+    "fmt, digest",
+    [
+        ("text", "4eb860ddd9cc28b30faa3e851dccf4550a620a8fc828e74f87e267ddb51b1f03"),
+        ("json", "b60fb1f4fe3f9500a90fec8e2cec3d32c9c4788aed11341137c887857bc502f7"),
+    ],
+)
+def test_wide_mixed_output_is_pinned(capsys, fmt, digest):
+    # the output of wide-mixed's seed-1 pass, byte for byte: --method both on
+    # 300 unsorted groups of rank 8-40 at class 1-2, in the given format
+    outputs = []
+    for argv in bench_workloads().wide_mixed(1):
+        assert argv[-2:] == ["--format", "json"]
+        code, out, err = run(capsys, *argv[:-1], fmt)
+        assert (code, err) == (0, "")
+        outputs.append(out)
+    assert len(outputs) == 300
+    assert hashlib.sha256("".join(outputs).encode()).hexdigest() == digest
+
+
 def test_compute_oracle_method(capsys):
     code, out, _ = run(
         capsys, "compute", "--group", "8,4", "--class", "3", "--method", "oracle"
@@ -681,8 +711,9 @@ def test_cap_exceeded_exits_3(capsys):
 
 
 def test_cap_message_fits_any_count(capsys):
-    # counts past 2048 bits are shown as a power of two, so the message never
-    # depends on the int-to-str digit limit
+    # counts past 2048 bits are shown as a power of two that they reach, so
+    # the message never depends on the int-to-str digit limit; these two are
+    # refused by their bit-length bound, before the count is made
     compute = ("compute", "--group", "2,2", "--class", "20000", "--method", "oracle")
     basis = ("basis", "--weight", "3000000", "--letters", "2")
     original_limit = sys.get_int_max_str_digits()
@@ -690,12 +721,12 @@ def test_cap_message_fits_any_count(capsys):
         for limit in (original_limit, 640):
             sys.set_int_max_str_digits(limit)
             assert run(capsys, *compute) == (3, "", (
-                "error: about 2^19986 basic commutators of weight 20001 on 2 "
+                "error: at least 2^19985 basic commutators of weight 20001 on 2 "
                 "letters exceed the enumeration cap 1000000; "
                 "rerun with --method formula\n"
             ))
             assert run(capsys, *basis) == (3, "", (
-                "error: about 2^2999978 basic commutators of weight 3000000 on 2 "
+                "error: at least 2^2999977 basic commutators of weight 3000000 on 2 "
                 "letters exceed the enumeration cap 1000000\n"
             ))
     finally:

@@ -376,6 +376,43 @@ def test_cap_exceeded(monkeypatch):
     assert enumerate_basic(4, 3)  # equal to the cap is allowed
 
 
+def test_cap_refuses_a_huge_count_before_making_it(monkeypatch):
+    # 3**4000001 would take about a second to build; the bound refuses at once
+    def unused(*args):
+        raise AssertionError("witt_count was called")
+
+    monkeypatch.setattr(hall, "witt_count", unused)
+    with pytest.raises(CapExceeded) as exc_info:
+        hall.check_cap(4_000_001, 3)
+    assert str(exc_info.value) == (
+        "at least 2^3999978 basic commutators of weight 4000001 on 3 letters "
+        "exceed the enumeration cap 1000000"
+    )
+
+
+def test_cap_message_bound_is_a_lower_bound(monkeypatch):
+    # with nothing written out, every count is refused by the bound, and the
+    # count must reach the power of two the message names
+    monkeypatch.setattr(hall, "_EXACT_COUNT_BITS", -10**9)
+    for weight in range(1, 80):
+        for letters in range(0, 40):
+            with pytest.raises(CapExceeded) as exc_info:
+                hall.check_cap(weight, letters)
+            bound = int(re.match(r"at least 2\^(-?\d+) ", str(exc_info.value))[1])
+            assert witt_count(weight, letters) >= 2**bound or bound < 0
+
+
+def test_counted_cap_message_shows_a_power_of_two():
+    # 1388 bits by the bound, but the count has 2209: it is made, and shown
+    # by the power of two below it
+    count = witt_count(1400, 3)
+    assert count.bit_length() > 2048
+    with pytest.raises(CapExceeded) as exc_info:
+        hall.check_cap(1400, 3)
+    assert str(exc_info.value).startswith(f"at least 2^{count.bit_length() - 1} basic")
+    assert exc_info.value.count == count
+
+
 def test_default_cap(monkeypatch):
     # the cap is a fixed 10**6 commutators, whatever the environment holds
     monkeypatch.delenv("NILMULT_ENUM_CAP", raising=False)

@@ -152,6 +152,33 @@ def letter_set_oracle(decomposition, nilpotency_class):
     return MultiplierResult(compressed_invariant_form(occurring))
 
 
+def gcd_state_oracle(decomposition, nilpotency_class):
+    """The oracle folded over gcd states, one distinct order at a time.
+
+    sets[k][g] counts the k-letter sets of the orders folded so far with gcd
+    g > 1; j of the c copies of n join a (k - j)-set of gcd g in C(c, j) ways
+    and make a k-set of gcd gcd(g, n).  The empty set has gcd 0.
+    """
+    copies = Counter(n for n in decomposition.orders if n > 1)
+    if not copies:
+        return MultiplierResult(())
+    profile = letter_profile(nilpotency_class + 1, sum(copies.values()))
+    sets = [{0: 1}] + [{} for _ in profile]
+    for n, c in copies.items():
+        for k in range(len(profile), 0, -1):  # sets[k - j] holds no copy of n yet
+            level = sets[k]
+            for j in range(1, min(c, k) + 1):
+                for g, count in sets[k - j].items():
+                    g = math.gcd(g, n)
+                    if g > 1:
+                        level[g] = level.get(g, 0) + math.comb(c, j) * count
+    occurring = Counter()
+    for per_set, by_gcd in zip(profile, sets[1:]):
+        for g, count in by_gcd.items():
+            occurring[g] += count * per_set
+    return MultiplierResult(compressed_invariant_form(+occurring))
+
+
 @st.composite
 def repeated_orders(draw, max_size):
     """Orders drawn from a pool of at most three, 1 among them often, so copies repeat."""
@@ -178,6 +205,33 @@ def test_oracle_matches_the_per_mask_fold(orders, c):
 def test_oracle_matches_the_letter_set_fold(orders, c):
     d = CyclicDecomposition(tuple(orders))
     assert tensor_oracle(d, c) == letter_set_oracle(d, c)
+
+
+# large primes as in the wide-mixed benchmark workload
+LARGE_PRIMES = (999999937, 100000007, 9999991, 1000003, 999983, 99991)
+
+
+@st.composite
+def wide_mixed_orders(draw):
+    """Up to 40 letters: mostly 2*p*k for p from two large primes, some 2*m, 1s, repeats."""
+    primes = draw(st.lists(st.sampled_from(LARGE_PRIMES), min_size=1, max_size=2))
+    order = st.one_of(
+        st.builds(lambda p, k: 2 * p * k, st.sampled_from(primes), st.integers(1, 360)),
+        st.integers(1, 2520).map(lambda m: 2 * m),
+        st.just(1),
+    )
+    runs = draw(st.lists(st.tuples(order, st.integers(1, 3)), min_size=1, max_size=40))
+    orders = [n for n, copies in runs for _ in range(copies)][:40]
+    return draw(st.permutations(orders))
+
+
+@given(wide_mixed_orders(), st.integers(1, 2))
+@example([2 * 999983 * k for k in range(1, 41)], 2)  # 40 distinct orders on one prime
+@example([2] * 40, 2)
+@settings(deadline=None)
+def test_oracle_matches_the_gcd_state_fold(orders, c):
+    d = CyclicDecomposition(tuple(orders))
+    assert tensor_oracle(d, c) == gcd_state_oracle(d, c)
 
 
 def test_oracle_folds_copies_not_letters():
