@@ -23,8 +23,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from collections.abc import Iterable, Mapping
 
 # Largest accepted cyclic order.  No computation needs it: nothing factors an
 # input, and chain entries and results are unbounded.  It bounds what a spec
@@ -41,8 +40,48 @@ def _require_int(value: object, what: str) -> None:
         raise TypeError(f"{what} must be an int, got {value!r}")
 
 
-@dataclass(frozen=True)
-class CyclicDecomposition:
+class _Value:
+    """Base of the package's frozen value classes.
+
+    ``_value()`` is the value: a tuple of fields, which equality (same class
+    only) and the hash read, as a frozen dataclass's would.
+    ``__match_args__`` name the constructor's parameters, in order: the
+    ``Name(parameter=value, ...)`` repr lists them, and ``__reduce__``
+    rebuilds a copy from them, so ``pickle`` and ``copy`` round-trip although
+    assignment raises.  A subclass sets ``__slots__`` and ``__match_args__``,
+    defines ``_value``, and sets its slots in ``__init__`` with
+    ``object.__setattr__``.
+    """
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def _value(self) -> tuple:
+        raise NotImplementedError
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._value() == other._value()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._value())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+
+
+class CyclicDecomposition(_Value):
     """A direct sum of cyclic groups, one entry per factor, in given order.
 
     Entries may repeat, appear in any order, and include 1 (trivial factors).
@@ -52,16 +91,21 @@ class CyclicDecomposition:
     (8, 12)
     """
 
-    orders: tuple[int, ...] = ()
+    __slots__ = __match_args__ = ("orders",)
+    orders: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "orders", tuple(self.orders))
-        for r in self.orders:
+    def __init__(self, orders: Iterable[int] = ()) -> None:
+        orders = tuple(orders)
+        for r in orders:
             _require_int(r, "cyclic order")
             if r < 1:
                 raise ValueError(f"cyclic order must be >= 1, got {r}")
             if r > MAX_ORDER:
                 raise ValueError(f"cyclic order {r} exceeds the bound {MAX_ORDER}")
+        object.__setattr__(self, "orders", orders)
+
+    def _value(self) -> tuple:
+        return (self.orders,)
 
     def __iter__(self):
         return iter(self.orders)
@@ -70,8 +114,7 @@ class CyclicDecomposition:
         return len(self.orders)
 
 
-@dataclass(frozen=True)
-class InvariantFactors:
+class InvariantFactors(_Value):
     """Canonical presentation: a divisibility chain n_1, n_2 | n_1, ..., all >= 2.
 
     Entries are not bounded by ``MAX_ORDER``: the lcm of several admissible
@@ -81,21 +124,26 @@ class InvariantFactors:
     (24, 4)
     """
 
-    chain: tuple[int, ...] = ()
+    __slots__ = __match_args__ = ("chain",)
+    chain: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "chain", tuple(self.chain))
-        for n in self.chain:
+    def __init__(self, chain: Iterable[int] = ()) -> None:
+        chain = tuple(chain)
+        for n in chain:
             _require_int(n, "invariant factor")
             if n < 2:
                 raise ValueError(f"invariant factor must be >= 2, got {n}")
-        for a, b in zip(self.chain, self.chain[1:]):
+        for a, b in zip(chain, chain[1:]):
             if a % b:
                 raise ValueError(f"broken divisibility chain: {b} does not divide {a}")
+        object.__setattr__(self, "chain", chain)
+
+    def _value(self) -> tuple:
+        return (self.chain,)
 
     def __repr__(self) -> str:
-        # the dataclass repr, with every entry written by decimal_str: an lcm
-        # of hundreds of orders can pass the int-to-str digit limit
+        # the dataclass-style repr, with every entry written by decimal_str:
+        # an lcm of hundreds of orders can pass the int-to-str digit limit
         from .multiplier import decimal_str
 
         return f"InvariantFactors(chain={_tuple_repr(map(decimal_str, self.chain))})"
@@ -219,12 +267,15 @@ def _coprime_base(numbers: Iterable[int]) -> list[int]:
 
     Factor refinement (Bach, Driscoll and Shallit, J. Algorithms 15, 1993) by
     insertion.  A pending x coprime to the product of the base (one gcd)
-    joins it.  Otherwise each base element b that divides x stays and is
-    stripped from x, which is dropped at 1 and joins the base once coprime
-    to all of it; on a proper common factor g = gcd(b, x), b leaves the base
-    with g, b / g and x / g pending.  Each step either moves x to the base or
-    divides the product of base and pending numbers by a factor > 1 (a power
-    of b, or g), so the loop ends.
+    joins it.  Otherwise the base is scanned: each base element b that
+    divides x stays and is stripped from x, which is dropped at 1.  Then b
+    moves to the front of the base, since the next orders that share a
+    factor are likely to share b, and one more gcd lets x join the base as
+    soon as it is coprime to the product.  On a proper common factor
+    g = gcd(b, x), b leaves the base with g, b / g and x / g pending.  Each
+    step either moves x to the base or divides the product of base and
+    pending numbers by a factor > 1 (a power of b, or g), so the loop ends.
+    The scan is still quadratic in the number of base elements.
 
     >>> sorted(_coprime_base([12, 18]))
     [2, 3]
@@ -234,25 +285,29 @@ def _coprime_base(numbers: Iterable[int]) -> list[int]:
     pending = list(numbers)
     while pending:
         x = pending.pop()
-        if math.gcd(product, x) == 1:
-            base.append(x)
-            product *= x
-            continue
-        for i, b in enumerate(base):
-            g = math.gcd(b, x)
-            if g == b:
-                x //= b
-                while x % b == 0:
-                    x //= b
-                if x == 1:
-                    break
+        if math.gcd(product, x) > 1:
+            for i, b in enumerate(base):
                 g = math.gcd(b, x)
-            if g > 1:
-                del base[i]
-                product //= b
-                pending += [y for y in (g, b // g, x // g) if y > 1]
-                break
-        else:
+                if g == b:
+                    x //= b
+                    while x % b == 0:
+                        x //= b
+                    if x == 1:
+                        break
+                    g = math.gcd(b, x)
+                    if g == 1:
+                        # b moves from i to 0, so the scan goes on at base[i + 1]
+                        base.insert(0, base.pop(i))
+                        if math.gcd(product, x) == 1:
+                            break
+                        continue
+                if g > 1:
+                    del base[i]
+                    product //= b
+                    pending += [y for y in (g, b // g, x // g) if y > 1]
+                    x = 1
+                    break
+        if x > 1:
             base.append(x)
             product *= x
     return base

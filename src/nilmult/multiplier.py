@@ -26,12 +26,12 @@ from __future__ import annotations
 
 import functools
 from collections import Counter
-from dataclasses import dataclass, field
 from math import comb
 
 from .abelian import (
     CyclicDecomposition,
     InvariantFactors,
+    _Value,
     _event_walk,
     _exponent_counts,
     _tuple_repr,
@@ -152,8 +152,7 @@ def _split_by_twos(value: int) -> str:
         return str(convert(value, value.bit_length()))
 
 
-@dataclass(frozen=True)
-class MultiplierResult:
+class MultiplierResult(_Value):
     """A finite abelian group in compressed invariant-factor form.
 
     ``summands`` lists (order, multiplicity) pairs with strictly decreasing
@@ -165,12 +164,18 @@ class MultiplierResult:
     the value, so equality, hashing and repr ignore it.
     """
 
+    __slots__ = ("summands", "digits_source", "_digits")
+    __match_args__ = ("summands", "digits_source")
     summands: tuple[tuple[int, int], ...]
-    digits_source: tuple[tuple[int, ...], int] | None = field(default=None, compare=False)
+    digits_source: tuple[tuple[int, ...], int] | None
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        summands: tuple[tuple[int, int], ...],
+        digits_source: tuple[tuple[int, ...], int] | None = None,
+    ) -> None:
         previous = None
-        for order, multiplicity in self.summands:
+        for order, multiplicity in summands:
             if order < 2:
                 raise ValueError(f"summand order must be >= 2, got {order}")
             if multiplicity < 1:
@@ -181,17 +186,26 @@ class MultiplierResult:
                     f"chain; got {previous} then {order}"
                 )
             previous = order
+        object.__setattr__(self, "summands", summands)
+        object.__setattr__(self, "digits_source", digits_source)
+
+    def _value(self) -> tuple:
+        return (self.summands,)
 
     def __repr__(self) -> str:
-        # the dataclass repr, with every int written by decimal_str, so that a
-        # multiplicity of any size has one
+        # the dataclass-style repr, with every int written by decimal_str, so
+        # that a multiplicity of any size has one
         summands = _tuple_repr(_tuple_repr(map(decimal_str, pair)) for pair in self.summands)
         return f"MultiplierResult(summands={summands})"
 
-    @functools.cached_property
     def _multiplicity_digits(self) -> tuple[str, ...]:
         """The multiplicities' digits from ``digits_source``, made on first use."""
-        return _exact_digits(*self.digits_source, self.summands)
+        try:
+            return self._digits
+        except AttributeError:  # the slot is unset until the first call
+            digits = _exact_digits(*self.digits_source, self.summands)
+            object.__setattr__(self, "_digits", digits)
+            return digits
 
 
 def nilpotent_multiplier(group: InvariantFactors, nilpotency_class: int) -> MultiplierResult:
@@ -269,7 +283,7 @@ def summand_digits(result: MultiplierResult) -> list[tuple[str, str]]:
     >>> summand_digits(nilpotent_multiplier(InvariantFactors((12, 6, 2)), 1))
     [('6', '1'), ('2', '2')]
     """
-    exact = result._multiplicity_digits if result.digits_source is not None else None
+    exact = result._multiplicity_digits() if result.digits_source is not None else None
     return [
         (decimal_str(order), exact[i] if exact is not None else decimal_str(mult))
         for i, (order, mult) in enumerate(result.summands)
@@ -345,14 +359,29 @@ def multiplier_order(result: MultiplierResult) -> int | None:
     return value if value < _DECIMAL_BOUND else None
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(_Value):
     """Both computation routes for one input, the verdict, and the input's chain."""
 
+    __slots__ = __match_args__ = ("formula", "oracle", "equal", "group")
     formula: MultiplierResult
     oracle: MultiplierResult
     equal: bool
     group: InvariantFactors
+
+    def __init__(
+        self,
+        formula: MultiplierResult,
+        oracle: MultiplierResult,
+        equal: bool,
+        group: InvariantFactors,
+    ) -> None:
+        object.__setattr__(self, "formula", formula)
+        object.__setattr__(self, "oracle", oracle)
+        object.__setattr__(self, "equal", equal)
+        object.__setattr__(self, "group", group)
+
+    def _value(self) -> tuple:
+        return (self.formula, self.oracle, self.equal, self.group)
 
 
 def verify(

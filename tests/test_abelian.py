@@ -149,6 +149,47 @@ base_inputs = st.lists(
 )
 
 
+def reference_coprime_base(numbers):
+    """The coprime base by a plain scan: no move to front, no second product test."""
+    base = []
+    product = 1
+    pending = list(numbers)
+    while pending:
+        x = pending.pop()
+        if math.gcd(product, x) == 1:
+            base.append(x)
+            product *= x
+            continue
+        for i, b in enumerate(base):
+            g = math.gcd(b, x)
+            if g == b:
+                x //= b
+                while x % b == 0:
+                    x //= b
+                if x == 1:
+                    break
+                g = math.gcd(b, x)
+            if g > 1:
+                del base[i]
+                product //= b
+                pending += [y for y in (g, b // g, x // g) if y > 1]
+                break
+        else:
+            base.append(x)
+            product *= x
+    return base
+
+
+def assert_coprime_base(base, numbers):
+    assert all(b >= 2 for b in base)
+    assert all(math.gcd(a, b) == 1 for a, b in itertools.combinations(base, 2))
+    for x in numbers:
+        for b in base:
+            while x % b == 0:
+                x //= b
+        assert x == 1, x
+
+
 @given(base_inputs, st.randoms(use_true_random=False))
 @example([2, 12], random.Random(0))  # b divides a later x
 @example([12, 2], random.Random(0))  # x divides b
@@ -158,18 +199,41 @@ base_inputs = st.lists(
 @example([P12 * 2, P12**2, 4], random.Random(0))
 def test_coprime_base_properties(numbers, rng):
     base = abelian._coprime_base(numbers)
-    assert all(b >= 2 for b in base)
-    assert all(math.gcd(a, b) == 1 for a, b in itertools.combinations(base, 2))
-    for x in numbers:
-        for b in base:
-            while x % b == 0:
-                x //= b
-        assert x == 1
+    assert_coprime_base(base, numbers)
     assert all(any(x % b == 0 for x in numbers) for b in base)
     shuffled = list(numbers)
     rng.shuffle(shuffled)
     for reordered in (numbers[::-1], shuffled):
         assert sorted(abelian._coprime_base(reordered)) == sorted(base)
+
+
+# even orders below 10**6 share 2 and often more; BASE_POOL products split them
+shared_factor_inputs = st.lists(
+    st.integers(1, 5 * 10**5).map(lambda n: 2 * n)
+    | st.lists(st.sampled_from(BASE_POOL), min_size=1, max_size=3).map(math.prod),
+    max_size=40,
+)
+
+
+@given(shared_factor_inputs)
+@example([2, 12, 6, 4])  # 6 splits 4, then strips move 2 and 3 to the front
+@example([18, 12, 2])  # 12 stripped of 2 joins as 3; 18 is stripped of 2, then 3
+def test_coprime_base_matches_reference_scan(numbers):
+    base = abelian._coprime_base(numbers)
+    assert_coprime_base(base, numbers)
+    assert sorted(base) == sorted(reference_coprime_base(numbers))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_coprime_base_of_many_even_orders_matches_reference_scan(seed):
+    # hundreds of distinct even orders, as the oracle's wide inputs have: the
+    # stripped base element moves to the front again and again
+    rng = random.Random(seed)
+    numbers = list({2 * rng.randrange(1, 10**6 if seed % 2 else 5 * 10**11)
+                    for _ in range(300)})
+    base = abelian._coprime_base(numbers)
+    assert_coprime_base(base, numbers)
+    assert sorted(base) == sorted(reference_coprime_base(numbers))
 
 
 @given(

@@ -698,6 +698,20 @@ def test_cli_import_does_not_load_json():
                    env={**os.environ, "PYTHONPATH": src})
 
 
+def test_cli_import_does_not_load_dataclasses_or_typing():
+    # the value classes are hand-written slots classes and the option table
+    # holds collections.namedtuple records: no dataclasses, and none of the
+    # modules it pulls in.  -S: no site hook that imports typing first.
+    src = os.path.dirname(os.path.dirname(multiplier.__file__))
+    probe = (
+        "import nilmult.cli, sys; loaded = sorted({'dataclasses', 'inspect', 'ast', "
+        "'dis', 'tokenize', 'linecache', 'copy', 'typing'} & set(sys.modules)); "
+        "assert not loaded, loaded"
+    )
+    subprocess.run([sys.executable, "-S", "-c", probe], check=True,
+                   env={**os.environ, "PYTHONPATH": src})
+
+
 def test_cap_exceeded_exits_3(capsys):
     # both ask for the 2,096,640 basic commutators of weight 8 on 8 letters
     code, _, err = run(
@@ -782,6 +796,24 @@ def test_basis_line_count_matches_witt(capsys, weight, letters):
     )
     assert code == 0
     assert len(out.splitlines()) == witt_count(weight, letters)
+
+
+@pytest.mark.parametrize(
+    "weight, letters, chunk",
+    [(1, 2, None), (4, 2, 1), (4, 2, 2), (4, 2, 3), (6, 4, None), (7, 5, None)],
+)
+def test_basis_output_is_the_joined_list(capsys, monkeypatch, weight, letters, chunk):
+    # written BASIS_CHUNK_LINES lines at a time; (7, 5) has 11,160 lines,
+    # three chunks, and 3 lines in chunks of 1, 2 and 3 end on and off a chunk
+    if chunk is not None:
+        monkeypatch.setattr(cli, "BASIS_CHUNK_LINES", chunk)
+    basis = enumerate_basic(weight, letters)
+    assert (weight, letters) != (7, 5) or len(basis) > 2 * cli.BASIS_CHUNK_LINES
+    code, out, err = run(
+        capsys, "basis", "--weight", str(weight), "--letters", str(letters)
+    )
+    assert (code, err) == (0, "")
+    assert out == "\n".join(basis) + "\n"
 
 
 def test_fewer_than_two_letters_answer_at_once(capsys):

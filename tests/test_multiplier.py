@@ -1,6 +1,9 @@
+import copy
+import dataclasses
 import decimal
 import itertools
 import math
+import pickle
 import random
 import re
 import sys
@@ -25,6 +28,7 @@ from nilmult.multiplier import (
     _TENS_LEAF_DIGITS,
     _TENS_MAX_BITS,
     MultiplierResult,
+    VerificationReport,
     decimal_str,
     multiplier_order,
     nilpotent_multiplier,
@@ -522,6 +526,135 @@ def test_reprs_are_total(limit):
         "InvariantFactors(chain=())",
         "InvariantFactors(chain=(24, 4))",
     ]
+
+
+# The value classes as frozen dataclasses, the way they were declared before
+# they became slots classes: equality, hash, repr and __match_args__ must read
+# the same.  The reprs of MultiplierResult and InvariantFactors were written by
+# hand (test_reprs_are_total); for small ints they are the dataclass reprs.
+DATACLASS_TWINS = {
+    cls: dataclasses.make_dataclass(cls.__name__, fields, frozen=True)
+    for cls, fields in [
+        (CyclicDecomposition, [("orders", tuple, dataclasses.field(default=()))]),
+        (InvariantFactors, [("chain", tuple, dataclasses.field(default=()))]),
+        (MultiplierResult, [
+            ("summands", tuple),
+            ("digits_source", object,
+             dataclasses.field(default=None, compare=False, repr=False)),
+        ]),
+        (VerificationReport, ["formula", "oracle", "equal", "group"]),
+    ]
+}
+
+
+def value_examples():
+    formula = nilpotent_multiplier(chain_of(12, 6, 2), 2)
+    return [
+        CyclicDecomposition(),
+        CyclicDecomposition((2,)),
+        CyclicDecomposition([8, 12]),
+        CyclicDecomposition((1, 1, 12)),
+        chain_of(),
+        chain_of(2),
+        chain_of(24, 4),
+        MultiplierResult(()),
+        MultiplierResult(((2, 1),)),
+        MultiplierResult(((6, 1), (2, 2))),
+        MultiplierResult(((6, 1), (2, 2)), ((12, 6, 2), 1)),
+        formula,
+        verify(CyclicDecomposition((12, 6, 2)), 2),
+        verify(CyclicDecomposition((4, 2)), 1),
+        VerificationReport(formula, MultiplierResult(()), False, chain_of(12, 6, 2)),
+    ]
+
+
+def dataclass_twin(value):
+    return DATACLASS_TWINS[type(value)](
+        *(getattr(value, name) for name in type(value).__match_args__)
+    )
+
+
+def test_values_read_as_their_dataclass_twins():
+    values = value_examples()
+    twins = [dataclass_twin(v) for v in values]
+    for value, twin in zip(values, twins):
+        assert type(value).__match_args__ == type(twin).__match_args__
+        assert repr(value) == repr(twin)
+        assert hash(value) == hash(twin)
+    for (a, twin_a), (b, twin_b) in itertools.product(zip(values, twins), repeat=2):
+        assert (a == b) == (twin_a == twin_b), (a, b)
+        assert (a != b) == (twin_a != twin_b), (a, b)
+    # equal values of different classes are not equal
+    assert CyclicDecomposition((2,)) != InvariantFactors((2,))
+    assert MultiplierResult(()) != ()
+    assert CyclicDecomposition((8, 12)) != (8, 12)
+
+
+def test_digits_source_is_not_part_of_the_value():
+    plain = MultiplierResult(((6, 1), (2, 2)))
+    sourced = MultiplierResult(plain.summands, ((12, 6, 2), 1))
+    assert plain == sourced
+    assert hash(plain) == hash(sourced)
+    assert repr(plain) == repr(sourced)
+    assert sourced.digits_source == ((12, 6, 2), 1)
+
+
+@pytest.mark.parametrize("value", value_examples(), ids=lambda v: type(v).__name__)
+def test_values_are_frozen(value):
+    for name in (*type(value).__match_args__, "_digits", "other"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert dataclass_twin(value) == dataclass_twin(value)  # nothing changed
+    with pytest.raises(AttributeError):
+        value.__dict__
+
+
+@pytest.mark.parametrize("value", value_examples(), ids=lambda v: type(v).__name__)
+def test_values_pickle_and_copy(value):
+    for twin in (
+        pickle.loads(pickle.dumps(value)),
+        pickle.loads(pickle.dumps(value, protocol=0)),
+        copy.copy(value),
+        copy.deepcopy(value),
+    ):
+        assert type(twin) is type(value)
+        assert twin == value
+        assert repr(twin) == repr(value)
+        assert all(getattr(twin, name) == getattr(value, name)
+                   for name in type(value).__match_args__)
+
+
+def test_large_result_pickles_without_its_digits(decimal_calls):
+    result = nilpotent_multiplier(chain_of(4, 4, 2), 10**5)
+    digits = summand_digits(result)
+    twin = pickle.loads(pickle.dumps(result))
+    assert twin.digits_source == result.digits_source
+    assert summand_digits(twin) == digits  # made again from digits_source
+    assert decimal_calls == [10**5 + 1] * 2
+
+
+def test_values_match_positionally():
+    match verify(CyclicDecomposition((12, 6, 2)), 1):
+        case VerificationReport(
+            MultiplierResult(summands, None), oracle, True, InvariantFactors(chain)
+        ):
+            assert summands == ((6, 1), (2, 2))
+            assert oracle == MultiplierResult(summands)
+            assert chain == (12, 6, 2)
+        case other:
+            pytest.fail(f"no match: {other!r}")
+    match CyclicDecomposition((8, 12)):
+        case CyclicDecomposition((8, second)):
+            assert second == 12
+        case other:
+            pytest.fail(f"no match: {other!r}")
+    match MultiplierResult(((4, 3),), ((8, 4, 2), 1)):
+        case MultiplierResult(((order, mult),), (chain, c)):
+            assert (order, mult, chain, c) == (4, 3, (8, 4, 2), 1)
+        case other:
+            pytest.fail(f"no match: {other!r}")
 
 
 def test_corrupted_decimal_count_raises(monkeypatch):
