@@ -19,22 +19,24 @@ the module does not import ``json``.
 
 Exit codes: 0 success (``-h``/``--help`` included), 1 bad input (including a
 command line the table refuses, a group spec above ``MAX_FACTORS`` factors,
-a result above ``MAX_RESULT_BITS`` and a sweep above ``MAX_SWEEP_CASES`` or
-``MAX_SWEEP_COMMUTATORS``), 2 formula/oracle mismatch, 3 enumeration cap
-exceeded.  ``main`` returns the code; it does not raise ``SystemExit``.
+a result above ``MAX_RESULT_BITS`` and a sweep above ``MAX_SWEEP_CASES``),
+2 formula/oracle mismatch, 3 enumeration cap exceeded (for ``sweep``, by its
+largest case, checked before the cases are counted).  ``main`` returns the
+code; it does not raise ``SystemExit``.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import re
 import sys
-from collections import Counter, namedtuple
+from collections import namedtuple
 from collections.abc import Sequence
 from types import SimpleNamespace
 
 from .abelian import MAX_ORDER, CyclicDecomposition, InvariantFactors, canonicalize
-from .hall import CapExceeded, check_cap, enumerate_basic
+from .hall import CapExceeded, _iter_basic, check_cap
 from .multiplier import (
     MultiplierResult,
     VerificationReport,
@@ -60,18 +62,13 @@ EXIT_CAP = 3
 # would first build 2**(10**9), 125 MB, and then try to print it.
 MAX_RESULT_BITS = 2**23
 
-# Most (chain, class) cases sweep will check.  A small case takes about 0.1 ms
-# (acceptance criterion 10 checks 11,568 in about 1 s), so a sweep at the
-# bound runs for seconds or minutes, not hours.
+# Most (chain, class) cases sweep will check.  The time this allows rests on
+# the enumeration cap: a sweep that passes it has no chain of more than 1,414
+# letters, and a case costs about 1.7 us per letter, so the worst admitted
+# sweep takes about a minute.  --max-order 4 --max-rank 444 --max-class 1,
+# 99,679 cases of 296 letters on average, took 51 s cold (CPython 3.11,
+# x86-64, 2 shared vCPUs).
 MAX_SWEEP_CASES = 10**5
-
-# Most basic commutators of weight c + 1 on a sweep's chains, summed over its
-# cases.  Its oracle runs count per element of a coprime base of the distinct
-# orders, so the sum bounds their work loosely: a sweep just under the bound
-# (--max-order 2 --max-rank 390 --max-class 1, 9.9 million pairs of letters,
-# one distinct order per chain) takes about 0.3 s (CPython 3.11, x86-64), most
-# of it in the formula's Witt tables; acceptance criterion 9 counts 2,115,960.
-MAX_SWEEP_COMMUTATORS = 10**7
 
 # Lines of ``basis`` output joined into one write.  One print per line took
 # 0.5 s for the 720,300 lines of weight 8 on 7 letters, chunks 0.02 s, to
@@ -317,9 +314,9 @@ def cmd_witt(args: SimpleNamespace) -> int:
 
 def cmd_basis(args: SimpleNamespace) -> int:
     check_result_size(args.weight, args.letters)
-    basis = enumerate_basic(args.weight, args.letters)
-    for start in range(0, len(basis), BASIS_CHUNK_LINES):
-        sys.stdout.write("\n".join(basis[start:start + BASIS_CHUNK_LINES]) + "\n")
+    lines = _iter_basic(args.weight, args.letters)
+    while chunk := list(itertools.islice(lines, BASIS_CHUNK_LINES)):
+        sys.stdout.write("\n".join(chunk) + "\n")
     return EXIT_OK
 
 
@@ -348,54 +345,6 @@ def invariant_chains(max_order: int, max_rank: int):
             chain.pop()
 
 
-def sweep_size(max_order: int, max_rank: int, max_class: int) -> tuple[int, int]:
-    """(chain, class) cases of a sweep, and basic commutators on their chains.
-
-    ``chains_from(n)[k]`` counts the chains that start with n and have at most
-    k + 1 entries: n alone, or n followed by a chain from n itself or from a
-    proper divisor d >= 2 of n.  One walk over first entries sums them, in all
-    and by length, and stops once the cases pass MAX_SWEEP_CASES; a list stops
-    too, short of ``max_rank`` entries, once its last count passes
-    MAX_SWEEP_CASES / max_class.  A case (chain, c) has
-    ``witt_count(c + 1, len(chain))`` basic commutators; those counts are
-    summed, until they pass MAX_SWEEP_COMMUTATORS, only when the cases are
-    within their bound (else the second number is 0).  A count above its
-    bound is a lower bound.
-    Each count comes from ``check_cap``, so a case that the oracle would
-    refuse raises ``CapExceeded`` here, before the sweep checks any case.
-    """
-
-    @functools.cache
-    def chains_from(n: int) -> list[int]:
-        below = [chains_from(d) for d in divisors(n)[1:-1]] if max_rank > 1 else []
-        counts = [1]
-        while len(counts) < max_rank and counts[-1] * max_class <= MAX_SWEEP_CASES:
-            k = len(counts)
-            counts.append(1 + counts[k - 1] + sum(c[k - 1] for c in below))
-        return counts
-
-    chains = 1  # the empty chain
-    # of_length[k]: chains with exactly k >= 2 entries; fewer than 2 letters
-    # have no basic commutators of weight 2 or more
-    of_length: Counter[int] = Counter()
-    for n in range(2, max_order + 1) if max_rank else ():
-        if chains * max_class > MAX_SWEEP_CASES:
-            break
-        counts = chains_from(n)
-        chains += counts[-1]
-        for k in range(1, len(counts)):
-            of_length[k + 1] += counts[k] - counts[k - 1]
-    cases, commutators = chains * max_class, 0
-    if cases > MAX_SWEEP_CASES:
-        return cases, commutators
-    for length, count in sorted(of_length.items()):
-        for c in range(1, max_class + 1):
-            commutators += count * check_cap(c + 1, length)
-            if commutators > MAX_SWEEP_COMMUTATORS:
-                return cases, commutators
-    return cases, commutators
-
-
 def cmd_sweep(args: SimpleNamespace) -> int:
     if args.max_order < 1:
         raise ValueError("--max-order must be >= 1")
@@ -403,16 +352,18 @@ def cmd_sweep(args: SimpleNamespace) -> int:
         raise ValueError("--max-rank must be >= 0")
     if args.max_class < 1:
         raise ValueError("--max-class must be >= 1")
-    cases, commutators = sweep_size(args.max_order, args.max_rank, args.max_class)
+    if args.max_order >= 2 and args.max_rank >= 2:
+        # for weight >= 2, witt_count grows with the weight and with the
+        # letters, so a case is over the cap only if the largest one is
+        check_cap(args.max_class + 1, args.max_rank)
+    chains = invariant_chains(args.max_order, args.max_rank)
+    cases = args.max_class * sum(
+        1 for _ in itertools.islice(chains, MAX_SWEEP_CASES // args.max_class + 1)
+    )
     if cases > MAX_SWEEP_CASES:
         raise ValueError(
             f"the sweep would check at least {cases} (chain, class) cases, "
             f"above the bound of {MAX_SWEEP_CASES}"
-        )
-    if commutators > MAX_SWEEP_COMMUTATORS:
-        raise ValueError(
-            f"the sweep would enumerate at least {decimal_str(commutators)} basic "
-            f"commutators, above the bound of {MAX_SWEEP_COMMUTATORS}"
         )
     checked = 0
     mismatched = 0
@@ -429,9 +380,6 @@ def cmd_sweep(args: SimpleNamespace) -> int:
     print(f"checked {checked} (chain, class) pairs: "
           f"{checked - mismatched} equal, {mismatched} mismatched")
     return EXIT_MISMATCH if mismatched else EXIT_OK
-
-
-
 
 
 # ---------------------------------------------------------------------------

@@ -46,17 +46,17 @@ _EXACT_COUNT_BITS = 2048
 class CapExceeded(Exception):
     """Raised when an enumeration would produce more commutators than allowed."""
 
-    def __init__(self, weight: int, letters: int, count: int | None, cap: int, at_least: int = 0):
+    def __init__(self, weight: int, letters: int, count: int | None, at_least: int = 0):
         self.weight = weight
         self.letters = letters
-        self.cap = cap
+        self.cap = ENUM_CAP
         if count is not None:  # None: check_cap's bound refused it; count is made when read
             self.count = count
             at_least = count.bit_length() - 1
         shown = str(count) if at_least < _EXACT_COUNT_BITS else f"at least 2^{at_least}"
         super().__init__(
             f"{shown} basic commutators of weight {weight} on {letters} letters "
-            f"exceed the enumeration cap {cap}"
+            f"exceed the enumeration cap {self.cap}"
         )
 
     @functools.cached_property
@@ -73,10 +73,10 @@ def check_cap(weight: int, letters: int) -> int:
     """
     at_least = weight * (max(letters, 1).bit_length() - 1) - weight.bit_length() - 1
     if at_least >= _EXACT_COUNT_BITS:
-        raise CapExceeded(weight, letters, None, ENUM_CAP, at_least)
+        raise CapExceeded(weight, letters, None, at_least)
     count = witt_count(weight, letters)
     if count > ENUM_CAP:
-        raise CapExceeded(weight, letters, count, ENUM_CAP)
+        raise CapExceeded(weight, letters, count)
     return count
 
 
@@ -161,14 +161,23 @@ def enumerate_basic(weight: int, letters: int) -> list[str]:
     >>> enumerate_basic(3, 2)
     ['[[x2,x1],x1]', '[[x2,x1],x2]']
     """
+    return list(_iter_basic(weight, letters))
+
+
+def _iter_basic(weight: int, letters: int):
+    """``enumerate_basic``'s strings, the top level rendered one range at a time.
+
+    Only the levels below `weight` are held; the cap is checked on the first
+    ``next``, before anything is yielded.
+    """
     if not check_cap(weight, letters):
-        return []  # fewer than two letters above weight 1, or none at all
+        return  # fewer than two letters above weight 1, or none at all
     left, right, level_start, keys = _levels(weight, letters)
     rendered = [f"x{i}" for i in range(1, letters + 1)]
     for u, v in zip(left[letters:], right[letters:]):
         rendered.append(f"[{rendered[u]},{rendered[v]}]")
-    return rendered if weight == 1 else [
-        f"[{rendered[u]},{rendered[v]}]"
-        for u, low, high in sorted(_ranges(weight, right, level_start), key=lambda r: keys[r[0]])
-        for v in range(low, high)
-    ]
+    if weight == 1:
+        yield from rendered
+        return
+    for u, low, high in sorted(_ranges(weight, right, level_start), key=lambda r: keys[r[0]]):
+        yield from [f"[{rendered[u]},{rendered[v]}]" for v in range(low, high)]

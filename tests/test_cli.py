@@ -14,6 +14,7 @@ import subprocess
 import sys
 import threading
 import time
+import types
 
 import pytest
 from hypothesis import example, given, settings
@@ -26,7 +27,6 @@ from nilmult.cli import (
     MAX_FACTORS,
     MAX_RESULT_BITS,
     MAX_SWEEP_CASES,
-    MAX_SWEEP_COMMUTATORS,
     GroupSpecError,
     build_parser,
     check_result_size,
@@ -34,7 +34,6 @@ from nilmult.cli import (
     main,
     parse_args,
     parse_group_spec,
-    sweep_size,
 )
 from nilmult.multiplier import (
     MultiplierResult,
@@ -719,8 +718,9 @@ def test_cap_exceeded_exits_3(capsys):
     )
     assert code == 3
     assert "--method formula" in err
-    code, _, err = run(capsys, "basis", "--weight", "8", "--letters", "8")
-    assert code == 3
+    # basis checks the cap on the first line it asks for, before any write
+    code, out, err = run(capsys, "basis", "--weight", "8", "--letters", "8")
+    assert (code, out) == (3, "")
     assert "cap" in err
 
 
@@ -814,6 +814,27 @@ def test_basis_output_is_the_joined_list(capsys, monkeypatch, weight, letters, c
     )
     assert (code, err) == (0, "")
     assert out == "\n".join(basis) + "\n"
+
+
+def test_basis_streams_its_chunks(monkeypatch):
+    # each chunk is written as soon as it is rendered: (7, 5) has 11,160
+    # lines, and no more than a chunk of them is pending at any write
+    yielded = []
+
+    def counted(weight, letters):
+        for line in hall._iter_basic(weight, letters):
+            yielded.append(line)
+            yield line
+
+    written = []
+    sink = types.SimpleNamespace(
+        write=lambda text: written.append((len(yielded), text.count("\n")))
+    )
+    monkeypatch.setattr(cli, "_iter_basic", counted)
+    monkeypatch.setattr(sys, "stdout", sink)
+    assert main(["basis", "--weight", "7", "--letters", "5"]) == 0
+    assert written == [(4096, 4096), (8192, 4096), (11160, 2968)]
+    assert yielded == enumerate_basic(7, 5)
 
 
 def test_fewer_than_two_letters_answer_at_once(capsys):
@@ -1295,25 +1316,46 @@ def test_sweep_is_deterministic(capsys):
     assert first == second
 
 
+def refuse_verify(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a case was verified")
+
+    monkeypatch.setattr(cli, "verify", refuse)
+
+
+def equal_report(decomposition, c):
+    """A stand-in for ``verify`` that answers every case equal, without checking it."""
+    return types.SimpleNamespace(equal=True)
+
+
 @pytest.mark.parametrize(
     "max_order, max_rank, max_class, cases",
     [(1, 3, 2, 2), (2, 1, 5, 10), (6, 2, 2, 28), (12, 0, 4, 4), (20, 4, 1, 292),
      (12, 3, 3, 222), (32, 5, 5, 5710)],  # the last is acceptance criterion 9
 )
-def test_sweep_cases_count_the_chains(max_order, max_rank, max_class, cases):
+def test_sweep_cases_count_the_chains(capsys, monkeypatch, max_order, max_rank,
+                                      max_class, cases):
+    # the walk that sizes the sweep is the walk that runs it
     assert sum(1 for _ in invariant_chains(max_order, max_rank)) * max_class == cases
-    assert sweep_size(max_order, max_rank, max_class)[0] == cases
+    monkeypatch.setattr(cli, "verify", equal_report)
+    assert run(capsys, "sweep", "--max-order", str(max_order), "--max-rank",
+               str(max_rank), "--max-class", str(max_class)) == (
+        0, f"checked {cases} (chain, class) pairs: {cases} equal, 0 mismatched\n", ""
+    )
 
 
 def test_oversized_sweep_exits_1_before_any_verify(capsys, monkeypatch):
-    def refuse(*args):
-        raise AssertionError("a case was verified")
-
-    monkeypatch.setattr(cli, "verify", refuse)
+    refuse_verify(monkeypatch)
+    huge = str(10**12)
     for argv, cases in [
         (("--max-order", "100000", "--max-rank", "2", "--max-class", "1"), 100001),
-        (("--max-order", "2", "--max-rank", "1000000000", "--max-class", "1"), 100002),
-        (("--max-order", str(10**12), "--max-rank", "1", "--max-class", "3"), 100002),
+        (("--max-order", huge, "--max-rank", "1", "--max-class", "3"), 100002),
+        # the walk stops at the first chain past the bound
+        (("--max-order", "4", "--max-rank", "1414", "--max-class", "1"), 100001),
+        # no case has two letters, so no cap is checked, whatever the class
+        (("--max-order", huge, "--max-rank", "1", "--max-class", huge), 10**12),
+        (("--max-order", huge, "--max-rank", "0", "--max-class", huge), 10**12),
+        (("--max-order", "1", "--max-rank", "5", "--max-class", huge), 10**12),
     ]:
         code, out, err = run(capsys, "sweep", *argv)
         assert (code, out) == (1, "")
@@ -1324,12 +1366,9 @@ def test_oversized_sweep_exits_1_before_any_verify(capsys, monkeypatch):
 
 
 def test_sweep_over_the_cap_exits_3_before_any_verify(capsys, monkeypatch):
-    def refuse(*args):
-        raise AssertionError("a case was verified")
-
-    monkeypatch.setattr(cli, "verify", refuse)
-    # 63 cases and 3,644,784 commutators, within both bounds, but the case
-    # (2,2,2,2,2,2,2,2) at class 7 asks for 2,096,640 of weight 8
+    refuse_verify(monkeypatch)
+    # 63 cases, within the case bound, but the case (2,2,2,2,2,2,2,2) at
+    # class 7 asks for 2,096,640 of weight 8
     code, out, err = run(capsys, "sweep", "--max-order", "2", "--max-rank", "8",
                          "--max-class", "7")
     assert (code, out) == (3, "")
@@ -1344,43 +1383,84 @@ def test_sweep_over_the_cap_exits_3_before_any_verify(capsys, monkeypatch):
     [(1, 3, 2), (2, 1, 5), (6, 2, 2), (12, 3, 3), (20, 4, 1), (32, 5, 5)],
 )
 def test_sweep_commutators_count_the_enumeration(max_order, max_rank, max_class):
-    expected = sum(
+    # the sweep checks the cap on its largest case alone: no case of the
+    # family has more basic commutators of weight c + 1 than that one
+    most = max(
         witt_count(c + 1, len(chain))
         for chain in invariant_chains(max_order, max_rank)
         for c in range(1, max_class + 1)
     )
-    assert sweep_size(max_order, max_rank, max_class)[1] == expected
-    # the criterion-9 family, (32, 5, 5), counts 2,115,960 and stays in bounds
-    assert expected <= MAX_SWEEP_COMMUTATORS
+    largest = max_rank if max_order >= 2 else 0
+    assert most == witt_count(max_class + 1, largest)
 
 
-def test_sweep_over_the_commutator_bound_exits_1_before_any_verify(capsys, monkeypatch):
-    def refuse(*args):
-        raise AssertionError("a case was verified")
+def test_sweep_over_the_cap_exits_3_before_counting_cases(capsys, monkeypatch):
+    refuse_verify(monkeypatch)
+    # the cap is checked first, on the largest case, and names it; the
+    # first two are within the case bound, the last two far above it
+    for argv, message in [
+        (("2", "2000", "1"), "1999000 basic commutators of weight 2 on 2000 letters"),
+        (("2", "1415", "2"), "944382320 basic commutators of weight 3 on 1415 letters"),
+        (("2", str(10**9), "1"),
+         "499999999500000000 basic commutators of weight 2 on 1000000000 letters"),
+        (("2", "2", str(10**9)),
+         "at least 2^999999970 basic commutators of weight 1000000001 on 2 letters"),
+    ]:
+        code, out, err = run(capsys, "sweep", "--max-order", argv[0],
+                             "--max-rank", argv[1], "--max-class", argv[2])
+        assert (code, out) == (3, "")
+        assert err == f"error: {message} exceed the enumeration cap 1000000\n"
 
-    monkeypatch.setattr(cli, "verify", refuse)
-    # 2,001 cases, under MAX_SWEEP_CASES, but chains of up to 2,000 letters
-    argv = ("--max-order", "2", "--max-rank", "2000", "--max-class", "1")
-    cases, count = sweep_size(2, 2000, 1)
-    assert cases == 2001
-    assert count > MAX_SWEEP_COMMUTATORS
-    code, out, err = run(capsys, "sweep", *argv)
-    assert (code, out) == (1, "")
-    assert err == (
-        f"error: the sweep would enumerate at least {count} basic commutators, "
-        f"above the bound of {MAX_SWEEP_COMMUTATORS}\n"
+
+def test_sweep_over_the_old_commutator_bound_runs(capsys):
+    # 10,666,600 basic commutators of weight 2 over its chains, but every
+    # case is under the cap, and the oracle enumerates none of them
+    assert sum(witt_count(2, k) for k in range(401)) == 10_666_600
+    assert run(capsys, "sweep", "--max-order", "2", "--max-rank", "400",
+               "--max-class", "1") == (
+        0, "checked 401 (chain, class) pairs: 401 equal, 0 mismatched\n", ""
     )
 
 
-@given(st.integers(1, 24), st.integers(0, 5), st.integers(1, 4))
-@settings(deadline=None, max_examples=60)
-def test_sweep_size_counts_cases_and_letter_set_bound(max_order, max_rank, max_class):
+@given(st.integers(1, 24), st.integers(0, 5), st.integers(1, 4),
+       st.integers(0, 700), st.integers(1, 2000))
+@settings(deadline=None, max_examples=80)
+@example(2, 5, 4, 623, 2000)  # one commutator over the cap, on the largest case only
+@example(2, 5, 4, 624, 23)  # at the cap, one case over the bound
+@example(12, 3, 3, 10**6, 222)  # at the case bound
+def test_sweep_verdict_is_the_brute_force_one(max_order, max_rank, max_class, cap, bound):
+    # the cap first, on every case, then the cases; no refusal verifies a case
     chains = list(invariant_chains(max_order, max_rank))
-    assert sweep_size(max_order, max_rank, max_class) == (
-        len(chains) * max_class,
-        sum(witt_count(c + 1, len(chain))
-            for chain in chains for c in range(1, max_class + 1)),
-    )
+    cases = [(chain, c) for chain in chains for c in range(1, max_class + 1)]
+    over = [(witt_count(c + 1, len(chain)), c + 1, len(chain))
+            for chain, c in cases if witt_count(c + 1, len(chain)) > cap]
+    if over:
+        count, weight, letters = max(over)
+        expected = (3, "", f"error: {count} basic commutators of weight {weight} "
+                           f"on {letters} letters exceed the enumeration cap {cap}\n")
+    elif len(cases) > bound:
+        counted = min(len(chains), bound // max_class + 1) * max_class
+        expected = (1, "", f"error: the sweep would check at least {counted} "
+                           f"(chain, class) cases, above the bound of {bound}\n")
+    else:
+        expected = (0, f"checked {len(cases)} (chain, class) pairs: "
+                       f"{len(cases)} equal, 0 mismatched\n", "")
+    verified = []
+
+    def record(decomposition, c):
+        verified.append((decomposition.orders, c))
+        return equal_report(decomposition, c)
+
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hall, "ENUM_CAP", cap)
+        patch.setattr(cli, "MAX_SWEEP_CASES", bound)
+        patch.setattr(cli, "verify", record)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["sweep", "--max-order", str(max_order), "--max-rank",
+                         str(max_rank), "--max-class", str(max_class)])
+    assert (code, out.getvalue(), err.getvalue()) == expected
+    assert verified == ([] if code else cases)
 
 
 def test_rank_0_sweep_over_huge_orders_checks_its_one_case():

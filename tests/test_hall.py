@@ -422,7 +422,7 @@ def test_default_cap(monkeypatch):
     assert (exc_info.value.count, exc_info.value.cap) == (2_096_640, 10**6)
 
 
-def test_env_var_overrides_cap(monkeypatch):
+def test_env_var_does_not_override_cap(monkeypatch):
     # NILMULT_ENUM_CAP was once read on every call; now "5", "0" or "lots"
     # overrides nothing and changes no answer
     def answers():
