@@ -324,12 +324,22 @@ def invariant_chains(max_order: int, max_rank: int):
     """All divisibility chains with entries in 2..max_order and length <= max_rank.
 
     Depth first, each chain before its extensions, which go by increasing
-    next entry.  ``pending[k]`` holds the candidates for entry k that are not
-    yet tried, so the depth is bounded by the rank, not by the call stack.
+    next entry.
     """
-    yield ()
+    return map(tuple, _chain_walk(max_order, max_rank))
+
+
+def _chain_walk(max_order: int, max_rank: int):
+    """The walk behind ``invariant_chains``, yielding one list changed in place.
+
+    Each yield is the current chain; counting the yields builds no tuples.
+    ``pending[k]`` holds the candidates for entry k that are not yet tried,
+    so the depth is bounded by the rank, not by the call stack.
+    """
     chain: list[int] = []
+    yield chain
     pending = [iter(range(2, max_order + 1))] if max_rank > 0 else []
+    below: dict[int, list[int]] = {}  # n -> its divisors >= 2, found once per n
     while pending:
         n = next(pending[-1], None)
         if n is None:
@@ -338,9 +348,11 @@ def invariant_chains(max_order: int, max_rank: int):
                 chain.pop()
             continue
         chain.append(n)
-        yield tuple(chain)
+        yield chain
         if len(chain) < max_rank:
-            pending.append(iter([d for d in divisors(n) if d >= 2]))
+            if n not in below:
+                below[n] = [d for d in divisors(n) if d >= 2]
+            pending.append(iter(below[n]))
         else:
             chain.pop()
 
@@ -356,7 +368,7 @@ def cmd_sweep(args: SimpleNamespace) -> int:
         # for weight >= 2, witt_count grows with the weight and with the
         # letters, so a case is over the cap only if the largest one is
         check_cap(args.max_class + 1, args.max_rank)
-    chains = invariant_chains(args.max_order, args.max_rank)
+    chains = _chain_walk(args.max_order, args.max_rank)
     cases = args.max_class * sum(
         1 for _ in itertools.islice(chains, MAX_SWEEP_CASES // args.max_class + 1)
     )

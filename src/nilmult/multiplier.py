@@ -14,12 +14,15 @@ steps of ``abelian.compressed_invariant_form``; it expands no letter set or
 gcd and factors no integer into primes.
 ``verify`` canonicalizes the input once, runs both and compares.  A result's
 value is its summands.  Its text is the command line's job, but the digits
-come from here, made only when ``summand_digits`` asks for them: orders go
-through ``decimal_str``, and so do multiplicities, unless the largest Witt
-count of a formula result passes ``_EXACT_DECIMAL_BITS``.  Then the counts of
-the chain and class the result carries are evaluated a second time as exact
-``decimal.Decimal`` integers, whose digits need no conversion from binary,
-and each multiplicity is checked against its int twin.
+come from here, made only when ``summand_digits`` asks for them.  Orders go
+through ``decimal_str``, and so do the multiplicities of a result that holds
+its ints.  A formula result whose Witt counts pass ``_EXACT_DECIMAL_BITS`` by
+the estimate ``_exact_decimal``, the rule ``witt_count_digits`` uses too, is
+*sourced*: it carries its chain and class and makes no ints.  Its
+multiplicities are evaluated once, as exact ``decimal.Decimal`` integers,
+whose digits need no conversion from binary, and each is checked against the
+same Witt sum evaluated modulo a prime.  Its ``summands`` are made only when
+they are read.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from .abelian import (
     canonicalize,
 )
 from .hall import letter_profile
-from .witt import b_sequence, decimal_counts, exact_context, witt_count
+from .witt import _moebius_residues, b_sequence, decimal_counts, exact_context, witt_count
 
 # multiplier_order gives the exact order only up to this many decimal digits;
 # beyond it, callers fall back to the factored form.
@@ -56,15 +59,32 @@ _TENS_MAX_BITS = 65_000
 _TENS_LEAF_DIGITS = 600
 _DECIMAL_LEAF_BITS = 1024
 
-# Witt counts of more bits than this are evaluated a second time, in exact
-# decimal, for their digits.  Below it libmpdec's powers cost more than
-# decimal_str's conversion of the int; the two break even near 30,000 bits on
-# ranks 2-6 (CPython 3.11, x86-64).
+# A formula result whose Witt counts have more bits than this, by the estimate
+# weight * bit_length(rank - 1), gets its multiplicities' digits from exact
+# decimal Witt counts and makes no int table (see _exact_decimal).  Per result,
+# against the int table plus decimal_str, the decimal route costs more below
+# about 12,000 bits, and from 16,000 on the same to 40% less, ranks 2-6 (at
+# 30,000: 1.1-2.3 ms against 1.1-2.8 ms).  Moving the bound to 16,000 or
+# 12,000 left a formula-deep pass flat (seeds 1 and 5, in-process, 10
+# alternated passes: medians within 5%, best within 2%), so it stays.
+# CPython 3.11, x86-64.
 _EXACT_DECIMAL_BITS = 30_000
 
-# A multiplicity evaluated in exact decimal must equal its int twin modulo
-# this prime (2**61 - 1); the check is linear in the digits.
+# A multiplicity evaluated in exact decimal must equal the same Witt sum
+# evaluated modulo this prime (2**61 - 1), and the int multiplicity when the
+# result holds one; the check is linear in the digits.
 _CHECK_PRIME = 2**61 - 1
+
+
+def _exact_decimal(weight: int, letters: int) -> bool:
+    """Whether Witt counts of this weight on up to ``letters`` letters are made in exact decimal.
+
+    A count is below letters**weight, so it has at most weight *
+    bit_length(letters - 1) bits; past ``_EXACT_DECIMAL_BITS`` by that
+    estimate, ``nilpotent_multiplier`` and ``witt_count_digits`` make its
+    digits in exact decimal and no int.
+    """
+    return weight * max(letters - 1, 0).bit_length() > _EXACT_DECIMAL_BITS
 
 
 def decimal_str(value: int) -> str:
@@ -158,10 +178,13 @@ class MultiplierResult(_Value):
     ``summands`` lists (order, multiplicity) pairs with strictly decreasing
     orders, each dividing its predecessor; multiplicities are exact integers
     and can be astronomically large.  The empty tuple is the trivial group.
-    ``digits_source`` is the (chain, class) of a formula result whose largest
-    Witt count passes ``_EXACT_DECIMAL_BITS``, from which ``summand_digits``
-    evaluates the multiplicities again in exact decimal; it is not part of
-    the value, so equality, hashing and repr ignore it.
+    ``digits_source`` is the (chain, class) of a formula result whose Witt
+    counts pass ``_EXACT_DECIMAL_BITS`` by the estimate of ``_exact_decimal``,
+    from which ``summand_digits`` evaluates the multiplicities in exact
+    decimal; it is not part of the value, so equality, hashing and repr
+    ignore it.  ``nilpotent_multiplier`` leaves such a result's ``summands``
+    unset, and the first read of them evaluates the Witt counts as ints, so
+    a result that is only printed makes no int table.
     """
 
     __slots__ = ("summands", "digits_source", "_digits")
@@ -189,6 +212,16 @@ class MultiplierResult(_Value):
         object.__setattr__(self, "summands", summands)
         object.__setattr__(self, "digits_source", digits_source)
 
+    def __getattr__(self, name: str):
+        # Runs only when a slot is unset: the summands of a sourced result,
+        # made from its digits_source on first read; any other name is absent.
+        if name != "summands":
+            raise AttributeError(name)
+        chain, nilpotency_class = self.digits_source
+        summands = _summands(chain, b_sequence(nilpotency_class, len(chain)))
+        object.__setattr__(self, "summands", summands)
+        return summands
+
     def _value(self) -> tuple:
         return (self.summands,)
 
@@ -198,18 +231,31 @@ class MultiplierResult(_Value):
         summands = _tuple_repr(_tuple_repr(map(decimal_str, pair)) for pair in self.summands)
         return f"MultiplierResult(summands={summands})"
 
-    def _multiplicity_digits(self) -> tuple[str, ...]:
-        """The multiplicities' digits from ``digits_source``, made on first use."""
+    def _exact_summand_digits(self) -> tuple[tuple[int, str], ...]:
+        """(order, multiplicity digits) pairs from ``digits_source``, made on first use."""
         try:
             return self._digits
         except AttributeError:  # the slot is unset until the first call
-            digits = _exact_digits(*self.digits_source, self.summands)
+            digits = _exact_digits(*self.digits_source, _held_summands(self))
             object.__setattr__(self, "_digits", digits)
             return digits
 
 
+def _held_summands(result: MultiplierResult) -> tuple | None:
+    """``result.summands``, or None for a sourced result that has not made them."""
+    try:
+        # object's lookup, which skips MultiplierResult.__getattr__
+        return object.__getattribute__(result, "summands")
+    except AttributeError:
+        return None
+
+
 def nilpotent_multiplier(group: InvariantFactors, nilpotency_class: int) -> MultiplierResult:
     """Closed-form multiplier of the group for the given nilpotency class.
+
+    A result whose Witt counts pass ``_EXACT_DECIMAL_BITS`` by the estimate
+    of ``_exact_decimal`` is sourced: it makes its summands when they are
+    first read, and ``summand_digits`` never needs them.
 
     >>> nilpotent_multiplier(InvariantFactors((12, 6, 2)), 1).summands
     ((6, 1), (2, 2))
@@ -219,17 +265,18 @@ def nilpotent_multiplier(group: InvariantFactors, nilpotency_class: int) -> Mult
     chain = group.chain
     if len(chain) <= 1:
         return MultiplierResult(())
-    counts = b_sequence(nilpotency_class, len(chain))
-    source = None
-    if counts[-1].bit_length() > _EXACT_DECIMAL_BITS:
-        source = (chain, nilpotency_class)
-    return MultiplierResult(_summands(chain, counts), source)
+    if _exact_decimal(nilpotency_class + 1, len(chain)):
+        result = MultiplierResult.__new__(MultiplierResult)  # summands unset
+        object.__setattr__(result, "digits_source", (chain, nilpotency_class))
+        return result
+    return MultiplierResult(_summands(chain, b_sequence(nilpotency_class, len(chain))))
 
 
 def _summands(chain: tuple[int, ...], counts) -> tuple:
     """(n_i, b_i - b_{i-1}) for i = 2..k, with equal orders merged.
 
-    ``counts`` are ints, or exact Decimals inside ``exact_context()``.
+    ``counts`` are ints, residues modulo a prime, or exact Decimals inside
+    ``exact_context()``.
     """
     summands: list[list] = []
     for i in range(2, len(chain) + 1):
@@ -244,50 +291,65 @@ def _summands(chain: tuple[int, ...], counts) -> tuple:
 
 
 def _exact_digits(
-    chain: tuple[int, ...], nilpotency_class: int, summands: tuple
-) -> tuple[str, ...]:
-    """The multiplicities' digits, from the Witt counts evaluated in exact decimal.
+    chain: tuple[int, ...], nilpotency_class: int, summands: tuple | None
+) -> tuple[tuple[int, str], ...]:
+    """(order, multiplicity digits) pairs, from the Witt counts evaluated in exact decimal.
 
-    Each decimal multiplicity must equal its int twin in ``summands`` modulo
-    ``_CHECK_PRIME``; a disagreement raises ``ArithmeticError``.
+    Each decimal multiplicity must agree, modulo ``_CHECK_PRIME``, with the
+    same Witt sums evaluated modulo that prime (weight times the
+    multiplicity), and with the int multiplicity in ``summands`` unless that
+    is None; a disagreement raises ``ArithmeticError``.
     """
     import decimal
 
-    counts = decimal_counts(nilpotency_class + 1, range(1, len(chain) + 1))
-    digits = []
+    weight = nilpotency_class + 1
+    letters = range(1, len(chain) + 1)
+    # weight times each multiplicity, modulo _CHECK_PRIME
+    residues = _summands(chain, _moebius_residues(weight, letters, _CHECK_PRIME))
+    counts = decimal_counts(weight, letters)
+    pairs = []
     with decimal.localcontext(exact_context()):
-        twins = _summands(chain, counts)
-        if len(twins) != len(summands):
+        exact = _summands(chain, counts)
+        if summands is not None and len(summands) != len(exact):
             raise ArithmeticError(
-                f"{len(twins)} decimal multiplicities for {len(summands)} summands"
+                f"{len(exact)} decimal multiplicities for {len(summands)} summands"
             )
-        for index, ((_, mult), (_, twin)) in enumerate(zip(summands, twins)):
-            if twin % _CHECK_PRIME != mult % _CHECK_PRIME:
+        for index, ((order, mult), (_, residue)) in enumerate(zip(exact, residues)):
+            remainder = int(mult % _CHECK_PRIME)
+            if remainder * weight % _CHECK_PRIME != residue % _CHECK_PRIME:
                 raise ArithmeticError(
                     f"the decimal multiplicity of summand {index} disagrees "
-                    f"with its int twin modulo {_CHECK_PRIME}"
+                    f"with its Witt sum modulo {_CHECK_PRIME}"
                 )
-            digits.append(str(twin))
-    return tuple(digits)
+            if summands is not None and (
+                summands[index][0] != order
+                or summands[index][1] % _CHECK_PRIME != remainder
+            ):
+                raise ArithmeticError(
+                    f"the decimal summand {index} disagrees with its int "
+                    f"summand modulo {_CHECK_PRIME}"
+                )
+            pairs.append((order, str(mult)))
+    return tuple(pairs)
 
 
 def summand_digits(result: MultiplierResult) -> list[tuple[str, str]]:
     """The decimal digits of each summand's (order, multiplicity), in order.
 
-    Orders and multiplicities go through ``decimal_str``, except for a formula
-    result whose largest Witt count passes ``_EXACT_DECIMAL_BITS``: its
-    multiplicities' digits come from the counts evaluated again in exact
-    decimal, each checked against its int multiplicity, once per result.  The
-    caller's ``decimal`` context is left unchanged.
+    Orders go through ``decimal_str``, and so do the multiplicities of a
+    result without ``digits_source``.  A sourced formula result takes its
+    orders from its chain and its multiplicities' digits from the Witt
+    counts evaluated in exact decimal, each checked against the same sums
+    modulo a prime and against its int multiplicity if the result holds one,
+    once per result; it makes no int.  The caller's ``decimal`` context is
+    left unchanged.
 
     >>> summand_digits(nilpotent_multiplier(InvariantFactors((12, 6, 2)), 1))
     [('6', '1'), ('2', '2')]
     """
-    exact = result._multiplicity_digits() if result.digits_source is not None else None
-    return [
-        (decimal_str(order), exact[i] if exact is not None else decimal_str(mult))
-        for i, (order, mult) in enumerate(result.summands)
-    ]
+    if result.digits_source is not None:
+        return [(decimal_str(order), digits) for order, digits in result._exact_summand_digits()]
+    return [(decimal_str(order), decimal_str(mult)) for order, mult in result.summands]
 
 
 def witt_count_digits(weight: int, letters: int) -> str:
@@ -295,13 +357,14 @@ def witt_count_digits(weight: int, letters: int) -> str:
 
     The count is below letters**weight, which has at most weight *
     bit_length(letters - 1) bits.  Past ``_EXACT_DECIMAL_BITS`` by that
-    estimate it is evaluated by ``decimal_counts`` and printed as it is: no
-    int, no ``decimal_str``.
+    estimate (``_exact_decimal``, the rule ``nilpotent_multiplier`` follows
+    too) it is evaluated by ``decimal_counts`` and printed as it is: no int,
+    no ``decimal_str``.
 
     >>> witt_count_digits(6, 4)
     '670'
     """
-    if weight * max(letters - 1, 0).bit_length() <= _EXACT_DECIMAL_BITS:
+    if not _exact_decimal(weight, letters):
         return decimal_str(witt_count(weight, letters))
     return str(decimal_counts(weight, [letters])[0])
 
@@ -345,16 +408,25 @@ def multiplier_order(result: MultiplierResult) -> int | None:
     >>> multiplier_order(nilpotent_multiplier(InvariantFactors((12, 6, 2)), 1))
     24
     """
+    if result.digits_source is not None and _held_summands(result) is None:
+        # A sourced result: every order is at least 2, and the multiplicities
+        # add up to b_k > 2**(w * (bit_length(k) - 1) - bit_length(w) - 1),
+        # check_cap's bound on weight w = class + 1.  As _exact_decimal holds,
+        # w * bit_length(k - 1) > _EXACT_DECIMAL_BITS (30,000), which puts b_k
+        # above 2**14,000, far past _DECIMAL_BOUND_BITS (33,220): the order
+        # is above the bound.
+        return None
+    summands = result.summands
     # An order n is at least 2**(n.bit_length() - 1), so the order of the
     # multiplier is at least 2**floor_bits: at _DECIMAL_BOUND_BITS or more it
     # is above the bound, and nothing is multiplied.  Below it, every order is
     # at least 2 and so adds at least its multiplicity to floor_bits, and the
     # product has fewer than 2 * _DECIMAL_BOUND_BITS bits.
-    floor_bits = sum(mult * (order.bit_length() - 1) for order, mult in result.summands)
+    floor_bits = sum(mult * (order.bit_length() - 1) for order, mult in summands)
     if floor_bits >= _DECIMAL_BOUND_BITS:
         return None
     value = 1
-    for order, mult in result.summands:
+    for order, mult in summands:
         value *= order**mult
     return value if value < _DECIMAL_BOUND else None
 

@@ -25,9 +25,10 @@ made on every call and not kept.
 ``decimal_counts`` evaluates the same terms and the same checked sums, with
 the same routine, in exact ``decimal.Decimal`` arithmetic, inside
 ``exact_context()``.  str() of a Decimal integer is its digits, so a count is
-printed without a conversion from binary; past about 30,000 bits libmpdec's
-powers cost less than that conversion.  ``decimal`` is imported only when
-such a count is asked for.
+printed without a conversion from binary; past the multiplier's exact-decimal
+bound libmpdec's powers cost less than an int table and that conversion.
+``_moebius_residues`` evaluates the same sums modulo a prime, to check them.
+``decimal`` is imported only when such a count is asked for.
 """
 
 from __future__ import annotations
@@ -111,6 +112,18 @@ def _witt_sums(weight: int, letters: Sequence[int], number=int) -> list:
             )
         counts.append(count)
     return counts
+
+
+def _moebius_residues(weight: int, letters: Iterable[int], modulus: int) -> list[int]:
+    """The Moebius sum weight * ``witt_count(weight, q)`` modulo ``modulus``, for each q.
+
+    The same terms as ``_witt_sums``, with every power taken modulo
+    ``modulus``: a few modular powers per letter count, to check a count
+    evaluated another way.
+    """
+    terms = _moebius_terms(weight)
+    return [sum(mu * pow(q, exponent, modulus) for mu, exponent in terms) % modulus
+            for q in letters]
 
 
 # Cached, like _moebius_terms, so that a small table costs no more than

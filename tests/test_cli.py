@@ -583,6 +583,27 @@ def test_wide_mixed_output_is_pinned(capsys, fmt, digest):
     assert hashlib.sha256("".join(outputs).encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "fmt, digest",
+    [
+        ("text", "82875ef978a2d099b244020deb052d5d2103ede5cbd6b82d52d8b84132d35f07"),
+        ("json", "981cb7155dd662f978d5323253aa7d678383c2b8dd7fa0fe8c7be6d39db16475"),
+    ],
+)
+def test_formula_deep_output_is_pinned(capsys, fmt, digest):
+    # the output of formula-deep's seed-1 pass, byte for byte: --method
+    # formula on 120 strict chains of rank 2-6 at classes 10^3-10^5, most of
+    # them past the exact-decimal bound, in the given format
+    outputs = []
+    for argv in bench_workloads().formula_deep(1):
+        assert argv[-2:] == ["--format", "json"]
+        code, out, err = run(capsys, *argv[:-1], fmt)
+        assert (code, err) == (0, "")
+        outputs.append(out)
+    assert len(outputs) == 120
+    assert hashlib.sha256("".join(outputs).encode()).hexdigest() == digest
+
+
 def test_compute_oracle_method(capsys):
     code, out, _ = run(
         capsys, "compute", "--group", "8,4", "--class", "3", "--method", "oracle"
@@ -1241,6 +1262,16 @@ def test_invariant_chains_match_the_recursive_reference(max_order, max_rank):
     assert list(invariant_chains(max_order, max_rank)) == list(
         recursive_invariant_chains(max_order, max_rank)
     )
+
+
+def test_sweep_sizing_walk_builds_no_tuples():
+    # the walk that sizes a sweep yields one list, changed in place; the
+    # chains it passes through are invariant_chains'
+    walk = cli._chain_walk(12, 3)
+    seen = [tuple(chain) for chain in walk]
+    assert seen == list(invariant_chains(12, 3))
+    lists = {id(chain) for chain in cli._chain_walk(12, 3)}
+    assert len(lists) == 1
 
 
 def test_invariant_chains_deeper_than_the_recursion_limit():

@@ -21,12 +21,13 @@ from nilmult.abelian import (
     compressed_invariant_form,
 )
 from nilmult.hall import CapExceeded, enumerate_basic, letter_profile
-from nilmult import multiplier
+from nilmult import cli, multiplier, witt
 from nilmult.multiplier import (
     _EXACT_DECIMAL_BITS,
     _STR_MAX_BITS,
     _TENS_LEAF_DIGITS,
     _TENS_MAX_BITS,
+    _exact_decimal,
     MultiplierResult,
     VerificationReport,
     decimal_str,
@@ -37,7 +38,7 @@ from nilmult.multiplier import (
     verify,
     witt_count_digits,
 )
-from nilmult.witt import b_sequence, witt_count
+from nilmult.witt import b_sequence, exact_context, witt_count
 
 small_decompositions = st.lists(st.integers(1, 12), min_size=1, max_size=3).map(
     lambda v: CyclicDecomposition(tuple(v))
@@ -462,19 +463,81 @@ def decimal_calls(monkeypatch):
 @pytest.mark.parametrize("make_chain", [with_repeats, strict])
 def test_summand_digits_equal_decimal_str(rank, make_chain, decimal_calls):
     # classes on both sides of the exact-decimal threshold at every rank; the
-    # formula does no decimal arithmetic, and summand_digits only past it
+    # formula does no decimal arithmetic, and summand_digits only past it, by
+    # the estimate (class + 1) * bit_length(rank - 1) that `witt` uses too
     chain = chain_of(*make_chain(rank))
     for c in (1, 2, 700, 2000, 10**4, 10**5):
         result = nilpotent_multiplier(chain, c)
         assert decimal_calls == []
-        assert summand_digits(result) == [
+        exact = (c + 1) * (rank - 1).bit_length() > _EXACT_DECIMAL_BITS
+        assert exact == _exact_decimal(c + 1, rank)
+        assert (result.digits_source is not None) == exact, (chain, c)
+        # the digits first, so a sourced result makes them with no ints
+        digits = summand_digits(result)
+        assert decimal_calls == ([c + 1] if exact else []), (chain, c)
+        assert digits == [
             (decimal_str(order), decimal_str(mult)) for order, mult in result.summands
         ], (chain, c)
-        exact = b_sequence(c, rank)[-1].bit_length() > _EXACT_DECIMAL_BITS
-        assert (result.digits_source is not None) == exact, (chain, c)
-        assert decimal_calls == ([c + 1] if exact else []), (chain, c)
-        assert exact == (c == 10**5)
+        # 10,001 * bit_length(4..6) = 30,003
+        assert exact == (c == 10**5 or (c == 10**4 and rank >= 5))
         decimal_calls.clear()
+
+
+@pytest.fixture
+def int_sums(monkeypatch):
+    """The weights of the int ``_witt_sums`` calls, with the table cache cleared."""
+    calls = []
+    original = witt._witt_sums
+
+    def counted(weight, letters, number=int):
+        if number is int:
+            calls.append(weight)
+        return original(weight, letters, number)
+
+    monkeypatch.setattr(witt, "_witt_sums", counted)
+    witt._small_table.cache_clear()
+    yield calls
+    witt._small_table.cache_clear()
+
+
+def test_large_formula_result_makes_ints_only_when_read(capsys, int_sums, decimal_calls):
+    chain = canonicalize(CyclicDecomposition((6, 5, 4, 3, 2)))
+    assert cli.main(["compute", "--group", "6,5,4,3,2", "--class", str(10**5),
+                     "--method", "formula"]) == 0
+    out = capsys.readouterr().out
+    assert int_sums == []  # no int Witt sum, for the digits or the order
+    assert decimal_calls == [10**5 + 1]
+    result = nilpotent_multiplier(chain, 10**5)
+    assert multiplier_order(result) is None
+    for name in ("other", "_digits"):  # absent, and made by no __getattr__
+        with pytest.raises(AttributeError):
+            getattr(result, name)
+    assert int_sums == []
+    expected = multiplier._summands(chain.chain, b_sequence(10**5, len(chain)))
+    assert int_sums == [10**5 + 1]
+    assert result.summands == expected  # made on first read, the int route's
+    assert result.summands is result.summands  # and kept
+    assert int_sums == [10**5 + 1, 10**5 + 1]
+    assert result == MultiplierResult(expected)
+    assert f"multiplier: {cli._direct_sum(summand_digits(result))}\n" in out
+
+
+@pytest.mark.parametrize("rank", range(2, 9))
+def test_sourced_results_are_past_the_order_bound(rank):
+    # the smallest class the estimate sources: the int route's order is too
+    # large too, so multiplier_order may answer None without the ints
+    bits = (rank - 1).bit_length()
+    c = _EXACT_DECIMAL_BITS // bits  # weight c + 1 is the least over the bound
+    assert _exact_decimal(c + 1, rank) and not _exact_decimal(c, rank)
+    chain = chain_of(*strict(rank)) if rank <= 7 else chain_of(1440, *strict(7))
+    sourced = nilpotent_multiplier(chain, c)
+    assert multiplier._held_summands(sourced) is None
+    int_route = MultiplierResult(multiplier._summands(chain.chain, b_sequence(c, rank)))
+    assert multiplier_order(int_route) is None
+    assert multiplier_order(sourced) is None
+    assert sourced == int_route
+    # one class lower, the result holds its ints
+    assert nilpotent_multiplier(chain, c - 1).digits_source is None
 
 
 def test_exact_digits_are_not_part_of_the_value(decimal_calls):
@@ -662,19 +725,37 @@ def test_corrupted_decimal_count_raises(monkeypatch):
 
     def off_by_one(weight, letters):
         counts = original(weight, letters)
-        counts[-1] += 1
+        with decimal.localcontext(exact_context()):
+            counts[-1] += 1
         return counts
 
     monkeypatch.setattr(multiplier, "decimal_counts", off_by_one)
-    result = nilpotent_multiplier(chain_of(6, 2, 2), 10**5)
-    with pytest.raises(ArithmeticError, match="int twin"):
+    chain = chain_of(6, 2, 2)
+    # no ints: the modular Witt sums catch it
+    result = nilpotent_multiplier(chain, 10**5)
+    with pytest.raises(ArithmeticError, match="disagrees with its Witt sum modulo"):
         summand_digits(result)
+    # with the ints given, and the modular sums corrupted alike, the ints do
+    residues = multiplier._moebius_residues
+
+    def shifted(weight, letters, modulus):
+        totals = residues(weight, letters, modulus)
+        totals[-1] = (totals[-1] + weight) % modulus  # weight * (count + 1)
+        return totals
+
+    monkeypatch.setattr(multiplier, "_moebius_residues", shifted)
+    summands = multiplier._summands(chain.chain, b_sequence(10**5, 3))
+    explicit = MultiplierResult(summands, (chain.chain, 10**5))
+    with pytest.raises(ArithmeticError, match="disagrees with its int summand"):
+        summand_digits(explicit)
     # a result carrying another chain is caught too
     monkeypatch.setattr(multiplier, "decimal_counts", original)
-    wrong = MultiplierResult(result.summands, ((2, 2, 2, 2), 10**5))
-    with pytest.raises(ArithmeticError, match="int twin"):
+    monkeypatch.setattr(multiplier, "_moebius_residues", residues)
+    assert summand_digits(MultiplierResult(summands, (chain.chain, 10**5)))
+    wrong = MultiplierResult(summands, ((2, 2, 2, 2), 10**5))
+    with pytest.raises(ArithmeticError, match="disagrees with its int summand"):
         summand_digits(wrong)
-    wrong = MultiplierResult(result.summands, ((6, 6, 2), 10**5))
+    wrong = MultiplierResult(summands, ((6, 6, 2), 10**5))
     with pytest.raises(ArithmeticError, match="2 decimal multiplicities for 1 summands"):
         summand_digits(wrong)
 
