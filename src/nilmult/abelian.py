@@ -4,11 +4,14 @@ A group arrives as a multiset of cyclic orders (``CyclicDecomposition``) and
 is normalized to its invariant-factor chain (``InvariantFactors``): the unique
 list n_1, n_2, ... with n_{i+1} | n_i and every entry >= 2.  ``canonicalize``
 is the default: one lcm/gcd pass over the counted orders, with no
-factorization.  The primary route is one run-length core,
+factorization and no coprime base; it skips the positions inside a run of
+equal chain entries and carries one gcd down the chain, so a big entry is only
+reduced modulo a small gcd.  The primary route is one run-length core,
 ``compressed_invariant_form``: ``_exponent_counts`` splits the distinct
 orders into a pairwise coprime base by repeated gcds and counts the exponents
 of each base element, treated as a prime, and ``_event_walk`` emits the
-summands in one walk over the positions where some element's exponent drops.
+summands in one walk over the positions where some element's exponent drops;
+an element with one exponent is one event.
 The commutator oracle calls both steps itself; the tests write the core's
 runs out to cross-check ``canonicalize``.  A new order joins the base after
 one gcd against the product of the base; a base element that divides it
@@ -165,31 +168,44 @@ def canonicalize(decomposition: CyclicDecomposition) -> InvariantFactors:
     """Invariant factors of the group, in one pass over the counted orders.
 
     Equal orders are counted and trivial ones dropped.  All copies of an order
-    r enter the chain c at once: entry j becomes lcm(c_j, gcd(c_{j-copies}, r)),
-    where the gcd is r itself for j < copies and c_j is 1 past the end.  Once
-    that gcd is 1 it stays 1, so the rest of the chain is left as it is; when
-    it already divides c_j, the entry stays as it is and no lcm is taken.  No
-    factorization is needed.
+    r enter the chain c at once: entry j becomes lcm(c_j, g_j), where
+    g_j = gcd(c_{j-copies}, r) is r itself for j < copies and c_j is 1 past
+    the end.  A position inside a run of equal entries, c_{j-copies} == c_j,
+    is skipped: g_j divides c_{j-copies}, so the entry stays as it is.  Since
+    c_{j-copies} divides every earlier entry, g_j = gcd(g, c_{j-copies} mod g)
+    for the g of any earlier position, so one g is carried down the chain
+    past the skipped positions, and a big entry is only ever reduced modulo
+    the small g: lcm(c, g) is c // gcd(g, c mod g) * g.  Once g is 1 it stays
+    1, so the rest of the chain is left as it is.  Only the entries that
+    change are written.  No factorization and no coprime base is needed.
 
     >>> canonicalize(CyclicDecomposition((8, 12))).chain
     (24, 4)
     >>> canonicalize(CyclicDecomposition((1, 1, 1))).chain
     ()
     """
+    counted = Counter(decomposition.orders)
+    counted.pop(1, None)
     chain: list[int] = []
-    for order, copies in Counter(r for r in decomposition.orders if r > 1).items():
-        merged: list[int] = []
-        length = len(chain)
+    for order, copies in counted.items():
+        old = chain.copy()  # read while chain is updated in place
+        length = len(old)
+        g = order
         for j in range(length + copies):
-            g = order if j < copies else math.gcd(chain[j - copies], order)
-            if g == 1:
-                break
+            if j >= copies:
+                previous = old[j - copies]
+                if j < length and previous == old[j]:
+                    continue  # g divides c_{j-copies} = c_j
+                g = math.gcd(g, previous % g)
+                if g == 1:
+                    break
             if j < length:
-                c = chain[j]
-                merged.append(c if c % g == 0 else math.lcm(c, g))
+                c = old[j]
+                rest = c % g
+                if rest:
+                    chain[j] = c // math.gcd(g, rest) * g
             else:
-                merged.append(g)
-        chain[: len(merged)] = merged
+                chain.append(g)
     return InvariantFactors(tuple(chain))
 
 
@@ -245,6 +261,11 @@ def _event_walk(counts: Mapping[int, Mapping[int, int]]) -> tuple[tuple[int, int
     factor = 1
     events: list[tuple[int, int, int]] = []
     for b, runs in counts.items():
+        if len(runs) == 1:  # one exponent: one event
+            for e, position in runs.items():
+                factor *= b**e
+                events.append((position, b, e))
+            continue
         exponents = sorted(runs, reverse=True)
         factor *= b ** exponents[0]
         position = 0

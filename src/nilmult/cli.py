@@ -93,10 +93,6 @@ class GroupSpecError(ValueError):
     """A group specification that does not match the accepted grammar."""
 
 
-_SUMMAND = re.compile(r"Z(\d+)(?:\^(\d+))?")
-_PLAIN_INT = re.compile(r"\d+")
-
-
 def parse_group_spec(text: str) -> CyclicDecomposition:
     """Parse a group spec: "12,6,2", "Z12+Z6+Z2", or "Z2^3" (whitespace-free forms).
 
@@ -115,11 +111,12 @@ def parse_group_spec(text: str) -> CyclicDecomposition:
         long_powers: list[str] = []
         factors = 0
         for term in compact.split("+"):
-            m = _SUMMAND.fullmatch(term)
-            if not m:
+            # Z<digits> or Z<digits>^<digits>; isdecimal() accepts the
+            # Unicode decimal digits (category Nd) that int() reads
+            order, caret, power = term[1:].partition("^")
+            if not (term[:1] == "Z" and order.isdecimal() and (power.isdecimal() or not caret)):
                 raise GroupSpecError(f"bad summand {term!r} in {text!r}")
-            order, power = m.groups()
-            if power is None:
+            if not caret:
                 power = 1
             else:
                 if len(power) > _FACTOR_DIGITS:
@@ -141,7 +138,7 @@ def parse_group_spec(text: str) -> CyclicDecomposition:
         pieces = compact.split(",")
         _check_factor_count(len(pieces))
         for piece in pieces:
-            if not _PLAIN_INT.fullmatch(piece):
+            if not piece.isdecimal():
                 raise GroupSpecError(f"bad order {piece!r} in {text!r}")
             if len(piece) > _ORDER_DIGITS:
                 piece = _long_order(piece)

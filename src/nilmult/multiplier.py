@@ -98,6 +98,8 @@ def decimal_str(value: int) -> str:
     >>> decimal_str(-120)
     '-120'
     """
+    if value >= 0 and value.bit_length() <= _STR_MAX_BITS:
+        return str(value)
     if value < 0:
         return "-" + _unsigned_decimal_str(-value)
     return _unsigned_decimal_str(value)
@@ -381,23 +383,29 @@ def tensor_oracle(
     m letters carry T(m) = sum_k p_k * C(m, k).  Over one coprime base of the
     distinct orders, a set's gcd has exponent e or more of a base element b
     exactly when all its letters have, so if N letters reach e and N' exceed
-    it, T(N) - T(N') summands have exponent e of b.  The work follows the
-    distinct orders and their base, not the letters.  Raises ``CapExceeded``
-    when the enumeration would be too large; ``nilpotent_multiplier`` is not
-    capped.
+    it, T(N) - T(N') summands have exponent e of b; a base element with one
+    exponent takes T(N) directly.  T is evaluated once per distinct N in a
+    query.  The work follows the distinct orders and their base, not the
+    letters.  Raises ``CapExceeded`` when the enumeration would be too large;
+    ``nilpotent_multiplier`` is not capped.
     """
     if nilpotency_class < 1:
         raise ValueError(f"nilpotency class must be >= 1, got {nilpotency_class}")
-    copies = Counter(n for n in decomposition.orders if n > 1)
+    copies = Counter(decomposition.orders)
+    copies.pop(1, None)
     if not copies:
         return MultiplierResult(())
     profile = letter_profile(nilpotency_class + 1, sum(copies.values()))
     counts = _exponent_counts(copies)
+    totals: dict[int, int] = {}  # T(N) by N, for this query only
     for runs in counts.values():
         at_least = below = 0  # letters with exponent >= e of b; commutators on them
-        for e in sorted(runs, reverse=True):
+        for e in runs if len(runs) == 1 else sorted(runs, reverse=True):
             at_least += runs[e]
-            total = sum(p * comb(at_least, k) for k, p in enumerate(profile, 1))
+            total = totals.get(at_least)
+            if total is None:
+                total = sum(p * comb(at_least, k) for k, p in enumerate(profile, 1))
+                totals[at_least] = total
             runs[e], below = total - below, total
     return MultiplierResult(_event_walk(counts))
 

@@ -3,6 +3,7 @@ import math
 import random
 import re
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -49,6 +50,14 @@ repeated_decompositions = st.lists(
         ((12, 6, 2), (12, 6, 2)),
         ((2, 2), (2, 2)),
         ((4, 1), (4,)),
+        # a run of four 2s, longer than the 2 copies of 6
+        ((2, 2, 2, 2, 6, 6), (6, 6, 2, 2, 2, 2)),
+        # 3 copies of 6 on a chain of 2 entries
+        ((4, 2, 6, 6, 6), (12, 6, 6, 2, 2)),
+        # the gcd with 3 is 1 right after the skipped second 4
+        ((12, 4, 4, 2, 3), (12, 12, 4, 2)),
+        # 4 changes the first two of the four 6s only
+        ((6, 6, 6, 6, 4, 4), (12, 12, 6, 6, 2, 2)),
     ],
 )
 def test_canonicalize_examples(orders, expected):
@@ -133,6 +142,10 @@ P12 = 999_999_999_989
         ({6: 1, 4: 1}, ((12, 1), (2, 1))),
         ({4: 1, 6: 1}, ((12, 1), (2, 1))),
         ({30: 1, 6: 1, 4: 1, 9: 1}, ((180, 1), (6, 2))),
+        # base elements with one exponent beside ones with several
+        ({6: 2, 18: 1, 10: 1}, ((90, 1), (6, 2), (2, 1))),
+        ({P12: 3, 4 * P12: 1, 9: 2}, ((36 * P12, 1), (9 * P12, 1), (P12, 2))),
+        ({30: 1, 7: 1, 22: 2}, ((2310, 1), (22, 1), (2, 1))),
         ({}, ()),
     ],
 )
@@ -234,6 +247,90 @@ def test_coprime_base_of_many_even_orders_matches_reference_scan(seed):
     base = abelian._coprime_base(numbers)
     assert_coprime_base(base, numbers)
     assert sorted(base) == sorted(reference_coprime_base(numbers))
+
+
+def reference_canonicalize(decomposition):
+    """The chain by the per-entry walk: no run skip, a fresh gcd with the order at each entry."""
+    chain = []
+    for order, copies in Counter(r for r in decomposition.orders if r > 1).items():
+        merged = []
+        length = len(chain)
+        for j in range(length + copies):
+            g = order if j < copies else math.gcd(chain[j - copies], order)
+            if g == 1:
+                break
+            if j < length:
+                c = chain[j]
+                merged.append(c if c % g == 0 else math.lcm(c, g))
+            else:
+                merged.append(g)
+        chain[: len(merged)] = merged
+    return InvariantFactors(tuple(chain))
+
+
+# runs of 1-5 copies of even orders and of admissible BASE_POOL products (P12
+# among them), so the chain has long runs of equal entries
+run_orders = st.integers(1, 5 * 10**5).map(lambda n: 2 * n) | st.lists(
+    st.sampled_from(BASE_POOL), min_size=1, max_size=3
+).map(math.prod).filter(lambda n: n <= MAX_ORDER)
+run_decompositions = st.lists(st.tuples(run_orders, st.integers(1, 5)), max_size=12).map(
+    lambda runs: CyclicDecomposition(tuple(r for r, copies in runs for _ in range(copies)))
+)
+
+
+@given(run_decompositions)
+@example(CyclicDecomposition((2, 2, 2, 2, 6, 6)))  # a run of four 2s, longer than 2 copies
+@example(CyclicDecomposition((4, 2, 6, 6, 6)))  # 3 copies of 6 on a chain of 2
+@example(CyclicDecomposition((12, 4, 4, 2, 3)))  # g is 1 right after the skipped 4
+@example(CyclicDecomposition((6, 6, 6, 6, 4, 4)))  # 4 changes the first two 6s only
+@example(CyclicDecomposition((6, 2, 2, 2, 2, 3)))  # g is 1 past the end, after a run
+@example(CyclicDecomposition((P12, P12, 6, P12, 4, 2, 2)))  # a 12-digit prime in a run
+@settings(deadline=None)
+def test_canonicalize_matches_the_per_entry_walk(d):
+    assert canonicalize(d) == reference_canonicalize(d)
+
+
+def test_canonicalize_builds_no_coprime_base(monkeypatch):
+    # criterion 7 compares canonicalize with the coprime-base route, so the
+    # two must stay independent
+    def refuse(*args):
+        raise AssertionError("canonicalize used the coprime-base route")
+
+    for name in ("_coprime_base", "_exponent_counts", "_event_walk", "compressed_invariant_form"):
+        monkeypatch.setattr(abelian, name, refuse)
+    orders = (12, 18, 8, P12, P12, 6 * 999_983, 4 * 999_983, 27, 2, 2, 2)
+    assert canonicalize(CyclicDecomposition(orders)) == reference_canonicalize(
+        CyclicDecomposition(orders)
+    )
+
+
+def reference_event_walk(counts):
+    """The summands written out: summand i has the i-th largest exponent of each b."""
+    exponents = {b: sorted((e for e, n in runs.items() for _ in range(n)), reverse=True)
+                 for b, runs in counts.items()}
+    factors = []
+    for i in range(max((len(es) for es in exponents.values()), default=0)):
+        factor = math.prod(b ** es[i] for b, es in exponents.items() if i < len(es))
+        if factors and factors[-1][0] == factor:
+            factors[-1][1] += 1
+        else:
+            factors.append([factor, 1])
+    return tuple((factor, n) for factor, n in factors)
+
+
+@given(
+    st.dictionaries(
+        st.sampled_from((2, 3, 5, 7, P12)),
+        st.dictionaries(st.integers(1, 4), st.integers(0, 4), min_size=1, max_size=3),
+        max_size=4,
+    )
+)
+@example({2: {1: 0}, 3: {1: 2}})  # no summand has 2 at all
+@example({2: {3: 0, 1: 2}, 5: {2: 1}})  # none at exponent 3, the largest
+def test_event_walk_matches_the_written_out_summands(counts):
+    # a count may be zero: the oracle gets T(1) = 0 for a base element that
+    # only one letter holds, at any class
+    assert abelian._event_walk(counts) == reference_event_walk(counts)
 
 
 @given(

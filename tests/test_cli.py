@@ -9,6 +9,7 @@ import itertools
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -173,6 +174,116 @@ def test_spec_round_trip(orders, power):
     for text in spellings:
         d = parse_group_spec(text)
         assert parse_group_spec(",".join(map(str, d.orders))) == d
+
+
+# The grammar as two regular expressions: the spec parser checks its terms
+# with str.partition and str.isdecimal instead, and must accept and refuse
+# exactly what these do.  \d, like isdecimal(), matches the Unicode digits of
+# category Nd, which int() reads.
+SUMMAND = re.compile(r"Z(\d+)(?:\^(\d+))?")
+PLAIN_INT = re.compile(r"\d+")
+
+
+def reference_parse_group_spec(text):
+    """The spec parser with its terms matched by ``SUMMAND`` and ``PLAIN_INT``."""
+    compact = "".join(text.split())
+    if not compact:
+        raise GroupSpecError("empty group specification")
+    orders = []
+    if compact.startswith("Z"):
+        powers = []
+        long_powers = []
+        factors = 0
+        for term in compact.split("+"):
+            m = SUMMAND.fullmatch(term)
+            if not m:
+                raise GroupSpecError(f"bad summand {term!r} in {text!r}")
+            order, power = m.groups()
+            if power is None:
+                power = 1
+            else:
+                if len(power) > cli._FACTOR_DIGITS:
+                    power = power.lstrip("0") or "0"
+                    if len(power) > cli._FACTOR_DIGITS:
+                        long_powers.append(power)
+                        continue
+                power = int(power)
+                if power < 1:
+                    raise GroupSpecError(f"power must be >= 1 in {term!r}")
+            if len(order) > cli._ORDER_DIGITS:
+                order = cli._long_order(order)
+            powers.append((int(order), power))
+            factors += power
+        cli._check_factor_count(factors, long_powers)
+        for order, power in powers:
+            orders.extend([order] * power)
+    else:
+        pieces = compact.split(",")
+        cli._check_factor_count(len(pieces))
+        for piece in pieces:
+            if not PLAIN_INT.fullmatch(piece):
+                raise GroupSpecError(f"bad order {piece!r} in {text!r}")
+            if len(piece) > cli._ORDER_DIGITS:
+                piece = cli._long_order(piece)
+            orders.append(int(piece))
+    return CyclicDecomposition(tuple(orders))
+
+
+def spec_outcome(parse, text):
+    """The orders ``parse`` reads from ``text``, or the type and message of its refusal."""
+    try:
+        return parse(text).orders
+    except ValueError as error:  # GroupSpecError, or an order CyclicDecomposition refuses
+        return type(error), str(error)
+
+
+ARABIC_INDIC = "".join(chr(0x0660 + d) for d in range(10))
+FULLWIDTH = "".join(chr(0xFF10 + d) for d in range(10))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        f"{ARABIC_INDIC[1]}{ARABIC_INDIC[2]},{ARABIC_INDIC[6]}",  # 12,6
+        f"Z{ARABIC_INDIC[4]}^{ARABIC_INDIC[3]}+Z2",
+        f"{FULLWIDTH[1]}{FULLWIDTH[2]},{FULLWIDTH[0]}",  # 12,0
+        f"Z{FULLWIDTH[8]}^{FULLWIDTH[2]}",
+        "Z2^\u00b2",  # a superscript two is a digit, but not a decimal one
+        "\u00b2",
+        "Z",
+        "Z^3",
+        "Z2^",
+        "Z2^^3",
+        "Z2^3^4",
+        "z2",
+        "ZZ2",
+        "2,,3",
+        ",2",
+        "+Z2",
+        "Z2+",
+        "Z2^0",
+        "Z0",
+        "Z2^3+Z3^0+Z",
+        "12,6,2",
+        "Z12+Z6+Z2^3",
+    ],
+)
+def test_spec_parser_matches_the_regex_grammar(text):
+    assert spec_outcome(parse_group_spec, text) == spec_outcome(reference_parse_group_spec, text)
+
+
+def test_decimal_digits_are_the_regex_digits():
+    # over every code point: \d and str.isdecimal() pick the same characters
+    everything = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert re.findall(r"\d", everything) == [ch for ch in everything if ch.isdecimal()]
+
+
+@given(st.text(alphabet="Z^+,0123456789\u0661\u00b2 ", max_size=8))
+@example("Z\u0661^\u0661\u0661")
+@example("Z2^3+")
+@settings(deadline=None)
+def test_spec_parser_matches_the_regex_grammar_on_any_text(text):
+    assert spec_outcome(parse_group_spec, text) == spec_outcome(reference_parse_group_spec, text)
 
 
 # ---------------------------------------------------------------------------

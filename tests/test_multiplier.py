@@ -198,6 +198,35 @@ def test_oracle_matches_the_per_mask_fold(orders, c):
     assert tensor_oracle(d, c) == per_mask_oracle(d, c)
 
 
+@pytest.mark.parametrize(
+    "orders, c",
+    [
+        ((6, 10, 15, 30), 3),  # 2, 3 and 5 each reach exponent 1 on 3 letters
+        ((210, 210, 143, 286), 2),  # 3, 5, 7, 11 and 13 on 2 letters, 2 on 3
+        ((2, 3, 5, 7, 6, 35), 2),  # 2, 3, 5 and 7 on 2 letters each
+        ((4, 12, 9, 18, 2), 2),  # 2 and 3 reach exponent 2 on 2 letters each
+        ((30, 30, 30, 30, 7, 7), 2),
+    ],
+)
+def test_oracle_matches_the_per_mask_fold_on_shared_letter_counts(orders, c):
+    d = CyclicDecomposition(orders)
+    assert tensor_oracle(d, c) == per_mask_oracle(d, c)
+
+
+def test_oracle_evaluates_each_letter_count_once(monkeypatch):
+    # 2, 3 and 5 each reach exponent 1 on 3 letters, 7 on 2
+    seen = []
+
+    def counting_comb(n, k):
+        seen.append(n)
+        return math.comb(n, k)
+
+    monkeypatch.setattr(multiplier, "comb", counting_comb)
+    d = CyclicDecomposition((6, 10, 15, 30, 7, 7))
+    assert tensor_oracle(d, 2) == nilpotent_multiplier(canonicalize(d), 2)
+    assert Counter(seen) == {n: len(letter_profile(3, 6)) for n in (2, 3)}
+
+
 @given(
     st.lists(st.integers(1, 10**6) | st.sampled_from([1, 2, 6, 12, 30, 210]), max_size=40)
     | repeated_orders(40),
@@ -410,7 +439,7 @@ def test_decimal_str_handles_huge_values():
     for bits in (_STR_MAX_BITS, _TENS_MAX_BITS):
         digits = math.floor(bits * math.log10(2))
         for k in (bits - 1, bits, bits + 1):
-            values += [2**k - 1, 2**k]
+            values += [2**k - 1, 2**k, 1 - 2**k, -(2**k)]
         for k in (digits - 1, digits, digits + 1, digits + 2):
             values += [10**k - 1, 10**k]
     for level in range(7):  # the split points of the powers-of-ten method
@@ -429,6 +458,18 @@ def test_decimal_str_handles_huge_values():
         assert [decimal_str(value) for value in values] == expected
     finally:
         sys.set_int_max_str_digits(original_limit)
+
+
+def test_decimal_str_is_str_at_once_up_to_the_str_bound(monkeypatch):
+    # a nonnegative value of at most _STR_MAX_BITS bits makes no second call
+    def refuse(value):
+        raise AssertionError(f"rendered {value.bit_length()} bits by splitting")
+
+    monkeypatch.setattr(multiplier, "_unsigned_decimal_str", refuse)
+    assert decimal_str(2**_STR_MAX_BITS - 1) == str(2**_STR_MAX_BITS - 1)
+    assert decimal_str(0) == "0"
+    with pytest.raises(AssertionError):
+        decimal_str(2**_STR_MAX_BITS)
 
 
 # ---------------------------------------------------------------------------
