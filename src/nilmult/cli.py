@@ -38,11 +38,10 @@ from types import SimpleNamespace
 from .abelian import MAX_ORDER, CyclicDecomposition, InvariantFactors, canonicalize
 from .hall import CapExceeded, _iter_basic, check_cap
 from .multiplier import (
-    MultiplierResult,
     VerificationReport,
     decimal_str,
+    formula_digits,
     multiplier_order,
-    nilpotent_multiplier,
     summand_digits,
     tensor_oracle,
     verify,
@@ -213,17 +212,19 @@ def _compute_output(
     nilpotency_class: int,
     method: str,
     fmt: str,
-    result: MultiplierResult,
+    digits: list[tuple[str, str]],
+    total: int | None,
     verified: bool | None,
 ) -> str:
     """The whole stdout of a ``compute`` query, written in one pass.
 
-    Each integer is rendered once, in this order: the summands (by
-    ``summand_digits``), the chain entries (by ``decimal_str``; an entry can
-    be the lcm of hundreds of orders), then the order (``multiplier_order``).
-    ``str`` writes only the input orders, which are at most ``MAX_ORDER``,
-    and the class, which ``int()`` read, so the interpreter's int-to-str
-    digit limit never refuses a result.
+    ``digits`` and ``total`` are the summands' (order, multiplicity) digits
+    and the multiplier's order or None, as ``formula_digits`` gives them, or
+    ``summand_digits`` and ``multiplier_order``.  The chain entries (an entry
+    can be the lcm of hundreds of orders) and the order are rendered once
+    each, by ``decimal_str``.  ``str`` writes only the input orders, which
+    are at most ``MAX_ORDER``, and the class, which ``int()`` read, so the
+    interpreter's int-to-str digit limit never refuses a result.
 
     For ``json`` the line is the one ``json.dumps(record, ensure_ascii=False)``
     would write for the record: chain entries and summand orders as numbers,
@@ -231,9 +232,7 @@ def _compute_output(
     no string in it needs an escape, since each holds only digits, "^",
     " · " or a ``--method`` choice.
     """
-    digits = summand_digits(result)
     canonical = [decimal_str(n) for n in chain.chain]
-    total = multiplier_order(result)
     order_decimal = None if total is None else decimal_str(total)
     factored = " · ".join([f"{order}^{mult}" for order, mult in digits])
     if fmt == "json":
@@ -290,15 +289,17 @@ def cmd_compute(args: SimpleNamespace) -> int:
                 print(f"mismatch: {_mismatch(report)}", file=sys.stderr)
         else:
             chain = canonicalize(decomposition)
-            if args.method == "formula":
-                result = nilpotent_multiplier(chain, args.class_c)
-            else:
+            if args.method == "oracle":
                 result = tensor_oracle(decomposition, args.class_c)
     except CapExceeded as exc:
         print(f"error: {exc}; rerun with --method formula", file=sys.stderr)
         return EXIT_CAP
+    if args.method == "formula":
+        digits, total = formula_digits(chain, args.class_c)
+    else:
+        digits, total = summand_digits(result), multiplier_order(result)
     sys.stdout.write(_compute_output(
-        decomposition, chain, args.class_c, args.method, args.format, result, verified
+        decomposition, chain, args.class_c, args.method, args.format, digits, total, verified
     ))
     return EXIT_OK if verified is not False else EXIT_MISMATCH
 

@@ -13,22 +13,21 @@ base, the commutators whose letters all reach each exponent, between the two
 steps of ``abelian.compressed_invariant_form``; it expands no letter set or
 gcd and factors no integer into primes.
 ``verify`` canonicalizes the input once, runs both and compares.  A result's
-value is its summands.  Its text is the command line's job, but the digits
-come from here, made only when ``summand_digits`` asks for them.  Orders go
-through ``decimal_str``, and so do the multiplicities of a result that holds
-its ints.  A formula result whose Witt counts pass ``_EXACT_DECIMAL_BITS`` by
-the estimate ``_exact_decimal``, the rule ``witt_count_digits`` uses too, is
-*sourced*: it carries its chain and class and makes no ints.  Its
-multiplicities are evaluated once, as exact ``decimal.Decimal`` integers,
-whose digits need no conversion from binary, and each is checked against the
-same Witt sum evaluated modulo a prime.  Its ``summands`` are made only when
-they are read.
+value is its summands, which are always ints.  Its text is the command
+line's job, but the digits come from here: ``summand_digits`` renders a
+result's orders and multiplicities through ``decimal_str``.  For Witt counts
+past ``_EXACT_DECIMAL_BITS`` by the estimate ``_exact_decimal``, the rule
+``witt_count_digits`` uses too, ``formula_digits`` makes the closed form's
+digits without a result: its multiplicities are evaluated once, as exact
+``decimal.Decimal`` integers, whose digits need no conversion from binary,
+and each Witt count is checked against the same sum evaluated modulo a prime.
 """
 
 from __future__ import annotations
 
 import functools
 from collections import Counter
+from collections.abc import Sequence
 from math import comb
 
 from .abelian import (
@@ -59,9 +58,9 @@ _TENS_MAX_BITS = 65_000
 _TENS_LEAF_DIGITS = 600
 _DECIMAL_LEAF_BITS = 1024
 
-# A formula result whose Witt counts have more bits than this, by the estimate
+# A formula query whose Witt counts have more bits than this, by the estimate
 # weight * bit_length(rank - 1), gets its multiplicities' digits from exact
-# decimal Witt counts and makes no int table (see _exact_decimal).  Per result,
+# decimal Witt counts and makes no int table (see formula_digits).  Per query,
 # against the int table plus decimal_str, the decimal route costs more below
 # about 12,000 bits, and from 16,000 on the same to 40% less, ranks 2-6 (at
 # 30,000: 1.1-2.3 ms against 1.1-2.8 ms).  Moving the bound to 16,000 or
@@ -70,9 +69,8 @@ _DECIMAL_LEAF_BITS = 1024
 # CPython 3.11, x86-64.
 _EXACT_DECIMAL_BITS = 30_000
 
-# A multiplicity evaluated in exact decimal must equal the same Witt sum
-# evaluated modulo this prime (2**61 - 1), and the int multiplicity when the
-# result holds one; the check is linear in the digits.
+# A Witt count evaluated in exact decimal must equal the same Witt sum
+# evaluated modulo this prime (2**61 - 1); the check is linear in the digits.
 _CHECK_PRIME = 2**61 - 1
 
 
@@ -81,8 +79,8 @@ def _exact_decimal(weight: int, letters: int) -> bool:
 
     A count is below letters**weight, so it has at most weight *
     bit_length(letters - 1) bits; past ``_EXACT_DECIMAL_BITS`` by that
-    estimate, ``nilpotent_multiplier`` and ``witt_count_digits`` make its
-    digits in exact decimal and no int.
+    estimate, ``formula_digits`` and ``witt_count_digits`` make its digits in
+    exact decimal and no int.
     """
     return weight * max(letters - 1, 0).bit_length() > _EXACT_DECIMAL_BITS
 
@@ -180,25 +178,12 @@ class MultiplierResult(_Value):
     ``summands`` lists (order, multiplicity) pairs with strictly decreasing
     orders, each dividing its predecessor; multiplicities are exact integers
     and can be astronomically large.  The empty tuple is the trivial group.
-    ``digits_source`` is the (chain, class) of a formula result whose Witt
-    counts pass ``_EXACT_DECIMAL_BITS`` by the estimate of ``_exact_decimal``,
-    from which ``summand_digits`` evaluates the multiplicities in exact
-    decimal; it is not part of the value, so equality, hashing and repr
-    ignore it.  ``nilpotent_multiplier`` leaves such a result's ``summands``
-    unset, and the first read of them evaluates the Witt counts as ints, so
-    a result that is only printed makes no int table.
     """
 
-    __slots__ = ("summands", "digits_source", "_digits")
-    __match_args__ = ("summands", "digits_source")
+    __slots__ = __match_args__ = ("summands",)
     summands: tuple[tuple[int, int], ...]
-    digits_source: tuple[tuple[int, ...], int] | None
 
-    def __init__(
-        self,
-        summands: tuple[tuple[int, int], ...],
-        digits_source: tuple[tuple[int, ...], int] | None = None,
-    ) -> None:
+    def __init__(self, summands: tuple[tuple[int, int], ...]) -> None:
         previous = None
         for order, multiplicity in summands:
             if order < 2:
@@ -212,17 +197,6 @@ class MultiplierResult(_Value):
                 )
             previous = order
         object.__setattr__(self, "summands", summands)
-        object.__setattr__(self, "digits_source", digits_source)
-
-    def __getattr__(self, name: str):
-        # Runs only when a slot is unset: the summands of a sourced result,
-        # made from its digits_source on first read; any other name is absent.
-        if name != "summands":
-            raise AttributeError(name)
-        chain, nilpotency_class = self.digits_source
-        summands = _summands(chain, b_sequence(nilpotency_class, len(chain)))
-        object.__setattr__(self, "summands", summands)
-        return summands
 
     def _value(self) -> tuple:
         return (self.summands,)
@@ -233,31 +207,9 @@ class MultiplierResult(_Value):
         summands = _tuple_repr(_tuple_repr(map(decimal_str, pair)) for pair in self.summands)
         return f"MultiplierResult(summands={summands})"
 
-    def _exact_summand_digits(self) -> tuple[tuple[int, str], ...]:
-        """(order, multiplicity digits) pairs from ``digits_source``, made on first use."""
-        try:
-            return self._digits
-        except AttributeError:  # the slot is unset until the first call
-            digits = _exact_digits(*self.digits_source, _held_summands(self))
-            object.__setattr__(self, "_digits", digits)
-            return digits
-
-
-def _held_summands(result: MultiplierResult) -> tuple | None:
-    """``result.summands``, or None for a sourced result that has not made them."""
-    try:
-        # object's lookup, which skips MultiplierResult.__getattr__
-        return object.__getattribute__(result, "summands")
-    except AttributeError:
-        return None
-
 
 def nilpotent_multiplier(group: InvariantFactors, nilpotency_class: int) -> MultiplierResult:
     """Closed-form multiplier of the group for the given nilpotency class.
-
-    A result whose Witt counts pass ``_EXACT_DECIMAL_BITS`` by the estimate
-    of ``_exact_decimal`` is sourced: it makes its summands when they are
-    first read, and ``summand_digits`` never needs them.
 
     >>> nilpotent_multiplier(InvariantFactors((12, 6, 2)), 1).summands
     ((6, 1), (2, 2))
@@ -267,18 +219,13 @@ def nilpotent_multiplier(group: InvariantFactors, nilpotency_class: int) -> Mult
     chain = group.chain
     if len(chain) <= 1:
         return MultiplierResult(())
-    if _exact_decimal(nilpotency_class + 1, len(chain)):
-        result = MultiplierResult.__new__(MultiplierResult)  # summands unset
-        object.__setattr__(result, "digits_source", (chain, nilpotency_class))
-        return result
     return MultiplierResult(_summands(chain, b_sequence(nilpotency_class, len(chain))))
 
 
 def _summands(chain: tuple[int, ...], counts) -> tuple:
     """(n_i, b_i - b_{i-1}) for i = 2..k, with equal orders merged.
 
-    ``counts`` are ints, residues modulo a prime, or exact Decimals inside
-    ``exact_context()``.
+    ``counts`` are ints, or exact Decimals inside ``exact_context()``.
     """
     summands: list[list] = []
     for i in range(2, len(chain) + 1):
@@ -292,66 +239,66 @@ def _summands(chain: tuple[int, ...], counts) -> tuple:
     return tuple((order, mult) for order, mult in summands)
 
 
-def _exact_digits(
-    chain: tuple[int, ...], nilpotency_class: int, summands: tuple | None
-) -> tuple[tuple[int, str], ...]:
-    """(order, multiplicity digits) pairs, from the Witt counts evaluated in exact decimal.
+def _checked_decimal_counts(weight: int, letters: Sequence[int]) -> list:
+    """``decimal_counts(weight, letters)``, each checked against its Witt sum modulo a prime.
 
-    Each decimal multiplicity must agree, modulo ``_CHECK_PRIME``, with the
-    same Witt sums evaluated modulo that prime (weight times the
-    multiplicity), and with the int multiplicity in ``summands`` unless that
-    is None; a disagreement raises ``ArithmeticError``.
+    weight * count must equal the Moebius sum evaluated modulo
+    ``_CHECK_PRIME``; a disagreement raises ``ArithmeticError``.
     """
     import decimal
 
-    weight = nilpotency_class + 1
-    letters = range(1, len(chain) + 1)
-    # weight times each multiplicity, modulo _CHECK_PRIME
-    residues = _summands(chain, _moebius_residues(weight, letters, _CHECK_PRIME))
     counts = decimal_counts(weight, letters)
-    pairs = []
+    residues = _moebius_residues(weight, letters, _CHECK_PRIME)
     with decimal.localcontext(exact_context()):
-        exact = _summands(chain, counts)
-        if summands is not None and len(summands) != len(exact):
-            raise ArithmeticError(
-                f"{len(exact)} decimal multiplicities for {len(summands)} summands"
-            )
-        for index, ((order, mult), (_, residue)) in enumerate(zip(exact, residues)):
-            remainder = int(mult % _CHECK_PRIME)
-            if remainder * weight % _CHECK_PRIME != residue % _CHECK_PRIME:
+        for q, count, residue in zip(letters, counts, residues):
+            if int(count % _CHECK_PRIME) * weight % _CHECK_PRIME != residue:
                 raise ArithmeticError(
-                    f"the decimal multiplicity of summand {index} disagrees "
+                    f"the decimal Witt count on {q} letters disagrees "
                     f"with its Witt sum modulo {_CHECK_PRIME}"
                 )
-            if summands is not None and (
-                summands[index][0] != order
-                or summands[index][1] % _CHECK_PRIME != remainder
-            ):
-                raise ArithmeticError(
-                    f"the decimal summand {index} disagrees with its int "
-                    f"summand modulo {_CHECK_PRIME}"
-                )
-            pairs.append((order, str(mult)))
-    return tuple(pairs)
+    return counts
 
 
 def summand_digits(result: MultiplierResult) -> list[tuple[str, str]]:
-    """The decimal digits of each summand's (order, multiplicity), in order.
-
-    Orders go through ``decimal_str``, and so do the multiplicities of a
-    result without ``digits_source``.  A sourced formula result takes its
-    orders from its chain and its multiplicities' digits from the Witt
-    counts evaluated in exact decimal, each checked against the same sums
-    modulo a prime and against its int multiplicity if the result holds one,
-    once per result; it makes no int.  The caller's ``decimal`` context is
-    left unchanged.
+    """The decimal digits of each summand's (order, multiplicity), in order, by ``decimal_str``.
 
     >>> summand_digits(nilpotent_multiplier(InvariantFactors((12, 6, 2)), 1))
     [('6', '1'), ('2', '2')]
     """
-    if result.digits_source is not None:
-        return [(decimal_str(order), digits) for order, digits in result._exact_summand_digits()]
     return [(decimal_str(order), decimal_str(mult)) for order, mult in result.summands]
+
+
+def formula_digits(
+    group: InvariantFactors, nilpotency_class: int
+) -> tuple[list[tuple[str, str]], int | None]:
+    """``summand_digits`` and ``multiplier_order`` of ``nilpotent_multiplier(group, class)``.
+
+    Past ``_EXACT_DECIMAL_BITS`` by the estimate of ``_exact_decimal`` no
+    result is made: the multiplicities are evaluated once, from Witt counts
+    in exact decimal, each count checked against the same sum modulo a
+    prime, and their digits are printed as they are; the order is None.  The
+    caller's ``decimal`` context is left unchanged.
+
+    >>> formula_digits(InvariantFactors((12, 6, 2)), 1)
+    ([('6', '1'), ('2', '2')], 24)
+    """
+    chain = group.chain
+    weight = nilpotency_class + 1
+    if not _exact_decimal(weight, len(chain)):
+        result = nilpotent_multiplier(group, nilpotency_class)
+        return summand_digits(result), multiplier_order(result)
+    import decimal
+
+    counts = _checked_decimal_counts(weight, range(1, len(chain) + 1))
+    with decimal.localcontext(exact_context()):
+        digits = [(decimal_str(order), str(mult)) for order, mult in _summands(chain, counts)]
+    # The order is None: every order is at least 2, and the multiplicities
+    # add up to b_k > 2**(w * (bit_length(k) - 1) - bit_length(w) - 1),
+    # check_cap's bound on weight w = class + 1.  As _exact_decimal holds,
+    # w * bit_length(k - 1) > _EXACT_DECIMAL_BITS (30,000), which puts b_k
+    # above 2**14,000, far past _DECIMAL_BOUND_BITS (33,220): the order is
+    # above the bound.
+    return digits, None
 
 
 def witt_count_digits(weight: int, letters: int) -> str:
@@ -359,16 +306,16 @@ def witt_count_digits(weight: int, letters: int) -> str:
 
     The count is below letters**weight, which has at most weight *
     bit_length(letters - 1) bits.  Past ``_EXACT_DECIMAL_BITS`` by that
-    estimate (``_exact_decimal``, the rule ``nilpotent_multiplier`` follows
-    too) it is evaluated by ``decimal_counts`` and printed as it is: no int,
-    no ``decimal_str``.
+    estimate (``_exact_decimal``, the rule ``formula_digits`` follows too) it
+    is evaluated in exact decimal, checked as ``formula_digits`` checks its
+    counts, and printed as it is: no int, no ``decimal_str``.
 
     >>> witt_count_digits(6, 4)
     '670'
     """
     if not _exact_decimal(weight, letters):
         return decimal_str(witt_count(weight, letters))
-    return str(decimal_counts(weight, [letters])[0])
+    return str(_checked_decimal_counts(weight, [letters])[0])
 
 
 def tensor_oracle(
@@ -416,14 +363,6 @@ def multiplier_order(result: MultiplierResult) -> int | None:
     >>> multiplier_order(nilpotent_multiplier(InvariantFactors((12, 6, 2)), 1))
     24
     """
-    if result.digits_source is not None and _held_summands(result) is None:
-        # A sourced result: every order is at least 2, and the multiplicities
-        # add up to b_k > 2**(w * (bit_length(k) - 1) - bit_length(w) - 1),
-        # check_cap's bound on weight w = class + 1.  As _exact_decimal holds,
-        # w * bit_length(k - 1) > _EXACT_DECIMAL_BITS (30,000), which puts b_k
-        # above 2**14,000, far past _DECIMAL_BOUND_BITS (33,220): the order
-        # is above the bound.
-        return None
     summands = result.summands
     # An order n is at least 2**(n.bit_length() - 1), so the order of the
     # multiplier is at least 2**floor_bits: at _DECIMAL_BOUND_BITS or more it
@@ -473,6 +412,8 @@ def verify(
     means an implementation bug, not a property of the input.
     """
     group = canonicalize(decomposition)
-    formula = nilpotent_multiplier(group, nilpotency_class)
+    # the oracle first: its cap refuses a large class before the formula
+    # makes an int table
     oracle = tensor_oracle(decomposition, nilpotency_class)
+    formula = nilpotent_multiplier(group, nilpotency_class)
     return VerificationReport(formula, oracle, formula == oracle, group)

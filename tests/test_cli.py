@@ -39,8 +39,10 @@ from nilmult.cli import (
 from nilmult.multiplier import (
     MultiplierResult,
     decimal_str,
+    formula_digits,
     multiplier_order,
     nilpotent_multiplier,
+    summand_digits,
 )
 from nilmult.witt import witt_count
 from test_acceptance import invariant_chains as recursive_invariant_chains
@@ -596,8 +598,9 @@ def compute_outcomes(draw):
 
     The fields are drawn independently, as the writer takes them.  A result
     is empty, has summands with multiplicities of up to 40,000 bits, or is
-    the formula's on the drawn chain; at the large classes its
-    multiplicities pass 30,000 bits and their digits come from exact decimal.
+    the formula's on the drawn chain, whose digits the writer is given by
+    ``formula_digits``; at the large classes its multiplicities pass 30,000
+    bits and their digits come from exact decimal.
     """
     orders = draw(st.lists(st.integers(1, abelian.MAX_ORDER), min_size=1, max_size=5))
     chain = InvariantFactors(draw(divisibility_chains(strict=False)))
@@ -636,8 +639,13 @@ def test_json_line_is_the_record_json_dumps_writes(outcome):
         sys.set_int_max_str_digits(0)
         expected = record_line(*outcome)
         sys.set_int_max_str_digits(640)
+        if result == nilpotent_multiplier(chain, nilpotency_class):
+            # written as the CLI's formula route writes it
+            digits, total = formula_digits(chain, nilpotency_class)
+        else:
+            digits, total = summand_digits(result), multiplier_order(result)
         line = cli._compute_output(decomposition, chain, nilpotency_class, method, "json",
-                                   result, verified)
+                                   digits, total, verified)
     finally:
         sys.set_int_max_str_digits(original_limit)
     assert line == expected

@@ -31,6 +31,7 @@ from nilmult.multiplier import (
     MultiplierResult,
     VerificationReport,
     decimal_str,
+    formula_digits,
     multiplier_order,
     nilpotent_multiplier,
     summand_digits,
@@ -504,21 +505,21 @@ def decimal_calls(monkeypatch):
 @pytest.mark.parametrize("make_chain", [with_repeats, strict])
 def test_summand_digits_equal_decimal_str(rank, make_chain, decimal_calls):
     # classes on both sides of the exact-decimal threshold at every rank; the
-    # formula does no decimal arithmetic, and summand_digits only past it, by
-    # the estimate (class + 1) * bit_length(rank - 1) that `witt` uses too
+    # formula and summand_digits do no decimal arithmetic, and formula_digits
+    # does only past it, by the estimate (class + 1) * bit_length(rank - 1)
+    # that `witt` uses too, with the same digits and order
     chain = chain_of(*make_chain(rank))
     for c in (1, 2, 700, 2000, 10**4, 10**5):
         result = nilpotent_multiplier(chain, c)
-        assert decimal_calls == []
-        exact = (c + 1) * (rank - 1).bit_length() > _EXACT_DECIMAL_BITS
-        assert exact == _exact_decimal(c + 1, rank)
-        assert (result.digits_source is not None) == exact, (chain, c)
-        # the digits first, so a sourced result makes them with no ints
         digits = summand_digits(result)
-        assert decimal_calls == ([c + 1] if exact else []), (chain, c)
+        assert decimal_calls == []
         assert digits == [
             (decimal_str(order), decimal_str(mult)) for order, mult in result.summands
         ], (chain, c)
+        exact = (c + 1) * (rank - 1).bit_length() > _EXACT_DECIMAL_BITS
+        assert exact == _exact_decimal(c + 1, rank)
+        assert formula_digits(chain, c) == (digits, multiplier_order(result)), (chain, c)
+        assert decimal_calls == ([c + 1] if exact else []), (chain, c)
         # 10,001 * bit_length(4..6) = 30,003
         assert exact == (c == 10**5 or (c == 10**4 and rank >= 5))
         decimal_calls.clear()
@@ -542,6 +543,8 @@ def int_sums(monkeypatch):
 
 
 def test_large_formula_result_makes_ints_only_when_read(capsys, int_sums, decimal_calls):
+    # the CLI prints a large formula query from exact decimal counts; only a
+    # library caller's result, which holds its summands, makes the int table
     chain = canonicalize(CyclicDecomposition((6, 5, 4, 3, 2)))
     assert cli.main(["compute", "--group", "6,5,4,3,2", "--class", str(10**5),
                      "--method", "formula"]) == 0
@@ -549,51 +552,38 @@ def test_large_formula_result_makes_ints_only_when_read(capsys, int_sums, decima
     assert int_sums == []  # no int Witt sum, for the digits or the order
     assert decimal_calls == [10**5 + 1]
     result = nilpotent_multiplier(chain, 10**5)
-    assert multiplier_order(result) is None
-    for name in ("other", "_digits"):  # absent, and made by no __getattr__
-        with pytest.raises(AttributeError):
-            getattr(result, name)
-    assert int_sums == []
-    expected = multiplier._summands(chain.chain, b_sequence(10**5, len(chain)))
     assert int_sums == [10**5 + 1]
-    assert result.summands == expected  # made on first read, the int route's
-    assert result.summands is result.summands  # and kept
-    assert int_sums == [10**5 + 1, 10**5 + 1]
-    assert result == MultiplierResult(expected)
+    assert multiplier_order(result) is None
     assert f"multiplier: {cli._direct_sum(summand_digits(result))}\n" in out
+    assert int_sums == [10**5 + 1]
+
+
+def test_capped_query_makes_no_int_table(capsys, int_sums):
+    # verify runs the oracle first, whose cap refuses the class by a bit-length
+    # bound before the formula makes an int table
+    assert cli.main(["compute", "--group", "6,5,4,3,2", "--class", str(10**6),
+                     "--method", "both"]) == 3
+    assert "exceed the enumeration cap" in capsys.readouterr().err
+    assert int_sums == []
 
 
 @pytest.mark.parametrize("rank", range(2, 9))
-def test_sourced_results_are_past_the_order_bound(rank):
-    # the smallest class the estimate sources: the int route's order is too
-    # large too, so multiplier_order may answer None without the ints
+def test_sourced_results_are_past_the_order_bound(rank, decimal_calls):
+    # the smallest class whose digits formula_digits sources from exact
+    # decimal: the int route's order is too large too, so formula_digits may
+    # answer None for it without the ints
     bits = (rank - 1).bit_length()
     c = _EXACT_DECIMAL_BITS // bits  # weight c + 1 is the least over the bound
     assert _exact_decimal(c + 1, rank) and not _exact_decimal(c, rank)
     chain = chain_of(*strict(rank)) if rank <= 7 else chain_of(1440, *strict(7))
-    sourced = nilpotent_multiplier(chain, c)
-    assert multiplier._held_summands(sourced) is None
-    int_route = MultiplierResult(multiplier._summands(chain.chain, b_sequence(c, rank)))
-    assert multiplier_order(int_route) is None
-    assert multiplier_order(sourced) is None
-    assert sourced == int_route
-    # one class lower, the result holds its ints
-    assert nilpotent_multiplier(chain, c - 1).digits_source is None
-
-
-def test_exact_digits_are_not_part_of_the_value(decimal_calls):
-    result = nilpotent_multiplier(chain_of(4, 4, 2), 10**5)
-    digits = summand_digits(result)
-    assert summand_digits(result) == digits
-    assert decimal_calls == [10**5 + 1]  # the digits are made once per result
-    twin = MultiplierResult(result.summands)
-    assert result == twin
-    assert hash(result) == hash(twin)
-    assert summand_digits(twin) == digits
-    assert decimal_calls == [10**5 + 1]  # the twin's come from decimal_str
-    small = MultiplierResult(((4, 3), (2, 5)), ((8, 4, 2), 1))
-    assert repr(small) == "MultiplierResult(summands=((4, 3), (2, 5)))"
-    assert small == MultiplierResult(small.summands, ((4, 2), 7))
+    result = nilpotent_multiplier(chain, c)
+    assert multiplier_order(result) is None
+    assert formula_digits(chain, c) == (summand_digits(result), None)
+    assert decimal_calls == [c + 1]
+    # one class lower, the digits and the order are the int result's
+    lower = nilpotent_multiplier(chain, c - 1)
+    assert formula_digits(chain, c - 1) == (summand_digits(lower), multiplier_order(lower))
+    assert decimal_calls == [c + 1]
 
 
 @pytest.mark.parametrize("limit", [None, 640])
@@ -604,7 +594,7 @@ def test_reprs_are_total(limit):
     values = [
         nilpotent_multiplier(chain_of(4, 4, 2), 10**5),
         chain_of(3**10000),
-        MultiplierResult(((4, 3),), ((8, 4, 2), 1)),
+        MultiplierResult(((4, 3),)),
         MultiplierResult(()),
         chain_of(7),
         chain_of(),
@@ -641,11 +631,7 @@ DATACLASS_TWINS = {
     for cls, fields in [
         (CyclicDecomposition, [("orders", tuple, dataclasses.field(default=()))]),
         (InvariantFactors, [("chain", tuple, dataclasses.field(default=()))]),
-        (MultiplierResult, [
-            ("summands", tuple),
-            ("digits_source", object,
-             dataclasses.field(default=None, compare=False, repr=False)),
-        ]),
+        (MultiplierResult, [("summands", tuple)]),
         (VerificationReport, ["formula", "oracle", "equal", "group"]),
     ]
 }
@@ -664,7 +650,7 @@ def value_examples():
         MultiplierResult(()),
         MultiplierResult(((2, 1),)),
         MultiplierResult(((6, 1), (2, 2))),
-        MultiplierResult(((6, 1), (2, 2)), ((12, 6, 2), 1)),
+        nilpotent_multiplier(chain_of(6, 2), 3000),  # a multiplicity of 900 digits
         formula,
         verify(CyclicDecomposition((12, 6, 2)), 2),
         verify(CyclicDecomposition((4, 2)), 1),
@@ -694,18 +680,9 @@ def test_values_read_as_their_dataclass_twins():
     assert CyclicDecomposition((8, 12)) != (8, 12)
 
 
-def test_digits_source_is_not_part_of_the_value():
-    plain = MultiplierResult(((6, 1), (2, 2)))
-    sourced = MultiplierResult(plain.summands, ((12, 6, 2), 1))
-    assert plain == sourced
-    assert hash(plain) == hash(sourced)
-    assert repr(plain) == repr(sourced)
-    assert sourced.digits_source == ((12, 6, 2), 1)
-
-
 @pytest.mark.parametrize("value", value_examples(), ids=lambda v: type(v).__name__)
 def test_values_are_frozen(value):
-    for name in (*type(value).__match_args__, "_digits", "other"):
+    for name in (*type(value).__match_args__, "other"):
         with pytest.raises(AttributeError):
             setattr(value, name, None)
         with pytest.raises(AttributeError):
@@ -730,19 +707,10 @@ def test_values_pickle_and_copy(value):
                    for name in type(value).__match_args__)
 
 
-def test_large_result_pickles_without_its_digits(decimal_calls):
-    result = nilpotent_multiplier(chain_of(4, 4, 2), 10**5)
-    digits = summand_digits(result)
-    twin = pickle.loads(pickle.dumps(result))
-    assert twin.digits_source == result.digits_source
-    assert summand_digits(twin) == digits  # made again from digits_source
-    assert decimal_calls == [10**5 + 1] * 2
-
-
 def test_values_match_positionally():
     match verify(CyclicDecomposition((12, 6, 2)), 1):
         case VerificationReport(
-            MultiplierResult(summands, None), oracle, True, InvariantFactors(chain)
+            MultiplierResult(summands), oracle, True, InvariantFactors(chain)
         ):
             assert summands == ((6, 1), (2, 2))
             assert oracle == MultiplierResult(summands)
@@ -754,9 +722,9 @@ def test_values_match_positionally():
             assert second == 12
         case other:
             pytest.fail(f"no match: {other!r}")
-    match MultiplierResult(((4, 3),), ((8, 4, 2), 1)):
-        case MultiplierResult(((order, mult),), (chain, c)):
-            assert (order, mult, chain, c) == (4, 3, (8, 4, 2), 1)
+    match MultiplierResult(((4, 3), (2, 5))):
+        case MultiplierResult(((order, mult), second)):
+            assert (order, mult, second) == (4, 3, (2, 5))
         case other:
             pytest.fail(f"no match: {other!r}")
 
@@ -772,11 +740,12 @@ def test_corrupted_decimal_count_raises(monkeypatch):
 
     monkeypatch.setattr(multiplier, "decimal_counts", off_by_one)
     chain = chain_of(6, 2, 2)
-    # no ints: the modular Witt sums catch it
-    result = nilpotent_multiplier(chain, 10**5)
+    # the modular Witt sums catch it, on the formula route and in witt_count_digits
     with pytest.raises(ArithmeticError, match="disagrees with its Witt sum modulo"):
-        summand_digits(result)
-    # with the ints given, and the modular sums corrupted alike, the ints do
+        formula_digits(chain, 10**5)
+    with pytest.raises(ArithmeticError, match="disagrees with its Witt sum modulo"):
+        witt_count_digits(10**5 + 1, 3)
+    # with the modular sums corrupted alike, the int route still tells them apart
     residues = multiplier._moebius_residues
 
     def shifted(weight, letters, modulus):
@@ -785,20 +754,15 @@ def test_corrupted_decimal_count_raises(monkeypatch):
         return totals
 
     monkeypatch.setattr(multiplier, "_moebius_residues", shifted)
-    summands = multiplier._summands(chain.chain, b_sequence(10**5, 3))
-    explicit = MultiplierResult(summands, (chain.chain, 10**5))
-    with pytest.raises(ArithmeticError, match="disagrees with its int summand"):
-        summand_digits(explicit)
-    # a result carrying another chain is caught too
+    digits, total = formula_digits(chain, 10**5)
+    assert total is None
+    expected = summand_digits(nilpotent_multiplier(chain, 10**5))
+    assert [order for order, _ in digits] == [order for order, _ in expected] == ["2"]
+    assert digits != expected
+    assert witt_count_digits(10**5 + 1, 3) != decimal_str(witt_count(10**5 + 1, 3))
     monkeypatch.setattr(multiplier, "decimal_counts", original)
     monkeypatch.setattr(multiplier, "_moebius_residues", residues)
-    assert summand_digits(MultiplierResult(summands, (chain.chain, 10**5)))
-    wrong = MultiplierResult(summands, ((2, 2, 2, 2), 10**5))
-    with pytest.raises(ArithmeticError, match="disagrees with its int summand"):
-        summand_digits(wrong)
-    wrong = MultiplierResult(summands, ((6, 6, 2), 10**5))
-    with pytest.raises(ArithmeticError, match="2 decimal multiplicities for 1 summands"):
-        summand_digits(wrong)
+    assert formula_digits(chain, 10**5) == (expected, None)
 
 
 def test_large_formula_leaves_the_callers_decimal_context_unchanged():
@@ -814,12 +778,11 @@ def test_large_formula_leaves_the_callers_decimal_context_unchanged():
         context.traps[decimal.Inexact] = True
         context.traps[decimal.DivisionByZero] = False
         before = state(context)
-        result = nilpotent_multiplier(chain_of(6, 6, 3), 10**5)
-        summands = summand_digits(result)
+        summands, _ = formula_digits(chain_of(6, 6, 3), 10**5)
         digits = witt_count_digits(10**5 + 1, 4)
         assert decimal.getcontext() is context
         assert state(context) == before
-    assert summands == [(decimal_str(o), decimal_str(m)) for o, m in result.summands]
+    assert summands == summand_digits(nilpotent_multiplier(chain_of(6, 6, 3), 10**5))
     assert digits == decimal_str(witt_count(10**5 + 1, 4))
 
 
