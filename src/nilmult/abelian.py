@@ -1,8 +1,10 @@
 """Finite abelian groups as direct sums of cyclic groups, in exact arithmetic.
 
-A group arrives as a multiset of cyclic orders (``CyclicDecomposition``) and
-is normalized to its invariant-factor chain (``InvariantFactors``): the unique
-list n_1, n_2, ... with n_{i+1} | n_i and every entry >= 2.  ``canonicalize``
+A group arrives as a multiset of cyclic orders (``CyclicDecomposition``),
+counted once when it is built (``copies``: order to copies, orders above 1
+only), and is normalized to its invariant-factor chain (``InvariantFactors``):
+the unique list n_1, n_2, ... with n_{i+1} | n_i and every entry >= 2.  Both
+``canonicalize`` and the commutator oracle read that count.  ``canonicalize``
 is the default: one lcm/gcd pass over the counted orders, with no
 factorization and no coprime base; it skips the positions inside a run of
 equal chain entries and carries one gcd down the chain, so a big entry is only
@@ -25,8 +27,8 @@ it.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from collections.abc import Iterable, Mapping
+from types import MappingProxyType
 
 # Largest accepted cyclic order.  No computation needs it: nothing factors an
 # input, and chain entries and results are unbounded.  It bounds what a spec
@@ -88,24 +90,37 @@ class CyclicDecomposition(_Value):
     """A direct sum of cyclic groups, one entry per factor, in given order.
 
     Entries may repeat, appear in any order, and include 1 (trivial factors).
-    The empty decomposition is the trivial group.
+    The empty decomposition is the trivial group.  ``copies`` is the same
+    group counted: a read-only mapping {order: number of copies} of the
+    orders above 1, by first appearance, made once as each order is
+    validated.  It derives from ``orders`` and is not part of the value:
+    equality, hash, repr and pickling read ``orders`` alone.
 
     >>> CyclicDecomposition((8, 12)).orders
     (8, 12)
+    >>> dict(CyclicDecomposition((4, 1, 2, 4)).copies)
+    {4: 2, 2: 1}
     """
 
-    __slots__ = __match_args__ = ("orders",)
+    __slots__ = ("orders", "copies")
+    __match_args__ = ("orders",)
     orders: tuple[int, ...]
+    copies: Mapping[int, int]
 
     def __init__(self, orders: Iterable[int] = ()) -> None:
         orders = tuple(orders)
+        copies: dict[int, int] = {}
         for r in orders:
+            # validated before it is counted: True and 2.0 hash as 1 and 2 do
             _require_int(r, "cyclic order")
             if r < 1:
                 raise ValueError(f"cyclic order must be >= 1, got {r}")
             if r > MAX_ORDER:
                 raise ValueError(f"cyclic order {r} exceeds the bound {MAX_ORDER}")
+            copies[r] = copies.get(r, 0) + 1
+        copies.pop(1, None)
         object.__setattr__(self, "orders", orders)
+        object.__setattr__(self, "copies", MappingProxyType(copies))
 
     def _value(self) -> tuple:
         return (self.orders,)
@@ -165,29 +180,28 @@ def _tuple_repr(items: Iterable[str]) -> str:
 
 
 def canonicalize(decomposition: CyclicDecomposition) -> InvariantFactors:
-    """Invariant factors of the group, in one pass over the counted orders.
+    """Invariant factors of the group, in one pass over its counted orders.
 
-    Equal orders are counted and trivial ones dropped.  All copies of an order
-    r enter the chain c at once: entry j becomes lcm(c_j, g_j), where
-    g_j = gcd(c_{j-copies}, r) is r itself for j < copies and c_j is 1 past
-    the end.  A position inside a run of equal entries, c_{j-copies} == c_j,
-    is skipped: g_j divides c_{j-copies}, so the entry stays as it is.  Since
-    c_{j-copies} divides every earlier entry, g_j = gcd(g, c_{j-copies} mod g)
-    for the g of any earlier position, so one g is carried down the chain
-    past the skipped positions, and a big entry is only ever reduced modulo
-    the small g: lcm(c, g) is c // gcd(g, c mod g) * g.  Once g is 1 it stays
-    1, so the rest of the chain is left as it is.  Only the entries that
-    change are written.  No factorization and no coprime base is needed.
+    The orders are read as the decomposition counted them (``copies``), with
+    no trivial ones.  All copies of an order r enter the chain c at once:
+    entry j becomes lcm(c_j, g_j), where g_j = gcd(c_{j-copies}, r) is r
+    itself for j < copies and c_j is 1 past the end.  A position inside a run
+    of equal entries, c_{j-copies} == c_j, is skipped: g_j divides
+    c_{j-copies}, so the entry stays as it is.  Since c_{j-copies} divides
+    every earlier entry, g_j = gcd(g, c_{j-copies} mod g) for the g of any
+    earlier position, so one g is carried down the chain past the skipped
+    positions, and a big entry is only ever reduced modulo the small g:
+    lcm(c, g) is c // gcd(g, c mod g) * g.  Once g is 1 it stays 1, so the
+    rest of the chain is left as it is.  Only the entries that change are
+    written.  No factorization and no coprime base is needed.
 
     >>> canonicalize(CyclicDecomposition((8, 12))).chain
     (24, 4)
     >>> canonicalize(CyclicDecomposition((1, 1, 1))).chain
     ()
     """
-    counted = Counter(decomposition.orders)
-    counted.pop(1, None)
     chain: list[int] = []
-    for order, copies in counted.items():
+    for order, copies in decomposition.copies.items():
         old = chain.copy()  # read while chain is updated in place
         length = len(old)
         g = order

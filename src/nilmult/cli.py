@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import re
 import sys
 from collections import namedtuple
 from collections.abc import Sequence
@@ -279,7 +278,7 @@ def cmd_compute(args: SimpleNamespace) -> int:
     if args.class_c < 1:
         raise ValueError("--class must be >= 1")
     decomposition = parse_group_spec(args.group)
-    check_result_size(args.class_c + 1, sum(n > 1 for n in decomposition.orders))
+    check_result_size(args.class_c + 1, sum(decomposition.copies.values()))
     verified: bool | None = None
     try:
         if args.method == "both":
@@ -421,9 +420,6 @@ class Command(namedtuple("Command", "handler help options")):
 
 # -h/--help, which the program and every command take
 HELP = Option("help", None, None, "show this help and exit")
-
-# A token that reads as a negative number is a value, not a flag.
-_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 
 class UsageExit(Exception):
@@ -571,9 +567,26 @@ def _classify(token: str, options: dict[str, Option]) -> tuple | None:
             return flags[0], options.get(flags[0], HELP), value if equals else None
     elif token.startswith("-h"):
         return "-h", HELP, token[3:] if token[2] == "=" else token[2:]
-    if _NEGATIVE_NUMBER.match(token) or " " in token:
+    if _is_negative_number(token) or " " in token:
         return None
     return token, None, None
+
+
+def _is_negative_number(token: str) -> bool:
+    r"""Whether ``token`` reads as a negative number, which is a value, not a flag.
+
+    argparse's pattern ``^-\d+$|^-\d*\.\d+$``, with ``str`` methods: "-",
+    then digits, or digits (possibly none) before "." and digits after it.
+    A digit is one ``str.isdecimal()`` accepts, the Unicode digits that
+    ``\d`` matches, and one trailing newline is read past, as ``$`` does.
+    """
+    if token[:1] != "-":
+        return False
+    number = token[1:-1] if token.endswith("\n") else token[1:]
+    whole, dot, fraction = number.partition(".")
+    if not dot:
+        return number.isdecimal()
+    return (not whole or whole.isdecimal()) and fraction.isdecimal()
 
 
 def _take_help(flag: str, value: str | None) -> None:

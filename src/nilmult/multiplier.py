@@ -7,11 +7,15 @@ commutators of weight c+1 on i letters.
 
 ``tensor_oracle`` recomputes the same group from first principles: each
 basic commutator of weight c+1 on the given cyclic factors contributes the
-cyclic group of order gcd(orders of its letters).  With the commutators per
-letter set from ``hall.letter_profile``, it counts, per element of a coprime
-base, the commutators whose letters all reach each exponent, between the two
-steps of ``abelian.compressed_invariant_form``; it expands no letter set or
-gcd and factors no integer into primes.
+cyclic group of order gcd(orders of its letters).  It reads the orders as
+the decomposition counted them when it was built
+(``CyclicDecomposition.copies``, which ``canonicalize`` reads too).  With
+the commutators per letter set from ``hall.letter_profile``, it counts, per
+element of a coprime base, the commutators whose letters all reach each
+exponent, between the two steps of ``abelian.compressed_invariant_form``;
+each such total, a function of the profile and the letters alone, is kept
+per process.  It expands no letter set or gcd and factors no integer into
+primes.
 ``verify`` canonicalizes the input once, runs both and compares.  A result's
 value is its summands, which are always ints.  Its text is the command
 line's job, but the digits come from here: ``summand_digits`` renders a
@@ -26,7 +30,6 @@ and each Witt count is checked against the same sum evaluated modulo a prime.
 from __future__ import annotations
 
 import functools
-from collections import Counter
 from collections.abc import Sequence
 from math import comb
 
@@ -325,36 +328,45 @@ def tensor_oracle(
 
     Works on any decomposition, canonical or not; each basic commutator of
     weight class+1 contributes the cyclic group of order gcd of the orders of
-    its letters, so factors of order 1 are dropped first and are not letters.
-    Every k-letter set carries p_k commutators (``letter_profile``), so any
-    m letters carry T(m) = sum_k p_k * C(m, k).  Over one coprime base of the
+    its letters, so factors of order 1 are not letters: the oracle reads the
+    decomposition's ``copies``, which counts the orders above 1.  Every
+    k-letter set carries p_k commutators (``letter_profile``), so any m
+    letters carry T(m) = sum_k p_k * C(m, k) (``_letter_total``, evaluated
+    once per process for each profile and m).  Over one coprime base of the
     distinct orders, a set's gcd has exponent e or more of a base element b
     exactly when all its letters have, so if N letters reach e and N' exceed
     it, T(N) - T(N') summands have exponent e of b; a base element with one
-    exponent takes T(N) directly.  T is evaluated once per distinct N in a
-    query.  The work follows the distinct orders and their base, not the
-    letters.  Raises ``CapExceeded`` when the enumeration would be too large;
-    ``nilpotent_multiplier`` is not capped.
+    exponent takes T(N) directly.  The work follows the distinct orders and
+    their base, not the letters.  Raises ``CapExceeded`` when the
+    enumeration would be too large; ``nilpotent_multiplier`` is not capped.
     """
     if nilpotency_class < 1:
         raise ValueError(f"nilpotency class must be >= 1, got {nilpotency_class}")
-    copies = Counter(decomposition.orders)
-    copies.pop(1, None)
+    copies = decomposition.copies
     if not copies:
         return MultiplierResult(())
     profile = letter_profile(nilpotency_class + 1, sum(copies.values()))
     counts = _exponent_counts(copies)
-    totals: dict[int, int] = {}  # T(N) by N, for this query only
     for runs in counts.values():
         at_least = below = 0  # letters with exponent >= e of b; commutators on them
         for e in runs if len(runs) == 1 else sorted(runs, reverse=True):
             at_least += runs[e]
-            total = totals.get(at_least)
-            if total is None:
-                total = sum(p * comb(at_least, k) for k, p in enumerate(profile, 1))
-                totals[at_least] = total
+            total = _letter_total(profile, at_least)
             runs[e], below = total - below, total
     return MultiplierResult(_event_walk(counts))
+
+
+# Bounded and thread-safe, as letter_profile's cache is.  A profile depends
+# only on the weight and, below the weight, on the letters; under the cap
+# every total is at most ENUM_CAP, so an entry is small.
+@functools.lru_cache(maxsize=1024)
+def _letter_total(profile: tuple[int, ...], letters: int) -> int:
+    """T(letters) = sum_k p_k * C(letters, k): the commutators on ``letters`` letters.
+
+    ``profile`` is a ``letter_profile`` on at least ``letters`` letters, so T
+    is counted off the Hall recursion, never taken from ``witt_count``.
+    """
+    return sum(p * comb(letters, k) for k, p in enumerate(profile, 1))
 
 
 def multiplier_order(result: MultiplierResult) -> int | None:

@@ -1,16 +1,22 @@
+import collections
+import contextlib
+import copy
+import io
 import itertools
 import math
+import pickle
 import random
 import re
 import time
 from collections import Counter
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from nilmult import abelian
+from nilmult import abelian, cli, multiplier
 from nilmult.abelian import (
     MAX_ORDER,
     CyclicDecomposition,
@@ -19,7 +25,7 @@ from nilmult.abelian import (
     compressed_invariant_form,
     factorize,
 )
-from nilmult.multiplier import nilpotent_multiplier, tensor_oracle
+from nilmult.multiplier import nilpotent_multiplier, tensor_oracle, verify
 from test_acceptance import canonicalize_primary
 
 # orders small enough that the lcm of four of them stays within MAX_ORDER,
@@ -426,6 +432,80 @@ def test_decomposition_rejects_bad_orders(bad):
 def test_decomposition_rejects_non_int_orders(bad):
     with pytest.raises(TypeError, match=re.escape(repr(bad))):
         CyclicDecomposition((bad, 4))
+
+
+@pytest.mark.parametrize(
+    "orders, message",
+    [
+        # 1 == True and 2 == 2.0 hash alike: each order is validated, not
+        # only the keys of the count
+        ((1, True), "cyclic order must be an int, got True"),
+        ((2, 2.0), "cyclic order must be an int, got 2.0"),
+        (([1],), "cyclic order must be an int, got [1]"),
+    ],
+)
+def test_decomposition_validates_every_order_before_counting(orders, message):
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        CyclicDecomposition(orders)
+
+
+@given(st.lists(st.integers(1, 12) | st.integers(1, MAX_ORDER), max_size=30)
+       | repeated_decompositions.map(lambda d: d.orders))
+def test_copies_count_the_orders_above_one(orders):
+    expected = Counter(orders)
+    expected.pop(1, None)
+    copies = CyclicDecomposition(orders).copies
+    assert copies == expected
+    assert list(copies.items()) == list(expected.items())  # by first appearance
+
+
+def test_copies_are_read_only():
+    d = CyclicDecomposition((4, 2, 4, 1))
+    assert isinstance(d.copies, MappingProxyType)
+    with pytest.raises(TypeError):
+        d.copies[4] = 5
+    with pytest.raises(TypeError):
+        del d.copies[2]
+    with pytest.raises(AttributeError):
+        d.copies = {}
+    with pytest.raises(AttributeError):
+        del d.copies
+    assert dict(d.copies) == {4: 2, 2: 1}
+
+
+def test_copies_are_not_part_of_the_value():
+    d = CyclicDecomposition((4, 2, 4, 1))
+    assert repr(d) == "CyclicDecomposition(orders=(4, 2, 4, 1))"
+    assert type(d).__match_args__ == ("orders",)
+    assert hash(d) == hash(((4, 2, 4, 1),))
+    assert d.__reduce__() == (CyclicDecomposition, ((4, 2, 4, 1),))
+    assert b"copies" not in pickle.dumps(d)
+    for twin in (pickle.loads(pickle.dumps(d)), copy.copy(d), copy.deepcopy(d)):
+        assert twin == d
+        assert twin.copies == d.copies
+    # the same count from other orders is another value
+    for other in ((2, 4, 4), (4, 2, 4), (4, 4, 2, 1, 1)):
+        assert CyclicDecomposition(other).copies == d.copies
+        assert CyclicDecomposition(other) != d
+
+
+def test_the_routes_read_the_count_and_build_no_counter(monkeypatch):
+    # canonicalize, tensor_oracle and cmd_compute read the decomposition's
+    # copies; none of them counts the orders again
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a Counter")
+
+    monkeypatch.setattr(collections, "Counter", refuse)
+    for module in (abelian, multiplier, cli):
+        monkeypatch.setattr(module, "Counter", refuse, raising=False)
+    for orders, c in [((12, 6, 2), 1), ((1, 4, 4, 6, 1, 9, 9, 9), 2), ((1, 1), 3), ((), 1)]:
+        report = verify(CyclicDecomposition(orders), c)
+        assert report.equal
+        argv = ["compute", "--group", ",".join(map(str, orders)) or "1", "--class", str(c),
+                "--method", "both"]
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert cli.main(argv) == 0
+        assert out.getvalue().endswith("verified: equal\n")
 
 
 @pytest.mark.parametrize("bad", [True, 2.0, "4", Fraction(4)])

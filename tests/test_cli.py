@@ -280,6 +280,25 @@ def test_decimal_digits_are_the_regex_digits():
     assert re.findall(r"\d", everything) == [ch for ch in everything if ch.isdecimal()]
 
 
+# argparse's pattern for a token that reads as a negative number, a value and
+# not a flag; the parser tests for one with str methods instead.
+NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+@given(st.text(alphabet="-.0123456789\u0661\u0969\uff15 \n", max_size=8))
+@example("-5\n")  # $ matches before one trailing newline
+@example("-5\n\n")
+@example("-.5\n")
+@example("-\n")
+@example("-\u0661.\uff15")
+@example("-5.")
+@example("-.")
+@example("--5")
+@settings(deadline=None)
+def test_negative_numbers_are_the_regex_negative_numbers(token):
+    assert cli._is_negative_number(token) == bool(NEGATIVE_NUMBER.match(token))
+
+
 @given(st.text(alphabet="Z^+,0123456789\u0661\u00b2 ", max_size=8))
 @example("Z\u0661^\u0661\u0661")
 @example("Z2^3+")
@@ -847,6 +866,15 @@ def test_cli_import_does_not_load_dataclasses_or_typing():
         "'dis', 'tokenize', 'linecache', 'copy', 'typing'} & set(sys.modules)); "
         "assert not loaded, loaded"
     )
+    subprocess.run([sys.executable, "-S", "-c", probe], check=True,
+                   env={**os.environ, "PYTHONPATH": src})
+
+
+def test_cli_import_does_not_load_re():
+    # a negative number is told from a flag with str methods.  -S: site
+    # imports re itself
+    src = os.path.dirname(os.path.dirname(multiplier.__file__))
+    probe = "import nilmult.cli, sys; assert 're' not in sys.modules"
     subprocess.run([sys.executable, "-S", "-c", probe], check=True,
                    env={**os.environ, "PYTHONPATH": src})
 

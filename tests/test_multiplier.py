@@ -215,7 +215,8 @@ def test_oracle_matches_the_per_mask_fold_on_shared_letter_counts(orders, c):
 
 
 def test_oracle_evaluates_each_letter_count_once(monkeypatch):
-    # 2, 3 and 5 each reach exponent 1 on 3 letters, 7 on 2
+    # T(N) = sum_k p_k * C(N, k) is kept per process: comb runs for each
+    # distinct (weight, N) on the first query and never again for it
     seen = []
 
     def counting_comb(n, k):
@@ -223,9 +224,23 @@ def test_oracle_evaluates_each_letter_count_once(monkeypatch):
         return math.comb(n, k)
 
     monkeypatch.setattr(multiplier, "comb", counting_comb)
+    multiplier._letter_total.cache_clear()
+    per_total = len(letter_profile(3, 6))  # one comb per entry of the profile
+    # 2, 3 and 5 each reach exponent 1 on 3 letters, 7 on 2
     d = CyclicDecomposition((6, 10, 15, 30, 7, 7))
     assert tensor_oracle(d, 2) == nilpotent_multiplier(canonicalize(d), 2)
-    assert Counter(seen) == {n: len(letter_profile(3, 6)) for n in (2, 3)}
+    assert Counter(seen) == {n: per_total for n in (2, 3)}
+    # the same query again
+    assert tensor_oracle(d, 2) == nilpotent_multiplier(canonicalize(d), 2)
+    assert Counter(seen) == {n: per_total for n in (2, 3)}
+    # other orders on the same letter counts: 11, 13 and 17 on 3 letters, 19 on 2
+    other = CyclicDecomposition((143, 187, 221, 2431, 19, 19))
+    assert tensor_oracle(other, 2) == nilpotent_multiplier(canonicalize(other), 2)
+    assert tensor_oracle(other, 2) != tensor_oracle(d, 2)
+    assert Counter(seen) == {n: per_total for n in (2, 3)}
+    # another weight on the same letters is another total
+    assert tensor_oracle(d, 1) == nilpotent_multiplier(canonicalize(d), 1)
+    assert Counter(seen) == {2: per_total + 2, 3: per_total + 2}
 
 
 @given(
