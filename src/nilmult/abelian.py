@@ -8,12 +8,12 @@ the unique list n_1, n_2, ... with n_{i+1} | n_i and every entry >= 2.  Both
 is the default: one lcm/gcd pass over the counted orders, with no
 factorization and no coprime base; it skips the positions inside a run of
 equal chain entries and carries one gcd down the chain, so a big entry is only
-reduced modulo a small gcd.  The primary route is one run-length core,
-``compressed_invariant_form``: ``_exponent_counts`` splits the distinct
-orders into a pairwise coprime base by repeated gcds and counts the exponents
-of each base element, treated as a prime, and ``_event_walk`` emits the
-summands in one walk over the positions where some element's exponent drops;
-an element with one exponent is one event.
+reduced modulo a small gcd.  The primary route is one run-length core in
+two steps: ``_exponent_counts`` splits the distinct orders into a pairwise
+coprime base by repeated gcds and counts the exponents of each base element,
+treated as a prime, and ``_event_walk`` emits the (invariant factor, run
+length) pairs in one walk over the positions where some element's exponent
+drops; an element with one exponent is one event.
 The commutator oracle calls both steps itself; the tests write the core's
 runs out to cross-check ``canonicalize``.  A new order joins the base after
 one gcd against the product of the base; a base element that divides it
@@ -221,22 +221,6 @@ def canonicalize(decomposition: CyclicDecomposition) -> InvariantFactors:
             else:
                 chain.append(g)
     return InvariantFactors(tuple(chain))
-
-
-def compressed_invariant_form(multiset: Mapping[int, int]) -> tuple[tuple[int, int], ...]:
-    """Invariant factors of a multiset {cyclic order: multiplicity}, run-length encoded.
-
-    Returns (invariant factor, run length) pairs with strictly decreasing
-    factors, by ``_event_walk`` over ``_exponent_counts``; orders need not be
-    at most ``MAX_ORDER``.
-
-    >>> compressed_invariant_form({2: 5, 3: 5, 4: 1})
-    ((12, 1), (6, 4), (2, 1))
-    """
-    for order, multiplicity in multiset.items():
-        if order < 2 or multiplicity < 1:
-            raise ValueError(f"bad multiset entry {order}: {multiplicity}")
-    return _event_walk(_exponent_counts(multiset))
 
 
 def _exponent_counts(multiset: Mapping[int, int]) -> dict[int, dict[int, int]]:

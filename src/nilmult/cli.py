@@ -46,7 +46,7 @@ from .multiplier import (
     verify,
     witt_count_digits,
 )
-from .witt import divisors, exact_context
+from .witt import count_bits, divisors, exact_context
 
 SCHEMA_VERSION = "1"
 
@@ -180,12 +180,12 @@ def _check_factor_count(factors: int, long_powers: Sequence[str] = ()) -> None:
 def check_result_size(weight: int, letters: int) -> None:
     """Refuse, before any arithmetic, a count of basic commutators too big to build.
 
-    The count of weight-w commutators on q letters is below q**w, so it has
-    at most w * log2(q) bits; the estimate w * bit_length(q - 1) is at least
-    that, and is 0 for a single letter.  For ``compute`` the letters are the
-    factors of order > 1: a trivial factor adds no commutator to either route.
+    The estimate is ``count_bits``: w * bit_length(q - 1) bits bound the
+    count of weight-w commutators on q letters, and it is 0 for a single
+    letter.  For ``compute`` the letters are the factors of order > 1: a
+    trivial factor adds no commutator to either route.
     """
-    estimate = weight * max(letters - 1, 0).bit_length()
+    estimate = count_bits(weight, letters)
     if estimate > MAX_RESULT_BITS:
         raise ValueError(
             f"the result would have about {decimal_str(estimate)} bits, "

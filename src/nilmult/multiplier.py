@@ -3,7 +3,10 @@
 ``nilpotent_multiplier`` evaluates the closed form: for a group with invariant
 factors n_1, ..., n_k and class c, the multiplier is the direct sum over
 i = 2..k of (b_i - b_{i-1}) copies of Z_{n_i}, where b_i counts basic
-commutators of weight c+1 on i letters.
+commutators of weight c+1 on i letters.  Over a run of equal factors n that
+ends at position t, after a run that ended at s, the sum telescopes to
+b_t - b_s copies of Z_n, so the formula evaluates one Witt count per run
+(``witt.witt_counts`` at the run ends), with b_1 = 0.
 
 ``tensor_oracle`` recomputes the same group from first principles: each
 basic commutator of weight c+1 on the given cyclic factors contributes the
@@ -12,7 +15,7 @@ the decomposition counted them when it was built
 (``CyclicDecomposition.copies``, which ``canonicalize`` reads too).  With
 the commutators per letter set from ``hall.letter_profile``, it counts, per
 element of a coprime base, the commutators whose letters all reach each
-exponent, between the two steps of ``abelian.compressed_invariant_form``;
+exponent, between ``abelian._exponent_counts`` and ``abelian._event_walk``;
 each such total, a function of the profile and the letters alone, is kept
 per process.  It expands no letter set or gcd and factors no integer into
 primes.
@@ -22,15 +25,15 @@ line's job, but the digits come from here: ``summand_digits`` renders a
 result's orders and multiplicities through ``decimal_str``.  For Witt counts
 past ``_EXACT_DECIMAL_BITS`` by the estimate ``_exact_decimal``, the rule
 ``witt_count_digits`` uses too, ``formula_digits`` makes the closed form's
-digits without a result: its multiplicities are evaluated once, as exact
-``decimal.Decimal`` integers, whose digits need no conversion from binary,
-and each Witt count is checked against the same sum evaluated modulo a prime.
+digits without a result: its multiplicities are evaluated once, from the Witt
+counts at the run ends as exact ``decimal.Decimal`` integers
+(``witt.decimal_counts``, which checks each against the same sum modulo a
+prime), whose digits need no conversion from binary.
 """
 
 from __future__ import annotations
 
 import functools
-from collections.abc import Sequence
 from math import comb
 
 from .abelian import (
@@ -43,7 +46,7 @@ from .abelian import (
     canonicalize,
 )
 from .hall import letter_profile
-from .witt import _moebius_residues, b_sequence, decimal_counts, exact_context, witt_count
+from .witt import count_bits, decimal_counts, exact_context, witt_count, witt_counts
 
 # multiplier_order gives the exact order only up to this many decimal digits;
 # beyond it, callers fall back to the factored form.
@@ -62,7 +65,7 @@ _TENS_LEAF_DIGITS = 600
 _DECIMAL_LEAF_BITS = 1024
 
 # A formula query whose Witt counts have more bits than this, by the estimate
-# weight * bit_length(rank - 1), gets its multiplicities' digits from exact
+# witt.count_bits(weight, rank), gets its multiplicities' digits from exact
 # decimal Witt counts and makes no int table (see formula_digits).  Per query,
 # against the int table plus decimal_str, the decimal route costs more below
 # about 12,000 bits, and from 16,000 on the same to 40% less, ranks 2-6 (at
@@ -72,20 +75,15 @@ _DECIMAL_LEAF_BITS = 1024
 # CPython 3.11, x86-64.
 _EXACT_DECIMAL_BITS = 30_000
 
-# A Witt count evaluated in exact decimal must equal the same Witt sum
-# evaluated modulo this prime (2**61 - 1); the check is linear in the digits.
-_CHECK_PRIME = 2**61 - 1
-
 
 def _exact_decimal(weight: int, letters: int) -> bool:
     """Whether Witt counts of this weight on up to ``letters`` letters are made in exact decimal.
 
-    A count is below letters**weight, so it has at most weight *
-    bit_length(letters - 1) bits; past ``_EXACT_DECIMAL_BITS`` by that
-    estimate, ``formula_digits`` and ``witt_count_digits`` make its digits in
+    Past ``_EXACT_DECIMAL_BITS`` by the estimate ``count_bits``,
+    ``formula_digits`` and ``witt_count_digits`` make a count's digits in
     exact decimal and no int.
     """
-    return weight * max(letters - 1, 0).bit_length() > _EXACT_DECIMAL_BITS
+    return count_bits(weight, letters) > _EXACT_DECIMAL_BITS
 
 
 def decimal_str(value: int) -> str:
@@ -222,44 +220,33 @@ def nilpotent_multiplier(group: InvariantFactors, nilpotency_class: int) -> Mult
     chain = group.chain
     if len(chain) <= 1:
         return MultiplierResult(())
-    return MultiplierResult(_summands(chain, b_sequence(nilpotency_class, len(chain))))
+    ends = _run_ends(chain)
+    return MultiplierResult(_summands(chain, ends, witt_counts(nilpotency_class + 1, ends)))
 
 
-def _summands(chain: tuple[int, ...], counts) -> tuple:
-    """(n_i, b_i - b_{i-1}) for i = 2..k, with equal orders merged.
+def _run_ends(chain: tuple[int, ...]) -> tuple[int, ...]:
+    """The last 1-based position t >= 2 of each run of equal entries of a chain of k >= 2.
 
-    ``counts`` are ints, or exact Decimals inside ``exact_context()``.
+    The last run end is k.  A first entry unlike the second ends no run here:
+    its position 1 has no summand.
     """
-    summands: list[list] = []
-    for i in range(2, len(chain) + 1):
-        order = chain[i - 1]
-        # >= 1: the Hall basis on i letters strictly contains the one on i - 1
-        multiplicity = counts[i - 1] - counts[i - 2]
-        if summands and summands[-1][0] == order:
-            summands[-1][1] += multiplicity
-        else:
-            summands.append([order, multiplicity])
-    return tuple((order, mult) for order, mult in summands)
+    k = len(chain)
+    return (*[t for t in range(2, k) if chain[t - 1] != chain[t]], k)
 
 
-def _checked_decimal_counts(weight: int, letters: Sequence[int]) -> list:
-    """``decimal_counts(weight, letters)``, each checked against its Witt sum modulo a prime.
+def _summands(chain: tuple[int, ...], ends: tuple[int, ...], counts) -> tuple:
+    """(n_t, b_t - b_s) for each run end t, where s is the previous end.
 
-    weight * count must equal the Moebius sum evaluated modulo
-    ``_CHECK_PRIME``; a disagreement raises ``ArithmeticError``.
+    ``counts`` are b_t at ``ends``: ints, or exact Decimals inside
+    ``exact_context()``.  The first run's b_s is b_1 = 0, since a single
+    letter carries no commutator of weight class + 1 >= 2.  Each difference
+    is at least 1: the Hall basis on t letters strictly contains the one on s.
     """
-    import decimal
-
-    counts = decimal_counts(weight, letters)
-    residues = _moebius_residues(weight, letters, _CHECK_PRIME)
-    with decimal.localcontext(exact_context()):
-        for q, count, residue in zip(letters, counts, residues):
-            if int(count % _CHECK_PRIME) * weight % _CHECK_PRIME != residue:
-                raise ArithmeticError(
-                    f"the decimal Witt count on {q} letters disagrees "
-                    f"with its Witt sum modulo {_CHECK_PRIME}"
-                )
-    return counts
+    summands, previous = [], 0
+    for t, count in zip(ends, counts):
+        summands.append((chain[t - 1], count - previous))
+        previous = count
+    return tuple(summands)
 
 
 def summand_digits(result: MultiplierResult) -> list[tuple[str, str]]:
@@ -277,10 +264,11 @@ def formula_digits(
     """``summand_digits`` and ``multiplier_order`` of ``nilpotent_multiplier(group, class)``.
 
     Past ``_EXACT_DECIMAL_BITS`` by the estimate of ``_exact_decimal`` no
-    result is made: the multiplicities are evaluated once, from Witt counts
-    in exact decimal, each count checked against the same sum modulo a
-    prime, and their digits are printed as they are; the order is None.  The
-    caller's ``decimal`` context is left unchanged.
+    result is made: the multiplicities are evaluated once, from the Witt
+    counts at the run ends in exact decimal, each checked by
+    ``decimal_counts`` against the same sum modulo a prime, and their digits
+    are printed as they are; the order is None.  The caller's ``decimal``
+    context is left unchanged.
 
     >>> formula_digits(InvariantFactors((12, 6, 2)), 1)
     ([('6', '1'), ('2', '2')], 24)
@@ -292,9 +280,10 @@ def formula_digits(
         return summand_digits(result), multiplier_order(result)
     import decimal
 
-    counts = _checked_decimal_counts(weight, range(1, len(chain) + 1))
+    ends = _run_ends(chain)
     with decimal.localcontext(exact_context()):
-        digits = [(decimal_str(order), str(mult)) for order, mult in _summands(chain, counts)]
+        summands = _summands(chain, ends, decimal_counts(weight, ends))
+    digits = [(decimal_str(order), str(mult)) for order, mult in summands]
     # The order is None: every order is at least 2, and the multiplicities
     # add up to b_k > 2**(w * (bit_length(k) - 1) - bit_length(w) - 1),
     # check_cap's bound on weight w = class + 1.  As _exact_decimal holds,
@@ -307,18 +296,17 @@ def formula_digits(
 def witt_count_digits(weight: int, letters: int) -> str:
     """The decimal digits of ``witt_count(weight, letters)``.
 
-    The count is below letters**weight, which has at most weight *
-    bit_length(letters - 1) bits.  Past ``_EXACT_DECIMAL_BITS`` by that
-    estimate (``_exact_decimal``, the rule ``formula_digits`` follows too) it
-    is evaluated in exact decimal, checked as ``formula_digits`` checks its
-    counts, and printed as it is: no int, no ``decimal_str``.
+    Past ``_EXACT_DECIMAL_BITS`` by the estimate ``count_bits``
+    (``_exact_decimal``, the rule ``formula_digits`` follows too) it is
+    evaluated in exact decimal, checked by ``decimal_counts``, and printed as
+    it is: no int, no ``decimal_str``.
 
     >>> witt_count_digits(6, 4)
     '670'
     """
     if not _exact_decimal(weight, letters):
         return decimal_str(witt_count(weight, letters))
-    return str(_checked_decimal_counts(weight, [letters])[0])
+    return str(decimal_counts(weight, [letters])[0])
 
 
 def tensor_oracle(
@@ -425,7 +413,7 @@ def verify(
     """
     group = canonicalize(decomposition)
     # the oracle first: its cap refuses a large class before the formula
-    # makes an int table
+    # evaluates an int count
     oracle = tensor_oracle(decomposition, nilpotency_class)
     formula = nilpotent_multiplier(group, nilpotency_class)
     return VerificationReport(formula, oracle, formula == oracle, group)

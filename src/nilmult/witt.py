@@ -17,18 +17,22 @@ q^e is (q^(e/2))^2 when e/2 was the previous exponent.  At weight 100000 on
 6 letters, the int powers of 2, 4 and 6 then cost a shift, and every other
 power of the top exponent one squaring.
 
-``b_sequence`` keeps each small table b_1..b_k in a bounded per-process
-cache, keyed by (weight, k), so the formula makes it once for all the queries
-of one shape; a table of more than ``_TABLE_MEMO_BITS`` by its estimate is
-made on every call and not kept.
+``witt_counts`` gives the counts on any increasing letter counts, such as the
+run ends of an invariant-factor chain that the closed form needs.  A small
+table b_1..b_k it keeps in a bounded per-process cache, keyed by (weight, k),
+and reads at the letter counts, so the formula makes it once for all the
+queries of one shape; past ``_TABLE_MEMO_BITS`` by the one size estimate,
+``count_bits``, it evaluates only the counts asked for and keeps nothing.
+``b_sequence`` is ``witt_counts`` at 1..k.
 
 ``decimal_counts`` evaluates the same terms and the same checked sums, with
 the same routine, in exact ``decimal.Decimal`` arithmetic, inside
 ``exact_context()``.  str() of a Decimal integer is its digits, so a count is
 printed without a conversion from binary; past the multiplier's exact-decimal
-bound libmpdec's powers cost less than an int table and that conversion.
-``_moebius_residues`` evaluates the same sums modulo a prime, to check them.
-``decimal`` is imported only when such a count is asked for.
+bound libmpdec's powers cost less than an int and that conversion.  Each
+decimal count is checked against the same sum evaluated modulo a prime,
+``_CHECK_PRIME``.  ``decimal`` is imported only when such a count is asked
+for.
 """
 
 from __future__ import annotations
@@ -114,18 +118,6 @@ def _witt_sums(weight: int, letters: Sequence[int], number=int) -> list:
     return counts
 
 
-def _moebius_residues(weight: int, letters: Iterable[int], modulus: int) -> list[int]:
-    """The Moebius sum weight * ``witt_count(weight, q)`` modulo ``modulus``, for each q.
-
-    The same terms as ``_witt_sums``, with every power taken modulo
-    ``modulus``: a few modular powers per letter count, to check a count
-    evaluated another way.
-    """
-    terms = _moebius_terms(weight)
-    return [sum(mu * pow(q, exponent, modulus) for mu, exponent in terms) % modulus
-            for q in letters]
-
-
 # Cached, like _moebius_terms, so that a small table costs no more than
 # raising each letter on its own.
 @functools.lru_cache(maxsize=256)
@@ -175,22 +167,61 @@ def witt_count(weight: int, letters: int) -> int:
     return _witt_sums(weight, (letters,))[0]
 
 
-# b_sequence keeps a table only if its counts take at most this many bits by
-# the estimate rank * weight * bit_length(rank - 1): the small (class, rank)
+def count_bits(weight: int, letters: int) -> int:
+    """A bound on the bits of ``witt_count(weight, q)`` for every q <= ``letters``.
+
+    The count is below q**weight <= 2**(weight * bit_length(letters - 1)), so
+    it has at most that many bits; the estimate is 0 for a single letter.
+    This one estimate sizes the counts the command line refuses, the route
+    the multiplier prints from, and the tables ``witt_counts`` keeps.
+
+    >>> count_bits(6, 4)
+    12
+    """
+    return weight * max(letters - 1, 0).bit_length()
+
+
+# witt_counts keeps a table b_1..b_k only if its counts take at most this many
+# bits by the estimate k * count_bits(weight, k): the small (class, rank)
 # shapes that sweeps and `--method both` queries repeat, on at most 73
-# letters, so that 256 kept tables hold under a megabyte.  A deep table, such
-# as class 1000 on rank 2 (2002 bits), is made again on every call.
+# letters, so that 256 kept tables hold under a megabyte.  For a deep one,
+# such as class 1000 on rank 2 (2002 bits), only the counts asked for are
+# evaluated, on every call.
 _TABLE_MEMO_BITS = 1024
+
+
+def witt_counts(weight: int, letters: Sequence[int]) -> list[int]:
+    """``witt_count(weight, q)`` for each q in ``letters``, a hashable increasing sequence.
+
+    The letter counts are positive.  When the table of counts on 1..k
+    letters, k the largest, is within ``_TABLE_MEMO_BITS`` by its estimate,
+    it is made once per process for each (weight, k), kept in a bounded
+    cache, and read at ``letters``; otherwise only the counts asked for are
+    evaluated, with their powers shared, and nothing is kept.
+
+    >>> witt_counts(6, (2, 4))
+    [9, 670]
+    """
+    if weight < 1 or letters[0] < 1:
+        raise ValueError(f"weight and letters must be >= 1, got {weight} and {letters[0]}")
+    rank = letters[-1]
+    if rank * count_bits(weight, rank) <= _TABLE_MEMO_BITS:
+        table = _small_table(weight, rank)
+        return [table[q - 1] for q in letters]
+    return _witt_sums(weight, letters)
+
+
+# Bounded and thread-safe, like hall.letter_profile.
+@functools.lru_cache(maxsize=256)
+def _small_table(weight: int, rank: int) -> tuple[int, ...]:
+    return tuple(_witt_sums(weight, range(1, rank + 1)))
 
 
 def b_sequence(nilpotency_class: int, rank: int) -> tuple[int, ...]:
     """The counts b_i = witt_count(class + 1, i) for i = 1..rank.
 
-    The weight is factored once and the powers are shared across letters;
-    each count keeps its own divisibility check.  A small table, of at most
-    ``_TABLE_MEMO_BITS`` by its estimate, is made once per process for each
-    (weight, rank) and kept in a bounded cache; a larger one is made on
-    every call and not kept.
+    ``witt_counts`` at 1..rank: a small table is made once per process and
+    kept, a larger one is made on every call.
 
     >>> b_sequence(1, 4)
     (0, 1, 3, 6)
@@ -199,19 +230,7 @@ def b_sequence(nilpotency_class: int, rank: int) -> tuple[int, ...]:
         raise ValueError(f"nilpotency class must be >= 1, got {nilpotency_class}")
     if rank < 1:
         raise ValueError(f"rank must be >= 1, got {rank}")
-    weight = nilpotency_class + 1
-    # b_i < i**weight <= 2**(weight * bit_length(rank - 1)) for i <= rank
-    if rank * weight * (rank - 1).bit_length() <= _TABLE_MEMO_BITS:
-        return _small_table(weight, rank)
-    return _table(weight, rank)
-
-
-def _table(weight: int, rank: int) -> tuple[int, ...]:
-    return tuple(_witt_sums(weight, range(1, rank + 1)))
-
-
-# Bounded and thread-safe, like hall.letter_profile.
-_small_table = functools.lru_cache(maxsize=256)(_table)
+    return tuple(witt_counts(nilpotency_class + 1, range(1, rank + 1)))
 
 
 def exact_context():
@@ -232,15 +251,22 @@ def exact_context():
     )
 
 
+# A Witt count evaluated in exact decimal must equal the same Witt sum
+# evaluated modulo this prime (2**61 - 1); the check is linear in the digits.
+_CHECK_PRIME = 2**61 - 1
+
+
 def decimal_counts(weight: int, letters: Iterable[int]) -> list:
     """``witt_count(weight, q)`` for each q in ``letters``, as exact ``decimal.Decimal``.
 
-    The same terms, powers and checked sums as ``witt_count``; the caller's
-    ``decimal`` context is left unchanged.  Arithmetic on the results is exact
-    only inside ``exact_context()``.
+    The same terms, powers and checked sums as ``witt_count``, once for each
+    distinct q, in any order; weight * count must also equal the Moebius sum
+    evaluated modulo ``_CHECK_PRIME``, or ``ArithmeticError`` is raised.  The
+    caller's ``decimal`` context is left unchanged.  Arithmetic on the results
+    is exact only inside ``exact_context()``.
 
-    >>> [str(count) for count in decimal_counts(6, [2, 4])]
-    ['9', '670']
+    >>> [str(count) for count in decimal_counts(6, [4, 2, 4])]
+    ['670', '9', '670']
     """
     import decimal
 
@@ -251,6 +277,17 @@ def decimal_counts(weight: int, letters: Iterable[int]) -> list:
         if q < 0:
             raise ValueError(f"letters must be >= 0, got {q}")
     distinct = tuple(sorted(set(letters)))
+    terms = _moebius_terms(weight)
     with decimal.localcontext(exact_context()):
-        counts = dict(zip(distinct, _witt_sums(weight, distinct, decimal.Decimal)))
-    return [counts[q] for q in letters]
+        counts = _witt_sums(weight, distinct, decimal.Decimal)
+        for q, count in zip(distinct, counts):
+            # the same terms with every power taken modulo the prime: a few
+            # modular powers per count, linear in its digits
+            residue = sum(mu * pow(q, e, _CHECK_PRIME) for mu, e in terms) % _CHECK_PRIME
+            if int(count % _CHECK_PRIME) * weight % _CHECK_PRIME != residue:
+                raise ArithmeticError(
+                    f"the decimal Witt count on {q} letters disagrees "
+                    f"with its Witt sum modulo {_CHECK_PRIME}"
+                )
+    by_letters = dict(zip(distinct, counts))
+    return [by_letters[q] for q in letters]

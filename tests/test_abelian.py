@@ -21,8 +21,9 @@ from nilmult.abelian import (
     MAX_ORDER,
     CyclicDecomposition,
     InvariantFactors,
+    _event_walk,
+    _exponent_counts,
     canonicalize,
-    compressed_invariant_form,
     factorize,
 )
 from nilmult.multiplier import nilpotent_multiplier, tensor_oracle, verify
@@ -156,7 +157,7 @@ P12 = 999_999_999_989
     ],
 )
 def test_compressed_invariant_form_cases(multiset, expected):
-    assert compressed_invariant_form(multiset) == expected
+    assert _event_walk(_exponent_counts(multiset)) == expected
 
 
 # small primes, their powers and P12; products of one to three of them make
@@ -302,7 +303,7 @@ def test_canonicalize_builds_no_coprime_base(monkeypatch):
     def refuse(*args):
         raise AssertionError("canonicalize used the coprime-base route")
 
-    for name in ("_coprime_base", "_exponent_counts", "_event_walk", "compressed_invariant_form"):
+    for name in ("_coprime_base", "_exponent_counts", "_event_walk"):
         monkeypatch.setattr(abelian, name, refuse)
     orders = (12, 18, 8, P12, P12, 6 * 999_983, 4 * 999_983, 27, 2, 2, 2)
     assert canonicalize(CyclicDecomposition(orders)) == reference_canonicalize(
@@ -351,10 +352,10 @@ def test_event_walk_matches_the_written_out_summands(counts):
 @example({4: 2, 6: 3, 2: 1}, random.Random(0))
 def test_compressed_invariant_form_ignores_insertion_order(multiset, rng):
     items = list(multiset.items())
-    expected = compressed_invariant_form(multiset)
-    assert compressed_invariant_form(dict(items[::-1])) == expected
+    expected = _event_walk(_exponent_counts(multiset))
+    assert _event_walk(_exponent_counts(dict(items[::-1]))) == expected
     rng.shuffle(items)
-    assert compressed_invariant_form(dict(items)) == expected
+    assert _event_walk(_exponent_counts(dict(items))) == expected
 
 
 def _primes_from(start, count):
@@ -374,18 +375,12 @@ def test_compressed_invariant_form_many_coprime_orders_is_fast():
     primes = _primes_from(10**6, 3000)
     assert len(primes) == 3000
     start = time.perf_counter()
-    summands = compressed_invariant_form({p: 1 for p in primes})
+    summands = _event_walk(_exponent_counts({p: 1 for p in primes}))
     elapsed = time.perf_counter() - start
     assert summands == ((math.prod(primes), 1),)
     assert elapsed < 0.5, elapsed
     d = CyclicDecomposition(tuple(primes))
     assert canonicalize_primary(d) == canonicalize(d)
-
-
-@pytest.mark.parametrize("bad", [{1: 2}, {0: 1}, {4: 0}, {6: 1, 2: -1}])
-def test_compressed_invariant_form_rejects_bad_entries(bad):
-    with pytest.raises(ValueError, match="bad multiset entry"):
-        compressed_invariant_form(bad)
 
 
 def test_compressed_invariant_form_and_oracle_factor_nothing(monkeypatch):
@@ -397,7 +392,7 @@ def test_compressed_invariant_form_and_oracle_factor_nothing(monkeypatch):
 
     monkeypatch.setattr(abelian, "factorize", refuse)
     monkeypatch.setattr(abelian, "trial_division", refuse)
-    assert compressed_invariant_form({12: 1, 18: 2, 8: 1, 27: 1}) == (
+    assert _event_walk(_exponent_counts({12: 1, 18: 2, 8: 1, 27: 1})) == (
         (216, 1), (36, 1), (18, 1), (6, 1)
     )
     assert tensor_oracle(CyclicDecomposition(orders), 2) == formula

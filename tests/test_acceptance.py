@@ -14,8 +14,9 @@ from collections import Counter
 from nilmult.abelian import (
     CyclicDecomposition,
     InvariantFactors,
+    _event_walk,
+    _exponent_counts,
     canonicalize,
-    compressed_invariant_form,
 )
 from nilmult.hall import enumerate_basic
 from nilmult.multiplier import multiplier_order, nilpotent_multiplier, tensor_oracle, verify
@@ -25,12 +26,12 @@ from nilmult.witt import b_sequence, witt_count
 def canonicalize_primary(decomposition):
     """Invariant factors via primary decomposition, the cross-check for ``canonicalize``.
 
-    ``compressed_invariant_form`` of the counted nontrivial orders, its runs
-    written out one by one.
+    The run-length core (``_exponent_counts``, then ``_event_walk``) on the
+    counted nontrivial orders, its runs written out one by one.
     """
     multiset = Counter(r for r in decomposition.orders if r > 1)
     return InvariantFactors(
-        tuple(order for order, run in compressed_invariant_form(multiset) for _ in range(run))
+        tuple(order for order, run in _event_walk(_exponent_counts(multiset)) for _ in range(run))
     )
 
 

@@ -3,6 +3,7 @@ import dataclasses
 import decimal
 import itertools
 import math
+import operator
 import pickle
 import random
 import re
@@ -17,8 +18,9 @@ from hypothesis import strategies as st
 from nilmult.abelian import (
     CyclicDecomposition,
     InvariantFactors,
+    _event_walk,
+    _exponent_counts,
     canonicalize,
-    compressed_invariant_form,
 )
 from nilmult.hall import CapExceeded, enumerate_basic, letter_profile
 from nilmult import cli, multiplier, witt
@@ -85,6 +87,77 @@ def test_two_generator_groups_follow_the_witt_count():
             assert result.summands == ((n2, witt_count(c + 1, 2)),)
 
 
+def full_table_summands(chain, nilpotency_class):
+    """The closed form position by position: the table b_1..b_k, then equal orders merged.
+
+    The route the formula took before it evaluated one count per run of equal
+    entries, kept as the reference for the run ends.
+    """
+    counts = witt._witt_sums(nilpotency_class + 1, range(1, len(chain) + 1))
+    summands = []
+    for i in range(2, len(chain) + 1):
+        order, multiplicity = chain[i - 1], counts[i - 1] - counts[i - 2]
+        if summands and summands[-1][0] == order:
+            summands[-1][1] += multiplicity
+        else:
+            summands.append([order, multiplicity])
+    return MultiplierResult(tuple((order, mult) for order, mult in summands))
+
+
+@st.composite
+def chains_with_runs(draw, max_rank=8):
+    """Divisibility chains of rank <= max_rank, in runs of one to four equal entries."""
+    factors = draw(st.lists(st.integers(2, 5), max_size=4))
+    entries = list(itertools.accumulate(reversed(factors), operator.mul))[::-1]
+    runs = draw(st.lists(st.integers(1, 4), min_size=len(entries), max_size=len(entries)))
+    return chain_of(*[n for n, run in zip(entries, runs) for _ in range(run)][:max_rank])
+
+
+# small classes, and classes on both sides of the exact-decimal bound at
+# bit_length(rank - 1) = 3, 2 and 1 (weight * bits > _EXACT_DECIMAL_BITS)
+formula_classes = st.one_of(
+    st.integers(1, 40),
+    *[st.integers(_EXACT_DECIMAL_BITS // bits - 40, _EXACT_DECIMAL_BITS // bits + 40)
+      for bits in (3, 2, 1)],
+)
+
+
+@given(chains_with_runs(), formula_classes)
+@settings(max_examples=60, deadline=None)
+@example(chain_of(12, 6, 6, 2, 2), 9_999)  # a unique first entry, int route
+@example(chain_of(12, 6, 6, 2, 2), 10_000)  # the same past the bound
+@example(chain_of(6, 6, 6, 6), 1)  # all entries equal
+@example(chain_of(6, 6, 6, 6), 15_000)
+@example(chain_of(), 3)  # rank 0
+@example(chain_of(4), 30_000)  # rank 1
+def test_run_ends_equal_the_full_table(chain, c):
+    expected = full_table_summands(chain.chain, c)
+    assert nilpotent_multiplier(chain, c) == expected
+    assert formula_digits(chain, c) == (summand_digits(expected), multiplier_order(expected))
+
+
+@pytest.mark.parametrize(
+    "entries, ends",
+    [((12, 12, 12, 6, 6, 2, 2), (3, 5, 7)), ((12, 6, 6, 2), (3, 4)),
+     ((12, 6, 2), (2, 3)), ((2,) * 6, (6,))],
+)
+def test_only_the_run_ends_are_evaluated(monkeypatch, entries, ends):
+    asked = []
+    sums = witt._witt_sums
+
+    def recording(weight, letters, number=int):
+        asked.append((weight, tuple(letters), number is int))
+        return sums(weight, letters, number)
+
+    monkeypatch.setattr(witt, "_witt_sums", recording)
+    chain = chain_of(*entries)
+    # class 1000 keeps no table on two letters or more; class 10**5 is past
+    # the exact-decimal bound on three
+    nilpotent_multiplier(chain, 1000)
+    formula_digits(chain, 10**5)
+    assert asked == [(1001, ends, True), (10**5 + 1, ends, False)]
+
+
 # ---------------------------------------------------------------------------
 # Oracle
 # ---------------------------------------------------------------------------
@@ -139,7 +212,7 @@ def per_mask_oracle(decomposition, nilpotency_class):
         g = math.gcd(*(n for i, n in enumerate(orders) if mask >> i & 1))
         if g > 1:
             occurring[g] += count
-    return MultiplierResult(compressed_invariant_form(occurring))
+    return MultiplierResult(_event_walk(_exponent_counts(occurring)))
 
 
 def letter_set_oracle(decomposition, nilpotency_class):
@@ -155,7 +228,7 @@ def letter_set_oracle(decomposition, nilpotency_class):
                 g = math.gcd(*letters)
                 if g > 1:
                     occurring[g] += per_set
-    return MultiplierResult(compressed_invariant_form(occurring))
+    return MultiplierResult(_event_walk(_exponent_counts(occurring)))
 
 
 def gcd_state_oracle(decomposition, nilpotency_class):
@@ -182,7 +255,7 @@ def gcd_state_oracle(decomposition, nilpotency_class):
     for per_set, by_gcd in zip(profile, sets[1:]):
         for g, count in by_gcd.items():
             occurring[g] += count * per_set
-    return MultiplierResult(compressed_invariant_form(+occurring))
+    return MultiplierResult(_event_walk(_exponent_counts(+occurring)))
 
 
 @st.composite
@@ -745,38 +818,34 @@ def test_values_match_positionally():
 
 
 def test_corrupted_decimal_count_raises(monkeypatch):
-    original = multiplier.decimal_counts
+    # the Decimal Witt sums are corrupted inside witt, after their own
+    # divisibility check and before decimal_counts checks them modulo a prime
+    sums = witt._witt_sums
 
-    def off_by_one(weight, letters):
-        counts = original(weight, letters)
-        with decimal.localcontext(exact_context()):
-            counts[-1] += 1
+    def off_by_one(weight, letters, number=int):
+        counts = sums(weight, letters, number)
+        if number is not int:
+            with decimal.localcontext(exact_context()):
+                counts[-1] += 1
         return counts
 
-    monkeypatch.setattr(multiplier, "decimal_counts", off_by_one)
+    monkeypatch.setattr(witt, "_witt_sums", off_by_one)
     chain = chain_of(6, 2, 2)
     # the modular Witt sums catch it, on the formula route and in witt_count_digits
     with pytest.raises(ArithmeticError, match="disagrees with its Witt sum modulo"):
         formula_digits(chain, 10**5)
     with pytest.raises(ArithmeticError, match="disagrees with its Witt sum modulo"):
         witt_count_digits(10**5 + 1, 3)
-    # with the modular sums corrupted alike, the int route still tells them apart
-    residues = multiplier._moebius_residues
-
-    def shifted(weight, letters, modulus):
-        totals = residues(weight, letters, modulus)
-        totals[-1] = (totals[-1] + weight) % modulus  # weight * (count + 1)
-        return totals
-
-    monkeypatch.setattr(multiplier, "_moebius_residues", shifted)
+    # with the modular check made blind (every sum is 0 modulo 1), the int
+    # route still tells them apart
+    monkeypatch.setattr(witt, "_CHECK_PRIME", 1)
     digits, total = formula_digits(chain, 10**5)
     assert total is None
     expected = summand_digits(nilpotent_multiplier(chain, 10**5))
     assert [order for order, _ in digits] == [order for order, _ in expected] == ["2"]
     assert digits != expected
     assert witt_count_digits(10**5 + 1, 3) != decimal_str(witt_count(10**5 + 1, 3))
-    monkeypatch.setattr(multiplier, "decimal_counts", original)
-    monkeypatch.setattr(multiplier, "_moebius_residues", residues)
+    monkeypatch.undo()
     assert formula_digits(chain, 10**5) == (expected, None)
 
 

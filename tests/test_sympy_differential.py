@@ -3,16 +3,16 @@
 ``factorize``, ``divisors`` and the Witt terms ``witt._moebius_terms`` all
 rest on the one trial-division loop in ``nilmult.abelian``; sympy is an
 independent implementation of each (``factorint``, ``divisors`` and
-``mobius``).  ``compressed_invariant_form`` factors nothing (it works on a
-coprime base); its reference here is the primary decomposition built from
-``factorint``.  The module is skipped when sympy is not installed.
+``mobius``).  The run-length core, ``_event_walk(_exponent_counts(...))``,
+factors nothing (it works on a coprime base); its reference here is the
+primary decomposition built from ``factorint``.  The module is skipped when sympy is not installed.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nilmult.abelian import MAX_ORDER, compressed_invariant_form, factorize
+from nilmult.abelian import MAX_ORDER, _event_walk, _exponent_counts, factorize
 from nilmult.witt import _moebius_terms, divisors
 
 sympy = pytest.importorskip("sympy")
@@ -119,7 +119,7 @@ def admissible_orders(draw):
 @given(st.dictionaries(admissible_orders(), st.integers(1, 4), max_size=8))
 @settings(max_examples=100, deadline=None)
 def test_compressed_invariant_form_matches_factorint(multiset):
-    assert compressed_invariant_form(multiset) == factorint_invariant_form(multiset)
+    assert _event_walk(_exponent_counts(multiset)) == factorint_invariant_form(multiset)
 
 
 BIG = 10**12 + 39  # prime, just above MAX_ORDER
@@ -140,4 +140,4 @@ def test_compressed_invariant_form_beyond_max_order(multiset):
     assert max(multiset) > MAX_ORDER
     with pytest.raises(ValueError):
         factorize(max(multiset))
-    assert compressed_invariant_form(multiset) == factorint_invariant_form(multiset)
+    assert _event_walk(_exponent_counts(multiset)) == factorint_invariant_form(multiset)

@@ -12,10 +12,12 @@ from nilmult.multiplier import decimal_str, verify
 from nilmult.witt import (
     _moebius_terms,
     b_sequence,
+    count_bits,
     decimal_counts,
     divisors,
     exact_context,
     witt_count,
+    witt_counts,
 )
 
 
@@ -157,6 +159,39 @@ def test_a_table_is_kept_when_its_estimate_is_within_the_bound(table_calls, c, r
     assert witt._small_table.cache_info().currsize == kept
 
 
+@given(
+    st.integers(1, 2000),
+    st.sets(st.integers(1, 60), min_size=1, max_size=6).map(lambda s: tuple(sorted(s))),
+)
+@example(2, (1, 73))  # the largest table kept at weight 2
+@example(2, (74,))  # the smallest not kept
+@example(1000, (2, 3))
+def test_witt_counts_equal_witt_count(weight, letters):
+    assert witt_counts(weight, letters) == [witt_count(weight, q) for q in letters]
+
+
+def test_witt_counts_read_a_kept_table_and_evaluate_only_the_rest(table_calls):
+    # weight 3 on 40 letters: 40 * count_bits(3, 40) = 720 bits, kept
+    assert count_bits(3, 40) == 18 and witt_counts(3, (7, 40)) == [112, 21320]
+    assert witt_counts(3, (2, 40)) == [2, 21320]
+    assert table_calls == [3]
+    assert witt._small_table.cache_info().currsize == 1
+    # weight 1001 on 2 letters: 2002 bits, not kept; no table is made
+    assert witt_counts(1001, (2,)) == [witt_count(1001, 2)]
+    assert table_calls == [3]
+    assert witt._small_table.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize(
+    "weight, letters, bits",
+    [(6, 4, 12), (6, 5, 18), (10**9, 1, 0), (5, 0, 0), (2**23, 2, 2**23)],
+)
+def test_count_bits_bounds_the_counts(weight, letters, bits):
+    assert count_bits(weight, letters) == bits
+    if weight < 100:
+        assert all(witt_count(weight, q).bit_length() <= bits for q in range(letters + 1))
+
+
 @pytest.mark.parametrize(
     "call",
     [
@@ -168,6 +203,8 @@ def test_a_table_is_kept_when_its_estimate_is_within_the_bound(table_calls, c, r
         lambda: divisors(0),
         lambda: decimal_counts(0, [3]),
         lambda: decimal_counts(2, [2, -1]),
+        lambda: witt_counts(0, (3,)),
+        lambda: witt_counts(2, (0, 1)),
     ],
 )
 def test_input_validation(call):
