@@ -18,6 +18,9 @@ The commutator oracle calls both steps itself; the tests write the core's
 runs out to cross-check ``canonicalize``.  A new order joins the base after
 one gcd against the product of the base; a base element that divides it
 stays and is stripped from it, and only a proper common factor splits one.
+The value classes share one frozen base, ``_Value``, whose repr writes every
+int, inside tuples too, with ``multiplier.decimal_str``, so a value of any size
+has one; it is imported on use, since ``multiplier`` imports this module.
 ``trial_division`` is the one factorization loop; the Witt terms and divisor
 lists in ``nilmult.witt`` derive from it.  ``factorize`` bounds it to
 admissible orders and is kept as public API; no code in the package calls
@@ -51,11 +54,12 @@ class _Value:
     ``_value()`` is the value: a tuple of fields, which equality (same class
     only) and the hash read, as a frozen dataclass's would.
     ``__match_args__`` name the constructor's parameters, in order: the
-    ``Name(parameter=value, ...)`` repr lists them, and ``__reduce__``
-    rebuilds a copy from them, so ``pickle`` and ``copy`` round-trip although
-    assignment raises.  A subclass sets ``__slots__`` and ``__match_args__``,
-    defines ``_value``, and sets its slots in ``__init__`` with
-    ``object.__setattr__``.
+    ``Name(parameter=value, ...)`` repr lists them, as a frozen dataclass's
+    would but with every int written by ``decimal_str`` (``_repr``), and
+    ``__reduce__`` rebuilds a copy from them, so ``pickle`` and ``copy``
+    round-trip although assignment raises.  A subclass sets ``__slots__``
+    and ``__match_args__``, defines ``_value``, and sets its slots in
+    ``__init__`` with ``object.__setattr__``.
     """
 
     __slots__ = ()
@@ -73,7 +77,7 @@ class _Value:
         return hash(self._value())
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        fields = ", ".join(f"{name}={_repr(getattr(self, name))}" for name in self.__match_args__)
         return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -84,6 +88,22 @@ class _Value:
 
     def __reduce__(self) -> tuple:
         return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+
+
+def _repr(value: object) -> str:
+    """``repr(value)``, with every int in it, inside tuples too, written by ``decimal_str``.
+
+    An lcm of hundreds of orders, or a multiplicity, can pass the int-to-str
+    digit limit that ``repr`` obeys.  A bool is not an int here.
+    """
+    if type(value) is int:
+        from .multiplier import decimal_str  # multiplier imports this module
+
+        return decimal_str(value)
+    if type(value) is tuple:
+        items = list(map(_repr, value))
+        return f"({items[0]},)" if len(items) == 1 else f"({', '.join(items)})"
+    return repr(value)
 
 
 class CyclicDecomposition(_Value):
@@ -159,24 +179,11 @@ class InvariantFactors(_Value):
     def _value(self) -> tuple:
         return (self.chain,)
 
-    def __repr__(self) -> str:
-        # the dataclass-style repr, with every entry written by decimal_str:
-        # an lcm of hundreds of orders can pass the int-to-str digit limit
-        from .multiplier import decimal_str
-
-        return f"InvariantFactors(chain={_tuple_repr(map(decimal_str, self.chain))})"
-
     def __iter__(self):
         return iter(self.chain)
 
     def __len__(self) -> int:
         return len(self.chain)
-
-
-def _tuple_repr(items: Iterable[str]) -> str:
-    """The repr of a tuple whose items have the reprs ``items``."""
-    items = list(items)
-    return f"({items[0]},)" if len(items) == 1 else f"({', '.join(items)})"
 
 
 def canonicalize(decomposition: CyclicDecomposition) -> InvariantFactors:

@@ -287,9 +287,9 @@ def cmd_compute(args: SimpleNamespace) -> int:
             if not verified:
                 print(f"mismatch: {_mismatch(report)}", file=sys.stderr)
         else:
-            chain = canonicalize(decomposition)
-            if args.method == "oracle":
+            if args.method == "oracle":  # its cap refuses before the chain is made
                 result = tensor_oracle(decomposition, args.class_c)
+            chain = canonicalize(decomposition)
     except CapExceeded as exc:
         print(f"error: {exc}; rerun with --method formula", file=sys.stderr)
         return EXIT_CAP

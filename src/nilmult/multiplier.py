@@ -19,10 +19,12 @@ exponent, between ``abelian._exponent_counts`` and ``abelian._event_walk``;
 each such total, a function of the profile and the letters alone, is kept
 per process.  It expands no letter set or gcd and factors no integer into
 primes.
-``verify`` canonicalizes the input once, runs both and compares.  A result's
-value is its summands, which are always ints.  Its text is the command
-line's job, but the digits come from here: ``summand_digits`` renders a
-result's orders and multiplicities through ``decimal_str``.  For Witt counts
+``verify`` runs the oracle first, whose cap refuses a query before any
+other work, then canonicalizes the input once, runs the formula and compares.
+A result's value is its summands, which are always ints.  Its text is the
+command line's job, but the digits come from here: ``summand_digits`` renders
+a result's orders and multiplicities through ``decimal_str``, the one writer
+of an int of any size, which every value's repr uses too.  For Witt counts
 past ``_EXACT_DECIMAL_BITS`` by the estimate ``_exact_decimal``, the rule
 ``witt_count_digits`` uses too, ``formula_digits`` makes the closed form's
 digits without a result: its multiplicities are evaluated once, from the Witt
@@ -42,7 +44,6 @@ from .abelian import (
     _Value,
     _event_walk,
     _exponent_counts,
-    _tuple_repr,
     canonicalize,
 )
 from .hall import letter_profile
@@ -100,14 +101,8 @@ def decimal_str(value: int) -> str:
     if value >= 0 and value.bit_length() <= _STR_MAX_BITS:
         return str(value)
     if value < 0:
-        return "-" + _unsigned_decimal_str(-value)
-    return _unsigned_decimal_str(value)
-
-
-def _unsigned_decimal_str(value: int) -> str:
+        return "-" + decimal_str(-value)
     bits = value.bit_length()
-    if bits <= _STR_MAX_BITS:
-        return str(value)
     if bits <= _TENS_MAX_BITS:
         # log10(2) < 0.30103, so value < 10**digits
         digits = bits * 30103 // 100000 + 1
@@ -201,12 +196,6 @@ class MultiplierResult(_Value):
 
     def _value(self) -> tuple:
         return (self.summands,)
-
-    def __repr__(self) -> str:
-        # the dataclass-style repr, with every int written by decimal_str, so
-        # that a multiplicity of any size has one
-        summands = _tuple_repr(_tuple_repr(map(decimal_str, pair)) for pair in self.summands)
-        return f"MultiplierResult(summands={summands})"
 
 
 def nilpotent_multiplier(group: InvariantFactors, nilpotency_class: int) -> MultiplierResult:
@@ -306,7 +295,7 @@ def witt_count_digits(weight: int, letters: int) -> str:
     """
     if not _exact_decimal(weight, letters):
         return decimal_str(witt_count(weight, letters))
-    return str(decimal_counts(weight, [letters])[0])
+    return str(decimal_counts(weight, (letters,))[0])
 
 
 def tensor_oracle(
@@ -408,12 +397,12 @@ def verify(
 ) -> VerificationReport:
     """Run the closed form and the commutator oracle and compare them.
 
-    The verdict is expected to be equal on every valid input; anything else
+    The oracle runs first, so a query over its cap raises ``CapExceeded``
+    before the input is canonicalized or the formula evaluates a count.  The
+    verdict is expected to be equal on every valid input; anything else
     means an implementation bug, not a property of the input.
     """
-    group = canonicalize(decomposition)
-    # the oracle first: its cap refuses a large class before the formula
-    # evaluates an int count
     oracle = tensor_oracle(decomposition, nilpotency_class)
+    group = canonicalize(decomposition)
     formula = nilpotent_multiplier(group, nilpotency_class)
     return VerificationReport(formula, oracle, formula == oracle, group)

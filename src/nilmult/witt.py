@@ -15,7 +15,9 @@ from one it already holds when that is cheaper than raising q afresh: an int
 q = r * 2^k with r odd is r^e shifted by k * e bits, q = m^2 is (m^e)^2, and
 q^e is (q^(e/2))^2 when e/2 was the previous exponent.  At weight 100000 on
 6 letters, the int powers of 2, 4 and 6 then cost a shift, and every other
-power of the top exponent one squaring.
+power of the top exponent one squaring.  On no letter or one, the count is
+the letter count at weight 1 and 0 past it, made without the terms, so a
+huge weight is not factored there.
 
 ``witt_counts`` gives the counts on any increasing letter counts, such as the
 run ends of an invariant-factor chain that the closed form needs.  A small
@@ -25,14 +27,15 @@ queries of one shape; past ``_TABLE_MEMO_BITS`` by the one size estimate,
 ``count_bits``, it evaluates only the counts asked for and keeps nothing.
 ``b_sequence`` is ``witt_counts`` at 1..k.
 
-``decimal_counts`` evaluates the same terms and the same checked sums, with
-the same routine, in exact ``decimal.Decimal`` arithmetic, inside
-``exact_context()``.  str() of a Decimal integer is its digits, so a count is
-printed without a conversion from binary; past the multiplier's exact-decimal
-bound libmpdec's powers cost less than an int and that conversion.  Each
-decimal count is checked against the same sum evaluated modulo a prime,
-``_CHECK_PRIME``.  ``decimal`` is imported only when such a count is asked
-for.
+``decimal_counts`` takes the letter counts ``witt_counts`` takes, increasing
+and positive, such as the run ends, and evaluates the same terms and the same
+checked sums, with the same routine, in exact ``decimal.Decimal`` arithmetic,
+inside ``exact_context()``.  str() of a Decimal integer is its digits, so a
+count is printed without a conversion from binary; past the multiplier's
+exact-decimal bound libmpdec's powers cost less than an int and that
+conversion.  Each decimal count is checked against the same sum evaluated
+modulo a prime, ``_CHECK_PRIME``.  ``decimal`` is imported only when such a
+count is asked for.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 
 from .abelian import trial_division
 
@@ -79,12 +82,16 @@ _SHIFT, _SQUARE, _RAISE = 0, 1, 2
 def _witt_sums(weight: int, letters: Sequence[int], number=int) -> list:
     """``witt_count(weight, q)`` for each q in ``letters``, each sum checked exact.
 
-    ``letters`` is a hashable sequence of distinct nonnegative ints in
+    ``letters`` is a sequence of distinct nonnegative ints in
     increasing order, such as a tuple or a range; the counts come as
     ``number``: ``int``, or ``decimal.Decimal`` inside ``exact_context()``.
     The powers are made one exponent at a time, as ``_recipes`` says, and
-    only the previous exponent's powers are kept.
+    only the previous exponent's powers are kept.  On no letter or one, every
+    power of q is q and the Moebius coefficients add up to 0 past weight 1, so
+    the count is q at weight 1 and 0 past it, and the weight is not factored.
     """
+    if all(q <= 1 for q in letters):
+        return [number(q if weight == 1 else 0) for q in letters]
     recipes = _recipes(letters, number)
     totals = None
     previous_exponent, previous = 0, []
@@ -118,9 +125,6 @@ def _witt_sums(weight: int, letters: Sequence[int], number=int) -> list:
     return counts
 
 
-# Cached, like _moebius_terms, so that a small table costs no more than
-# raising each letter on its own.
-@functools.lru_cache(maxsize=256)
 def _recipes(letters: Sequence[int], number) -> tuple[tuple, ...]:
     """How ``_witt_sums`` makes q**e for each q in ``letters``, at every exponent e.
 
@@ -191,7 +195,7 @@ _TABLE_MEMO_BITS = 1024
 
 
 def witt_counts(weight: int, letters: Sequence[int]) -> list[int]:
-    """``witt_count(weight, q)`` for each q in ``letters``, a hashable increasing sequence.
+    """``witt_count(weight, q)`` for each q in ``letters``, an increasing sequence.
 
     The letter counts are positive.  When the table of counts on 1..k
     letters, k the largest, is within ``_TABLE_MEMO_BITS`` by its estimate,
@@ -256,38 +260,35 @@ def exact_context():
 _CHECK_PRIME = 2**61 - 1
 
 
-def decimal_counts(weight: int, letters: Iterable[int]) -> list:
+def decimal_counts(weight: int, letters: Sequence[int]) -> list:
     """``witt_count(weight, q)`` for each q in ``letters``, as exact ``decimal.Decimal``.
 
-    The same terms, powers and checked sums as ``witt_count``, once for each
-    distinct q, in any order; weight * count must also equal the Moebius sum
-    evaluated modulo ``_CHECK_PRIME``, or ``ArithmeticError`` is raised.  The
-    caller's ``decimal`` context is left unchanged.  Arithmetic on the results
-    is exact only inside ``exact_context()``.
+    ``letters`` is what ``witt_counts`` takes, an increasing sequence of
+    positive counts, and the counts come in its order.  The same terms,
+    powers and checked sums as ``witt_count``; weight * count must also equal
+    the Moebius sum evaluated modulo ``_CHECK_PRIME``, or ``ArithmeticError``
+    is raised.  The caller's ``decimal`` context is left unchanged.
+    Arithmetic on the results is exact only inside ``exact_context()``.
 
-    >>> [str(count) for count in decimal_counts(6, [4, 2, 4])]
-    ['670', '9', '670']
+    >>> [str(count) for count in decimal_counts(6, (2, 4))]
+    ['9', '670']
     """
     import decimal
 
-    if weight < 1:
-        raise ValueError(f"weight must be >= 1, got {weight}")
-    letters = list(letters)
-    for q in letters:
-        if q < 0:
-            raise ValueError(f"letters must be >= 0, got {q}")
-    distinct = tuple(sorted(set(letters)))
-    terms = _moebius_terms(weight)
+    if weight < 1 or letters[0] < 1:
+        raise ValueError(f"weight and letters must be >= 1, got {weight} and {letters[0]}")
     with decimal.localcontext(exact_context()):
-        counts = _witt_sums(weight, distinct, decimal.Decimal)
-        for q, count in zip(distinct, counts):
+        counts = _witt_sums(weight, letters, decimal.Decimal)
+        for q, count in zip(letters, counts):
+            if q == 1:
+                continue  # made without the terms, which would factor the weight
             # the same terms with every power taken modulo the prime: a few
             # modular powers per count, linear in its digits
+            terms = _moebius_terms(weight)
             residue = sum(mu * pow(q, e, _CHECK_PRIME) for mu, e in terms) % _CHECK_PRIME
             if int(count % _CHECK_PRIME) * weight % _CHECK_PRIME != residue:
                 raise ArithmeticError(
                     f"the decimal Witt count on {q} letters disagrees "
                     f"with its Witt sum modulo {_CHECK_PRIME}"
                 )
-    by_letters = dict(zip(distinct, counts))
-    return [by_letters[q] for q in letters]
+    return counts

@@ -26,7 +26,7 @@ from nilmult.abelian import (
     canonicalize,
     factorize,
 )
-from nilmult.multiplier import nilpotent_multiplier, tensor_oracle, verify
+from nilmult.multiplier import MultiplierResult, nilpotent_multiplier, tensor_oracle, verify
 from test_acceptance import canonicalize_primary
 
 # orders small enough that the lcm of four of them stays within MAX_ORDER,
@@ -295,6 +295,26 @@ run_decompositions = st.lists(st.tuples(run_orders, st.integers(1, 5)), max_size
 @settings(deadline=None)
 def test_canonicalize_matches_the_per_entry_walk(d):
     assert canonicalize(d) == reference_canonicalize(d)
+
+
+@given(st.lists(st.integers(1, 60), min_size=1, max_size=8))
+@example([4, 6, 1, 6, 4])  # repeats, a 1, and no divisibility order
+@example([7, 11, 13])  # pairwise coprime: trivial
+@example([60] * 8)
+@example([1])
+@settings(deadline=None)
+def test_schur_multiplier_is_the_sum_of_the_pairwise_gcds(orders):
+    # Schur at class 1 on any presentation: M(sum Z_{n_i}) = sum_{i<j}
+    # Z_{gcd(n_i, n_j)}, put in invariant form by the per-entry walk, with no
+    # Witt count and no Hall basis
+    d = CyclicDecomposition(tuple(orders))
+    gcds = [math.gcd(a, b) for a, b in itertools.combinations(orders, 2)]
+    chain = reference_canonicalize(CyclicDecomposition(gcds)).chain
+    expected = MultiplierResult(
+        tuple((n, len(list(run))) for n, run in itertools.groupby(chain))
+    )
+    assert tensor_oracle(d, 1) == expected
+    assert nilpotent_multiplier(canonicalize(d), 1) == expected
 
 
 def test_canonicalize_builds_no_coprime_base(monkeypatch):

@@ -9,6 +9,7 @@ import itertools
 import json
 import math
 import os
+import random
 import re
 import shlex
 import subprocess
@@ -918,9 +919,46 @@ def test_cap_message_fits_any_count(capsys):
     assert exc_info.value.count == witt_count(20001, 2)
 
 
+@pytest.mark.parametrize("method", ["oracle", "both"])
+def test_capped_query_is_refused_before_it_is_canonicalized(capsys, monkeypatch, method):
+    # 2,000 distinct even orders are 1,999,000 commutators of weight 2, over
+    # the cap; the oracle refuses them before canonicalize's quadratic pass
+    def refuse(decomposition):
+        raise AssertionError("canonicalized a refused query")
+
+    for module in (abelian, cli, multiplier):
+        monkeypatch.setattr(module, "canonicalize", refuse)
+    orders = random.Random(23).sample(range(2, 10**6, 2), 2000)
+    assert run(capsys, "compute", "--group", ",".join(map(str, orders)), "--class", "1",
+               "--method", method) == (3, "", (
+        "error: 1999000 basic commutators of weight 2 on 2000 letters exceed the "
+        "enumeration cap 1000000; rerun with --method formula\n"
+    ))
+
+
 # ---------------------------------------------------------------------------
 # witt / basis
 # ---------------------------------------------------------------------------
+
+# a prime weight of 80 bits, whose factorization by trial division would take hours
+PRIME_WEIGHT = 10**24 + 7
+
+
+@pytest.mark.parametrize(
+    "argv, out",
+    [
+        (("witt", "--weight", str(PRIME_WEIGHT), "--letters", "1"), "0\n"),
+        (("basis", "--weight", str(PRIME_WEIGHT), "--letters", "0"), ""),
+        # the oracle's cap check counts the commutators on the one letter
+        (("compute", "--group", "2", "--class", str(PRIME_WEIGHT - 1), "--method", "both"),
+         f"input: 2\ncanonical: 2\nclass: {PRIME_WEIGHT - 1}\nmethod: both\n"
+         "multiplier: trivial\norder: 1\nverified: equal\n"),
+    ],
+)
+def test_fewer_than_two_letters_answer_at_once_at_a_prime_weight(capsys, argv, out):
+    start = time.perf_counter()
+    assert run(capsys, *argv) == (0, out, "")
+    assert time.perf_counter() - start < 2
 
 
 @pytest.mark.parametrize(

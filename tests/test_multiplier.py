@@ -550,15 +550,20 @@ def test_decimal_str_handles_huge_values():
 
 
 def test_decimal_str_is_str_at_once_up_to_the_str_bound(monkeypatch):
-    # a nonnegative value of at most _STR_MAX_BITS bits makes no second call
-    def refuse(value):
+    # a value of at most _STR_MAX_BITS bits, of either sign, is split by
+    # neither method
+    def refuse(value, *level):
         raise AssertionError(f"rendered {value.bit_length()} bits by splitting")
 
-    monkeypatch.setattr(multiplier, "_unsigned_decimal_str", refuse)
+    monkeypatch.setattr(multiplier, "_split_by_tens", refuse)
+    monkeypatch.setattr(multiplier, "_split_by_twos", refuse)
     assert decimal_str(2**_STR_MAX_BITS - 1) == str(2**_STR_MAX_BITS - 1)
+    assert decimal_str(1 - 2**_STR_MAX_BITS) == str(1 - 2**_STR_MAX_BITS)
     assert decimal_str(0) == "0"
     with pytest.raises(AssertionError):
         decimal_str(2**_STR_MAX_BITS)
+    with pytest.raises(AssertionError):
+        decimal_str(-(2**_STR_MAX_BITS))
 
 
 # ---------------------------------------------------------------------------
@@ -712,8 +717,8 @@ def test_reprs_are_total(limit):
 
 # The value classes as frozen dataclasses, the way they were declared before
 # they became slots classes: equality, hash, repr and __match_args__ must read
-# the same.  The reprs of MultiplierResult and InvariantFactors were written by
-# hand (test_reprs_are_total); for small ints they are the dataclass reprs.
+# the same.  Every repr writes its ints with decimal_str (test_reprs_are_total);
+# for small ints it is the dataclass repr.
 DATACLASS_TWINS = {
     cls: dataclasses.make_dataclass(cls.__name__, fields, frozen=True)
     for cls, fields in [

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from nilmult import witt
 from nilmult.abelian import CyclicDecomposition
-from nilmult.hall import enumerate_basic
+from nilmult.hall import check_cap, enumerate_basic
 from nilmult.multiplier import decimal_str, verify
 from nilmult.witt import (
     _moebius_terms,
@@ -202,7 +202,7 @@ def test_count_bits_bounds_the_counts(weight, letters, bits):
         lambda: _moebius_terms(0),
         lambda: divisors(0),
         lambda: decimal_counts(0, [3]),
-        lambda: decimal_counts(2, [2, -1]),
+        lambda: decimal_counts(2, (0, 1)),
         lambda: witt_counts(0, (3,)),
         lambda: witt_counts(2, (0, 1)),
     ],
@@ -212,8 +212,14 @@ def test_input_validation(call):
         call()
 
 
-@given(st.integers(1, 400), st.lists(st.integers(0, 40), max_size=5))
-@example(100001, [6])
+# what witt_counts takes too: increasing positive letter counts
+increasing_letters = st.lists(st.integers(1, 40), min_size=1, max_size=5, unique=True).map(
+    lambda letters: tuple(sorted(letters))
+)
+
+
+@given(st.integers(1, 400), increasing_letters)
+@example(100001, (6,))
 def test_decimal_counts_equal_witt_count(weight, letters):
     counts = decimal_counts(weight, letters)
     assert [str(count) for count in counts] == [
@@ -259,8 +265,8 @@ def test_b_sequence_and_witt_count_equal_the_per_letter_sum(weight):
 
 @pytest.mark.parametrize("weight", GRID_WEIGHTS)
 def test_decimal_counts_equal_the_per_letter_sum(weight):
-    expected = per_letter_counts(weight)
-    counts = decimal_counts(weight, GRID_LETTERS)
+    expected = per_letter_counts(weight)[1:]  # positive letter counts only
+    counts = decimal_counts(weight, GRID_LETTERS[1:])
     assert all(isinstance(count, decimal.Decimal) for count in counts)
     assert all(count.as_tuple().exponent == 0 for count in counts)
     if weight < 1000:
@@ -277,6 +283,35 @@ def test_decimal_counts_equal_the_per_letter_sum(weight):
 
 @pytest.mark.parametrize("weight", [1, 2, 3, 4, 100000])
 def test_decimal_counts_are_decimals_on_no_letter_and_one(weight):
-    counts = decimal_counts(weight, [1, 0, 1])
-    assert [type(count) for count in counts] == [decimal.Decimal] * 3
-    assert counts == [1 if weight == 1 else 0, 0, 1 if weight == 1 else 0]
+    # one letter is a count like any other; no letter is refused, as
+    # witt_counts refuses it
+    counts = decimal_counts(weight, (1,))
+    assert [type(count) for count in counts] == [decimal.Decimal]
+    assert counts == [1 if weight == 1 else 0]
+    with pytest.raises(ValueError):
+        decimal_counts(weight, (0,))
+
+
+# a prime weight of 80 bits: trial division would run to its square root
+PRIME_WEIGHT = 10**24 + 7
+
+
+def test_fewer_than_two_letters_factor_no_weight(monkeypatch):
+    # on no letter or one every count is 0, or 1 at weight 1, and no Moebius
+    # term is needed, so the weight is not factored, however large
+    def refuse(n):
+        raise AssertionError(f"factored {n}")
+
+    monkeypatch.setattr(witt, "trial_division", refuse)
+    _moebius_terms.cache_clear()
+    assert witt_count(PRIME_WEIGHT, 0) == 0
+    assert witt_count(PRIME_WEIGHT, 1) == 0
+    assert witt_count(1, 1) == 1
+    assert witt_count(1, 0) == 0
+    assert check_cap(PRIME_WEIGHT, 1) == 0
+    assert witt_counts(PRIME_WEIGHT, (1,)) == [0]
+    assert b_sequence(PRIME_WEIGHT - 1, 1) == (0,)
+    assert decimal_counts(PRIME_WEIGHT, (1,)) == [0]
+    assert decimal_counts(1, (1,)) == [1]
+    with pytest.raises(AssertionError, match="factored"):
+        witt_count(PRIME_WEIGHT, 2)  # two letters do need the terms
