@@ -21,6 +21,10 @@ stays and is stripped from it, and only a proper common factor splits one.
 The value classes share one frozen base, ``_Value``, whose repr writes every
 int, inside tuples too, with ``multiplier.decimal_str``, so a value of any size
 has one; it is imported on use, since ``multiplier`` imports this module.
+Outside input is checked once, by one rule (``_check_ints``: ints, not bools,
+each at least a bound), in the public constructors; a value the package
+derives from checked values, such as ``canonicalize``'s chain, is built by
+``_Value._derived`` and not checked again.
 ``trial_division`` is the one factorization loop; the Witt terms and divisor
 lists in ``nilmult.witt`` derive from it.  ``factorize`` bounds it to
 admissible orders and is kept as public API; no code in the package calls
@@ -42,10 +46,17 @@ from types import MappingProxyType
 MAX_ORDER = 10**12
 
 
-def _require_int(value: object, what: str) -> None:
-    # bool is a subclass of int, but True is not an order
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"{what} must be an int, got {value!r}")
+def _check_ints(values: Iterable[object], what: str, least: int) -> None:
+    """Raise unless each of ``values`` is an int, not a bool, and at least ``least``.
+
+    The one check of every value class; the first fault raises.
+    """
+    for value in values:
+        # bool is a subclass of int, but True is not an order
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise TypeError(f"{what} must be an int, got {value!r}")
+        if value < least:
+            raise ValueError(f"{what} must be >= {least}, got {value}")
 
 
 class _Value:
@@ -58,15 +69,22 @@ class _Value:
     would but with every int written by ``decimal_str`` (``_repr``), and
     ``__reduce__`` rebuilds a copy from them, so ``pickle`` and ``copy``
     round-trip although assignment raises.  A subclass sets ``__slots__``
-    and ``__match_args__``, defines ``_value``, and sets its slots in
-    ``__init__`` with ``object.__setattr__``.
+    and ``__match_args__``, defines ``_value``, and in ``__init__`` checks
+    its input and sets its slots with ``object.__setattr__``.  Outside input
+    enters only there; a value the package derives from checked values is
+    built by ``_derived``, which checks nothing again.
     """
 
     __slots__ = ()
     __match_args__: tuple[str, ...] = ()
 
-    def _value(self) -> tuple:
-        raise NotImplementedError
+    @classmethod
+    def _derived(cls, *fields: object):
+        """The value whose slots, in ``__slots__`` order, are ``fields``, set unchecked."""
+        value = object.__new__(cls)
+        for name, field in zip(cls.__slots__, fields):
+            object.__setattr__(value, name, field)
+        return value
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -129,12 +147,10 @@ class CyclicDecomposition(_Value):
 
     def __init__(self, orders: Iterable[int] = ()) -> None:
         orders = tuple(orders)
+        # checked before they are counted: True and 2.0 hash as 1 and 2 do
+        _check_ints(orders, "cyclic order", 1)
         copies: dict[int, int] = {}
         for r in orders:
-            # validated before it is counted: True and 2.0 hash as 1 and 2 do
-            _require_int(r, "cyclic order")
-            if r < 1:
-                raise ValueError(f"cyclic order must be >= 1, got {r}")
             if r > MAX_ORDER:
                 raise ValueError(f"cyclic order {r} exceeds the bound {MAX_ORDER}")
             copies[r] = copies.get(r, 0) + 1
@@ -144,12 +160,6 @@ class CyclicDecomposition(_Value):
 
     def _value(self) -> tuple:
         return (self.orders,)
-
-    def __iter__(self):
-        return iter(self.orders)
-
-    def __len__(self) -> int:
-        return len(self.orders)
 
 
 class InvariantFactors(_Value):
@@ -167,10 +177,7 @@ class InvariantFactors(_Value):
 
     def __init__(self, chain: Iterable[int] = ()) -> None:
         chain = tuple(chain)
-        for n in chain:
-            _require_int(n, "invariant factor")
-            if n < 2:
-                raise ValueError(f"invariant factor must be >= 2, got {n}")
+        _check_ints(chain, "invariant factor", 2)
         for a, b in zip(chain, chain[1:]):
             if a % b:
                 raise ValueError(f"broken divisibility chain: {b} does not divide {a}")
@@ -178,9 +185,6 @@ class InvariantFactors(_Value):
 
     def _value(self) -> tuple:
         return (self.chain,)
-
-    def __iter__(self):
-        return iter(self.chain)
 
     def __len__(self) -> int:
         return len(self.chain)
@@ -227,7 +231,7 @@ def canonicalize(decomposition: CyclicDecomposition) -> InvariantFactors:
                     chain[j] = c // math.gcd(g, rest) * g
             else:
                 chain.append(g)
-    return InvariantFactors(tuple(chain))
+    return InvariantFactors._derived(tuple(chain))
 
 
 def _exponent_counts(multiset: Mapping[int, int]) -> dict[int, dict[int, int]]:

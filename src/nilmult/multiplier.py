@@ -36,11 +36,13 @@ prime), whose digits need no conversion from binary.
 from __future__ import annotations
 
 import functools
+from collections.abc import Iterable
 from math import comb
 
 from .abelian import (
     CyclicDecomposition,
     InvariantFactors,
+    _check_ints,
     _Value,
     _event_walk,
     _exponent_counts,
@@ -174,24 +176,26 @@ class MultiplierResult(_Value):
     ``summands`` lists (order, multiplicity) pairs with strictly decreasing
     orders, each dividing its predecessor; multiplicities are exact integers
     and can be astronomically large.  The empty tuple is the trivial group.
+    The constructor copies any iterable of pairs into a tuple of tuples.
+
+    >>> MultiplierResult([[4, 1], [2, 3]]).summands
+    ((4, 1), (2, 3))
     """
 
     __slots__ = __match_args__ = ("summands",)
     summands: tuple[tuple[int, int], ...]
 
-    def __init__(self, summands: tuple[tuple[int, int], ...]) -> None:
-        previous = None
-        for order, multiplicity in summands:
-            if order < 2:
-                raise ValueError(f"summand order must be >= 2, got {order}")
-            if multiplicity < 1:
-                raise ValueError(f"summand multiplicity must be >= 1, got {multiplicity}")
-            if previous is not None and (previous <= order or previous % order):
+    def __init__(self, summands: Iterable[tuple[int, int]]) -> None:
+        summands = tuple((order, multiplicity) for order, multiplicity in summands)
+        orders = [order for order, _ in summands]
+        _check_ints(orders, "summand order", 2)
+        _check_ints([multiplicity for _, multiplicity in summands], "summand multiplicity", 1)
+        for previous, order in zip(orders, orders[1:]):
+            if previous <= order or previous % order:
                 raise ValueError(
                     f"summand orders must strictly decrease along a divisibility "
                     f"chain; got {previous} then {order}"
                 )
-            previous = order
         object.__setattr__(self, "summands", summands)
 
     def _value(self) -> tuple:
@@ -208,9 +212,10 @@ def nilpotent_multiplier(group: InvariantFactors, nilpotency_class: int) -> Mult
         raise ValueError(f"nilpotency class must be >= 1, got {nilpotency_class}")
     chain = group.chain
     if len(chain) <= 1:
-        return MultiplierResult(())
+        return MultiplierResult._derived(())
     ends = _run_ends(chain)
-    return MultiplierResult(_summands(chain, ends, witt_counts(nilpotency_class + 1, ends)))
+    counts = witt_counts(nilpotency_class + 1, ends)
+    return MultiplierResult._derived(_summands(chain, ends, counts))
 
 
 def _run_ends(chain: tuple[int, ...]) -> tuple[int, ...]:
@@ -321,7 +326,7 @@ def tensor_oracle(
         raise ValueError(f"nilpotency class must be >= 1, got {nilpotency_class}")
     copies = decomposition.copies
     if not copies:
-        return MultiplierResult(())
+        return MultiplierResult._derived(())
     profile = letter_profile(nilpotency_class + 1, sum(copies.values()))
     counts = _exponent_counts(copies)
     for runs in counts.values():
@@ -330,7 +335,7 @@ def tensor_oracle(
             at_least += runs[e]
             total = _letter_total(profile, at_least)
             runs[e], below = total - below, total
-    return MultiplierResult(_event_walk(counts))
+    return MultiplierResult._derived(_event_walk(counts))
 
 
 # Bounded and thread-safe, as letter_profile's cache is.  A profile depends

@@ -19,7 +19,13 @@ from nilmult.abelian import (
     canonicalize,
 )
 from nilmult.hall import enumerate_basic
-from nilmult.multiplier import multiplier_order, nilpotent_multiplier, tensor_oracle, verify
+from nilmult.multiplier import (
+    MultiplierResult,
+    multiplier_order,
+    nilpotent_multiplier,
+    tensor_oracle,
+    verify,
+)
 from nilmult.witt import b_sequence, witt_count
 
 
@@ -33,6 +39,29 @@ def canonicalize_primary(decomposition):
     return InvariantFactors(
         tuple(order for order, run in _event_walk(_exponent_counts(multiset)) for _ in range(run))
     )
+
+
+def direct_sum(first, second):
+    """The direct sum of two results of coprime orders, by a run-length merge.
+
+    Its invariant factors are the entrywise products of the two chains,
+    position by position, a chain being 1 past its end: each step takes the
+    shorter of the two current runs, with multiplicities kept as ints.  The
+    result is rebuilt through the checking constructor.
+    """
+    runs = [[list(pair) for pair in first.summands], [list(pair) for pair in second.summands]]
+    merged = []
+    while runs[0] or runs[1]:
+        length = min(side[0][1] for side in runs if side)
+        order = 1
+        for side in runs:
+            if side:
+                order *= side[0][0]
+                side[0][1] -= length
+                if not side[0][1]:
+                    del side[0]
+        merged.append((order, length))
+    return MultiplierResult(merged)
 
 
 def invariant_chains(max_order, max_rank):
@@ -198,3 +227,25 @@ def test_criterion_11_high_rank_formula_oracle_equivalence():
     assert cases == 1932
     done(f"criterion 11: formula == oracle on all {cases} (chain, class) cases, "
          "entries <= 12, rank 7-8, class <= 6")
+
+
+def test_criterion_12_coprime_splitting_at_large_classes():
+    # M(A + B) = M(A) + M(B) for |A| and |B| coprime, on the formula alone:
+    # a 2-group and a 3-group, each canonicalized alone and together, at
+    # classes where the multiplicities have hundreds of thousands of bits
+    done = timed(30.0)
+    rng = random.Random(2026_1020)
+
+    def formula(orders, c):
+        return nilpotent_multiplier(canonicalize(CyclicDecomposition(orders)), c)
+
+    for _ in range(200):
+        twos = [2 ** rng.randint(0, 6) for _ in range(rng.randint(0, 8))]
+        threes = [3 ** rng.randint(0, 4) for _ in range(rng.randint(0, 8))]
+        both = twos + threes
+        rng.shuffle(both)
+        c = rng.randint(10**4, 10**5)
+        assert formula(both, c) == direct_sum(formula(twos, c), formula(threes, c)), (
+            twos, threes, c)
+    done("criterion 12: coprime splitting on the formula over 200 2-group + 3-group "
+         "pairs, classes 10^4-10^5")

@@ -1,4 +1,5 @@
 import doctest
+import pathlib
 
 import pytest
 
@@ -6,6 +7,8 @@ import nilmult.abelian
 import nilmult.hall
 import nilmult.multiplier
 import nilmult.witt
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.mark.parametrize(
@@ -16,3 +19,9 @@ import nilmult.witt
 def test_module_doctests(module):
     failures, _ = doctest.testmod(module)
     assert failures == 0
+
+
+def test_readme_library_example_runs():
+    failures, tried = doctest.testfile(str(README), module_relative=False)
+    assert failures == 0
+    assert tried > 0

@@ -42,6 +42,7 @@ from nilmult.multiplier import (
     witt_count_digits,
 )
 from nilmult.witt import b_sequence, exact_context, witt_count
+from test_acceptance import direct_sum
 
 small_decompositions = st.lists(st.integers(1, 12), min_size=1, max_size=3).map(
     lambda v: CyclicDecomposition(tuple(v))
@@ -406,6 +407,104 @@ def test_presentation_invariance(d, c, rng):
     permuted = CyclicDecomposition(tuple(shuffled))
     assert tensor_oracle(permuted, c) == tensor_oracle(d, c)
     assert tensor_oracle(d, c) == nilpotent_multiplier(canonicalize(d), c)
+
+
+# Metamorphic laws, each checked on each route on its own: coprime splitting
+# (M(A + B) = M(A) + M(B) when |A| and |B| are coprime, the sum formed by
+# test_acceptance's run-length merge) and presentation invariance.
+
+
+def formula_route(orders, c):
+    return nilpotent_multiplier(canonicalize(CyclicDecomposition(tuple(orders))), c)
+
+
+def oracle_route(orders, c):
+    return tensor_oracle(CyclicDecomposition(tuple(orders)), c)
+
+
+# the formula runs on up to thousands of letters and at large classes; the
+# oracle on up to 8 letters at classes its cap admits
+law_formula_classes = st.integers(1, 5) | st.sampled_from([100, 5000])
+law_oracle_classes = st.integers(1, 3)
+
+
+@st.composite
+def orders_on(draw, primes, many):
+    """Orders that are products of powers of ``primes``, 1 among them; ``many``: in long runs."""
+    order = st.tuples(*[st.integers(0, 3)] * len(primes)).map(
+        lambda exponents: math.prod(p**e for p, e in zip(primes, exponents))
+    )
+    if not many:
+        return draw(st.lists(order, max_size=4))
+    runs = draw(st.lists(st.tuples(order, st.integers(1, 400)), max_size=4))
+    return [n for n, copies in runs for _ in range(copies)]
+
+
+@st.composite
+def coprime_groups(draw, many):
+    """The orders of A and of B, with gcd(|A|, |B|) = 1: 2, 3, 5 and 7 split between them."""
+    primes = draw(st.permutations([2, 3, 5, 7]))
+    cut = draw(st.integers(0, 4))
+    return draw(orders_on(primes[:cut], many)), draw(orders_on(primes[cut:], many))
+
+
+@given(coprime_groups(many=True), law_formula_classes)
+@example(([4, 2], [9, 3, 3]), 2)
+@example(([2] * 1000, [3] * 1500 + [9] * 10), 5000)
+@settings(deadline=None)
+def test_formula_splits_over_coprime_summands(groups, c):
+    first, second = groups
+    expected = direct_sum(formula_route(first, c), formula_route(second, c))
+    assert formula_route(first + second, c) == expected
+
+
+@given(coprime_groups(many=False), law_oracle_classes)
+@example(([4, 2], [9, 3, 3]), 2)
+@settings(deadline=None)
+def test_oracle_splits_over_coprime_summands(groups, c):
+    first, second = groups
+    expected = direct_sum(oracle_route(first, c), oracle_route(second, c))
+    assert oracle_route(first + second, c) == expected
+
+
+def coprime_splits(n):
+    """Every (m, n // m) with 1 < m < n and gcd(m, n // m) = 1."""
+    return [(m, n // m) for m in range(2, n) if n % m == 0 and math.gcd(m, n // m) == 1]
+
+
+@st.composite
+def two_presentations(draw, orders):
+    """Drawn orders, and the same group presented otherwise.
+
+    The other presentation may split a factor Z_mn into Z_m + Z_n for coprime
+    m and n; it adds up to two factors Z_1 and permutes the factors.
+    """
+    orders = draw(orders)
+    other = list(orders)
+    splittable = [i for i, n in enumerate(other) if coprime_splits(n)]
+    if splittable and draw(st.booleans()):
+        i = draw(st.sampled_from(splittable))
+        other[i:i + 1] = draw(st.sampled_from(coprime_splits(other[i])))
+    other += [1] * draw(st.integers(0, 2))
+    return orders, draw(st.permutations(other))
+
+
+@given(two_presentations(st.lists(st.integers(1, 60), max_size=8)
+                         | repeated_orders(8).map(lambda orders: orders * 200)),
+       law_formula_classes)
+@example(([12, 6, 2], [6, 1, 2, 4, 3]), 3)
+@settings(deadline=None)
+def test_formula_ignores_the_presentation(orders, c):
+    first, second = orders
+    assert formula_route(second, c) == formula_route(first, c)
+
+
+@given(two_presentations(st.lists(st.integers(1, 60), max_size=6)), law_oracle_classes)
+@example(([12, 6, 2], [6, 1, 2, 4, 3]), 3)
+@settings(deadline=None)
+def test_oracle_ignores_the_presentation(orders, c):
+    first, second = orders
+    assert oracle_route(second, c) == oracle_route(first, c)
 
 
 @given(st.lists(st.integers(2, 12), min_size=1, max_size=4), st.integers(1, 3))
@@ -896,6 +995,86 @@ def test_witt_count_digits_equal_decimal_str(weight, letters):
 def test_result_rejects_malformed_summands(summands):
     with pytest.raises(ValueError):
         MultiplierResult(summands)
+
+
+def test_result_copies_any_iterable_of_pairs():
+    expected = MultiplierResult(((4, 1), (2, 3)))
+    pairs = [(4, 1), (2, 3)]
+    for summands in ((pair for pair in pairs), pairs, [[4, 1], [2, 3]], iter(pairs)):
+        result = MultiplierResult(summands)
+        assert result == expected
+        assert hash(result) == hash(expected)
+        assert type(result.summands) is tuple
+        assert all(type(pair) is tuple for pair in result.summands)
+        assert repr(result) == "MultiplierResult(summands=((4, 1), (2, 3)))"
+
+
+def test_result_keeps_no_reference_to_the_callers_list():
+    pairs = [[4, 1]]
+    result = MultiplierResult(pairs)
+    pairs.append([3, 1])  # a broken chain, had the value kept the list
+    pairs[0][1] = 5
+    assert result.summands == ((4, 1),)
+    assert hash(result) == hash(MultiplierResult(((4, 1),)))
+
+
+@pytest.mark.parametrize(
+    "make, value, error, message",
+    [
+        (CyclicDecomposition, (4, 0), ValueError, "cyclic order must be >= 1, got 0"),
+        (CyclicDecomposition, (4, -3), ValueError, "cyclic order must be >= 1, got -3"),
+        (CyclicDecomposition, (4, 2.0), TypeError, "cyclic order must be an int, got 2.0"),
+        (CyclicDecomposition, (4, 10**12 + 1), ValueError,
+         "cyclic order 1000000000001 exceeds the bound 1000000000000"),
+        (InvariantFactors, (4, 1), ValueError, "invariant factor must be >= 2, got 1"),
+        (InvariantFactors, (4, True), TypeError, "invariant factor must be an int, got True"),
+        (InvariantFactors, (6, 4), ValueError, "broken divisibility chain: 4 does not divide 6"),
+        (MultiplierResult, ((1, 2),), ValueError, "summand order must be >= 2, got 1"),
+        (MultiplierResult, ((4, 0),), ValueError, "summand multiplicity must be >= 1, got 0"),
+        (MultiplierResult, ((2, 1), (4, 1)), ValueError,
+         "summand orders must strictly decrease along a divisibility chain; got 2 then 4"),
+        (MultiplierResult, ((4, 1), (4, 2)), ValueError,
+         "summand orders must strictly decrease along a divisibility chain; got 4 then 4"),
+        # a float or a bool in either field of a summand
+        (MultiplierResult, ((4, 1.5),), TypeError, "summand multiplicity must be an int, got 1.5"),
+        (MultiplierResult, ((4.0, 1),), TypeError, "summand order must be an int, got 4.0"),
+        (MultiplierResult, ((4, True),), TypeError, "summand multiplicity must be an int, got True"),
+        (MultiplierResult, ((True, 1),), TypeError, "summand order must be an int, got True"),
+        (MultiplierResult, ((4, 1), (2, decimal.Decimal(3))), TypeError,
+         "summand multiplicity must be an int, got Decimal('3')"),
+    ],
+)
+def test_each_single_fault_gets_its_message(make, value, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        make(value)
+
+
+@st.composite
+def derived_values(draw):
+    """What canonicalize, nilpotent_multiplier and tensor_oracle return on one drawn input.
+
+    The formula runs at a small class and at large ones, whose multiplicities
+    are big ints; the oracle at classes its cap admits on up to 40 letters.
+    """
+    orders = draw(st.lists(st.integers(1, 60), max_size=6) | repeated_orders(8)
+                  | wide_mixed_orders())
+    d = CyclicDecomposition(tuple(orders))
+    group = canonicalize(d)
+    formula_class = draw(st.sampled_from([1, 2, 3, 64, 10**4]))
+    return [group, nilpotent_multiplier(group, formula_class),
+            tensor_oracle(d, draw(st.integers(1, 3)))]
+
+
+@given(derived_values())
+@example([InvariantFactors(()), MultiplierResult(()), MultiplierResult(())])
+@settings(deadline=None)
+def test_derived_values_rebuild_through_the_public_constructors(values):
+    # the routes build their values unchecked; the public constructor, which
+    # checks, must accept each one and give the same value
+    for value in values:
+        rebuilt = type(value)(*(getattr(value, name) for name in type(value).__match_args__))
+        assert rebuilt == value
+        assert hash(rebuilt) == hash(value)
 
 
 def test_result_equality_compares_summands_only():
