@@ -56,7 +56,7 @@ def _check_ints(values: Iterable[object], what: str, least: int) -> None:
         if isinstance(value, bool) or not isinstance(value, int):
             raise TypeError(f"{what} must be an int, got {value!r}")
         if value < least:
-            raise ValueError(f"{what} must be >= {least}, got {value}")
+            raise ValueError(f"{what} must be >= {least}, got {_decimal(value)}")
 
 
 class _Value:
@@ -108,6 +108,13 @@ class _Value:
         return type(self), tuple(getattr(self, name) for name in self.__match_args__)
 
 
+def _decimal(value: int) -> str:
+    """The digits of ``value`` by ``multiplier.decimal_str``, whatever its size."""
+    from .multiplier import decimal_str  # multiplier imports this module
+
+    return decimal_str(value)
+
+
 def _repr(value: object) -> str:
     """``repr(value)``, with every int in it, inside tuples too, written by ``decimal_str``.
 
@@ -115,9 +122,7 @@ def _repr(value: object) -> str:
     digit limit that ``repr`` obeys.  A bool is not an int here.
     """
     if type(value) is int:
-        from .multiplier import decimal_str  # multiplier imports this module
-
-        return decimal_str(value)
+        return _decimal(value)
     if type(value) is tuple:
         items = list(map(_repr, value))
         return f"({items[0]},)" if len(items) == 1 else f"({', '.join(items)})"
@@ -152,7 +157,7 @@ class CyclicDecomposition(_Value):
         copies: dict[int, int] = {}
         for r in orders:
             if r > MAX_ORDER:
-                raise ValueError(f"cyclic order {r} exceeds the bound {MAX_ORDER}")
+                raise ValueError(f"cyclic order {_decimal(r)} exceeds the bound {MAX_ORDER}")
             copies[r] = copies.get(r, 0) + 1
         copies.pop(1, None)
         object.__setattr__(self, "orders", orders)
@@ -180,7 +185,9 @@ class InvariantFactors(_Value):
         _check_ints(chain, "invariant factor", 2)
         for a, b in zip(chain, chain[1:]):
             if a % b:
-                raise ValueError(f"broken divisibility chain: {b} does not divide {a}")
+                raise ValueError(
+                    f"broken divisibility chain: {_decimal(b)} does not divide {_decimal(a)}"
+                )
         object.__setattr__(self, "chain", chain)
 
     def _value(self) -> tuple:

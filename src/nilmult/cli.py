@@ -11,6 +11,13 @@ conversion (``int``, ``str`` or a tuple of choices), a default or
 error messages are all rendered from that table.  A flag may be spelled in
 full, by a unique prefix (``--gr``), and with ``=`` (``--group=12,6,2``);
 the rules are argparse's (Python 3.11), which the module does not import.
+A command's tokens are read in one pass, left to right, and each value is
+converted where it is read; the defaults of a command are made once per
+table.  Help or a refusal ends the pass, but only once the tokens not yet
+read, up to the first "--", are classified: an ambiguous prefix anywhere
+before it is refused first, as argparse classifies every token before it
+reads any.  An explicit "--" value (``--class=--``) is refused only if it
+is still the option's value once the line is read, as in argparse.
 
 ``compute`` writes its whole output in one pass from the result's digits.
 Its ``--format json`` line has the bytes ``json.dumps(record,
@@ -31,7 +38,7 @@ import functools
 import itertools
 import sys
 from collections import namedtuple
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from types import SimpleNamespace
 
 from .abelian import MAX_ORDER, CyclicDecomposition, InvariantFactors, canonicalize
@@ -474,67 +481,113 @@ def parse_args(argv: Sequence[str], table: dict[str, Command]) -> SimpleNamespac
     name = None
     try:
         for i, token in enumerate(argv):
-            match = None if token == "--" else _classify(token, {})
+            match = None if token[:1] != "-" or token == "--" else _classify(token, {})
             if match is None:
                 if token not in table:
-                    raise UsageExit(EXIT_INPUT, (
-                        f"argument command: invalid choice: {token!r} "
-                        f"(choose from {', '.join(map(repr, table))})"
-                    ))
+                    raise UsageExit(EXIT_INPUT, f"argument command: invalid choice: {token!r} "
+                                                f"(choose from {', '.join(map(repr, table))})")
                 name = token
                 return _parse_command(table[name], argv[i + 1:], extras)
             if match[1] is HELP:
-                _take_help(match[0], match[2])
+                raise _help_exit(match[0], match[2])
             extras.append(token)
         raise UsageExit(EXIT_INPUT, "the following arguments are required: command")
     except UsageExit as exc:
         if exc.code == EXIT_OK:
             raise UsageExit(EXIT_OK, _help(table, name)) from None
         prog = "nilmult" if name is None else f"nilmult {name}"
-        raise UsageExit(EXIT_INPUT, (
-            f"{_usage(table, name)}\n{prog}: error: {exc.text}\n"
-        )) from None
+        raise UsageExit(EXIT_INPUT, f"{_usage(table, name)}\n{prog}: error: {exc.text}\n") from None
 
 
 def _parse_command(command: Command, tokens: Sequence[str],
                    extras: list[str]) -> SimpleNamespace:
-    """Read one command's tokens left to right; ``UsageExit`` carries a bare message.
+    """Read one command's tokens in one pass, left to right; ``UsageExit`` carries a bare message.
 
-    Every token before the first "--" is classified before any is read, so
-    an ambiguous prefix is refused even after -h.  An option takes the next
-    token as its value only if that token is a value, not a flag or "--";
-    when an option repeats, the last value wins.  The "--", what follows it
-    and every stray token are unrecognized.
+    The loop recognizes a flag spelled in full, and a value after a flag,
+    itself; any other token goes through ``_classify``.  An option takes the
+    next token as its value only if that token is a value, not a flag or
+    "--", and converts it where it is read; when an option repeats, the last
+    value wins.  An explicit "--" (``--class=--``) is kept as the value: an
+    int or choice option refuses it only if it is still its value once the
+    line is read.  Help or a refusal leaves the loop only after the tokens
+    not yet read, up to the first "--", are classified (``_leave``), so an
+    ambiguous prefix is refused first, even after -h or a bad value, as
+    argparse classifies every token before it reads any.  The "--", what
+    follows it and every stray token are unrecognized.
     """
     options = command.options
     end = tokens.index("--") if "--" in tokens else len(tokens)
-    matches = [_classify(token, options) for token in tokens[:end]]
-    values = {option.dest: option.default for option in options.values()
-              if option.default is not REQUIRED}
-    i = 0
-    while i < end:
-        match = matches[i]
-        i += 1
-        if match is None or match[1] is None:
-            extras.append(tokens[i - 1])
-            continue
-        flag, option, value = match
-        if option is HELP:
-            _take_help(flag, value)
+    rest = iter(tokens[:end])  # the tokens not yet read
+    values = dict(_defaults(options))
+    refusals: dict[str, str] = {}  # dest -> the refusal of an explicit "--" it took
+    for token in rest:
+        if (option := options.get(token)) is not None:
+            flag, value = token, None
+        else:
+            match = _classify(token, options)
+            if match is None or match[1] is None:
+                extras.append(token)
+                continue
+            flag, option, value = match
+            if option is HELP:
+                _leave(rest, options, _help_exit(flag, value))
         if value is None:
-            if i == end or matches[i] is not None:
-                raise UsageExit(EXIT_INPUT, f"argument {flag}: expected one argument")
-            value = tokens[i]
-            i += 1
-        values[option.dest] = _convert(flag, option, value)
+            value = next(rest, "--")  # "--" once no token is left
+            if value == "--" or (value[:1] == "-" and _classify(value, options)):
+                _leave(rest, options, f"argument {flag}: expected one argument")
+        error = None
+        if option.kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                error = f"argument {flag}: invalid int value: {value!r}"
+        elif option.kind is not str and value not in option.kind:
+            error = (f"argument {flag}: invalid choice: {value!r} "
+                     f"(choose from {', '.join(map(repr, option.kind))})")
+        if error is not None and value != "--":
+            _leave(rest, options, error)
+        values[option.dest] = value
+        if error is not None:
+            refusals[option.dest] = error
+    for dest, error in refusals.items():
+        if values[dest] == "--":
+            raise UsageExit(EXIT_INPUT, error)
     extras += tokens[end:]
-    missing = [flag for flag, option in options.items() if option.dest not in values]
-    if missing:
-        raise UsageExit(EXIT_INPUT,
-                        f"the following arguments are required: {', '.join(missing)}")
+    if REQUIRED in values.values():
+        missing = [flag for flag, option in options.items() if values[option.dest] is REQUIRED]
+        raise UsageExit(EXIT_INPUT, f"the following arguments are required: {', '.join(missing)}")
     if extras:
         raise UsageExit(EXIT_INPUT, f"unrecognized arguments: {' '.join(map(repr, extras))}")
     return SimpleNamespace(func=command.handler, **values)
+
+
+def _leave(rest: Iterator[str], options: dict[str, Option], stop: UsageExit | str) -> None:
+    """Raise ``stop``, help or a refusal, or refuse the line with the message ``stop``.
+
+    The tokens not yet read, ``rest``, are classified first, so an ambiguous
+    prefix among them is refused instead.
+    """
+    for token in rest:
+        _classify(token, options)
+    raise stop if isinstance(stop, UsageExit) else UsageExit(EXIT_INPUT, stop)
+
+
+# Each options dict's defaults, by its id; emptied when it holds 64.  An
+# entry holds its dict, so the id is not reused while the entry lasts.
+_DEFAULTS: dict[int, tuple[dict[str, Option], dict[str, object]]] = {}
+
+
+def _defaults(options: dict[str, Option]) -> dict[str, object]:
+    """Each option's default by dest, ``REQUIRED`` if it has none, made once per options dict.
+
+    A table is not changed once it is read, so its defaults are not either.
+    """
+    entry = _DEFAULTS.get(id(options))
+    if entry is None:
+        if len(_DEFAULTS) >= 64:
+            _DEFAULTS.clear()
+        entry = _DEFAULTS[id(options)] = options, {o.dest: o.default for o in options.values()}
+    return entry[1]
 
 
 def _classify(token: str, options: dict[str, Option]) -> tuple | None:
@@ -589,29 +642,14 @@ def _is_negative_number(token: str) -> bool:
     return (not whole or whole.isdecimal()) and fraction.isdecimal()
 
 
-def _take_help(flag: str, value: str | None) -> None:
-    """Ask for help, unless -h/--help carries a value that is not more -h flags.
+def _help_exit(flag: str, value: str | None) -> UsageExit:
+    """A request for help, unless -h/--help carries a value that is not more -h flags.
 
     "-hh" and "-h=h" are -h twice; "--help=x" and "-hx" are refused.
     """
     if value is None or (flag == "-h" and value and not value.strip("h")):
-        raise UsageExit(EXIT_OK, "")
-    raise UsageExit(EXIT_INPUT, f"argument -h/--help: ignored explicit argument {value!r}")
-
-
-def _convert(flag: str, option: Option, text: str) -> object:
-    if option.kind is int:
-        try:
-            return int(text)
-        except ValueError:
-            raise UsageExit(EXIT_INPUT,
-                            f"argument {flag}: invalid int value: {text!r}") from None
-    if option.kind is not str and text not in option.kind:
-        raise UsageExit(EXIT_INPUT, (
-            f"argument {flag}: invalid choice: {text!r} "
-            f"(choose from {', '.join(map(repr, option.kind))})"
-        ))
-    return text
+        return UsageExit(EXIT_OK, "")
+    return UsageExit(EXIT_INPUT, f"argument -h/--help: ignored explicit argument {value!r}")
 
 
 def _metavar(flag: str, option: Option) -> str:

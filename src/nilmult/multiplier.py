@@ -194,7 +194,7 @@ class MultiplierResult(_Value):
             if previous <= order or previous % order:
                 raise ValueError(
                     f"summand orders must strictly decrease along a divisibility "
-                    f"chain; got {previous} then {order}"
+                    f"chain; got {decimal_str(previous)} then {decimal_str(order)}"
                 )
         object.__setattr__(self, "summands", summands)
 
@@ -373,7 +373,12 @@ def multiplier_order(result: MultiplierResult) -> int | None:
 
 
 class VerificationReport(_Value):
-    """Both computation routes for one input, the verdict, and the input's chain."""
+    """Both computation routes for one input, the verdict, and the input's chain.
+
+    The constructor raises ``TypeError`` unless ``formula`` and ``oracle``
+    are ``MultiplierResult`` values, ``equal`` a bool and ``group`` an
+    ``InvariantFactors``; it does not compare the routes again.
+    """
 
     __slots__ = __match_args__ = ("formula", "oracle", "equal", "group")
     formula: MultiplierResult
@@ -388,10 +393,13 @@ class VerificationReport(_Value):
         equal: bool,
         group: InvariantFactors,
     ) -> None:
-        object.__setattr__(self, "formula", formula)
-        object.__setattr__(self, "oracle", oracle)
-        object.__setattr__(self, "equal", equal)
-        object.__setattr__(self, "group", group)
+        kinds = (MultiplierResult, MultiplierResult, bool, InvariantFactors)
+        for name, value, kind in zip(self.__slots__, (formula, oracle, equal, group), kinds):
+            if not isinstance(value, kind):
+                raise TypeError(
+                    f"{name} must be of type {kind.__name__}, got {type(value).__name__}"
+                )
+            object.__setattr__(self, name, value)
 
     def _value(self) -> tuple:
         return (self.formula, self.oracle, self.equal, self.group)
@@ -410,4 +418,4 @@ def verify(
     oracle = tensor_oracle(decomposition, nilpotency_class)
     group = canonicalize(decomposition)
     formula = nilpotent_multiplier(group, nilpotency_class)
-    return VerificationReport(formula, oracle, formula == oracle, group)
+    return VerificationReport._derived(formula, oracle, formula == oracle, group)

@@ -1169,16 +1169,19 @@ def assert_parses_like_argparse(argv):
             assert_refused(argv)
         return
     command = build_parser()[reference.command]
-    dests = [option.dest for option in command.options.values()]
-    if any(getattr(reference, dest) == [] for dest in dests):
-        # argparse drops the "--" of "--flag=--" and stores [], on which the
-        # handlers crash; the table keeps "--", which every option refuses
+    # argparse drops the "--" of a final "--flag=--" and stores [], on which
+    # the handlers crash; the table keeps "--", which a str option holds and
+    # an int or choice option refuses
+    expected = {option.dest: getattr(reference, option.dest) for option in command.options.values()}
+    dashed = [option for option in command.options.values() if expected[option.dest] == []]
+    if any(option.kind is not str for option in dashed):
         assert_refused(argv)
         return
+    expected.update((option.dest, "--") for option in dashed)
     args = parse_args(list(argv), build_parser())
     assert args.func is command.handler, argv
-    for dest in dests:
-        assert getattr(args, dest) == getattr(reference, dest), (argv, dest)
+    for dest, value in expected.items():
+        assert getattr(args, dest) == value, (argv, dest)
 
 
 # argparse's rules on Python 3.11: (argv, the values a handler reads, or the
@@ -1241,6 +1244,15 @@ RULE_CASES = [
     (["compute", "-hh"], 0),  # -h twice
     (["compute", "-hx"], 1),
     (["--help=x"], 1),
+    # an explicit "--" is the option's value; an int or choice option refuses
+    # it only if it is still the value once the line is read
+    (["compute", "--class=--", "-h"], 0),
+    (["witt", "--weight=--", "--weight", "2", "--letters", "3"], {"weight": 2, "letters": 3}),
+    (["compute", "--method=--", "--group", "4,2", "--class", "1", "--method", "both"],
+     {"group": "4,2", "class_c": 1, "method": "both", "format": "text"}),
+    (["compute", "--group", "4,2", "--class=--"], 1),
+    (["compute", "--method=--", "--group", "4,2", "--class", "1"], 1),
+    (["compute", "--group=--", "--class", "1"], {"group": "--", "class_c": 1, **COMPUTE_DEFAULTS}),
 ]
 
 
@@ -1257,6 +1269,74 @@ def test_option_table_rules(argv, expected):
         assert out.startswith("usage: nilmult")
     else:
         assert_refused(argv)
+
+
+USAGE = {
+    None: "usage: nilmult [-h] {compute,witt,basis,sweep} ...",
+    "compute": "usage: nilmult compute [-h] --group GROUP --class CLASS "
+               "[--method {formula,oracle,both}] [--format {text,json}]",
+    "witt": "usage: nilmult witt [-h] --weight WEIGHT --letters LETTERS",
+    "sweep": "usage: nilmult sweep [-h] --max-order MAX_ORDER --max-rank MAX_RANK "
+             "--max-class MAX_CLASS",
+}
+MAX_AMBIGUOUS = "ambiguous option: '--max' could match --max-order, --max-rank, --max-class"
+METHOD_CHOICES = "(choose from 'formula', 'oracle', 'both')"
+COMMAND_CHOICES = "(choose from 'compute', 'witt', 'basis', 'sweep')"
+# the error of every refused RULE_CASES line, and of lines with two faults,
+# where the one argparse meets first is reported
+REFUSALS = {
+    ("sweep", "--max", "1", "--max-order", "2", "--max-rank", "1", "--max-class", "1"):
+        MAX_AMBIGUOUS,
+    ("sweep", "-h", "--max", "1"): MAX_AMBIGUOUS,
+    ("compute", "--group", "-x", "--class", "1"): "argument --group: expected one argument",
+    ("compute", "--group", "--class", "1"): "argument --group: expected one argument",
+    ("compute", "--group", "--group=1 2", "--class", "1"):
+        "argument --group: expected one argument",
+    ("witt", "--weight", "2", "--letters", "-x"): "argument --letters: expected one argument",
+    ("witt", "--weight", "1.0", "--letters", "2"): "argument --weight: invalid int value: '1.0'",
+    ("compute", "--group", "4,2", "--class", "1", "--method", "Both"):
+        f"argument --method: invalid choice: 'Both' {METHOD_CHOICES}",
+    ("compute", "--group", "4,2", "--class", "1", "--"): "unrecognized arguments: '--'",
+    ("compute", "--group", "--", "4,2", "--class", "1"): "argument --group: expected one argument",
+    ("--", "compute", "--group", "4,2", "--class", "1"):
+        f"argument command: invalid choice: '--' {COMMAND_CHOICES}",
+    ("compute", "--group", "4,2", "--class", "1", "stray"): "unrecognized arguments: 'stray'",
+    ("compute", "-group", "4,2", "--class", "1"):
+        "the following arguments are required: --group",
+    ("--group", "4,2", "compute", "--class", "1"):
+        f"argument command: invalid choice: '4,2' {COMMAND_CHOICES}",
+    ("--foo", "compute", "--group", "4,2", "--class", "1"): "unrecognized arguments: '--foo'",
+    ("frobnicate",): f"argument command: invalid choice: 'frobnicate' {COMMAND_CHOICES}",
+    (): "the following arguments are required: command",
+    ("compute", "--class", "x", "-h"): "argument --class: invalid int value: 'x'",
+    ("compute", "-hx"): "argument -h/--help: ignored explicit argument 'x'",
+    ("--help=x",): "argument -h/--help: ignored explicit argument 'x'",
+    ("compute", "--group", "4,2", "--class=--"): "argument --class: invalid int value: '--'",
+    ("compute", "--method=--", "--group", "4,2", "--class", "1"):
+        f"argument --method: invalid choice: '--' {METHOD_CHOICES}",
+    ("sweep", "--max-order", "x", "--max", "1"): MAX_AMBIGUOUS,
+    ("sweep", "-hx", "--max"): MAX_AMBIGUOUS,
+    ("compute", "--class", "x", "--method", "Both"): "argument --class: invalid int value: 'x'",
+    ("compute", "--m", "x", "--gr"): f"argument --method: invalid choice: 'x' {METHOD_CHOICES}",
+    ("compute", "--group", "--class", "1", "stray"): "argument --group: expected one argument",
+    ("compute", "--class", "1", "stray"): "the following arguments are required: --group",
+    ("witt", "--weight", "x", "--letters"): "argument --weight: invalid int value: 'x'",
+    ("compute", "--help=x", "--cl"): "argument -h/--help: ignored explicit argument 'x'",
+}
+
+
+def test_every_refused_rule_case_is_pinned():
+    assert {tuple(argv) for argv, expected in RULE_CASES if expected == 1} <= REFUSALS.keys()
+
+
+@pytest.mark.parametrize("argv, message", REFUSALS.items())
+def test_refusals_print_their_pinned_error(argv, message):
+    code, out, err = main_outcome(argv)
+    # the command is the first token that is not a flag, if it names one
+    head = next((token for token in argv if token[:1] != "-" or token == "--"), None)
+    name = head if head in USAGE else None
+    prog = "nilmult" if name is None else f"nilmult {name}"
+    assert (code, out, err) == (1, "", f"{USAGE[name]}\n{prog}: error: {message}\n")
 
 
 # The reference is argparse of the running interpreter; later releases changed
@@ -1298,6 +1378,26 @@ argv_lists = st.builds(
     st.sampled_from(COMMAND_TOKENS),
     st.lists(st.one_of(option_pair, option_pair, token.map(lambda t: [t])), max_size=5),
 )
+
+
+# every command followed by every 1- and 2-token tail of these: each flag
+# spelling, values of each kind, help, and "flag=value" forms, "=--" among them
+TAIL_TOKENS = [
+    *FLAG_TOKENS,
+    "4,2", "1", "-1", "-1.5", "-5\n", " +1_0 ", "x", "٣", "both", "json", "-1 2", "--gr x", "",
+    "-x", "--class=--", "--cl=--", "--method=--", "--group=--", "--weight=--",
+    "--max-order=--", "--format=json", "--class=1", "--weight=2", "--max-rank=1",
+    "--max=1", "--help=x", "-h=h",
+]
+
+
+@on_argparse_311
+@pytest.mark.parametrize("command", list(build_parser()))
+def test_short_command_lines_parse_like_argparse(command):
+    for tail in itertools.chain(
+        ([t] for t in TAIL_TOKENS), itertools.product(TAIL_TOKENS, repeat=2)
+    ):
+        assert_parses_like_argparse([command, *tail])
 
 
 @on_argparse_311

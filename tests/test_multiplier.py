@@ -1049,9 +1049,48 @@ def test_each_single_fault_gets_its_message(make, value, error, message):
         make(value)
 
 
+ZEROS = "0" * 5000  # past the interpreter's default int-to-str digit limit
+
+
+@pytest.mark.parametrize(
+    "make, value, message",
+    [
+        (CyclicDecomposition, (10**5000,), f"cyclic order 1{ZEROS} exceeds the bound 1000000000000"),
+        (InvariantFactors, (-(10**5000),), f"invariant factor must be >= 2, got -1{ZEROS}"),
+        (InvariantFactors, (3 * 10**5000, 2 * 10**5000),
+         f"broken divisibility chain: 2{ZEROS} does not divide 3{ZEROS}"),
+        (MultiplierResult, ((4, -(10**5000)),), f"summand multiplicity must be >= 1, got -1{ZEROS}"),
+        (MultiplierResult, ((3 * 10**5000, 1), (2 * 10**5000, 1)),
+         f"summand orders must strictly decrease along a divisibility chain; got 3{ZEROS} then 2{ZEROS}"),
+    ],
+    ids=["order", "factor", "chain", "multiplicity", "summand-chain"],
+)
+def test_faults_in_huge_values_get_their_message(make, value, message):
+    with pytest.raises(ValueError) as raised:
+        make(value)
+    assert str(raised.value) == message
+
+
+def test_report_constructor_checks_its_fields():
+    formula = nilpotent_multiplier(chain_of(4, 2), 1)
+    fields = [formula, formula, True, chain_of(4, 2)]
+    for k, (wrong, message) in enumerate([
+        ("x", "formula must be of type MultiplierResult, got str"),
+        (None, "oracle must be of type MultiplierResult, got NoneType"),
+        (1, "equal must be of type bool, got int"),
+        ((4, 2), "group must be of type InvariantFactors, got tuple"),
+    ]):
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            VerificationReport(*fields[:k], wrong, *fields[k + 1:])
+    with pytest.raises(TypeError):
+        VerificationReport("x", None, 3, [1, 2])
+    report = VerificationReport(*fields)
+    assert hash(report) == hash(verify(CyclicDecomposition((4, 2)), 1))
+
+
 @st.composite
 def derived_values(draw):
-    """What canonicalize, nilpotent_multiplier and tensor_oracle return on one drawn input.
+    """The values canonicalize, nilpotent_multiplier, tensor_oracle and verify return on one input.
 
     The formula runs at a small class and at large ones, whose multiplicities
     are big ints; the oracle at classes its cap admits on up to 40 letters.
@@ -1061,12 +1100,14 @@ def derived_values(draw):
     d = CyclicDecomposition(tuple(orders))
     group = canonicalize(d)
     formula_class = draw(st.sampled_from([1, 2, 3, 64, 10**4]))
+    oracle_class = draw(st.integers(1, 3))
     return [group, nilpotent_multiplier(group, formula_class),
-            tensor_oracle(d, draw(st.integers(1, 3)))]
+            tensor_oracle(d, oracle_class), verify(d, oracle_class)]
 
 
 @given(derived_values())
-@example([InvariantFactors(()), MultiplierResult(()), MultiplierResult(())])
+@example([InvariantFactors(()), MultiplierResult(()), MultiplierResult(()),
+          verify(CyclicDecomposition(()), 1)])
 @settings(deadline=None)
 def test_derived_values_rebuild_through_the_public_constructors(values):
     # the routes build their values unchecked; the public constructor, which
