@@ -9,15 +9,16 @@ is the default: one lcm/gcd pass over the counted orders, with no
 factorization and no coprime base; it skips the positions inside a run of
 equal chain entries and carries one gcd down the chain, so a big entry is only
 reduced modulo a small gcd.  The primary route is one run-length core in
-two steps: ``_exponent_counts`` splits the distinct orders into a pairwise
-coprime base by repeated gcds and counts the exponents of each base element,
-treated as a prime, and ``_event_walk`` emits the (invariant factor, run
-length) pairs in one walk over the positions where some element's exponent
-drops; an element with one exponent is one event.
+two steps: ``_exponent_counts`` reads each distinct order's power of two
+from its bits, splits the odd parts into a pairwise coprime base by repeated
+gcds, and counts the exponents of 2 and of each base element, treated as a
+prime, and ``_event_walk`` emits the (invariant factor, run length) pairs in
+one walk over the positions where some element's exponent drops; an element
+with one exponent is one event.
 The commutator oracle calls both steps itself; the tests write the core's
-runs out to cross-check ``canonicalize``.  A new order joins the base after
-one gcd against the product of the base; a base element that divides it
-stays and is stripped from it, and only a proper common factor splits one.
+runs out to cross-check ``canonicalize``.  A new odd part joins the base
+after one gcd against the product of the base; a base element that divides
+it stays and is stripped from it, and only a proper common factor splits one.
 The value classes share one frozen base, ``_Value``, whose repr writes every
 int, inside tuples too, with ``multiplier.decimal_str``, so a value of any size
 has one; it is imported on use, since ``multiplier`` imports this module.
@@ -244,11 +245,28 @@ def canonicalize(decomposition: CyclicDecomposition) -> InvariantFactors:
 def _exponent_counts(multiset: Mapping[int, int]) -> dict[int, dict[int, int]]:
     """{b: {e: multiplicity of the orders with exponent e > 0 of b}}, b in a coprime base.
 
-    An order that is, or is reduced to, a base element ends its scan with one lookup.
+    The base is 2, if some order is even, and a coprime base of the odd
+    parts.  Each order's power of two, 2**k, is read from its bits; its
+    multiplicity goes to counts[2][k], and only the odd part r >> k, merged
+    with equal odd parts, goes on to ``_coprime_base`` and the exponent
+    scan, so an order that shares only 2 with the base is admitted by the
+    one gcd against the base's product.  An odd part that is, or is reduced
+    to, a base element ends its scan with one lookup.
     """
-    base = _coprime_base(multiset)
-    counts: dict[int, dict[int, int]] = {b: {} for b in base}
+    twos: dict[int, int] = {}
+    odd: dict[int, int] = {}
     for order, multiplicity in multiset.items():
+        k = (order & -order).bit_length() - 1
+        if k:
+            twos[k] = twos.get(k, 0) + multiplicity
+            order >>= k
+        if order > 1:
+            odd[order] = odd.get(order, 0) + multiplicity
+    base = _coprime_base(odd)
+    counts: dict[int, dict[int, int]] = {b: {} for b in base}
+    if twos:
+        counts[2] = twos
+    for order, multiplicity in odd.items():
         if order not in counts:
             for b in base:
                 if order % b == 0:
@@ -357,7 +375,7 @@ def factorize(n: int) -> dict[int, int]:
     {2: 3, 3: 2, 5: 1}
     """
     if not 1 <= n <= MAX_ORDER:
-        raise ValueError(f"can only factor integers in [1, {MAX_ORDER}], got {n}")
+        raise ValueError(f"can only factor integers in [1, {MAX_ORDER}], got {_decimal(n)}")
     return trial_division(n)
 
 
@@ -371,7 +389,7 @@ def trial_division(n: int) -> dict[int, int]:
     {2: 13, 5: 12}
     """
     if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+        raise ValueError(f"n must be >= 1, got {_decimal(n)}")
     factors: dict[int, int] = {}
     for p in (2, 3):
         while n % p == 0:

@@ -14,11 +14,12 @@ cyclic group of order gcd(orders of its letters).  It reads the orders as
 the decomposition counted them when it was built
 (``CyclicDecomposition.copies``, which ``canonicalize`` reads too).  With
 the commutators per letter set from ``hall.letter_profile``, it counts, per
-element of a coprime base, the commutators whose letters all reach each
-exponent, between ``abelian._exponent_counts`` and ``abelian._event_walk``;
-each such total, a function of the profile and the letters alone, is kept
-per process.  It expands no letter set or gcd and factors no integer into
-primes.
+element of a coprime base (2 and a coprime base of the orders' odd parts),
+the commutators whose letters all reach each exponent, between
+``abelian._exponent_counts`` and ``abelian._event_walk``; each such total, a
+function of the profile and the letters alone, is kept per process.  It
+expands no letter set or gcd and splits off only the power of two, read from
+the bits, of each order.
 ``verify`` runs the oracle first, whose cap refuses a query before any
 other work, then canonicalizes the input once, runs the formula and compares.
 A result's value is its summands, which are always ints.  Its text is the
@@ -43,6 +44,7 @@ from .abelian import (
     CyclicDecomposition,
     InvariantFactors,
     _check_ints,
+    _decimal,
     _Value,
     _event_walk,
     _exponent_counts,
@@ -209,7 +211,7 @@ def nilpotent_multiplier(group: InvariantFactors, nilpotency_class: int) -> Mult
     ((6, 1), (2, 2))
     """
     if nilpotency_class < 1:
-        raise ValueError(f"nilpotency class must be >= 1, got {nilpotency_class}")
+        raise ValueError(f"nilpotency class must be >= 1, got {_decimal(nilpotency_class)}")
     chain = group.chain
     if len(chain) <= 1:
         return MultiplierResult._derived(())
@@ -315,15 +317,16 @@ def tensor_oracle(
     k-letter set carries p_k commutators (``letter_profile``), so any m
     letters carry T(m) = sum_k p_k * C(m, k) (``_letter_total``, evaluated
     once per process for each profile and m).  Over one coprime base of the
-    distinct orders, a set's gcd has exponent e or more of a base element b
-    exactly when all its letters have, so if N letters reach e and N' exceed
-    it, T(N) - T(N') summands have exponent e of b; a base element with one
-    exponent takes T(N) directly.  The work follows the distinct orders and
-    their base, not the letters.  Raises ``CapExceeded`` when the
-    enumeration would be too large; ``nilpotent_multiplier`` is not capped.
+    distinct orders (2 and a coprime base of their odd parts), a set's gcd
+    has exponent e or more of a base element b exactly when all its letters
+    have, so if N letters reach e and N' exceed it, T(N) - T(N') summands
+    have exponent e of b; a base element with one exponent takes T(N)
+    directly.  The work follows the distinct orders and their base, not the
+    letters.  Raises ``CapExceeded`` when the enumeration would be too
+    large; ``nilpotent_multiplier`` is not capped.
     """
     if nilpotency_class < 1:
-        raise ValueError(f"nilpotency class must be >= 1, got {nilpotency_class}")
+        raise ValueError(f"nilpotency class must be >= 1, got {_decimal(nilpotency_class)}")
     copies = decomposition.copies
     if not copies:
         return MultiplierResult._derived(())

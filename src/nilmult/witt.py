@@ -45,7 +45,7 @@ import math
 import operator
 from collections.abc import Sequence
 
-from .abelian import trial_division
+from .abelian import _decimal, trial_division
 
 
 def divisors(n: int) -> list[int]:
@@ -165,9 +165,9 @@ def witt_count(weight: int, letters: int) -> int:
     670
     """
     if weight < 1:
-        raise ValueError(f"weight must be >= 1, got {weight}")
+        raise ValueError(f"weight must be >= 1, got {_decimal(weight)}")
     if letters < 0:
-        raise ValueError(f"letters must be >= 0, got {letters}")
+        raise ValueError(f"letters must be >= 0, got {_decimal(letters)}")
     return _witt_sums(weight, (letters,))[0]
 
 
@@ -207,7 +207,9 @@ def witt_counts(weight: int, letters: Sequence[int]) -> list[int]:
     [9, 670]
     """
     if weight < 1 or letters[0] < 1:
-        raise ValueError(f"weight and letters must be >= 1, got {weight} and {letters[0]}")
+        raise ValueError(
+            f"weight and letters must be >= 1, got {_decimal(weight)} and {_decimal(letters[0])}"
+        )
     rank = letters[-1]
     if rank * count_bits(weight, rank) <= _TABLE_MEMO_BITS:
         table = _small_table(weight, rank)
@@ -231,9 +233,9 @@ def b_sequence(nilpotency_class: int, rank: int) -> tuple[int, ...]:
     (0, 1, 3, 6)
     """
     if nilpotency_class < 1:
-        raise ValueError(f"nilpotency class must be >= 1, got {nilpotency_class}")
+        raise ValueError(f"nilpotency class must be >= 1, got {_decimal(nilpotency_class)}")
     if rank < 1:
-        raise ValueError(f"rank must be >= 1, got {rank}")
+        raise ValueError(f"rank must be >= 1, got {_decimal(rank)}")
     return tuple(witt_counts(nilpotency_class + 1, range(1, rank + 1)))
 
 
@@ -276,7 +278,9 @@ def decimal_counts(weight: int, letters: Sequence[int]) -> list:
     import decimal
 
     if weight < 1 or letters[0] < 1:
-        raise ValueError(f"weight and letters must be >= 1, got {weight} and {letters[0]}")
+        raise ValueError(
+            f"weight and letters must be >= 1, got {_decimal(weight)} and {_decimal(letters[0])}"
+        )
     with decimal.localcontext(exact_context()):
         counts = _witt_sums(weight, letters, decimal.Decimal)
         for q, count in zip(letters, counts):

@@ -153,6 +153,12 @@ P12 = 999_999_999_989
         ({6: 2, 18: 1, 10: 1}, ((90, 1), (6, 2), (2, 1))),
         ({P12: 3, 4 * P12: 1, 9: 2}, ((36 * P12, 1), (9 * P12, 1), (P12, 2))),
         ({30: 1, 7: 1, 22: 2}, ((2310, 1), (22, 1), (2, 1))),
+        # powers of two split off: odd parts that merge, no odd part, 2**39
+        # beside an odd order, and no even order at all
+        ({6: 1, 12: 2, 24: 1}, ((24, 1), (12, 2), (6, 1))),
+        ({2: 1, 4: 2, 8: 1}, ((8, 1), (4, 2), (2, 1))),
+        ({2**39: 1, 3 * 2**39: 1, 5: 1}, ((15 * 2**39, 1), (2**39, 1))),
+        ({9: 1, 15: 2}, ((45, 1), (15, 1), (3, 1))),
         ({}, ()),
     ],
 )
@@ -254,6 +260,29 @@ def test_coprime_base_of_many_even_orders_matches_reference_scan(seed):
     base = abelian._coprime_base(numbers)
     assert_coprime_base(base, numbers)
     assert sorted(base) == sorted(reference_coprime_base(numbers))
+
+
+def test_coprime_base_sees_only_odd_parts(monkeypatch):
+    # each order's power of two is read from its bits, so the base is built
+    # from the odd parts alone and 2 is counted beside it
+    seen = []
+    coprime_base = abelian._coprime_base
+
+    def spy(numbers):
+        numbers = list(numbers)
+        seen.extend(numbers)
+        return coprime_base(numbers)
+
+    monkeypatch.setattr(abelian, "_coprime_base", spy)
+    rng = random.Random(3)
+    wide = {2 * rng.randrange(1, 10**6): rng.randint(1, 5) for _ in range(300)}
+    for multiset in ({6: 1, 12: 2, 24: 1}, {2: 1, 4: 2, 8: 1}, {4 * P12: 1, 2**39: 3, 6: 2},
+                     wide):
+        counts = _exponent_counts(multiset)
+        assert sum(counts[2].values()) == sum(multiset.values())
+    assert _exponent_counts({6: 1, 12: 2, 24: 1}) == {3: {1: 4}, 2: {1: 1, 2: 2, 3: 1}}
+    assert seen
+    assert all(x % 2 for x in seen), [x for x in seen if x % 2 == 0][:5]
 
 
 def reference_canonicalize(decomposition):

@@ -21,6 +21,8 @@ from nilmult.abelian import (
     _event_walk,
     _exponent_counts,
     canonicalize,
+    factorize,
+    trial_division,
 )
 from nilmult.hall import CapExceeded, enumerate_basic, letter_profile
 from nilmult import cli, multiplier, witt
@@ -1068,6 +1070,36 @@ ZEROS = "0" * 5000  # past the interpreter's default int-to-str digit limit
 def test_faults_in_huge_values_get_their_message(make, value, message):
     with pytest.raises(ValueError) as raised:
         make(value)
+    assert str(raised.value) == message
+
+
+HUGE = -(10**5000)
+
+
+@pytest.mark.parametrize(
+    "call, args, message",
+    [
+        (nilpotent_multiplier, (InvariantFactors((4, 2)), HUGE),
+         f"nilpotency class must be >= 1, got -1{ZEROS}"),
+        (tensor_oracle, (CyclicDecomposition((4, 2)), HUGE),
+         f"nilpotency class must be >= 1, got -1{ZEROS}"),
+        (witt_count, (HUGE, 2), f"weight must be >= 1, got -1{ZEROS}"),
+        (witt_count, (3, HUGE), f"letters must be >= 0, got -1{ZEROS}"),
+        (b_sequence, (HUGE, 2), f"nilpotency class must be >= 1, got -1{ZEROS}"),
+        (b_sequence, (1, HUGE), f"rank must be >= 1, got -1{ZEROS}"),
+        (witt.witt_counts, (HUGE, (2,)), f"weight and letters must be >= 1, got -1{ZEROS} and 2"),
+        (witt.decimal_counts, (2, (HUGE,)),
+         f"weight and letters must be >= 1, got 2 and -1{ZEROS}"),
+        (witt.divisors, (HUGE,), f"n must be >= 1, got -1{ZEROS}"),
+        (trial_division, (HUGE,), f"n must be >= 1, got -1{ZEROS}"),
+        (factorize, (HUGE,), f"can only factor integers in [1, 1000000000000], got -1{ZEROS}"),
+    ],
+    ids=["formula-class", "oracle-class", "witt-weight", "witt-letters", "b-class", "b-rank",
+         "counts", "decimal-counts", "divisors", "trial-division", "factorize"],
+)
+def test_huge_arguments_get_their_message(call, args, message):
+    with pytest.raises(ValueError) as raised:
+        call(*args)
     assert str(raised.value) == message
 
 

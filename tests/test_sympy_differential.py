@@ -133,6 +133,8 @@ BIG = 10**12 + 39  # prime, just above MAX_ORDER
         {999_999_999_989**2: 1, 100_000_000_003**2: 2},
         {999_999_999_989**2: 1, 999_999_999_989 * 100_000_000_003: 2, 100_000_000_003**3: 1},
         {BIG**2 * 12: 1, BIG * 18: 1, 8: 2},
+        # a power of two far past 64 bits, read from the bits all the same
+        {2**80 * BIG: 1, 8 * BIG: 2},
     ],
 )
 def test_compressed_invariant_form_beyond_max_order(multiset):
