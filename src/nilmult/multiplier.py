@@ -6,7 +6,10 @@ i = 2..k of (b_i - b_{i-1}) copies of Z_{n_i}, where b_i counts basic
 commutators of weight c+1 on i letters.  Over a run of equal factors n that
 ends at position t, after a run that ended at s, the sum telescopes to
 b_t - b_s copies of Z_n, so the formula evaluates one Witt count per run
-(``witt.witt_counts`` at the run ends), with b_1 = 0.
+(``witt.witt_counts`` at the run ends), with b_1 = 0.  A count past the
+small tables is kept per process, once checked, under (weight, letter count,
+number type) and a 4 MiB budget (``witt._KEPT_BITS``), so queries at one
+class that share a run end evaluate its count once.
 
 ``tensor_oracle`` recomputes the same group from first principles: each
 basic commutator of weight c+1 on the given cyclic factors contributes the
@@ -31,7 +34,7 @@ past ``_EXACT_DECIMAL_BITS`` by the estimate ``_exact_decimal``, the rule
 digits without a result: its multiplicities are evaluated once, from the Witt
 counts at the run ends as exact ``decimal.Decimal`` integers
 (``witt.decimal_counts``, which checks each against the same sum modulo a
-prime), whose digits need no conversion from binary.
+prime before it keeps it), whose digits need no conversion from binary.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from .abelian import (
     canonicalize,
 )
 from .hall import letter_profile
-from .witt import count_bits, decimal_counts, exact_context, witt_count, witt_counts
+from .witt import _witt_counts, count_bits, decimal_counts, exact_context, witt_count
 
 # multiplier_order gives the exact order only up to this many decimal digits;
 # beyond it, callers fall back to the factored form.
@@ -215,8 +218,8 @@ def nilpotent_multiplier(group: InvariantFactors, nilpotency_class: int) -> Mult
     chain = group.chain
     if len(chain) <= 1:
         return MultiplierResult._derived(())
-    ends = _run_ends(chain)
-    counts = witt_counts(nilpotency_class + 1, ends)
+    ends = _run_ends(chain)  # increasing and positive, so passed unchecked
+    counts = _witt_counts(nilpotency_class + 1, ends)
     return MultiplierResult._derived(_summands(chain, ends, counts))
 
 
@@ -262,9 +265,9 @@ def formula_digits(
     Past ``_EXACT_DECIMAL_BITS`` by the estimate of ``_exact_decimal`` no
     result is made: the multiplicities are evaluated once, from the Witt
     counts at the run ends in exact decimal, each checked by
-    ``decimal_counts`` against the same sum modulo a prime, and their digits
-    are printed as they are; the order is None.  The caller's ``decimal``
-    context is left unchanged.
+    ``decimal_counts`` against the same sum modulo a prime, or read from
+    its store of checked counts, and their digits are printed as they are;
+    the order is None.  The caller's ``decimal`` context is left unchanged.
 
     >>> formula_digits(InvariantFactors((12, 6, 2)), 1)
     ([('6', '1'), ('2', '2')], 24)

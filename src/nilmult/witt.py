@@ -23,8 +23,10 @@ huge weight is not factored there.
 run ends of an invariant-factor chain that the closed form needs.  A small
 table b_1..b_k it keeps in a bounded per-process cache, keyed by (weight, k),
 and reads at the letter counts, so the formula makes it once for all the
-queries of one shape; past ``_TABLE_MEMO_BITS`` by the one size estimate,
-``count_bits``, it evaluates only the counts asked for and keeps nothing.
+queries of one shape.  Past ``_TABLE_MEMO_BITS`` by the one size estimate,
+``count_bits``, it evaluates only the counts asked for and keeps each in one
+per-process store, keyed by (weight, q, number type), so a count that several
+chains share, at one class, is evaluated once.
 ``b_sequence`` is ``witt_counts`` at 1..k.
 
 ``decimal_counts`` takes the letter counts ``witt_counts`` takes, increasing
@@ -35,14 +37,23 @@ count is printed without a conversion from binary; past the multiplier's
 exact-decimal bound libmpdec's powers cost less than an int and that
 conversion.  Each decimal count is checked against the same sum evaluated
 modulo a prime, ``_CHECK_PRIME``.  ``decimal`` is imported only when such a
-count is asked for.
+count is asked for.  Its counts go into the same store.
+
+The store keeps a count only after its checks pass: divisibility by the
+weight, and for a Decimal also the residue modulo ``_CHECK_PRIME``.  It
+holds at most ``_KEPT_BITS`` (4 MiB) by ``count_bits``, drops the least
+recently used count first, never keeps a count above that budget, and keeps
+none of ``_TABLE_MEMO_BITS`` bits or fewer, which cost less to evaluate again.
+One lock guards it; the counts are evaluated outside it.
 """
 
 from __future__ import annotations
 
+import _thread
 import functools
 import math
 import operator
+from collections import OrderedDict
 from collections.abc import Sequence
 
 from .abelian import _decimal, trial_division
@@ -190,31 +201,48 @@ def count_bits(weight: int, letters: int) -> int:
 # shapes that sweeps and `--method both` queries repeat, on at most 73
 # letters, so that 256 kept tables hold under a megabyte.  For a deep one,
 # such as class 1000 on rank 2 (2002 bits), only the counts asked for are
-# evaluated, on every call.
+# evaluated, and kept in _kept.
 _TABLE_MEMO_BITS = 1024
+
+
+def _check_letters(weight: int, letters: Sequence[int]) -> None:
+    """Refuse a weight below 1, and letters that are not increasing positive counts."""
+    if not letters:
+        raise ValueError("letters must not be empty")
+    if weight < 1 or letters[0] < 1:
+        raise ValueError(
+            f"weight and letters must be >= 1, got {_decimal(weight)} and {_decimal(letters[0])}"
+        )
+    for previous, q in zip(letters, letters[1:]):
+        if previous >= q:
+            raise ValueError(f"letters must increase, got {_decimal(previous)} then {_decimal(q)}")
 
 
 def witt_counts(weight: int, letters: Sequence[int]) -> list[int]:
     """``witt_count(weight, q)`` for each q in ``letters``, an increasing sequence.
 
-    The letter counts are positive.  When the table of counts on 1..k
-    letters, k the largest, is within ``_TABLE_MEMO_BITS`` by its estimate,
-    it is made once per process for each (weight, k), kept in a bounded
-    cache, and read at ``letters``; otherwise only the counts asked for are
-    evaluated, with their powers shared, and nothing is kept.
+    The letter counts are positive; empty or non-increasing letters raise
+    ``ValueError``.  When the table of counts on 1..k letters, k the largest,
+    is within ``_TABLE_MEMO_BITS`` by its estimate, it is made once per
+    process for each (weight, k), kept in a bounded cache, and read at
+    ``letters``; otherwise only the counts asked for and not kept are
+    evaluated, with their powers shared, and kept per process under
+    (weight, q, int), as the module docstring says.
 
     >>> witt_counts(6, (2, 4))
     [9, 670]
     """
-    if weight < 1 or letters[0] < 1:
-        raise ValueError(
-            f"weight and letters must be >= 1, got {_decimal(weight)} and {_decimal(letters[0])}"
-        )
+    _check_letters(weight, letters)
+    return _witt_counts(weight, letters)
+
+
+def _witt_counts(weight: int, letters: Sequence[int]) -> list[int]:
+    """``witt_counts`` unchecked, for callers whose letters are increasing and positive."""
     rank = letters[-1]
     if rank * count_bits(weight, rank) <= _TABLE_MEMO_BITS:
         table = _small_table(weight, rank)
         return [table[q - 1] for q in letters]
-    return _witt_sums(weight, letters)
+    return _kept_counts(weight, letters, int)
 
 
 # Bounded and thread-safe, like hall.letter_profile.
@@ -223,11 +251,78 @@ def _small_table(weight: int, rank: int) -> tuple[int, ...]:
     return tuple(_witt_sums(weight, range(1, rank + 1)))
 
 
+# The store's budget, by count_bits: four counts at the command line's
+# MAX_RESULT_BITS (2**23), 4 MiB.  A formula-deep pass keeps 128 counts, 6.2 Mbit.
+# A count of at most _TABLE_MEMO_BITS is not kept: it costs less to evaluate
+# again, and the count on one letter, estimated at 0 bits, would grow the
+# store without bound.  So the store has at most 2**25 / 1024 entries.
+_KEPT_BITS = 2**25
+
+
+class _Kept:
+    """Checked Witt counts by (weight, q, number type), least recently used first.
+
+    ``bits`` is their total by ``count_bits``, at most ``_KEPT_BITS``.  One
+    lock guards the store, so threads share it.
+    """
+
+    def __init__(self) -> None:
+        self.counts: OrderedDict = OrderedDict()
+        self.bits = 0
+        self._lock = _thread.allocate_lock()
+
+    def get(self, keys: list[tuple]) -> list:
+        """The count kept under each key, or None; each one found becomes the most recent."""
+        with self._lock:
+            found = [self.counts.get(key) for key in keys]
+            for key, count in zip(keys, found):
+                if count is not None:
+                    self.counts.move_to_end(key)
+        return found
+
+    def keep(self, key: tuple, count) -> None:
+        """Keep a checked count, dropping the least recently used ones past the budget."""
+        weight, q, _ = key
+        bits = count_bits(weight, q)
+        if not _TABLE_MEMO_BITS < bits <= _KEPT_BITS:
+            return
+        with self._lock:
+            if key in self.counts:  # another thread kept it first
+                return
+            self.counts[key] = count
+            self.bits += bits
+            while self.bits > _KEPT_BITS:
+                (dropped_weight, dropped_q, _), _ = self.counts.popitem(last=False)
+                self.bits -= count_bits(dropped_weight, dropped_q)
+
+
+_kept = _Kept()
+
+
+def _kept_counts(weight: int, letters: Sequence[int], number) -> list:
+    """The counts of ``witt_counts`` or ``decimal_counts``, as ``number``, through ``_kept``.
+
+    The counts not kept are evaluated together, so they share their powers,
+    and each is kept once it is checked.
+    """
+    keys = [(weight, q, number) for q in letters]
+    counts = _kept.get(keys)
+    missing = [q for q, count in zip(letters, counts) if count is None]
+    if missing:
+        fresh = iter(_witt_sums(weight, missing) if number is int
+                     else _decimal_sums(weight, missing))
+        for i, count in enumerate(counts):
+            if count is None:
+                counts[i] = next(fresh)
+                _kept.keep(keys[i], counts[i])
+    return counts
+
+
 def b_sequence(nilpotency_class: int, rank: int) -> tuple[int, ...]:
     """The counts b_i = witt_count(class + 1, i) for i = 1..rank.
 
     ``witt_counts`` at 1..rank: a small table is made once per process and
-    kept, a larger one is made on every call.
+    kept; for a larger one, each count is evaluated once and kept in the store.
 
     >>> b_sequence(1, 4)
     (0, 1, 3, 6)
@@ -236,7 +331,7 @@ def b_sequence(nilpotency_class: int, rank: int) -> tuple[int, ...]:
         raise ValueError(f"nilpotency class must be >= 1, got {_decimal(nilpotency_class)}")
     if rank < 1:
         raise ValueError(f"rank must be >= 1, got {_decimal(rank)}")
-    return tuple(witt_counts(nilpotency_class + 1, range(1, rank + 1)))
+    return tuple(_witt_counts(nilpotency_class + 1, range(1, rank + 1)))
 
 
 def exact_context():
@@ -269,18 +364,24 @@ def decimal_counts(weight: int, letters: Sequence[int]) -> list:
     positive counts, and the counts come in its order.  The same terms,
     powers and checked sums as ``witt_count``; weight * count must also equal
     the Moebius sum evaluated modulo ``_CHECK_PRIME``, or ``ArithmeticError``
-    is raised.  The caller's ``decimal`` context is left unchanged.
-    Arithmetic on the results is exact only inside ``exact_context()``.
+    is raised.  A count that passes is kept per process under
+    (weight, q, Decimal), as the module docstring says.  The caller's
+    ``decimal`` context is left unchanged.  Arithmetic on the results is
+    exact only inside ``exact_context()``.
 
     >>> [str(count) for count in decimal_counts(6, (2, 4))]
     ['9', '670']
     """
     import decimal
 
-    if weight < 1 or letters[0] < 1:
-        raise ValueError(
-            f"weight and letters must be >= 1, got {_decimal(weight)} and {_decimal(letters[0])}"
-        )
+    _check_letters(weight, letters)
+    return _kept_counts(weight, letters, decimal.Decimal)
+
+
+def _decimal_sums(weight: int, letters: Sequence[int]) -> list:
+    """``_witt_sums`` as exact Decimals, each also checked modulo ``_CHECK_PRIME``."""
+    import decimal
+
     with decimal.localcontext(exact_context()):
         counts = _witt_sums(weight, letters, decimal.Decimal)
         for q, count in zip(letters, counts):

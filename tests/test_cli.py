@@ -1507,11 +1507,12 @@ def test_main_from_several_threads_matches_a_serial_run(monkeypatch):
         start.wait()
         results[k] = run_all(rotations[k] * 5)
 
-    # the threads race to build the parser, the letter profiles and the b
-    # tables, too
+    # the threads race to build the parser, the letter profiles, the b
+    # tables and the kept Witt counts, too
     cli._parser.cache_clear()
     hall.letter_profile.cache_clear()
     witt._small_table.cache_clear()
+    monkeypatch.setattr(witt, "_kept", witt._Kept())
     workers = [threading.Thread(target=worker, args=(k,)) for k in range(threads)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

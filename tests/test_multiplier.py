@@ -139,12 +139,22 @@ def test_run_ends_equal_the_full_table(chain, c):
     assert formula_digits(chain, c) == (summand_digits(expected), multiplier_order(expected))
 
 
+@pytest.fixture
+def no_kept_counts(monkeypatch):
+    """A fresh, empty store of kept Witt counts for the test.
+
+    A count an earlier call kept is not evaluated again, so it would hide
+    the evaluation, or the fault, that a test looks for.
+    """
+    monkeypatch.setattr(witt, "_kept", witt._Kept())
+
+
 @pytest.mark.parametrize(
     "entries, ends",
     [((12, 12, 12, 6, 6, 2, 2), (3, 5, 7)), ((12, 6, 6, 2), (3, 4)),
      ((12, 6, 2), (2, 3)), ((2,) * 6, (6,))],
 )
-def test_only_the_run_ends_are_evaluated(monkeypatch, entries, ends):
+def test_only_the_run_ends_are_evaluated(monkeypatch, no_kept_counts, entries, ends):
     asked = []
     sums = witt._witt_sums
 
@@ -721,7 +731,7 @@ def test_summand_digits_equal_decimal_str(rank, make_chain, decimal_calls):
 
 @pytest.fixture
 def int_sums(monkeypatch):
-    """The weights of the int ``_witt_sums`` calls, with the table cache cleared."""
+    """The weights of the int ``_witt_sums`` calls, with the table cache cleared and a fresh store."""
     calls = []
     original = witt._witt_sums
 
@@ -732,6 +742,7 @@ def int_sums(monkeypatch):
 
     monkeypatch.setattr(witt, "_witt_sums", counted)
     witt._small_table.cache_clear()
+    monkeypatch.setattr(witt, "_kept", witt._Kept())
     yield calls
     witt._small_table.cache_clear()
 
@@ -923,7 +934,7 @@ def test_values_match_positionally():
             pytest.fail(f"no match: {other!r}")
 
 
-def test_corrupted_decimal_count_raises(monkeypatch):
+def test_corrupted_decimal_count_raises(monkeypatch, no_kept_counts):
     # the Decimal Witt sums are corrupted inside witt, after their own
     # divisibility check and before decimal_counts checks them modulo a prime
     sums = witt._witt_sums
@@ -952,6 +963,8 @@ def test_corrupted_decimal_count_raises(monkeypatch):
     assert digits != expected
     assert witt_count_digits(10**5 + 1, 3) != decimal_str(witt_count(10**5 + 1, 3))
     monkeypatch.undo()
+    # the blind check kept the corrupted counts; a fresh store evaluates them again
+    monkeypatch.setattr(witt, "_kept", witt._Kept())
     assert formula_digits(chain, 10**5) == (expected, None)
 
 

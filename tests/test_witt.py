@@ -1,5 +1,7 @@
 import decimal
 import functools
+import sys
+import threading
 
 import pytest
 from hypothesis import example, given
@@ -115,7 +117,7 @@ def test_b_sequence_table_shape(c, rank):
 
 @pytest.fixture
 def table_calls(monkeypatch):
-    """The weights of the b tables `_witt_sums` makes, with the table cache cleared."""
+    """The weights of the b tables `_witt_sums` makes, with the table cache cleared and a fresh store."""
     weights = []
     sums = witt._witt_sums
 
@@ -126,6 +128,7 @@ def table_calls(monkeypatch):
 
     monkeypatch.setattr(witt, "_witt_sums", counted)
     witt._small_table.cache_clear()
+    monkeypatch.setattr(witt, "_kept", witt._Kept())
     yield weights
     witt._small_table.cache_clear()
 
@@ -138,12 +141,16 @@ def test_a_small_table_is_made_once(table_calls):
     assert witt._small_table.cache_info().currsize == 1
 
 
-def test_a_large_table_is_made_on_every_call(table_calls):
-    # 6 * 10000 * bit_length(5) bits by the estimate, above _TABLE_MEMO_BITS
+def test_a_large_table_is_not_made_but_its_counts_are_kept(table_calls):
+    # 6 * 10000 * bit_length(5) bits by the estimate, above _TABLE_MEMO_BITS:
+    # no table is made or kept, but each count past _TABLE_MEMO_BITS is, so
+    # the second call evaluates only the count on one letter, made without
+    # the terms
     first, second = b_sequence(9999, 6), b_sequence(9999, 6)
     assert first == second and first[1] == witt_count(10000, 2)
-    assert table_calls == [10000, 10000]
+    assert table_calls == []
     assert witt._small_table.cache_info().currsize == 0
+    assert list(witt._kept.counts) == [(10000, q, int) for q in range(2, 7)]
 
 
 @pytest.mark.parametrize(
@@ -155,7 +162,8 @@ def test_a_table_is_kept_when_its_estimate_is_within_the_bound(table_calls, c, r
     # rank * (c + 1) * bit_length(rank - 1) bits against _TABLE_MEMO_BITS (1024)
     assert (rank * (c + 1) * (rank - 1).bit_length() <= witt._TABLE_MEMO_BITS) == kept
     assert b_sequence(c, rank) == b_sequence(c, rank)
-    assert table_calls == [c + 1] * (1 if kept else 2)
+    # a table not kept is not made either: its counts are evaluated on their own
+    assert table_calls == ([c + 1] if kept else [])
     assert witt._small_table.cache_info().currsize == kept
 
 
@@ -210,6 +218,23 @@ def test_count_bits_bounds_the_counts(weight, letters, bits):
 def test_input_validation(call):
     with pytest.raises(ValueError):
         call()
+
+
+@pytest.mark.parametrize("counts", [witt_counts, decimal_counts])
+def test_letters_must_be_a_nonempty_increasing_sequence(counts):
+    with pytest.raises(ValueError, match="^letters must not be empty$"):
+        counts(2, ())
+    with pytest.raises(ValueError, match="^letters must increase, got 3 then 2$"):
+        counts(2, (3, 2))
+    with pytest.raises(ValueError, match="^letters must increase, got 4 then 4$"):
+        counts(2, [1, 4, 4])
+    with pytest.raises(ValueError, match="^letters must increase, got 5 then 4$"):
+        counts(2, range(5, 3, -1))
+    # the message of a count below 1 stays as it was
+    with pytest.raises(ValueError, match="^weight and letters must be >= 1, got 2 and 0$"):
+        counts(2, (0, 1))
+    with pytest.raises(ValueError, match="^weight and letters must be >= 1, got 0 and 3$"):
+        counts(0, (3,))
 
 
 # what witt_counts takes too: increasing positive letter counts
@@ -315,3 +340,165 @@ def test_fewer_than_two_letters_factor_no_weight(monkeypatch):
     assert decimal_counts(1, (1,)) == [1]
     with pytest.raises(AssertionError, match="factored"):
         witt_count(PRIME_WEIGHT, 2)  # two letters do need the terms
+
+
+# ---------------------------------------------------------------------------
+# The store of kept counts
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def evaluated(monkeypatch):
+    """The letter tuples `_witt_sums` evaluates, with a fresh store."""
+    asked = []
+    sums = witt._witt_sums
+
+    def recording(weight, letters, number=int):
+        asked.append(tuple(letters))
+        return sums(weight, letters, number)
+
+    monkeypatch.setattr(witt, "_kept", witt._Kept())
+    monkeypatch.setattr(witt, "_witt_sums", recording)
+    return asked
+
+
+def kept_bits():
+    return sum(count_bits(weight, q) for weight, q, _ in witt._kept.counts)
+
+
+# 2001 * bit_length(q - 1) bits: 2001 on two letters, 4002 on 3 or 4, 6003 on 5 to 8
+KEPT_WEIGHT = 2001
+FRESH = {q: witt._witt_sums(KEPT_WEIGHT, (q,))[0] for q in range(2, 9)}
+
+
+@pytest.mark.parametrize("counts, number", [(witt_counts, int), (decimal_counts, decimal.Decimal)])
+def test_kept_counts_equal_fresh_ones(evaluated, counts, number):
+    # ranks that share counts: each call evaluates only what no earlier one kept,
+    # and a kept count equals a fresh one
+    for letters, missing in [
+        ((2, 3), (2, 3)),
+        ((2, 3, 5), (5,)),
+        ((3, 6), (6,)),
+        ((2, 4, 5, 6), (4,)),
+        ((2, 3, 4, 5, 6), ()),
+    ]:
+        result = counts(KEPT_WEIGHT, letters)
+        assert evaluated == ([missing] if missing else []), letters
+        evaluated.clear()
+        assert [type(count) for count in result] == [number] * len(letters)
+        assert [str(count) for count in result] == [str(FRESH[q]) for q in letters]
+    # in the order of their last use, the call that read them all
+    assert list(witt._kept.counts) == [(KEPT_WEIGHT, q, number) for q in (2, 3, 4, 5, 6)]
+    # an int and a Decimal count are kept apart
+    other = decimal_counts if number is int else witt_counts
+    assert [str(count) for count in other(KEPT_WEIGHT, (2, 3))] == [str(FRESH[2]), str(FRESH[3])]
+    assert evaluated == [(2, 3)]
+
+
+def test_a_count_that_fails_its_check_is_not_kept(evaluated, monkeypatch):
+    sums = witt._witt_sums
+
+    def off_by_one(weight, letters, number=int):
+        counts = sums(weight, letters, number)
+        with decimal.localcontext(exact_context()):
+            counts[-1] += 1
+        return counts
+
+    monkeypatch.setattr(witt, "_witt_sums", off_by_one)
+    with pytest.raises(ArithmeticError, match="disagrees with its Witt sum modulo"):
+        decimal_counts(KEPT_WEIGHT, (2, 3))
+    assert not witt._kept.counts and witt._kept.bits == 0
+    # an int sum that is not divisible by the weight: a term left out
+    terms = witt._moebius_terms
+    monkeypatch.setattr(witt, "_witt_sums", sums)
+    monkeypatch.setattr(witt, "_moebius_terms", lambda weight: terms(weight)[1:])
+    with pytest.raises(ArithmeticError, match="is not divisible by 2001"):
+        witt_counts(KEPT_WEIGHT, (2, 3))
+    assert not witt._kept.counts and witt._kept.bits == 0
+    # the next clean call evaluates them again, and keeps them
+    monkeypatch.setattr(witt, "_moebius_terms", terms)
+    evaluated.clear()
+    assert [str(count) for count in decimal_counts(KEPT_WEIGHT, (2, 3))] == [
+        str(FRESH[2]), str(FRESH[3])]
+    assert witt_counts(KEPT_WEIGHT, (2, 3)) == [FRESH[2], FRESH[3]]
+    assert evaluated == [(2, 3), (2, 3)]
+    assert list(witt._kept.counts) == [
+        (KEPT_WEIGHT, 2, decimal.Decimal), (KEPT_WEIGHT, 3, decimal.Decimal),
+        (KEPT_WEIGHT, 2, int), (KEPT_WEIGHT, 3, int)]
+
+
+def test_the_store_keeps_its_budget_least_recently_used_first(evaluated, monkeypatch):
+    monkeypatch.setattr(witt, "_KEPT_BITS", 10_005)
+
+    def holds(*keys):
+        assert list(witt._kept.counts) == [(weight, q, int) for weight, q in keys]
+        assert witt._kept.bits == kept_bits() <= witt._KEPT_BITS
+
+    assert witt_counts(KEPT_WEIGHT, (2, 3, 4)) == [FRESH[2], FRESH[3], FRESH[4]]
+    holds((KEPT_WEIGHT, 2), (KEPT_WEIGHT, 3), (KEPT_WEIGHT, 4))  # 10,005 bits
+    assert witt_counts(KEPT_WEIGHT, (2,)) == [FRESH[2]]  # a hit makes it the most recent
+    holds((KEPT_WEIGHT, 3), (KEPT_WEIGHT, 4), (KEPT_WEIGHT, 2))
+    # 2,002 bits more: the least recently used count goes, not the first kept
+    assert witt_counts(1001, (3,)) == [witt_count(1001, 3)]
+    holds((KEPT_WEIGHT, 4), (KEPT_WEIGHT, 2), (1001, 3))
+    # 6,003 bits more: two go
+    assert witt_counts(KEPT_WEIGHT, (5,)) == [FRESH[5]]
+    holds((1001, 3), (KEPT_WEIGHT, 5))
+    # a count above the budget (12,003 bits) is never kept, and drops nothing
+    assert witt_counts(4001, (5,)) == [witt_count(4001, 5)]
+    holds((1001, 3), (KEPT_WEIGHT, 5))
+    # nor is a count of at most _TABLE_MEMO_BITS, here on rank 74 at weight 2
+    assert witt_counts(2, (2, 74)) == [1, witt_count(2, 74)]
+    holds((1001, 3), (KEPT_WEIGHT, 5))
+    evaluated.clear()
+    assert witt_counts(KEPT_WEIGHT, (2, 5)) == [FRESH[2], FRESH[5]]
+    assert evaluated == [(2,)]
+    # 2,002 + 6,003 + 2,001 is one bit over the budget: the least recent goes
+    holds((KEPT_WEIGHT, 5), (KEPT_WEIGHT, 2))
+
+
+def test_a_hit_leaves_the_callers_decimal_context_unchanged(evaluated):
+    def state(context):
+        return (context.prec, context.rounding, context.Emax, context.Emin,
+                dict(context.traps), dict(context.flags))
+
+    with decimal.localcontext(decimal.Context(prec=5, traps=[decimal.Inexact])) as context:
+        before = state(context)
+        first = decimal_counts(KEPT_WEIGHT, (2, 3))
+        second = decimal_counts(KEPT_WEIGHT, (2, 3))
+        assert evaluated == [(2, 3)]  # the second call was all hits
+        assert state(decimal.getcontext()) == before
+    assert [str(count) for count in second] == [str(count) for count in first] == [
+        str(FRESH[2]), str(FRESH[3])]
+
+
+def test_threads_share_the_store(evaluated, monkeypatch):
+    # four threads ask for overlapping counts under a budget that holds
+    # about three of them, so they keep, hit and drop counts concurrently
+    monkeypatch.setattr(witt, "_KEPT_BITS", 15_000)
+    letters = [(2, 3), (3, 5), (2, 6), (5, 7, 8), (4,)]
+    errors, start = [], threading.Barrier(4)
+
+    def worker(k):
+        start.wait()
+        try:
+            for i in range(400):
+                chosen = letters[(k + i) % len(letters)]
+                counts = (witt_counts if (k + i) % 2 else decimal_counts)(KEPT_WEIGHT, chosen)
+                assert [str(count) for count in counts] == [str(FRESH[q]) for q in chosen]
+        except Exception as exc:  # an assertion in a thread is reported here
+            errors.append(exc)
+
+    workers = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in workers:
+            thread.start()
+        for thread in workers:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in workers)
+    assert errors == []
+    assert witt._kept.bits == kept_bits() <= witt._KEPT_BITS
