@@ -29,12 +29,17 @@ A result's value is its summands, which are always ints.  Its text is the
 command line's job, but the digits come from here: ``summand_digits`` renders
 a result's orders and multiplicities through ``decimal_str``, the one writer
 of an int of any size, which every value's repr uses too.  For Witt counts
-past ``_EXACT_DECIMAL_BITS`` by the estimate ``_exact_decimal``, the rule
+past ``_STR_MAX_BITS`` by the estimate ``_exact_decimal``, the rule
 ``witt_count_digits`` uses too, ``formula_digits`` makes the closed form's
 digits without a result: its multiplicities are evaluated once, from the Witt
 counts at the run ends as exact ``decimal.Decimal`` integers
 (``witt.decimal_counts``, which checks each against the same sum modulo a
-prime before it keeps it), whose digits need no conversion from binary.
+prime before it keeps it), whose digits need no conversion from binary.  A
+kept count is evaluated once per process but printed on every query, so the
+bound is where ``decimal_str`` stops being plain ``str()``: no int
+multiplicity is ever split.  str() of a Decimal integer costs a fifth of
+``decimal_str`` of the same int just past the bound, and a fiftieth at
+30,000 bits (CPython 3.11, x86-64).
 """
 
 from __future__ import annotations
@@ -47,7 +52,6 @@ from .abelian import (
     CyclicDecomposition,
     InvariantFactors,
     _check_ints,
-    _decimal,
     _Value,
     _event_walk,
     _exponent_counts,
@@ -67,31 +71,22 @@ _DECIMAL_BOUND_BITS = _DECIMAL_BOUND.bit_length()  # 2**this > _DECIMAL_BOUND
 # 617 digits, under 640, the smallest int-to-str digit limit Python allows, so
 # str() never trips the limit here.  Splitting by powers of ten beats the
 # Decimal route up to about 65,000 bits (measured on CPython 3.11, x86-64).
+# Past _STR_MAX_BITS a Witt count's digits come from exact decimal too
+# (_exact_decimal).
 _STR_MAX_BITS = 2048
 _TENS_MAX_BITS = 65_000
 _TENS_LEAF_DIGITS = 600
 _DECIMAL_LEAF_BITS = 1024
 
-# A formula query whose Witt counts have more bits than this, by the estimate
-# witt.count_bits(weight, rank), gets its multiplicities' digits from exact
-# decimal Witt counts and makes no int table (see formula_digits).  Per query,
-# against the int table plus decimal_str, the decimal route costs more below
-# about 12,000 bits, and from 16,000 on the same to 40% less, ranks 2-6 (at
-# 30,000: 1.1-2.3 ms against 1.1-2.8 ms).  Moving the bound to 16,000 or
-# 12,000 left a formula-deep pass flat (seeds 1 and 5, in-process, 10
-# alternated passes: medians within 5%, best within 2%), so it stays.
-# CPython 3.11, x86-64.
-_EXACT_DECIMAL_BITS = 30_000
-
 
 def _exact_decimal(weight: int, letters: int) -> bool:
     """Whether Witt counts of this weight on up to ``letters`` letters are made in exact decimal.
 
-    Past ``_EXACT_DECIMAL_BITS`` by the estimate ``count_bits``,
-    ``formula_digits`` and ``witt_count_digits`` make a count's digits in
-    exact decimal and no int.
+    Past ``_STR_MAX_BITS`` by the estimate ``count_bits``, ``formula_digits``
+    and ``witt_count_digits`` make a count's digits in exact decimal and no
+    int; at or below it the int's digits are its plain ``str()``.
     """
-    return count_bits(weight, letters) > _EXACT_DECIMAL_BITS
+    return count_bits(weight, letters) > _STR_MAX_BITS
 
 
 def decimal_str(value: int) -> str:
@@ -213,8 +208,7 @@ def nilpotent_multiplier(group: InvariantFactors, nilpotency_class: int) -> Mult
     >>> nilpotent_multiplier(InvariantFactors((12, 6, 2)), 1).summands
     ((6, 1), (2, 2))
     """
-    if nilpotency_class < 1:
-        raise ValueError(f"nilpotency class must be >= 1, got {_decimal(nilpotency_class)}")
+    _check_ints([nilpotency_class], "nilpotency class", 1)
     chain = group.chain
     if len(chain) <= 1:
         return MultiplierResult._derived(())
@@ -262,12 +256,15 @@ def formula_digits(
 ) -> tuple[list[tuple[str, str]], int | None]:
     """``summand_digits`` and ``multiplier_order`` of ``nilpotent_multiplier(group, class)``.
 
-    Past ``_EXACT_DECIMAL_BITS`` by the estimate of ``_exact_decimal`` no
-    result is made: the multiplicities are evaluated once, from the Witt
+    Past ``_STR_MAX_BITS`` by the estimate of ``_exact_decimal`` no result
+    is made: the multiplicities are evaluated once, from the Witt
     counts at the run ends in exact decimal, each checked by
     ``decimal_counts`` against the same sum modulo a prime, or read from
     its store of checked counts, and their digits are printed as they are;
-    the order is None.  The caller's ``decimal`` context is left unchanged.
+    the order is None.  A kept count is printed again on every query, which
+    costs less from a Decimal than from an int past the bound; at or below
+    it ``decimal_str`` is plain str(), so no multiplicity is split.  The
+    caller's ``decimal`` context is left unchanged.
 
     >>> formula_digits(InvariantFactors((12, 6, 2)), 1)
     ([('6', '1'), ('2', '2')], 24)
@@ -286,19 +283,21 @@ def formula_digits(
     # The order is None: every order is at least 2, and the multiplicities
     # add up to b_k > 2**(w * (bit_length(k) - 1) - bit_length(w) - 1),
     # check_cap's bound on weight w = class + 1.  As _exact_decimal holds,
-    # w * bit_length(k - 1) > _EXACT_DECIMAL_BITS (30,000), which puts b_k
-    # above 2**14,000, far past _DECIMAL_BOUND_BITS (33,220): the order is
-    # above the bound.
+    # w * L > _STR_MAX_BITS (2,048), L = bit_length(k - 1).  For k >= 2,
+    # bit_length(k) - 1 is at least 1 and at least L / 2, so that exponent is
+    # above max(1,024, w) - bit_length(w) - 1 > 1,000: b_k is above
+    # 2**1,000, far past _DECIMAL_BOUND_BITS (33,220), and so is the order.
     return digits, None
 
 
 def witt_count_digits(weight: int, letters: int) -> str:
     """The decimal digits of ``witt_count(weight, letters)``.
 
-    Past ``_EXACT_DECIMAL_BITS`` by the estimate ``count_bits``
-    (``_exact_decimal``, the rule ``formula_digits`` follows too) it is
-    evaluated in exact decimal, checked by ``decimal_counts``, and printed as
-    it is: no int, no ``decimal_str``.
+    Past ``_STR_MAX_BITS`` by the estimate ``count_bits`` (``_exact_decimal``,
+    the rule ``formula_digits`` follows too) it is evaluated in exact decimal,
+    checked by ``decimal_counts``, and printed as it is: no int, no
+    ``decimal_str``.  At or below it ``decimal_str`` prints the int by plain
+    ``str()``.
 
     >>> witt_count_digits(6, 4)
     '670'
@@ -328,8 +327,7 @@ def tensor_oracle(
     letters.  Raises ``CapExceeded`` when the enumeration would be too
     large; ``nilpotent_multiplier`` is not capped.
     """
-    if nilpotency_class < 1:
-        raise ValueError(f"nilpotency class must be >= 1, got {_decimal(nilpotency_class)}")
+    _check_ints([nilpotency_class], "nilpotency class", 1)
     copies = decomposition.copies
     if not copies:
         return MultiplierResult._derived(())

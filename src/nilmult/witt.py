@@ -33,11 +33,12 @@ chains share, at one class, is evaluated once.
 and positive, such as the run ends, and evaluates the same terms and the same
 checked sums, with the same routine, in exact ``decimal.Decimal`` arithmetic,
 inside ``exact_context()``.  str() of a Decimal integer is its digits, so a
-count is printed without a conversion from binary; past the multiplier's
-exact-decimal bound libmpdec's powers cost less than an int and that
-conversion.  Each decimal count is checked against the same sum evaluated
-modulo a prime, ``_CHECK_PRIME``.  ``decimal`` is imported only when such a
-count is asked for.  Its counts go into the same store.
+count is printed without a conversion from binary.  A count is evaluated once
+per process but printed on every query, so the multiplier asks for one past
+the size at which converting an int stops being plain str() (2,048 bits,
+``multiplier._STR_MAX_BITS``).  Each decimal count is checked against the
+same sum evaluated modulo a prime, ``_CHECK_PRIME``.  ``decimal`` is imported
+only when such a count is asked for.  Its counts go into the same store.
 
 The store keeps a count only after its checks pass: divisibility by the
 weight, and for a Decimal also the residue modulo ``_CHECK_PRIME``.  It

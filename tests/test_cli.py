@@ -619,8 +619,9 @@ def compute_outcomes(draw):
     The fields are drawn independently, as the writer takes them.  A result
     is empty, has summands with multiplicities of up to 40,000 bits, or is
     the formula's on the drawn chain, whose digits the writer is given by
-    ``formula_digits``; at the large classes its multiplicities pass 30,000
-    bits and their digits come from exact decimal.
+    ``formula_digits``; at the large classes its multiplicities pass 2,048
+    bits (``multiplier._STR_MAX_BITS``) and their digits come from exact
+    decimal.
     """
     orders = draw(st.lists(st.integers(1, abelian.MAX_ORDER), min_size=1, max_size=5))
     chain = InvariantFactors(draw(divisibility_chains(strict=False)))

@@ -27,7 +27,6 @@ from nilmult.abelian import (
 from nilmult.hall import CapExceeded, enumerate_basic, letter_profile
 from nilmult import cli, multiplier, witt
 from nilmult.multiplier import (
-    _EXACT_DECIMAL_BITS,
     _STR_MAX_BITS,
     _TENS_LEAF_DIGITS,
     _TENS_MAX_BITS,
@@ -117,18 +116,18 @@ def chains_with_runs(draw, max_rank=8):
 
 
 # small classes, and classes on both sides of the exact-decimal bound at
-# bit_length(rank - 1) = 3, 2 and 1 (weight * bits > _EXACT_DECIMAL_BITS)
+# bit_length(rank - 1) = 3, 2 and 1 (weight * bits > _STR_MAX_BITS)
 formula_classes = st.one_of(
     st.integers(1, 40),
-    *[st.integers(_EXACT_DECIMAL_BITS // bits - 40, _EXACT_DECIMAL_BITS // bits + 40)
+    *[st.integers(_STR_MAX_BITS // bits - 40, _STR_MAX_BITS // bits + 40)
       for bits in (3, 2, 1)],
 )
 
 
 @given(chains_with_runs(), formula_classes)
 @settings(max_examples=60, deadline=None)
-@example(chain_of(12, 6, 6, 2, 2), 9_999)  # a unique first entry, int route
-@example(chain_of(12, 6, 6, 2, 2), 10_000)  # the same past the bound
+@example(chain_of(12, 6, 6, 2, 2), _STR_MAX_BITS // 3 - 1)  # a unique first entry, int route
+@example(chain_of(12, 6, 6, 2, 2), _STR_MAX_BITS // 3)  # the same past the bound
 @example(chain_of(6, 6, 6, 6), 1)  # all entries equal
 @example(chain_of(6, 6, 6, 6), 15_000)
 @example(chain_of(), 3)  # rank 0
@@ -713,19 +712,20 @@ def test_summand_digits_equal_decimal_str(rank, make_chain, decimal_calls):
     # does only past it, by the estimate (class + 1) * bit_length(rank - 1)
     # that `witt` uses too, with the same digits and order
     chain = chain_of(*make_chain(rank))
-    for c in (1, 2, 700, 2000, 10**4, 10**5):
+    for c in (1, 2, 681, 682, 1023, 1024, 2047, 2048, 10**4, 10**5):
         result = nilpotent_multiplier(chain, c)
         digits = summand_digits(result)
         assert decimal_calls == []
         assert digits == [
             (decimal_str(order), decimal_str(mult)) for order, mult in result.summands
         ], (chain, c)
-        exact = (c + 1) * (rank - 1).bit_length() > _EXACT_DECIMAL_BITS
+        exact = (c + 1) * (rank - 1).bit_length() > _STR_MAX_BITS
         assert exact == _exact_decimal(c + 1, rank)
         assert formula_digits(chain, c) == (digits, multiplier_order(result)), (chain, c)
         assert decimal_calls == ([c + 1] if exact else []), (chain, c)
-        # 10,001 * bit_length(4..6) = 30,003
-        assert exact == (c == 10**5 or (c == 10**4 and rank >= 5))
+        # the least class past 2,048 bits: 2,049 * bit_length(1), 1,025 *
+        # bit_length(2..3) = 2,050 and 683 * bit_length(4..6) = 2,049
+        assert exact == (c >= {1: 2048, 2: 1024, 3: 682}[(rank - 1).bit_length()])
         decimal_calls.clear()
 
 
@@ -772,15 +772,15 @@ def test_capped_query_makes_no_int_table(capsys, int_sums):
     assert int_sums == []
 
 
-@pytest.mark.parametrize("rank", range(2, 9))
+@pytest.mark.parametrize("rank", range(2, 65))
 def test_sourced_results_are_past_the_order_bound(rank, decimal_calls):
     # the smallest class whose digits formula_digits sources from exact
     # decimal: the int route's order is too large too, so formula_digits may
     # answer None for it without the ints
     bits = (rank - 1).bit_length()
-    c = _EXACT_DECIMAL_BITS // bits  # weight c + 1 is the least over the bound
+    c = _STR_MAX_BITS // bits  # weight c + 1 is the least over the bound
     assert _exact_decimal(c + 1, rank) and not _exact_decimal(c, rank)
-    chain = chain_of(*strict(rank)) if rank <= 7 else chain_of(1440, *strict(7))
+    chain = chain_of(*strict(rank)) if rank <= 7 else chain_of(*[2**i for i in range(rank, 0, -1)])
     result = nilpotent_multiplier(chain, c)
     assert multiplier_order(result) is None
     assert formula_digits(chain, c) == (summand_digits(result), None)
@@ -991,11 +991,48 @@ def test_large_formula_leaves_the_callers_decimal_context_unchanged():
 
 @pytest.mark.parametrize(
     "weight, letters",
-    [(1, 0), (6, 4), (2049, 2), (_EXACT_DECIMAL_BITS + 1, 2),
-     (_EXACT_DECIMAL_BITS // 2 + 1, 3), (10**4, 7), (10**4 + 1, 7)],
+    [(1, 0), (6, 4), (_STR_MAX_BITS, 2), (_STR_MAX_BITS + 1, 2), (_STR_MAX_BITS // 2, 3),
+     (_STR_MAX_BITS // 2 + 1, 3), (_STR_MAX_BITS // 3, 7), (_STR_MAX_BITS // 3 + 1, 7),
+     (15_001, 3), (30_001, 2), (10**4, 7), (10**4 + 1, 7)],
 )
 def test_witt_count_digits_equal_decimal_str(weight, letters):
+    # on both sides of the exact-decimal bound at bit_length(letters - 1) = 1, 2, 3
     assert witt_count_digits(weight, letters) == decimal_str(witt_count(weight, letters))
+
+
+@pytest.mark.parametrize("rank", [2, 4, 5, 8, 64])
+@pytest.mark.parametrize("bits, past", [(_STR_MAX_BITS, 0), (_STR_MAX_BITS, 1), (2 * _STR_MAX_BITS, 1)])
+def test_no_multiplicity_is_split(monkeypatch, no_kept_counts, rank, bits, past):
+    # just under the bound a multiplicity is an int of at most _STR_MAX_BITS
+    # bits, which decimal_str writes by str(); past it, a Decimal written by
+    # str().  The orders are 4 and 2, so nothing is split.  Both run ends,
+    # rank - 1 and rank, have counts past witt._TABLE_MEMO_BITS, which the
+    # store keeps, so a warm repeat evaluates nothing.
+    calls = Counter()
+    for module, name in ((multiplier, "_split_by_tens"), (multiplier, "_split_by_twos"),
+                         (witt, "_witt_sums")):
+        def counted(*args, _name=name, _original=getattr(module, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    weight = bits // (rank - 1).bit_length() + past
+    assert _exact_decimal(weight, rank) == past
+    if bits == _STR_MAX_BITS:  # the least weight past the bound is weight + 1 - past
+        assert _exact_decimal(weight + 1 - past, rank) and not _exact_decimal(weight - past, rank)
+    chain = chain_of(*[4] * (rank - 1), 2)
+    digits = formula_digits(chain, weight - 1)
+    count = witt_count_digits(weight, rank)
+    assert len(count) > 300  # past 1,000 bits
+    evaluated = calls["_witt_sums"]
+    assert calls == {"_witt_sums": evaluated}  # no split
+    assert formula_digits(chain, weight - 1) == digits
+    if past:  # under the bound witt_count evaluates afresh: it keeps nothing
+        assert witt_count_digits(weight, rank) == count
+    assert calls == {"_witt_sums": evaluated}
+    # the int route's digits
+    assert digits == (summand_digits(nilpotent_multiplier(chain, weight - 1)), None)
+    assert count == decimal_str(witt_count(weight, rank))
 
 
 # ---------------------------------------------------------------------------
@@ -1114,6 +1151,20 @@ def test_huge_arguments_get_their_message(call, args, message):
     with pytest.raises(ValueError) as raised:
         call(*args)
     assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("c", [True, 2.0, "3", None, decimal.Decimal(2)])
+@pytest.mark.parametrize(
+    "call, group",
+    [(nilpotent_multiplier, InvariantFactors((4, 2))),
+     (tensor_oracle, CyclicDecomposition((4, 2))),
+     (verify, CyclicDecomposition((4, 2)))],
+)
+def test_class_must_be_an_int(call, group, c):
+    # a bool, float, str or Decimal is no class: the value classes' rule,
+    # abelian._check_ints, refuses it before any work
+    with pytest.raises(TypeError, match=f"^nilpotency class must be an int, got {re.escape(repr(c))}$"):
+        call(group, c)
 
 
 def test_report_constructor_checks_its_fields():
