@@ -23,9 +23,13 @@ The value classes share one frozen base, ``_Value``, whose repr writes every
 int, inside tuples too, with ``multiplier.decimal_str``, so a value of any size
 has one; it is imported on use, since ``multiplier`` imports this module.
 Outside input is checked once, by one rule (``_check_ints``: ints, not bools,
-each at least a bound), in the public constructors; a value the package
-derives from checked values, such as ``canonicalize``'s chain, is built by
-``_Value._derived`` and not checked again.
+each at least a bound), where it enters: in the public constructors, and at
+every int argument of a public function in this package.  ``_check_types``
+is the rule without the bound, for a check that words its own bound, as
+``factorize`` and ``witt.witt_counts`` do.  A value the package derives from
+checked values, such as ``canonicalize``'s chain, is built by
+``_Value._derived`` and not checked again; likewise a private caller that
+holds checked ints calls an unchecked core, such as ``witt._kept_counts``.
 ``trial_division`` is the one factorization loop; the Witt terms and divisor
 lists in ``nilmult.witt`` derive from it.  ``factorize`` bounds it to
 admissible orders and is kept as public API; no code in the package calls
@@ -50,14 +54,25 @@ MAX_ORDER = 10**12
 def _check_ints(values: Iterable[object], what: str, least: int) -> None:
     """Raise unless each of ``values`` is an int, not a bool, and at least ``least``.
 
-    The one check of every value class; the first fault raises.
+    The one check of every value class and of every int argument of a public
+    function; the first fault raises: ``TypeError`` for its type, as
+    ``_check_types`` words it, else ``ValueError`` for its bound.
+    """
+    for value in values:
+        if isinstance(value, bool) or not isinstance(value, int) or value < least:
+            _check_types([value], what)
+            raise ValueError(f"{what} must be >= {least}, got {_decimal(value)}")
+
+
+def _check_types(values: Iterable[object], what: str) -> None:
+    """``_check_ints`` without the bound, for a check that words its own bound.
+
+    ``TypeError`` unless each of ``values`` is an int, not a bool.
     """
     for value in values:
         # bool is a subclass of int, but True is not an order
         if isinstance(value, bool) or not isinstance(value, int):
             raise TypeError(f"{what} must be an int, got {value!r}")
-        if value < least:
-            raise ValueError(f"{what} must be >= {least}, got {_decimal(value)}")
 
 
 class _Value:
@@ -374,6 +389,7 @@ def factorize(n: int) -> dict[int, int]:
     >>> factorize(360)
     {2: 3, 3: 2, 5: 1}
     """
+    _check_types([n], "n")
     if not 1 <= n <= MAX_ORDER:
         raise ValueError(f"can only factor integers in [1, {MAX_ORDER}], got {_decimal(n)}")
     return trial_division(n)
@@ -388,8 +404,7 @@ def trial_division(n: int) -> dict[int, int]:
     >>> trial_division(2 * 10**12)
     {2: 13, 5: 12}
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {_decimal(n)}")
+    _check_ints([n], "n", 1)
     factors: dict[int, int] = {}
     for p in (2, 3):
         while n % p == 0:

@@ -12,11 +12,10 @@ error messages are all rendered from that table.  A flag may be spelled in
 full, by a unique prefix (``--gr``), and with ``=`` (``--group=12,6,2``);
 the rules are argparse's (Python 3.11), which the module does not import.
 A command's tokens are read in one pass, left to right, and each value is
-converted where it is read; the defaults of a command are made once per
-table.  Help or a refusal ends the pass, but only once the tokens not yet
-read, up to the first "--", are classified: an ambiguous prefix anywhere
-before it is refused first, as argparse classifies every token before it
-reads any.  An explicit "--" value (``--class=--``) is refused only if it
+converted where it is read.  Help or a refusal ends the pass, but only once
+the tokens not yet read, up to the first "--", are classified: an ambiguous
+prefix anywhere before it is refused first, as argparse classifies every
+token before it reads any.  An explicit "--" value (``--class=--``) is refused only if it
 is still the option's value once the line is read, as in argparse.
 
 ``compute`` writes its whole output in one pass from the result's digits.
@@ -518,7 +517,7 @@ def _parse_command(command: Command, tokens: Sequence[str],
     options = command.options
     end = tokens.index("--") if "--" in tokens else len(tokens)
     rest = iter(tokens[:end])  # the tokens not yet read
-    values = dict(_defaults(options))
+    values = {option.dest: option.default for option in options.values()}
     refusals: dict[str, str] = {}  # dest -> the refusal of an explicit "--" it took
     for token in rest:
         if (option := options.get(token)) is not None:
@@ -570,24 +569,6 @@ def _leave(rest: Iterator[str], options: dict[str, Option], stop: UsageExit | st
     for token in rest:
         _classify(token, options)
     raise stop if isinstance(stop, UsageExit) else UsageExit(EXIT_INPUT, stop)
-
-
-# Each options dict's defaults, by its id; emptied when it holds 64.  An
-# entry holds its dict, so the id is not reused while the entry lasts.
-_DEFAULTS: dict[int, tuple[dict[str, Option], dict[str, object]]] = {}
-
-
-def _defaults(options: dict[str, Option]) -> dict[str, object]:
-    """Each option's default by dest, ``REQUIRED`` if it has none, made once per options dict.
-
-    A table is not changed once it is read, so its defaults are not either.
-    """
-    entry = _DEFAULTS.get(id(options))
-    if entry is None:
-        if len(_DEFAULTS) >= 64:
-            _DEFAULTS.clear()
-        entry = _DEFAULTS[id(options)] = options, {o.dest: o.default for o in options.values()}
-    return entry[1]
 
 
 def _classify(token: str, options: dict[str, Option]) -> tuple | None:

@@ -25,7 +25,10 @@ without building it, the top level of the level builder that
 ``enumerate_basic`` and ``letter_profile`` refuse, with ``CapExceeded``, a
 family of more than ``ENUM_CAP`` (10**6) commutators; the cap is fixed, and
 ``check_cap`` is its one comparison.  A count that a bit-length bound puts
-past 2048 bits is refused before it is made.
+past 2048 bits is refused before it is made.  ``check_cap`` checks the weight
+and the letters first, by the package's one rule (``abelian._check_ints``:
+ints, not bools, each at least a bound), and both ``letter_profile`` and
+``enumerate_basic`` call it before any other work.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from __future__ import annotations
 import functools
 import math
 
+from .abelian import _check_ints
 from .witt import witt_count
 
 # Most basic commutators one call lists or counts.
@@ -70,7 +74,10 @@ def check_cap(weight: int, letters: int) -> int:
     On q >= 2 letters, w * count > q**w - q**(w//2 + 1) >= q**w / 2 for w >= 3,
     so count > 2**(w * (bit_length(q) - 1) - bit_length(w) - 1), as for w <= 2;
     a count past ``_EXACT_COUNT_BITS`` by that bound is refused unmade.
+    The weight and the letters are checked first, as ``witt_count`` checks them.
     """
+    _check_ints([weight], "weight", 1)
+    _check_ints([letters], "letters", 0)
     at_least = weight * (max(letters, 1).bit_length() - 1) - weight.bit_length() - 1
     if at_least >= _EXACT_COUNT_BITS:
         raise CapExceeded(weight, letters, None, at_least)
@@ -82,8 +89,8 @@ def check_cap(weight: int, letters: int) -> int:
 
 # Bounded and thread-safe; a profile has at most `weight` entries, and on two
 # or more letters the cap admits weights up to 24 only.  A refusal raises and
-# so is never cached.
-@functools.lru_cache(maxsize=256)
+# so is never cached.  Typed, so that True never reads the entry of 1.
+@functools.lru_cache(maxsize=256, typed=True)
 def letter_profile(weight: int, letters: int) -> tuple[int, ...]:
     """Basic commutators of `weight` per letter set, by the size of the set.
 

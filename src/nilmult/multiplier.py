@@ -32,14 +32,14 @@ of an int of any size, which every value's repr uses too.  For Witt counts
 past ``_STR_MAX_BITS`` by the estimate ``_exact_decimal``, the rule
 ``witt_count_digits`` uses too, ``formula_digits`` makes the closed form's
 digits without a result: its multiplicities are evaluated once, from the Witt
-counts at the run ends as exact ``decimal.Decimal`` integers
-(``witt.decimal_counts``, which checks each against the same sum modulo a
-prime before it keeps it), whose digits need no conversion from binary.  A
-kept count is evaluated once per process but printed on every query, so the
-bound is where ``decimal_str`` stops being plain ``str()``: no int
-multiplicity is ever split.  str() of a Decimal integer costs a fifth of
-``decimal_str`` of the same int just past the bound, and a fiftieth at
-30,000 bits (CPython 3.11, x86-64).
+counts at the run ends as exact ``decimal.Decimal`` integers (as
+``witt.decimal_counts`` makes them, by ``witt._kept_counts``, which checks
+each against the same sum modulo a prime before it keeps it), whose digits
+need no conversion from binary.  A kept count is evaluated once per process
+but printed on every query, so the bound is where ``decimal_str`` stops
+being plain ``str()``: no int multiplicity is ever split.  str() of a
+Decimal integer costs a fifth of ``decimal_str`` of the same int just past
+the bound, and a fiftieth at 30,000 bits (CPython 3.11, x86-64).
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ from .abelian import (
     canonicalize,
 )
 from .hall import letter_profile
-from .witt import _witt_counts, count_bits, decimal_counts, exact_context, witt_count
+from .witt import _kept_counts, _witt_counts, count_bits, exact_context, witt_count
 
 # multiplier_order gives the exact order only up to this many decimal digits;
 # beyond it, callers fall back to the factored form.
@@ -257,18 +257,21 @@ def formula_digits(
     """``summand_digits`` and ``multiplier_order`` of ``nilpotent_multiplier(group, class)``.
 
     Past ``_STR_MAX_BITS`` by the estimate of ``_exact_decimal`` no result
-    is made: the multiplicities are evaluated once, from the Witt
-    counts at the run ends in exact decimal, each checked by
-    ``decimal_counts`` against the same sum modulo a prime, or read from
-    its store of checked counts, and their digits are printed as they are;
-    the order is None.  A kept count is printed again on every query, which
-    costs less from a Decimal than from an int past the bound; at or below
-    it ``decimal_str`` is plain str(), so no multiplicity is split.  The
-    caller's ``decimal`` context is left unchanged.
+    is made: the multiplicities are evaluated once, from the Witt counts at
+    the run ends in exact decimal, each checked as ``decimal_counts`` checks
+    it, against the same sum modulo a prime, or read from the store of
+    checked counts, and their digits are printed as they are; the order is
+    None.  A kept count is printed again on every query, which costs less
+    from a Decimal than from an int past the bound; at or below it
+    ``decimal_str`` is plain str(), so no multiplicity is split.  The
+    caller's ``decimal`` context is left unchanged.  The class is checked
+    by ``_check_ints``; the run ends built from the chain go to
+    ``witt._kept_counts`` unchecked.
 
     >>> formula_digits(InvariantFactors((12, 6, 2)), 1)
     ([('6', '1'), ('2', '2')], 24)
     """
+    _check_ints([nilpotency_class], "nilpotency class", 1)
     chain = group.chain
     weight = nilpotency_class + 1
     if not _exact_decimal(weight, len(chain)):
@@ -276,9 +279,9 @@ def formula_digits(
         return summand_digits(result), multiplier_order(result)
     import decimal
 
-    ends = _run_ends(chain)
+    ends = _run_ends(chain)  # increasing and positive, so passed unchecked
     with decimal.localcontext(exact_context()):
-        summands = _summands(chain, ends, decimal_counts(weight, ends))
+        summands = _summands(chain, ends, _kept_counts(weight, ends, decimal.Decimal))
     digits = [(decimal_str(order), str(mult)) for order, mult in summands]
     # The order is None: every order is at least 2, and the multiplicities
     # add up to b_k > 2**(w * (bit_length(k) - 1) - bit_length(w) - 1),
@@ -295,16 +298,21 @@ def witt_count_digits(weight: int, letters: int) -> str:
 
     Past ``_STR_MAX_BITS`` by the estimate ``count_bits`` (``_exact_decimal``,
     the rule ``formula_digits`` follows too) it is evaluated in exact decimal,
-    checked by ``decimal_counts``, and printed as it is: no int, no
-    ``decimal_str``.  At or below it ``decimal_str`` prints the int by plain
-    ``str()``.
+    checked as ``decimal_counts`` checks it, and printed as it is: no int,
+    no ``decimal_str``.  At or below it ``decimal_str`` prints the int by
+    plain ``str()``.  The arguments are checked as ``witt_count`` checks
+    them, by ``_check_ints``.
 
     >>> witt_count_digits(6, 4)
     '670'
     """
+    _check_ints([weight], "weight", 1)
+    _check_ints([letters], "letters", 0)
     if not _exact_decimal(weight, letters):
         return decimal_str(witt_count(weight, letters))
-    return str(decimal_counts(weight, (letters,))[0])
+    import decimal
+
+    return str(_kept_counts(weight, (letters,), decimal.Decimal)[0])
 
 
 def tensor_oracle(

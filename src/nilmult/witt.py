@@ -46,6 +46,13 @@ holds at most ``_KEPT_BITS`` (4 MiB) by ``count_bits``, drops the least
 recently used count first, never keeps a count above that budget, and keeps
 none of ``_TABLE_MEMO_BITS`` bits or fewer, which cost less to evaluate again.
 One lock guards it; the counts are evaluated outside it.
+
+Every public function here checks its int arguments where they enter, by the
+package's one rule (``abelian._check_ints``: ints, not bools, each at least a
+bound); ``witt_counts`` and ``decimal_counts`` check the types by the same
+rule (``abelian._check_types``) and word one bound for the weight and the
+letters.  The private cores, ``_witt_counts`` and ``_kept_counts``, take
+arguments already checked, as the multiplier passes them.
 """
 
 from __future__ import annotations
@@ -57,11 +64,13 @@ import operator
 from collections import OrderedDict
 from collections.abc import Sequence
 
-from .abelian import _decimal, trial_division
+from .abelian import _check_ints, _check_types, _decimal, trial_division
 
 
 def divisors(n: int) -> list[int]:
     """Sorted positive divisors of n >= 1, built from its prime factorization.
+
+    ``trial_division`` checks n.
 
     >>> divisors(12)
     [1, 2, 3, 4, 6, 12]
@@ -80,6 +89,8 @@ def _moebius_terms(weight: int) -> tuple[tuple[int, int], ...]:
     adding (-mu, exponent // p) for every (mu, exponent) already present.
     The primes come in increasing order, so p = 2 puts each exponent's half
     right after it; the terms are returned in reverse, each half first.
+    ``trial_division`` checks the weight, once per weight, as the terms are
+    cached.
     """
     terms = [(1, weight)]
     for p in trial_division(weight):
@@ -176,10 +187,8 @@ def witt_count(weight: int, letters: int) -> int:
     >>> witt_count(6, 4)
     670
     """
-    if weight < 1:
-        raise ValueError(f"weight must be >= 1, got {_decimal(weight)}")
-    if letters < 0:
-        raise ValueError(f"letters must be >= 0, got {_decimal(letters)}")
+    _check_ints([weight], "weight", 1)
+    _check_ints([letters], "letters", 0)
     return _witt_sums(weight, (letters,))[0]
 
 
@@ -207,7 +216,12 @@ _TABLE_MEMO_BITS = 1024
 
 
 def _check_letters(weight: int, letters: Sequence[int]) -> None:
-    """Refuse a weight below 1, and letters that are not increasing positive counts."""
+    """Refuse a weight below 1, and letters that are not increasing positive counts.
+
+    The types first, by ``_check_ints``' rule; then one bound, worded for both.
+    """
+    _check_types([weight], "weight")
+    _check_types(letters, "letters")
     if not letters:
         raise ValueError("letters must not be empty")
     if weight < 1 or letters[0] < 1:
@@ -328,10 +342,8 @@ def b_sequence(nilpotency_class: int, rank: int) -> tuple[int, ...]:
     >>> b_sequence(1, 4)
     (0, 1, 3, 6)
     """
-    if nilpotency_class < 1:
-        raise ValueError(f"nilpotency class must be >= 1, got {_decimal(nilpotency_class)}")
-    if rank < 1:
-        raise ValueError(f"rank must be >= 1, got {_decimal(rank)}")
+    _check_ints([nilpotency_class], "nilpotency class", 1)
+    _check_ints([rank], "rank", 1)
     return tuple(_witt_counts(nilpotency_class + 1, range(1, rank + 1)))
 
 

@@ -752,26 +752,41 @@ def test_compute_oracle_method(capsys):
     assert "multiplier: Z4^(3)" in out
 
 
+INPUT_ERRORS = [
+    (("compute", "--group", "nonsense", "--class", "1"),
+     "error: bad order 'nonsense' in 'nonsense'"),
+    (("compute", "--group", "12,0", "--class", "1"), "error: cyclic order must be >= 1, got 0"),
+    (("compute", "--group", str(10**12 + 1), "--class", "1"),
+     "error: cyclic order 1000000000001 exceeds the bound 1000000000000"),
+    (("compute", "--group", "4,2", "--class", "0"), "error: --class must be >= 1"),
+    (("compute", "--group", "4,2", "--class", "x"),
+     "nilmult compute: error: argument --class: invalid int value: 'x'"),
+    (("compute", "--group", "4,2"),
+     "nilmult compute: error: the following arguments are required: --class"),
+    (("witt", "--weight", "two", "--letters", "3"),
+     "nilmult witt: error: argument --weight: invalid int value: 'two'"),
+    (("witt", "--weight", "0", "--letters", "3"), "error: weight must be >= 1, got 0"),
+    (("witt", "--weight", "2", "--letters", "-1"), "error: letters must be >= 0, got -1"),
+    (("basis", "--weight", "0", "--letters", "2"), "error: weight must be >= 1, got 0"),
+    (("sweep", "--max-order", "0", "--max-rank", "1", "--max-class", "1"),
+     "error: --max-order must be >= 1"),
+    (("unknown-command",),
+     "nilmult: error: argument command: invalid choice: 'unknown-command' "
+     "(choose from 'compute', 'witt', 'basis', 'sweep')"),
+    (("basis", "--weight", "2", "--letters", "-3"), "error: letters must be >= 0, got -3"),
+]
+
+
 @pytest.mark.parametrize(
-    "argv",
-    [
-        ("compute", "--group", "nonsense", "--class", "1"),
-        ("compute", "--group", "12,0", "--class", "1"),
-        ("compute", "--group", str(10**12 + 1), "--class", "1"),
-        ("compute", "--group", "4,2", "--class", "0"),
-        ("compute", "--group", "4,2", "--class", "x"),
-        ("compute", "--group", "4,2"),
-        ("witt", "--weight", "two", "--letters", "3"),
-        ("witt", "--weight", "0", "--letters", "3"),
-        ("witt", "--weight", "2", "--letters", "-1"),
-        ("basis", "--weight", "0", "--letters", "2"),
-        ("sweep", "--max-order", "0", "--max-rank", "1", "--max-class", "1"),
-        ("unknown-command",),
-    ],
+    "argv, message", INPUT_ERRORS, ids=[f"argv{i}" for i in range(len(INPUT_ERRORS))]
 )
-def test_input_errors_exit_1(capsys, argv):
-    # a refused command line returns 1 too; main never raises SystemExit
-    assert main(list(argv)) == 1
+def test_input_errors_exit_1(capsys, argv, message):
+    # a refused command line returns 1 too; main never raises SystemExit.
+    # The last stderr line is the refusal, after the usage line if the
+    # command line itself is refused
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.splitlines()[-1] == message
 
 
 def test_check_result_size_bound():

@@ -334,6 +334,17 @@ def test_letter_profile_checks_the_cap_after_caching():
         assert (err.weight, err.letters, err.count, err.cap) == (3, 145, 1_016_160, ENUM_CAP)
 
 
+def test_letter_profile_cache_is_typed():
+    # True hashes and compares as 1 does; a typed cache never hands it the
+    # entry of 1, so the argument check runs and refuses it
+    letter_profile.cache_clear()
+    assert letter_profile(1, 3) == (1,)
+    with pytest.raises(TypeError, match="^weight must be an int, got True$"):
+        letter_profile(True, 3)
+    with pytest.raises(TypeError, match="^letters must be an int, got 3.0$"):
+        letter_profile(1, 3.0)
+
+
 def test_letter_profile_sums_witt_once_per_key(monkeypatch):
     # the answer depends on (weight, letters) alone, so the cap check's Witt
     # sum runs once per key; a refusal is never cached

@@ -25,7 +25,7 @@ from nilmult.abelian import (
     trial_division,
 )
 from nilmult.hall import CapExceeded, enumerate_basic, letter_profile
-from nilmult import cli, multiplier, witt
+from nilmult import cli, hall, multiplier, witt
 from nilmult.multiplier import (
     _STR_MAX_BITS,
     _TENS_LEAF_DIGITS,
@@ -692,15 +692,20 @@ def strict(rank):
 
 @pytest.fixture
 def decimal_calls(monkeypatch):
-    """The weights of the ``decimal_counts`` calls the multiplier module makes."""
+    """The weights of the exact-decimal Witt count calls the multiplier module makes.
+
+    It makes them through ``witt._kept_counts``, with ``decimal.Decimal``
+    counts, as ``witt.decimal_counts`` does after its argument check.
+    """
     calls = []
-    original = multiplier.decimal_counts
+    original = multiplier._kept_counts
 
-    def counted(weight, letters):
-        calls.append(weight)
-        return original(weight, letters)
+    def counted(weight, letters, number):
+        if number is decimal.Decimal:
+            calls.append(weight)
+        return original(weight, letters, number)
 
-    monkeypatch.setattr(multiplier, "decimal_counts", counted)
+    monkeypatch.setattr(multiplier, "_kept_counts", counted)
     return calls
 
 
@@ -1153,18 +1158,55 @@ def test_huge_arguments_get_their_message(call, args, message):
     assert str(raised.value) == message
 
 
-@pytest.mark.parametrize("c", [True, 2.0, "3", None, decimal.Decimal(2)])
+ARG = object()  # where the value under test goes in a call's arguments, tuples included
+
+
+def with_arg(args, value):
+    """``args`` with ``value`` in place of ``ARG``, inside tuples too."""
+    return tuple(with_arg(arg, value) if type(arg) is tuple else value if arg is ARG else arg
+                 for arg in args)
+
+
+# 5000.0 takes formula_digits past the exact-decimal bound
+@pytest.mark.parametrize("c", [True, 2.0, "3", None, decimal.Decimal(3), 5000.0])
 @pytest.mark.parametrize(
-    "call, group",
-    [(nilpotent_multiplier, InvariantFactors((4, 2))),
-     (tensor_oracle, CyclicDecomposition((4, 2))),
-     (verify, CyclicDecomposition((4, 2)))],
+    "call, args, what",
+    [
+        pytest.param(nilpotent_multiplier, (InvariantFactors((4, 2)), ARG), "nilpotency class",
+                     id="nilpotent_multiplier-group0"),
+        pytest.param(tensor_oracle, (CyclicDecomposition((4, 2)), ARG), "nilpotency class",
+                     id="tensor_oracle-group1"),
+        pytest.param(verify, (CyclicDecomposition((4, 2)), ARG), "nilpotency class",
+                     id="verify-group2"),
+        pytest.param(formula_digits, (InvariantFactors((4, 2)), ARG), "nilpotency class",
+                     id="formula_digits-class"),
+        pytest.param(witt_count_digits, (ARG, 3), "weight", id="witt_count_digits-weight"),
+        pytest.param(witt_count_digits, (3, ARG), "letters", id="witt_count_digits-letters"),
+        pytest.param(witt_count, (ARG, 3), "weight", id="witt_count-weight"),
+        pytest.param(witt_count, (3, ARG), "letters", id="witt_count-letters"),
+        pytest.param(witt.witt_counts, (ARG, (2, 3)), "weight", id="witt_counts-weight"),
+        pytest.param(witt.witt_counts, (3, (1, ARG)), "letters", id="witt_counts-letters"),
+        pytest.param(witt.decimal_counts, (ARG, (2, 3)), "weight", id="decimal_counts-weight"),
+        pytest.param(witt.decimal_counts, (3, (1, ARG)), "letters", id="decimal_counts-letters"),
+        pytest.param(b_sequence, (ARG, 2), "nilpotency class", id="b_sequence-class"),
+        pytest.param(b_sequence, (1, ARG), "rank", id="b_sequence-rank"),
+        pytest.param(witt.divisors, (ARG,), "n", id="divisors-n"),
+        pytest.param(trial_division, (ARG,), "n", id="trial_division-n"),
+        pytest.param(factorize, (ARG,), "n", id="factorize-n"),
+        pytest.param(hall.check_cap, (ARG, 3), "weight", id="check_cap-weight"),
+        pytest.param(hall.check_cap, (3, ARG), "letters", id="check_cap-letters"),
+        pytest.param(letter_profile, (ARG, 3), "weight", id="letter_profile-weight"),
+        pytest.param(letter_profile, (3, ARG), "letters", id="letter_profile-letters"),
+        pytest.param(enumerate_basic, (ARG, 2), "weight", id="enumerate_basic-weight"),
+        pytest.param(enumerate_basic, (2, ARG), "letters", id="enumerate_basic-letters"),
+    ],
 )
-def test_class_must_be_an_int(call, group, c):
-    # a bool, float, str or Decimal is no class: the value classes' rule,
-    # abelian._check_ints, refuses it before any work
-    with pytest.raises(TypeError, match=f"^nilpotency class must be an int, got {re.escape(repr(c))}$"):
-        call(group, c)
+def test_class_must_be_an_int(call, args, what, c):
+    # a bool, float, str or Decimal is no class, weight, letter count, rank
+    # or n: every int argument of a public function is refused before any
+    # work by the value classes' rule, abelian._check_ints
+    with pytest.raises(TypeError, match=f"^{what} must be an int, got {re.escape(repr(c))}$"):
+        call(*with_arg(args, c))
 
 
 def test_report_constructor_checks_its_fields():
