@@ -40,7 +40,7 @@ from collections import namedtuple
 from collections.abc import Iterator, Sequence
 from types import SimpleNamespace
 
-from .abelian import MAX_ORDER, CyclicDecomposition, InvariantFactors, canonicalize
+from .abelian import MAX_ORDER, CyclicDecomposition, InvariantFactors, _check_ints, canonicalize
 from .hall import CapExceeded, _iter_basic, check_cap
 from .multiplier import (
     VerificationReport,
@@ -189,8 +189,12 @@ def check_result_size(weight: int, letters: int) -> None:
     The estimate is ``count_bits``: w * bit_length(q - 1) bits bound the
     count of weight-w commutators on q letters, and it is 0 for a single
     letter.  For ``compute`` the letters are the factors of order > 1: a
-    trivial factor adds no commutator to either route.
+    trivial factor adds no commutator to either route.  The weight (>= 1)
+    and the letters (>= 0) are checked first, by ``_check_ints``, with the
+    bounds of ``witt`` and ``basis``.
     """
+    _check_ints([weight], "weight", 1)
+    _check_ints([letters], "letters", 0)
     estimate = count_bits(weight, letters)
     if estimate > MAX_RESULT_BITS:
         raise ValueError(
@@ -327,8 +331,11 @@ def invariant_chains(max_order: int, max_rank: int):
     """All divisibility chains with entries in 2..max_order and length <= max_rank.
 
     Depth first, each chain before its extensions, which go by increasing
-    next entry.
+    next entry.  ``max_order`` (>= 1) and ``max_rank`` (>= 0) are checked
+    when it is called, by ``_check_ints``, with the bounds of ``sweep``.
     """
+    _check_ints([max_order], "max order", 1)
+    _check_ints([max_rank], "max rank", 0)
     return map(tuple, _chain_walk(max_order, max_rank))
 
 

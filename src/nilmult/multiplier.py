@@ -8,8 +8,9 @@ ends at position t, after a run that ended at s, the sum telescopes to
 b_t - b_s copies of Z_n, so the formula evaluates one Witt count per run
 (``witt.witt_counts`` at the run ends), with b_1 = 0.  A count past the
 small tables is kept per process, once checked, under (weight, letter count,
-number type) and a 4 MiB budget (``witt._KEPT_BITS``), so queries at one
-class that share a run end evaluate its count once.
+int) in a store of ints and digit strings with a 4 MiB budget
+(``witt._KEPT_BITS``), so queries at one class that share a run end evaluate
+its count once.
 
 ``tensor_oracle`` recomputes the same group from first principles: each
 basic commutator of weight c+1 on the given cyclic factors contributes the
@@ -31,15 +32,19 @@ a result's orders and multiplicities through ``decimal_str``, the one writer
 of an int of any size, which every value's repr uses too.  For Witt counts
 past ``_STR_MAX_BITS`` by the estimate ``_exact_decimal``, the rule
 ``witt_count_digits`` uses too, ``formula_digits`` makes the closed form's
-digits without a result: its multiplicities are evaluated once, from the Witt
-counts at the run ends as exact ``decimal.Decimal`` integers (as
-``witt.decimal_counts`` makes them, by ``witt._kept_counts``, which checks
-each against the same sum modulo a prime before it keeps it), whose digits
-need no conversion from binary.  A kept count is evaluated once per process
-but printed on every query, so the bound is where ``decimal_str`` stops
-being plain ``str()``: no int multiplicity is ever split.  str() of a
-Decimal integer costs a fifth of ``decimal_str`` of the same int just past
-the bound, and a fiftieth at 30,000 bits (CPython 3.11, x86-64).
+digits without a result.  Each multiplicity b_t - b_s depends only on the
+weight and its run's ends s and t (s = 0 for the first run, as b_0 = b_1 = 0
+past weight 1), so its digits are kept in the same store under
+(weight, s, t), and ``witt_count_digits`` reads b_q there as (weight, 0, q).
+On a miss, ``witt._kept_digits`` evaluates the Witt counts at the run ends
+as exact ``decimal.Decimal`` integers (as ``witt.decimal_counts`` makes
+them, each checked against the same sum modulo a prime), whose digits need
+no conversion from binary, and keeps the digits of their differences.  A
+repeated query does no Decimal arithmetic and renders no multiplicity.  The
+bound is where ``decimal_str`` stops being plain ``str()``: no int
+multiplicity is ever split.  str() of a Decimal integer costs a fifth of
+``decimal_str`` of the same int just past the bound, and a fiftieth at
+30,000 bits (CPython 3.11, x86-64).
 """
 
 from __future__ import annotations
@@ -58,7 +63,7 @@ from .abelian import (
     canonicalize,
 )
 from .hall import letter_profile
-from .witt import _kept_counts, _witt_counts, count_bits, exact_context, witt_count
+from .witt import _kept_digits, _witt_counts, count_bits, exact_context, witt_count
 
 # multiplier_order gives the exact order only up to this many decimal digits;
 # beyond it, callers fall back to the factored form.
@@ -214,7 +219,13 @@ def nilpotent_multiplier(group: InvariantFactors, nilpotency_class: int) -> Mult
         return MultiplierResult._derived(())
     ends = _run_ends(chain)  # increasing and positive, so passed unchecked
     counts = _witt_counts(nilpotency_class + 1, ends)
-    return MultiplierResult._derived(_summands(chain, ends, counts))
+    # (n_t, b_t - b_s) for each run end t, where s is the previous end; the
+    # first run's b_s is b_1 = 0, since a single letter carries no commutator
+    # of weight class + 1 >= 2.  Each difference is at least 1: the Hall basis
+    # on t letters strictly contains the one on s.
+    return MultiplierResult._derived(tuple([
+        (chain[t - 1], count - previous) for t, count, previous in zip(ends, counts, (0, *counts))
+    ]))
 
 
 def _run_ends(chain: tuple[int, ...]) -> tuple[int, ...]:
@@ -225,21 +236,6 @@ def _run_ends(chain: tuple[int, ...]) -> tuple[int, ...]:
     """
     k = len(chain)
     return (*[t for t in range(2, k) if chain[t - 1] != chain[t]], k)
-
-
-def _summands(chain: tuple[int, ...], ends: tuple[int, ...], counts) -> tuple:
-    """(n_t, b_t - b_s) for each run end t, where s is the previous end.
-
-    ``counts`` are b_t at ``ends``: ints, or exact Decimals inside
-    ``exact_context()``.  The first run's b_s is b_1 = 0, since a single
-    letter carries no commutator of weight class + 1 >= 2.  Each difference
-    is at least 1: the Hall basis on t letters strictly contains the one on s.
-    """
-    summands, previous = [], 0
-    for t, count in zip(ends, counts):
-        summands.append((chain[t - 1], count - previous))
-        previous = count
-    return tuple(summands)
 
 
 def summand_digits(result: MultiplierResult) -> list[tuple[str, str]]:
@@ -257,16 +253,14 @@ def formula_digits(
     """``summand_digits`` and ``multiplier_order`` of ``nilpotent_multiplier(group, class)``.
 
     Past ``_STR_MAX_BITS`` by the estimate of ``_exact_decimal`` no result
-    is made: the multiplicities are evaluated once, from the Witt counts at
-    the run ends in exact decimal, each checked as ``decimal_counts`` checks
-    it, against the same sum modulo a prime, or read from the store of
-    checked counts, and their digits are printed as they are; the order is
-    None.  A kept count is printed again on every query, which costs less
-    from a Decimal than from an int past the bound; at or below it
-    ``decimal_str`` is plain str(), so no multiplicity is split.  The
-    caller's ``decimal`` context is left unchanged.  The class is checked
-    by ``_check_ints``; the run ends built from the chain go to
-    ``witt._kept_counts`` unchecked.
+    is made: the digits of each multiplicity b_t - b_s are read from the
+    store under (weight, s, t), s = 0 for the first run, all at once, or
+    evaluated from the Witt counts at the run ends in exact decimal, each
+    checked as ``decimal_counts`` checks it, and kept (``witt._kept_digits``);
+    the order is None.  At or below the bound ``decimal_str`` is plain
+    str(), so no multiplicity is split.  The caller's ``decimal`` context is
+    left unchanged.  The class is checked by ``_check_ints``; the pairs of
+    run ends built from the chain go to ``witt._kept_digits`` unchecked.
 
     >>> formula_digits(InvariantFactors((12, 6, 2)), 1)
     ([('6', '1'), ('2', '2')], 24)
@@ -277,12 +271,9 @@ def formula_digits(
     if not _exact_decimal(weight, len(chain)):
         result = nilpotent_multiplier(group, nilpotency_class)
         return summand_digits(result), multiplier_order(result)
-    import decimal
-
     ends = _run_ends(chain)  # increasing and positive, so passed unchecked
-    with decimal.localcontext(exact_context()):
-        summands = _summands(chain, ends, _kept_counts(weight, ends, decimal.Decimal))
-    digits = [(decimal_str(order), str(mult)) for order, mult in summands]
+    mults = _kept_digits(weight, list(zip((0, *ends), ends)))
+    digits = [(decimal_str(chain[t - 1]), mult) for t, mult in zip(ends, mults)]
     # The order is None: every order is at least 2, and the multiplicities
     # add up to b_k > 2**(w * (bit_length(k) - 1) - bit_length(w) - 1),
     # check_cap's bound on weight w = class + 1.  As _exact_decimal holds,
@@ -297,11 +288,11 @@ def witt_count_digits(weight: int, letters: int) -> str:
     """The decimal digits of ``witt_count(weight, letters)``.
 
     Past ``_STR_MAX_BITS`` by the estimate ``count_bits`` (``_exact_decimal``,
-    the rule ``formula_digits`` follows too) it is evaluated in exact decimal,
-    checked as ``decimal_counts`` checks it, and printed as it is: no int,
-    no ``decimal_str``.  At or below it ``decimal_str`` prints the int by
-    plain ``str()``.  The arguments are checked as ``witt_count`` checks
-    them, by ``_check_ints``.
+    the rule ``formula_digits`` follows too) its digits are read from the
+    store under (weight, 0, letters), or evaluated in exact decimal, checked
+    as ``decimal_counts`` checks it, and kept: no int, no ``decimal_str``.
+    At or below it ``decimal_str`` prints the int by plain ``str()``.  The
+    arguments are checked as ``witt_count`` checks them, by ``_check_ints``.
 
     >>> witt_count_digits(6, 4)
     '670'
@@ -310,9 +301,7 @@ def witt_count_digits(weight: int, letters: int) -> str:
     _check_ints([letters], "letters", 0)
     if not _exact_decimal(weight, letters):
         return decimal_str(witt_count(weight, letters))
-    import decimal
-
-    return str(_kept_counts(weight, (letters,), decimal.Decimal)[0])
+    return _kept_digits(weight, [(0, letters)])[0]
 
 
 def tensor_oracle(

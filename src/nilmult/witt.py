@@ -25,7 +25,7 @@ table b_1..b_k it keeps in a bounded per-process cache, keyed by (weight, k),
 and reads at the letter counts, so the formula makes it once for all the
 queries of one shape.  Past ``_TABLE_MEMO_BITS`` by the one size estimate,
 ``count_bits``, it evaluates only the counts asked for and keeps each in one
-per-process store, keyed by (weight, q, number type), so a count that several
+per-process store, keyed by (weight, q, int), so a count that several
 chains share, at one class, is evaluated once.
 ``b_sequence`` is ``witt_counts`` at 1..k.
 
@@ -33,25 +33,30 @@ chains share, at one class, is evaluated once.
 and positive, such as the run ends, and evaluates the same terms and the same
 checked sums, with the same routine, in exact ``decimal.Decimal`` arithmetic,
 inside ``exact_context()``.  str() of a Decimal integer is its digits, so a
-count is printed without a conversion from binary.  A count is evaluated once
-per process but printed on every query, so the multiplier asks for one past
-the size at which converting an int stops being plain str() (2,048 bits,
-``multiplier._STR_MAX_BITS``).  Each decimal count is checked against the
-same sum evaluated modulo a prime, ``_CHECK_PRIME``.  ``decimal`` is imported
-only when such a count is asked for.  Its counts go into the same store.
+count is printed without a conversion from binary.  Each decimal count is
+checked against the same sum evaluated modulo a prime, ``_CHECK_PRIME``.
+``decimal`` is imported only when such a count is asked for.  The multiplier
+prints a count past the size at which converting an int stops being plain
+str() (2,048 bits, ``multiplier._STR_MAX_BITS``) from these counts, and only
+the difference b_t - b_s of two of them is ever printed: ``_kept_digits``
+keeps the digits of each such difference in the same store, keyed by
+(weight, s, t), with b_0 = 0, so a query that repeats one does no Decimal
+arithmetic.  No Decimal is kept.
 
-The store keeps a count only after its checks pass: divisibility by the
-weight, and for a Decimal also the residue modulo ``_CHECK_PRIME``.  It
-holds at most ``_KEPT_BITS`` (4 MiB) by ``count_bits``, drops the least
-recently used count first, never keeps a count above that budget, and keeps
-none of ``_TABLE_MEMO_BITS`` bits or fewer, which cost less to evaluate again.
-One lock guards it; the counts are evaluated outside it.
+The store holds ints and digit strings.  It keeps an entry only after its
+checks pass: divisibility by the weight, and for digits also the residue of
+each count modulo ``_CHECK_PRIME``.  An int is charged its ``count_bits``, a
+digit string 8 bits per character.  The store holds at most ``_KEPT_BITS``
+(4 MiB) by that charge, drops the least recently used entry first, never
+keeps one above that budget, and keeps none charged ``_TABLE_MEMO_BITS`` or
+fewer, which cost less to evaluate again.  One lock guards it; the counts
+are evaluated outside it.
 
 Every public function here checks its int arguments where they enter, by the
 package's one rule (``abelian._check_ints``: ints, not bools, each at least a
 bound); ``witt_counts`` and ``decimal_counts`` check the types by the same
 rule (``abelian._check_types``) and word one bound for the weight and the
-letters.  The private cores, ``_witt_counts`` and ``_kept_counts``, take
+letters.  The private cores, ``_witt_counts`` and ``_kept_digits``, take
 arguments already checked, as the multiplier passes them.
 """
 
@@ -257,7 +262,7 @@ def _witt_counts(weight: int, letters: Sequence[int]) -> list[int]:
     if rank * count_bits(weight, rank) <= _TABLE_MEMO_BITS:
         table = _small_table(weight, rank)
         return [table[q - 1] for q in letters]
-    return _kept_counts(weight, letters, int)
+    return _kept_counts(weight, letters)
 
 
 # Bounded and thread-safe, like hall.letter_profile.
@@ -266,19 +271,26 @@ def _small_table(weight: int, rank: int) -> tuple[int, ...]:
     return tuple(_witt_sums(weight, range(1, rank + 1)))
 
 
-# The store's budget, by count_bits: four counts at the command line's
-# MAX_RESULT_BITS (2**23), 4 MiB.  A formula-deep pass keeps 128 counts, 6.2 Mbit.
-# A count of at most _TABLE_MEMO_BITS is not kept: it costs less to evaluate
+# The store's budget, by its charge: four counts at the command line's
+# MAX_RESULT_BITS (2**23) by count_bits, or 4 MiB of digits.  A formula-deep
+# pass keeps 120 digit strings and 5 ints, charged 12.5 Mbit.  An entry
+# charged at most _TABLE_MEMO_BITS is not kept: it costs less to evaluate
 # again, and the count on one letter, estimated at 0 bits, would grow the
 # store without bound.  So the store has at most 2**25 / 1024 entries.
 _KEPT_BITS = 2**25
 
 
-class _Kept:
-    """Checked Witt counts by (weight, q, number type), least recently used first.
+def _charge(key: tuple, value) -> int:
+    """The bits a kept entry is charged: 8 per character of digits, ``count_bits`` of an int."""
+    return 8 * len(value) if isinstance(value, str) else count_bits(key[0], key[1])
 
-    ``bits`` is their total by ``count_bits``, at most ``_KEPT_BITS``.  One
-    lock guards the store, so threads share it.
+
+class _Kept:
+    """Checked int Witt counts by (weight, q, int) and digits of b_t - b_s by (weight, s, t).
+
+    The least recently used entry comes first.  ``bits`` is their total
+    charge (``_charge``), at most ``_KEPT_BITS``.  One lock guards the
+    store, so threads share it.
     """
 
     def __init__(self) -> None:
@@ -287,50 +299,71 @@ class _Kept:
         self._lock = _thread.allocate_lock()
 
     def get(self, keys: list[tuple]) -> list:
-        """The count kept under each key, or None; each one found becomes the most recent."""
+        """The entry kept under each key, or None; each one found becomes the most recent."""
         with self._lock:
             found = [self.counts.get(key) for key in keys]
-            for key, count in zip(keys, found):
-                if count is not None:
+            for key, value in zip(keys, found):
+                if value is not None:
                     self.counts.move_to_end(key)
         return found
 
-    def keep(self, key: tuple, count) -> None:
-        """Keep a checked count, dropping the least recently used ones past the budget."""
-        weight, q, _ = key
-        bits = count_bits(weight, q)
+    def keep(self, key: tuple, value) -> None:
+        """Keep a checked entry, dropping the least recently used ones past the budget."""
+        bits = _charge(key, value)
         if not _TABLE_MEMO_BITS < bits <= _KEPT_BITS:
             return
         with self._lock:
             if key in self.counts:  # another thread kept it first
                 return
-            self.counts[key] = count
+            self.counts[key] = value
             self.bits += bits
             while self.bits > _KEPT_BITS:
-                (dropped_weight, dropped_q, _), _ = self.counts.popitem(last=False)
-                self.bits -= count_bits(dropped_weight, dropped_q)
+                self.bits -= _charge(*self.counts.popitem(last=False))
 
 
 _kept = _Kept()
 
 
-def _kept_counts(weight: int, letters: Sequence[int], number) -> list:
-    """The counts of ``witt_counts`` or ``decimal_counts``, as ``number``, through ``_kept``.
+def _kept_counts(weight: int, letters: Sequence[int]) -> list[int]:
+    """The counts of ``witt_counts`` through ``_kept``.
 
     The counts not kept are evaluated together, so they share their powers,
     and each is kept once it is checked.
     """
-    keys = [(weight, q, number) for q in letters]
+    keys = [(weight, q, int) for q in letters]
     counts = _kept.get(keys)
     missing = [q for q, count in zip(letters, counts) if count is None]
     if missing:
-        fresh = iter(_witt_sums(weight, missing) if number is int
-                     else _decimal_sums(weight, missing))
+        fresh = iter(_witt_sums(weight, missing))
         for i, count in enumerate(counts):
             if count is None:
                 counts[i] = next(fresh)
                 _kept.keep(keys[i], counts[i])
     return counts
+
+
+def _kept_digits(weight: int, pairs: Sequence[tuple[int, int]]) -> list[str]:
+    """The digits of b_t - b_s, b_q = ``witt_count(weight, q)``, for each (s, t) in ``pairs``.
+
+    Each pair has 0 <= s < t, and b_0 = 0.  The digits are read from
+    ``_kept``; for the pairs not kept, the Decimal counts at their ends are
+    evaluated together and checked by ``_decimal_sums``, and each
+    difference's digits are kept.
+    """
+    keys = [(weight, s, t) for s, t in pairs]
+    digits = _kept.get(keys)
+    # the ends, but 0, of the pairs not kept: empty only if every pair is kept
+    ends = sorted({q for pair, text in zip(pairs, digits) if text is None for q in pair if q})
+    if ends:
+        import decimal
+
+        with decimal.localcontext(exact_context()):
+            counts = dict(zip((0, *ends), (0, *_decimal_sums(weight, ends))))
+            for i, (s, t) in enumerate(pairs):
+                if digits[i] is None:
+                    digits[i] = str(counts[t] - counts[s])
+                    _kept.keep(keys[i], digits[i])
+    return digits
 
 
 def b_sequence(nilpotency_class: int, rank: int) -> tuple[int, ...]:
@@ -377,18 +410,15 @@ def decimal_counts(weight: int, letters: Sequence[int]) -> list:
     positive counts, and the counts come in its order.  The same terms,
     powers and checked sums as ``witt_count``; weight * count must also equal
     the Moebius sum evaluated modulo ``_CHECK_PRIME``, or ``ArithmeticError``
-    is raised.  A count that passes is kept per process under
-    (weight, q, Decimal), as the module docstring says.  The caller's
+    is raised.  Nothing is kept: each call evaluates its counts.  The caller's
     ``decimal`` context is left unchanged.  Arithmetic on the results is
     exact only inside ``exact_context()``.
 
     >>> [str(count) for count in decimal_counts(6, (2, 4))]
     ['9', '670']
     """
-    import decimal
-
     _check_letters(weight, letters)
-    return _kept_counts(weight, letters, decimal.Decimal)
+    return _decimal_sums(weight, letters)
 
 
 def _decimal_sums(weight: int, letters: Sequence[int]) -> list:

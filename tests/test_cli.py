@@ -800,6 +800,27 @@ def test_check_result_size_bound():
 
 
 @pytest.mark.parametrize(
+    "call, args, error, message",
+    [
+        (check_result_size, (True, 10**6), TypeError, "weight must be an int, got True"),
+        (check_result_size, (-5, 3), ValueError, "weight must be >= 1, got -5"),
+        (check_result_size, (0, 3), ValueError, "weight must be >= 1, got 0"),
+        (check_result_size, (3, -1), ValueError, "letters must be >= 0, got -1"),
+        (check_result_size, (3, 2.0), TypeError, "letters must be an int, got 2.0"),
+        (invariant_chains, (4.0, 2), TypeError, "max order must be an int, got 4.0"),
+        (invariant_chains, (0, 2), ValueError, "max order must be >= 1, got 0"),
+        (invariant_chains, (4, -1), ValueError, "max rank must be >= 0, got -1"),
+        (invariant_chains, (4, False), TypeError, "max rank must be an int, got False"),
+    ],
+)
+def test_public_cli_functions_check_their_ints(call, args, error, message):
+    # the bounds the command line enforces, by abelian._check_ints, when the
+    # function is called: invariant_chains refuses before it is iterated
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call(*args)
+
+
+@pytest.mark.parametrize(
     "argv, bits",
     [
         (("compute", "--group", "2,2", "--class", "1000000000"), 10**9 + 1),

@@ -692,21 +692,28 @@ def strict(rank):
 
 @pytest.fixture
 def decimal_calls(monkeypatch):
-    """The weights of the exact-decimal Witt count calls the multiplier module makes.
+    """The weights of the exact-decimal digit lookups the multiplier module makes, with a fresh store.
 
-    It makes them through ``witt._kept_counts``, with ``decimal.Decimal``
-    counts, as ``witt.decimal_counts`` does after its argument check.
+    It makes them through ``witt._kept_digits``, which reads the digits of
+    each multiplicity from the store, or evaluates them from checked exact
+    decimal counts and keeps them.
     """
     calls = []
-    original = multiplier._kept_counts
+    original = multiplier._kept_digits
 
-    def counted(weight, letters, number):
-        if number is decimal.Decimal:
-            calls.append(weight)
-        return original(weight, letters, number)
+    def counted(weight, pairs):
+        calls.append(weight)
+        return original(weight, pairs)
 
-    monkeypatch.setattr(multiplier, "_kept_counts", counted)
+    monkeypatch.setattr(multiplier, "_kept_digits", counted)
+    monkeypatch.setattr(witt, "_kept", witt._Kept())
     return calls
+
+
+def run_pairs(chain):
+    """The (s, t) of each summand's multiplicity b_t - b_s: s is the previous run end, or 0."""
+    ends = multiplier._run_ends(chain.chain)
+    return list(zip((0, *ends), ends))
 
 
 @pytest.mark.parametrize("rank", range(2, 8))
@@ -715,7 +722,8 @@ def test_summand_digits_equal_decimal_str(rank, make_chain, decimal_calls):
     # classes on both sides of the exact-decimal threshold at every rank; the
     # formula and summand_digits do no decimal arithmetic, and formula_digits
     # does only past it, by the estimate (class + 1) * bit_length(rank - 1)
-    # that `witt` uses too, with the same digits and order
+    # that `witt` uses too, with the same digits and order, and keeps the
+    # digits of each multiplicity under (weight, s, t)
     chain = chain_of(*make_chain(rank))
     for c in (1, 2, 681, 682, 1023, 1024, 2047, 2048, 10**4, 10**5):
         result = nilpotent_multiplier(chain, c)
@@ -728,6 +736,8 @@ def test_summand_digits_equal_decimal_str(rank, make_chain, decimal_calls):
         assert exact == _exact_decimal(c + 1, rank)
         assert formula_digits(chain, c) == (digits, multiplier_order(result)), (chain, c)
         assert decimal_calls == ([c + 1] if exact else []), (chain, c)
+        kept = [witt._kept.counts.get((c + 1, s, t)) for s, t in run_pairs(chain)]
+        assert kept == ([mult for _, mult in digits] if exact else [None] * len(digits))
         # the least class past 2,048 bits: 2,049 * bit_length(1), 1,025 *
         # bit_length(2..3) = 2,050 and 683 * bit_length(4..6) = 2,049
         assert exact == (c >= {1: 2048, 2: 1024, 3: 682}[(rank - 1).bit_length()])
@@ -1010,9 +1020,11 @@ def test_witt_count_digits_equal_decimal_str(weight, letters):
 def test_no_multiplicity_is_split(monkeypatch, no_kept_counts, rank, bits, past):
     # just under the bound a multiplicity is an int of at most _STR_MAX_BITS
     # bits, which decimal_str writes by str(); past it, a Decimal written by
-    # str().  The orders are 4 and 2, so nothing is split.  Both run ends,
-    # rank - 1 and rank, have counts past witt._TABLE_MEMO_BITS, which the
-    # store keeps, so a warm repeat evaluates nothing.
+    # str().  The orders are 4 and 2, so nothing is split.  Past the bound
+    # the store keeps the digits of both multiplicities, under the run ends
+    # (0, rank - 1) and (rank - 1, rank), and of the count, under
+    # (weight, 0, rank); under it the ints past witt._TABLE_MEMO_BITS.  So a
+    # warm repeat evaluates nothing.
     calls = Counter()
     for module, name in ((multiplier, "_split_by_tens"), (multiplier, "_split_by_twos"),
                          (witt, "_witt_sums")):
@@ -1038,6 +1050,91 @@ def test_no_multiplicity_is_split(monkeypatch, no_kept_counts, rank, bits, past)
     # the int route's digits
     assert digits == (summand_digits(nilpotent_multiplier(chain, weight - 1)), None)
     assert count == decimal_str(witt_count(weight, rank))
+
+
+FORMULA_ARGV = ["compute", "--group", "12,12,6,6,6,2", "--class", "3000", "--method", "formula"]
+
+
+def test_a_warm_formula_query_evaluates_no_witt_sum(monkeypatch, capsys, no_kept_counts):
+    # the digits of every multiplicity are kept: a repeated query reads them
+    # and evaluates no Witt sum, int or Decimal, with the same bytes out
+    outputs = []
+    for fmt in ("text", "json"):
+        assert cli.main([*FORMULA_ARGV, "--format", fmt]) == 0
+        outputs.append(capsys.readouterr().out)
+    cold = formula_digits(chain_of(12, 12, 6, 6, 6, 2), 3000)
+
+    def refuse(*args):
+        raise AssertionError(f"a Witt sum was evaluated: {args[:2]}")
+
+    monkeypatch.setattr(witt, "_witt_sums", refuse)
+    for fmt, expected in zip(("text", "json"), outputs):
+        assert cli.main([*FORMULA_ARGV, "--format", fmt]) == 0
+        assert capsys.readouterr().out.encode() == expected.encode()
+    assert formula_digits(chain_of(12, 12, 6, 6, 6, 2), 3000) == cold
+
+
+# Run ends (s, t) of each summand: 8,4,2 and 8,8,2 (0, 2), (2, 3); 8,8,8 (0, 3);
+# 12,12,6,6,6,2 (0, 2), (2, 5), (5, 6); 12,12,12,12,12,6 (0, 5), (5, 6);
+# 2,2,2,2,2,2 (0, 6).  So t = 3, 5 and 6 each come with two values of s.
+SHARED_ENDS = [(8, 4, 2), (8, 8, 2), (8, 8, 8), (12, 12, 6, 6, 6, 2),
+               (12, 12, 12, 12, 12, 6), (2, 2, 2, 2, 2, 2)]
+
+
+@pytest.mark.parametrize("entries", [SHARED_ENDS, SHARED_ENDS[::-1]], ids=["forward", "reversed"])
+def test_chains_that_share_a_run_end_keep_their_own_digits(entries, no_kept_counts):
+    # a multiplicity b_t - b_s is kept under (weight, s, t): a key without s
+    # would give a chain the digits of another chain's run ending at t
+    chains = [chain_of(*chain) for chain in entries]
+    expected = [(summand_digits(nilpotent_multiplier(chain, 3000)), None) for chain in chains]
+    for _ in ("cold", "warm"):
+        assert [formula_digits(chain, 3000) for chain in chains] == expected
+    digit_keys = {key for key in witt._kept.counts if key[2] is not int}
+    assert digit_keys == {(3001, s, t) for chain in chains for s, t in run_pairs(chain)}
+
+
+def test_a_count_that_fails_its_check_leaves_no_digits(monkeypatch, no_kept_counts):
+    # the Decimal counts are checked together before any difference is kept
+    sums = witt._witt_sums
+
+    def off_by_one(weight, letters, number=int):
+        counts = sums(weight, letters, number)
+        if number is not int:
+            with decimal.localcontext(exact_context()):
+                counts[0] += 1
+        return counts
+
+    monkeypatch.setattr(witt, "_witt_sums", off_by_one)
+    for call in (lambda: formula_digits(chain_of(12, 12, 6, 6, 6, 2), 3000),
+                 lambda: witt_count_digits(3001, 6)):
+        with pytest.raises(ArithmeticError, match="disagrees with its Witt sum modulo"):
+            call()
+        assert not witt._kept.counts and witt._kept.bits == 0
+
+
+def test_kept_digits_are_charged_8_bits_a_character(monkeypatch, no_kept_counts):
+    weight = 3001
+    digits = {q: decimal_str(witt_count(weight, q)) for q in (3, 4, 5)}
+    charge = {q: 8 * len(text) for q, text in digits.items()}
+    # room for all three but one bit
+    monkeypatch.setattr(witt, "_KEPT_BITS", sum(charge.values()) - 1)
+
+    def holds(*letters):
+        assert list(witt._kept.counts.items()) == [((weight, 0, q), digits[q]) for q in letters]
+        assert witt._kept.bits == sum(charge[q] for q in letters) <= witt._KEPT_BITS
+
+    assert [witt_count_digits(weight, q) for q in (3, 4)] == [digits[3], digits[4]]
+    holds(3, 4)
+    assert witt_count_digits(weight, 3) == digits[3]  # a hit makes it the most recent
+    holds(4, 3)
+    assert witt_count_digits(weight, 5) == digits[5]  # the least recently used goes
+    holds(3, 5)
+    # digits charged at most _TABLE_MEMO_BITS are not kept; one more character is
+    witt._kept.keep((weight, 1, 2), "7" * (witt._TABLE_MEMO_BITS // 8))
+    holds(3, 5)
+    witt._kept.keep((weight, 1, 2), "7" * (witt._TABLE_MEMO_BITS // 8 + 1))
+    assert list(witt._kept.counts)[-1] == (weight, 1, 2)
+    assert witt._kept.bits == charge[3] + charge[5] + witt._TABLE_MEMO_BITS + 8
 
 
 # ---------------------------------------------------------------------------
@@ -1199,6 +1296,10 @@ def with_arg(args, value):
         pytest.param(letter_profile, (3, ARG), "letters", id="letter_profile-letters"),
         pytest.param(enumerate_basic, (ARG, 2), "weight", id="enumerate_basic-weight"),
         pytest.param(enumerate_basic, (2, ARG), "letters", id="enumerate_basic-letters"),
+        pytest.param(cli.check_result_size, (ARG, 3), "weight", id="check_result_size-weight"),
+        pytest.param(cli.check_result_size, (3, ARG), "letters", id="check_result_size-letters"),
+        pytest.param(cli.invariant_chains, (ARG, 2), "max order", id="invariant_chains-order"),
+        pytest.param(cli.invariant_chains, (4, ARG), "max rank", id="invariant_chains-rank"),
     ],
 )
 def test_class_must_be_an_int(call, args, what, c):

@@ -363,18 +363,27 @@ def evaluated(monkeypatch):
 
 
 def kept_bits():
-    return sum(count_bits(weight, q) for weight, q, _ in witt._kept.counts)
+    """The store's total charge: 8 bits per character of digits, count_bits of an int."""
+    return sum(8 * len(value) if isinstance(value, str) else count_bits(weight, q)
+               for (weight, q, _), value in witt._kept.counts.items())
 
 
 # 2001 * bit_length(q - 1) bits: 2001 on two letters, 4002 on 3 or 4, 6003 on 5 to 8
 KEPT_WEIGHT = 2001
 FRESH = {q: witt._witt_sums(KEPT_WEIGHT, (q,))[0] for q in range(2, 9)}
+FRESH[0] = 0
+
+
+def fresh_digits(pairs):
+    """The digits of b_t - b_s at KEPT_WEIGHT for each (s, t), from the fresh ints."""
+    return [str(FRESH[t] - FRESH[s]) for s, t in pairs]
 
 
 @pytest.mark.parametrize("counts, number", [(witt_counts, int), (decimal_counts, decimal.Decimal)])
 def test_kept_counts_equal_fresh_ones(evaluated, counts, number):
-    # ranks that share counts: each call evaluates only what no earlier one kept,
-    # and a kept count equals a fresh one
+    # ranks that share counts: witt_counts evaluates only what no earlier call
+    # kept, and a kept count equals a fresh one; decimal_counts evaluates
+    # every count it is asked for and keeps none
     for letters, missing in [
         ((2, 3), (2, 3)),
         ((2, 3, 5), (5,)),
@@ -383,16 +392,37 @@ def test_kept_counts_equal_fresh_ones(evaluated, counts, number):
         ((2, 3, 4, 5, 6), ()),
     ]:
         result = counts(KEPT_WEIGHT, letters)
+        if number is decimal.Decimal:
+            missing = letters
         assert evaluated == ([missing] if missing else []), letters
         evaluated.clear()
         assert [type(count) for count in result] == [number] * len(letters)
         assert [str(count) for count in result] == [str(FRESH[q]) for q in letters]
     # in the order of their last use, the call that read them all
-    assert list(witt._kept.counts) == [(KEPT_WEIGHT, q, number) for q in (2, 3, 4, 5, 6)]
-    # an int and a Decimal count are kept apart
+    kept = [(KEPT_WEIGHT, q, int) for q in (2, 3, 4, 5, 6)] if number is int else []
+    assert list(witt._kept.counts) == kept
+    # the other function evaluates its counts afresh: an int is never read as
+    # a Decimal, nor a Decimal kept for witt_counts
     other = decimal_counts if number is int else witt_counts
     assert [str(count) for count in other(KEPT_WEIGHT, (2, 3))] == [str(FRESH[2]), str(FRESH[3])]
     assert evaluated == [(2, 3)]
+
+
+def test_kept_digits_are_differences_keyed_by_both_ends(evaluated):
+    # the digits of b_t - b_s are kept under (weight, s, t), b_0 = 0; a pair
+    # that shares its end t but not its s is another entry, and a miss
+    # evaluates only the ends of the pairs not kept
+    pairs = [(0, 2), (2, 5), (5, 6)]
+    assert witt._kept_digits(KEPT_WEIGHT, pairs) == fresh_digits(pairs)
+    assert evaluated == [(2, 5, 6)]
+    assert witt._kept_digits(KEPT_WEIGHT, [(0, 5), (5, 6), (0, 2)]) == fresh_digits(
+        [(0, 5), (5, 6), (0, 2)])
+    assert evaluated == [(2, 5, 6), (5,)]
+    # the hits became the most recent, then the miss was kept
+    assert list(witt._kept.counts) == [(KEPT_WEIGHT, s, t) for s, t in [(2, 5), (5, 6), (0, 2), (0, 5)]]
+    assert all(type(value) is str for value in witt._kept.counts.values())
+    assert witt._kept.bits == kept_bits() == 8 * sum(map(len, fresh_digits(
+        [(0, 2), (2, 5), (5, 6), (0, 5)])))
 
 
 def test_a_count_that_fails_its_check_is_not_kept(evaluated, monkeypatch):
@@ -406,7 +436,7 @@ def test_a_count_that_fails_its_check_is_not_kept(evaluated, monkeypatch):
 
     monkeypatch.setattr(witt, "_witt_sums", off_by_one)
     with pytest.raises(ArithmeticError, match="disagrees with its Witt sum modulo"):
-        decimal_counts(KEPT_WEIGHT, (2, 3))
+        witt._kept_digits(KEPT_WEIGHT, [(0, 2), (2, 3)])
     assert not witt._kept.counts and witt._kept.bits == 0
     # an int sum that is not divisible by the weight: a term left out
     terms = witt._moebius_terms
@@ -415,16 +445,14 @@ def test_a_count_that_fails_its_check_is_not_kept(evaluated, monkeypatch):
     with pytest.raises(ArithmeticError, match="is not divisible by 2001"):
         witt_counts(KEPT_WEIGHT, (2, 3))
     assert not witt._kept.counts and witt._kept.bits == 0
-    # the next clean call evaluates them again, and keeps them
+    # the next clean calls evaluate them again, and keep them: digits and ints apart
     monkeypatch.setattr(witt, "_moebius_terms", terms)
     evaluated.clear()
-    assert [str(count) for count in decimal_counts(KEPT_WEIGHT, (2, 3))] == [
-        str(FRESH[2]), str(FRESH[3])]
+    assert witt._kept_digits(KEPT_WEIGHT, [(0, 2), (2, 3)]) == fresh_digits([(0, 2), (2, 3)])
     assert witt_counts(KEPT_WEIGHT, (2, 3)) == [FRESH[2], FRESH[3]]
     assert evaluated == [(2, 3), (2, 3)]
     assert list(witt._kept.counts) == [
-        (KEPT_WEIGHT, 2, decimal.Decimal), (KEPT_WEIGHT, 3, decimal.Decimal),
-        (KEPT_WEIGHT, 2, int), (KEPT_WEIGHT, 3, int)]
+        (KEPT_WEIGHT, 0, 2), (KEPT_WEIGHT, 2, 3), (KEPT_WEIGHT, 2, int), (KEPT_WEIGHT, 3, int)]
 
 
 def test_the_store_keeps_its_budget_least_recently_used_first(evaluated, monkeypatch):
@@ -462,14 +490,14 @@ def test_a_hit_leaves_the_callers_decimal_context_unchanged(evaluated):
         return (context.prec, context.rounding, context.Emax, context.Emin,
                 dict(context.traps), dict(context.flags))
 
+    pairs = [(0, 2), (2, 3)]
     with decimal.localcontext(decimal.Context(prec=5, traps=[decimal.Inexact])) as context:
         before = state(context)
-        first = decimal_counts(KEPT_WEIGHT, (2, 3))
-        second = decimal_counts(KEPT_WEIGHT, (2, 3))
+        first = witt._kept_digits(KEPT_WEIGHT, pairs)
+        second = witt._kept_digits(KEPT_WEIGHT, pairs)
         assert evaluated == [(2, 3)]  # the second call was all hits
         assert state(decimal.getcontext()) == before
-    assert [str(count) for count in second] == [str(count) for count in first] == [
-        str(FRESH[2]), str(FRESH[3])]
+    assert second == first == fresh_digits(pairs)
 
 
 def test_threads_share_the_store(evaluated, monkeypatch):
@@ -484,8 +512,11 @@ def test_threads_share_the_store(evaluated, monkeypatch):
         try:
             for i in range(400):
                 chosen = letters[(k + i) % len(letters)]
-                counts = (witt_counts if (k + i) % 2 else decimal_counts)(KEPT_WEIGHT, chosen)
-                assert [str(count) for count in counts] == [str(FRESH[q]) for q in chosen]
+                if (k + i) % 2:
+                    assert witt_counts(KEPT_WEIGHT, chosen) == [FRESH[q] for q in chosen]
+                else:  # the digits of differences share the store with the ints
+                    pairs = list(zip((0, *chosen), chosen))
+                    assert witt._kept_digits(KEPT_WEIGHT, pairs) == fresh_digits(pairs)
         except Exception as exc:  # an assertion in a thread is reported here
             errors.append(exc)
 
