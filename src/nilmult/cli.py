@@ -18,10 +18,12 @@ prefix anywhere before it is refused first, as argparse classifies every
 token before it reads any.  An explicit "--" value (``--class=--``) is refused only if it
 is still the option's value once the line is read, as in argparse.
 
-``compute`` writes its whole output in one pass from the result's digits.
-Its ``--format json`` line has the bytes ``json.dumps(record,
-ensure_ascii=False)`` would give for the record, and is written directly:
-the module does not import ``json``.
+``compute`` builds its whole answer as one join over fixed text and the
+digit strings the library returned, so each multiplicity's digits are
+copied once for each place they appear, and writes it with one
+``sys.stdout.write``.  Its ``--format json`` line has the bytes
+``json.dumps(record, ensure_ascii=False)`` would give for the record, and is
+written directly: the module does not import ``json``.
 
 Exit codes: 0 success (``-h``/``--help`` included), 1 bad input (including a
 command line the table refuses, a group spec above ``MAX_FACTORS`` factors,
@@ -195,6 +197,11 @@ def check_result_size(weight: int, letters: int) -> None:
     """
     _check_ints([weight], "weight", 1)
     _check_ints([letters], "letters", 0)
+    _check_result_size(weight, letters)
+
+
+def _check_result_size(weight: int, letters: int) -> None:
+    """``check_result_size`` for a weight and letters that are already checked ints."""
     estimate = count_bits(weight, letters)
     if estimate > MAX_RESULT_BITS:
         raise ValueError(
@@ -203,13 +210,39 @@ def check_result_size(weight: int, letters: int) -> None:
         )
 
 
+def _sum_pieces(digits: list[tuple[str, str]], pieces: list[str]) -> list[str]:
+    """``pieces`` with the direct sum of the summands' (order, multiplicity) digits appended.
+
+    Each multiplicity is appended as its own piece, not copied into another
+    string; no summands append "trivial".
+    """
+    if not digits:
+        pieces.append("trivial")
+    sep = "Z"
+    for order, mult in digits:
+        if mult == "1":
+            pieces.append(f"{sep}{order}")
+        else:
+            pieces += (f"{sep}{order}^(", mult, ")")
+        sep = " (+) Z"
+    return pieces
+
+
+def _factored_pieces(digits: list[tuple[str, str]], pieces: list[str]) -> list[str]:
+    """``pieces`` with the order in factored form, e.g. "6^1 · 2^2", appended.
+
+    Each multiplicity is appended as its own piece, as in ``_sum_pieces``.
+    """
+    sep = ""
+    for order, mult in digits:
+        pieces += (f"{sep}{order}^", mult)
+        sep = " · "
+    return pieces
+
+
 def _direct_sum(digits: list[tuple[str, str]]) -> str:
     """Summands' (order, multiplicity) digits as a direct sum, e.g. "Z6 (+) Z2^(2)"."""
-    if not digits:
-        return "trivial"
-    return " (+) ".join(
-        f"Z{order}" if mult == "1" else f"Z{order}^({mult})" for order, mult in digits
-    )
+    return "".join(_sum_pieces(digits, []))
 
 
 _JSON_VERIFIED = {None: "null", True: "true", False: "false"}
@@ -225,14 +258,17 @@ def _compute_output(
     total: int | None,
     verified: bool | None,
 ) -> str:
-    """The whole stdout of a ``compute`` query, written in one pass.
+    """The whole stdout of a ``compute`` query: one join over its pieces.
 
     ``digits`` and ``total`` are the summands' (order, multiplicity) digits
     and the multiplier's order or None, as ``formula_digits`` gives them, or
-    ``summand_digits`` and ``multiplier_order``.  The chain entries (an entry
-    can be the lcm of hundreds of orders) and the order are rendered once
-    each, by ``decimal_str``.  ``str`` writes only the input orders, which
-    are at most ``MAX_ORDER``, and the class, which ``int()`` read, so the
+    ``summand_digits`` and ``multiplier_order``.  The pieces are the fixed
+    text and the digit strings themselves, so the join copies each
+    multiplicity's digits once for each of its two appearances (the summands
+    and the factored order).  The chain entries (an entry can be the lcm of
+    hundreds of orders) and the order are rendered once each, by
+    ``decimal_str``.  ``str`` writes only the input orders, which are at
+    most ``MAX_ORDER``, and the class, which ``int()`` read, so the
     interpreter's int-to-str digit limit never refuses a result.
 
     For ``json`` the line is the one ``json.dumps(record, ensure_ascii=False)``
@@ -243,38 +279,44 @@ def _compute_output(
     """
     canonical = [decimal_str(n) for n in chain.chain]
     order_decimal = None if total is None else decimal_str(total)
-    factored = " · ".join([f"{order}^{mult}" for order, mult in digits])
     if fmt == "json":
-        summands = ", ".join([
-            f'{{"order": {order}, "multiplicity": "{mult}"}}' for order, mult in digits
-        ])
-        order_field = "null" if order_decimal is None else f'"{order_decimal}"'
-        return (
+        pieces = [
             f'{{"schema_version": "{SCHEMA_VERSION}", '
             f'"input": {list(decomposition.orders)}, '
             f'"canonical": [{", ".join(canonical)}], '
-            f'"class": {nilpotency_class}, "method": "{method}", '
-            f'"summands": [{summands}], "order_factored": "{factored}", '
-            f'"order_decimal": {order_field}, "verified": {_JSON_VERIFIED[verified]}}}\n'
-        )
-    if not digits:
-        order_text = "1"
-    elif order_decimal is None:
-        order_text = factored
-    else:
-        order_text = f"{order_decimal} = {factored}"
-    verdict = "" if verified is None else (
-        f"verified: {'equal' if verified else 'MISMATCH'}\n"
-    )
-    return (
+            f'"class": {nilpotency_class}, "method": "{method}", "summands": ['
+        ]
+        sep = ""
+        for order, mult in digits:
+            pieces += (f'{sep}{{"order": {order}, "multiplicity": "', mult, '"}')
+            sep = ", "
+        pieces.append('], "order_factored": "')
+        _factored_pieces(digits, pieces)
+        if order_decimal is None:
+            pieces.append('", "order_decimal": null')
+        else:
+            pieces += ('", "order_decimal": "', order_decimal, '"')
+        pieces.append(f', "verified": {_JSON_VERIFIED[verified]}}}\n')
+        return "".join(pieces)
+    pieces = [
         f"input: {','.join(map(str, decomposition.orders))}\n"
         f"canonical: {','.join(canonical)}\n"
         f"class: {nilpotency_class}\n"
         f"method: {method}\n"
-        f"multiplier: {_direct_sum(digits)}\n"
-        f"order: {order_text}\n"
-        f"{verdict}"
-    )
+        f"multiplier: "
+    ]
+    _sum_pieces(digits, pieces)
+    if not digits:
+        pieces.append("\norder: 1")
+    else:
+        pieces.append("\norder: ")
+        if order_decimal is not None:
+            pieces += (order_decimal, " = ")
+        _factored_pieces(digits, pieces)
+    pieces.append("\n" if verified is None else (
+        f"\nverified: {'equal' if verified else 'MISMATCH'}\n"
+    ))
+    return "".join(pieces)
 
 
 def _mismatch(report: VerificationReport) -> str:
@@ -288,7 +330,7 @@ def cmd_compute(args: SimpleNamespace) -> int:
     if args.class_c < 1:
         raise ValueError("--class must be >= 1")
     decomposition = parse_group_spec(args.group)
-    check_result_size(args.class_c + 1, sum(decomposition.copies.values()))
+    _check_result_size(args.class_c + 1, sum(decomposition.copies.values()))
     verified: bool | None = None
     try:
         if args.method == "both":

@@ -1,4 +1,5 @@
 import argparse
+import collections
 import contextlib
 import decimal
 import functools
@@ -117,11 +118,12 @@ def test_parse_group_spec_order_bounds():
 
 
 def test_parse_group_spec_factor_bound():
-    # at the bound a spec parses; one factor more is refused before any list
-    # of orders is built, in either spelling
-    assert len(parse_group_spec(f"Z1^{MAX_FACTORS - 1}+Z2").orders) == MAX_FACTORS
-    message = f"the group spec has {MAX_FACTORS + 1} factors, above the bound of {MAX_FACTORS}"
-    for text in (f"Z1^{MAX_FACTORS}+Z2", ",".join(["1"] * (MAX_FACTORS + 1))):
+    # at the bound, 10**6 factors, a spec parses; one factor more is refused
+    # before any list of orders is built, in either spelling.  The values are
+    # literal, so a change of MAX_FACTORS fails here
+    assert len(parse_group_spec("Z1^999999+Z2").orders) == 1_000_000
+    message = "the group spec has 1000001 factors, above the bound of 1000000"
+    for text in ("Z1^1000000+Z2", ",".join(["1"] * 1_000_001)):
         start = time.perf_counter()
         with pytest.raises(GroupSpecError, match=message):
             parse_group_spec(text)
@@ -640,9 +642,18 @@ def compute_outcomes(draw):
     return CyclicDecomposition(tuple(orders)), chain, nilpotency_class, method, result, verified
 
 
+def writer_digits(chain, nilpotency_class, result):
+    """The (digits, order) the CLI gives the writer: by ``formula_digits`` for the formula."""
+    if result == nilpotent_multiplier(chain, nilpotency_class):
+        return formula_digits(chain, nilpotency_class)
+    return summand_digits(result), multiplier_order(result)
+
+
 @given(compute_outcomes())
 @example((CyclicDecomposition((9,)), InvariantFactors((9,)), 2, "formula",
           MultiplierResult(()), None))
+@example((CyclicDecomposition((1, 1)), InvariantFactors(()), 3, "both",
+          MultiplierResult(()), True))
 @example((CyclicDecomposition((2, 2)), InvariantFactors((2, 2)), 40, "oracle",
           MultiplierResult(((2, 53634713550),)), None))
 @example((CyclicDecomposition((12, 6, 2)), InvariantFactors((12, 6, 2)), 1, "both",
@@ -660,16 +671,84 @@ def test_json_line_is_the_record_json_dumps_writes(outcome):
         sys.set_int_max_str_digits(0)
         expected = record_line(*outcome)
         sys.set_int_max_str_digits(640)
-        if result == nilpotent_multiplier(chain, nilpotency_class):
-            # written as the CLI's formula route writes it
-            digits, total = formula_digits(chain, nilpotency_class)
-        else:
-            digits, total = summand_digits(result), multiplier_order(result)
+        # written as the CLI writes it
+        digits, total = writer_digits(chain, nilpotency_class, result)
         line = cli._compute_output(decomposition, chain, nilpotency_class, method, "json",
                                    digits, total, verified)
     finally:
         sys.set_int_max_str_digits(original_limit)
     assert line == expected
+    if not digits:
+        # no separator is left behind when there is nothing to separate
+        assert '"summands": [], "order_factored": "", ' in line
+
+
+def fstring_text_output(decomposition, chain, nilpotency_class, method, digits, total, verified):
+    """The text output of a compute query, built from one f-string per summand and per line.
+
+    The reference for the writer's one join: here each multiplicity's digits
+    are copied into its summand's string, that string into the joined sum,
+    and the sum into the output.
+    """
+    canonical = [decimal_str(n) for n in chain.chain]
+    order_decimal = None if total is None else decimal_str(total)
+    factored = " · ".join([f"{order}^{mult}" for order, mult in digits])
+    direct_sum = " (+) ".join(
+        f"Z{order}" if mult == "1" else f"Z{order}^({mult})" for order, mult in digits
+    )
+    if not digits:
+        order_text = "1"
+    elif order_decimal is None:
+        order_text = factored
+    else:
+        order_text = f"{order_decimal} = {factored}"
+    verdict = "" if verified is None else (
+        f"verified: {'equal' if verified else 'MISMATCH'}\n"
+    )
+    return (
+        f"input: {','.join(map(str, decomposition.orders))}\n"
+        f"canonical: {','.join(canonical)}\n"
+        f"class: {nilpotency_class}\n"
+        f"method: {method}\n"
+        f"multiplier: {direct_sum or 'trivial'}\n"
+        f"order: {order_text}\n"
+        f"{verdict}"
+    )
+
+
+@given(compute_outcomes())
+@example((CyclicDecomposition((9,)), InvariantFactors((9,)), 2, "formula",
+          MultiplierResult(()), None))
+@example((CyclicDecomposition((2, 2)), InvariantFactors((2, 2)), 40, "oracle",
+          MultiplierResult(((2, 53634713550),)), True))
+@example((CyclicDecomposition((12, 6, 2)), InvariantFactors((12, 6, 2)), 1, "both",
+          MultiplierResult(((6, 1), (2, 2))), None))
+@example((CyclicDecomposition((12, 6, 2)), InvariantFactors((12, 6, 2)), 1, "both",
+          MultiplierResult(((6, 1), (2, 2))), True))
+@example((CyclicDecomposition((12, 6, 2)), InvariantFactors((12, 6, 2)), 1, "both",
+          MultiplierResult(((6, 1), (2, 2))), False))
+@example((CyclicDecomposition((12, 12, 6, 6, 2, 2)), InvariantFactors((12, 12, 6, 6, 2, 2)),
+          100_000, "formula", nilpotent_multiplier(InvariantFactors((12, 12, 6, 6, 2, 2)),
+                                                   100_000), None))
+@settings(deadline=None, max_examples=60)
+def test_text_output_is_the_fstring_writers(outcome):
+    # the examples: the trivial multiplier, an order too large to print
+    # (factored form only), a multiplicity of 1 (no "^(...)"), verified None,
+    # True and False, and multiplicities of tens of thousands of digits
+    decomposition, chain, nilpotency_class, method, result, verified = outcome
+    original_limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)
+        digits, total = writer_digits(chain, nilpotency_class, result)
+        text = cli._compute_output(decomposition, chain, nilpotency_class, method, "text",
+                                   digits, total, verified)
+        expected = fstring_text_output(decomposition, chain, nilpotency_class, method,
+                                       digits, total, verified)
+    finally:
+        sys.set_int_max_str_digits(original_limit)
+    assert text == expected
+    if not digits:
+        assert "\nmultiplier: trivial\norder: 1\n" in text
 
 
 @pytest.mark.parametrize(
@@ -742,6 +821,40 @@ def test_formula_deep_output_is_pinned(capsys, fmt, digest):
         outputs.append(out)
     assert len(outputs) == 120
     assert hashlib.sha256("".join(outputs).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "workload, checks",
+    [
+        ("oracle_sweep", {"cyclic order": 816, "nilpotency class": 2 * 816}),
+        ("wide_mixed", {"cyclic order": 300, "nilpotency class": 2 * 300}),
+        ("formula_deep", {"cyclic order": 120, "nilpotency class": 120 + 6}),
+    ],
+)
+def test_compute_checks_its_ints_where_they_enter(monkeypatch, workload, checks):
+    # the _check_ints calls of a warm seed-1 pass: the group's orders once a
+    # query, in CyclicDecomposition, and the class where the library takes
+    # it (tensor_oracle and nilpotent_multiplier for --method both,
+    # formula_digits for formula, and nilpotent_multiplier again on the 6
+    # formula queries at or below the exact-decimal bound).  cmd_compute
+    # gives check_result_size's core the weight and letters it built, unchecked
+    queries = getattr(bench_workloads(), workload)(1)
+    calls = collections.Counter()
+    original = abelian._check_ints
+
+    def spy(values, what, least):
+        calls[what] += 1
+        return original(values, what, least)
+
+    with contextlib.redirect_stdout(io.StringIO()):
+        for argv in queries:  # the warm-up pass fills the caches and the store
+            assert main(argv) == 0
+        for module in (abelian, cli, hall, multiplier, witt):
+            if getattr(module, "_check_ints", None) is original:
+                monkeypatch.setattr(module, "_check_ints", spy)
+        for argv in queries:
+            assert main(argv) == 0
+    assert calls == checks
 
 
 def test_compute_oracle_method(capsys):

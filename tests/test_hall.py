@@ -424,6 +424,20 @@ def test_counted_cap_message_shows_a_power_of_two():
     assert exc_info.value.count == count
 
 
+def test_cap_message_edge_is_2048_bits():
+    # a count of 2,047 bits is written out; from 2,048 bits it is shown by
+    # the power of two below it
+    below = CapExceeded(3000, 3, 2**2047)
+    assert str(below) == (
+        f"{2**2047} basic commutators of weight 3000 on 3 letters "
+        "exceed the enumeration cap 1000000"
+    )
+    assert str(CapExceeded(3000, 3, 2**2048)) == (
+        "at least 2^2048 basic commutators of weight 3000 on 3 letters "
+        "exceed the enumeration cap 1000000"
+    )
+
+
 def test_default_cap(monkeypatch):
     # the cap is a fixed 10**6 commutators, whatever the environment holds
     monkeypatch.delenv("NILMULT_ENUM_CAP", raising=False)

@@ -362,6 +362,11 @@ def evaluated(monkeypatch):
     return asked
 
 
+def test_the_store_holds_4_mib():
+    # the budget the README states: 2**25 bits by the store's charge
+    assert witt._KEPT_BITS == 2**25 == 4 * 2**20 * 8
+
+
 def kept_bits():
     """The store's total charge: 8 bits per character of digits, count_bits of an int."""
     return sum(8 * len(value) if isinstance(value, str) else count_bits(weight, q)
