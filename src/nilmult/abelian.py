@@ -29,7 +29,7 @@ is the rule without the bound, for a check that words its own bound, as
 ``factorize`` and ``witt.witt_counts`` do.  A value the package derives from
 checked values, such as ``canonicalize``'s chain, is built by
 ``_Value._derived`` and not checked again; likewise a private caller that
-holds checked ints calls an unchecked core, such as ``witt._kept_counts``.
+holds checked ints calls an unchecked core, such as ``witt._witt_counts``.
 ``trial_division`` is the one factorization loop; the Witt terms and divisor
 lists in ``nilmult.witt`` derive from it.  ``factorize`` bounds it to
 admissible orders and is kept as public API; no code in the package calls
@@ -208,9 +208,6 @@ class InvariantFactors(_Value):
 
     def _value(self) -> tuple:
         return (self.chain,)
-
-    def __len__(self) -> int:
-        return len(self.chain)
 
 
 def canonicalize(decomposition: CyclicDecomposition) -> InvariantFactors:

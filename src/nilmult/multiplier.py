@@ -6,11 +6,8 @@ i = 2..k of (b_i - b_{i-1}) copies of Z_{n_i}, where b_i counts basic
 commutators of weight c+1 on i letters.  Over a run of equal factors n that
 ends at position t, after a run that ended at s, the sum telescopes to
 b_t - b_s copies of Z_n, so the formula evaluates one Witt count per run
-(``witt.witt_counts`` at the run ends), with b_1 = 0.  A count past the
-small tables is kept per process, once checked, under (weight, letter count,
-int) in a store of ints and digit strings with a 4 MiB budget
-(``witt._KEPT_BITS``), so queries at one class that share a run end evaluate
-its count once.
+(``witt.witt_counts`` at the run ends), with b_1 = 0.  A small table of
+counts is kept per process; a larger one is evaluated on every call.
 
 ``tensor_oracle`` recomputes the same group from first principles: each
 basic commutator of weight c+1 on the given cyclic factors contributes the
@@ -29,22 +26,23 @@ other work, then canonicalizes the input once, runs the formula and compares.
 A result's value is its summands, which are always ints.  Its text is the
 command line's job, but the digits come from here: ``summand_digits`` renders
 a result's orders and multiplicities through ``decimal_str``, the one writer
-of an int of any size, which every value's repr uses too.  For Witt counts
-past ``_STR_MAX_BITS`` by the estimate ``_exact_decimal``, the rule
-``witt_count_digits`` uses too, ``formula_digits`` makes the closed form's
-digits without a result.  Each multiplicity b_t - b_s depends only on the
-weight and its run's ends s and t (s = 0 for the first run, as b_0 = b_1 = 0
-past weight 1), so its digits are kept in the same store under
-(weight, s, t), and ``witt_count_digits`` reads b_q there as (weight, 0, q).
-On a miss, ``witt._kept_digits`` evaluates the Witt counts at the run ends
-as exact ``decimal.Decimal`` integers (as ``witt.decimal_counts`` makes
-them, each checked against the same sum modulo a prime), whose digits need
-no conversion from binary, and keeps the digits of their differences.  A
-repeated query does no Decimal arithmetic and renders no multiplicity.  The
-bound is where ``decimal_str`` stops being plain ``str()``: no int
-multiplicity is ever split.  str() of a Decimal integer costs a fifth of
-``decimal_str`` of the same int just past the bound, and a fiftieth at
-30,000 bits (CPython 3.11, x86-64).
+of an int of any size, which every value's repr uses too.  One rule,
+``witt._small``, picks the route: for a small table of Witt counts (at most
+1,024 bits by its estimate) the digits are the ints' plain ``str()``; past
+it, ``formula_digits`` makes the closed form's digits without a result, and
+``witt_count_digits`` a count's.  Each multiplicity b_t - b_s depends only
+on the weight and its run's ends s and t (s = 0 for the first run, as
+b_0 = b_1 = 0 past weight 1), so its digits are kept in one per-process
+store under (weight, s, t), and ``witt_count_digits`` reads b_q there as
+(weight, 0, q).  On a miss, ``witt._kept_digits`` evaluates the Witt counts
+at the run ends as exact ``decimal.Decimal`` integers (``witt._decimal_sums``,
+each checked against the same sum modulo a prime), whose digits need no
+conversion from binary, and keeps the digits of their differences.  A
+repeated query does no Decimal arithmetic and renders no multiplicity.  No
+int multiplicity is ever split: a small table's counts are far below
+``_STR_MAX_BITS``, where ``decimal_str`` stops being plain ``str()``.
+str() of a Decimal integer costs a fifth of ``decimal_str`` of the same int
+just past that bound, and a fiftieth at 30,000 bits (CPython 3.11, x86-64).
 """
 
 from __future__ import annotations
@@ -63,7 +61,7 @@ from .abelian import (
     canonicalize,
 )
 from .hall import letter_profile
-from .witt import _kept_digits, _witt_counts, count_bits, exact_context, witt_count
+from .witt import _kept_digits, _small, _witt_counts, exact_context, witt_count
 
 # multiplier_order gives the exact order only up to this many decimal digits;
 # beyond it, callers fall back to the factored form.
@@ -76,22 +74,10 @@ _DECIMAL_BOUND_BITS = _DECIMAL_BOUND.bit_length()  # 2**this > _DECIMAL_BOUND
 # 617 digits, under 640, the smallest int-to-str digit limit Python allows, so
 # str() never trips the limit here.  Splitting by powers of ten beats the
 # Decimal route up to about 65,000 bits (measured on CPython 3.11, x86-64).
-# Past _STR_MAX_BITS a Witt count's digits come from exact decimal too
-# (_exact_decimal).
 _STR_MAX_BITS = 2048
 _TENS_MAX_BITS = 65_000
 _TENS_LEAF_DIGITS = 600
 _DECIMAL_LEAF_BITS = 1024
-
-
-def _exact_decimal(weight: int, letters: int) -> bool:
-    """Whether Witt counts of this weight on up to ``letters`` letters are made in exact decimal.
-
-    Past ``_STR_MAX_BITS`` by the estimate ``count_bits``, ``formula_digits``
-    and ``witt_count_digits`` make a count's digits in exact decimal and no
-    int; at or below it the int's digits are its plain ``str()``.
-    """
-    return count_bits(weight, letters) > _STR_MAX_BITS
 
 
 def decimal_str(value: int) -> str:
@@ -252,15 +238,13 @@ def formula_digits(
 ) -> tuple[list[tuple[str, str]], int | None]:
     """``summand_digits`` and ``multiplier_order`` of ``nilpotent_multiplier(group, class)``.
 
-    Past ``_STR_MAX_BITS`` by the estimate of ``_exact_decimal`` no result
-    is made: the digits of each multiplicity b_t - b_s are read from the
-    store under (weight, s, t), s = 0 for the first run, all at once, or
-    evaluated from the Witt counts at the run ends in exact decimal, each
-    checked as ``decimal_counts`` checks it, and kept (``witt._kept_digits``);
-    the order is None.  At or below the bound ``decimal_str`` is plain
-    str(), so no multiplicity is split.  The caller's ``decimal`` context is
-    left unchanged.  The class is checked by ``_check_ints``; the pairs of
-    run ends built from the chain go to ``witt._kept_digits`` unchecked.
+    Past a small table (``witt._small``) no result is made: the digits of
+    each multiplicity b_t - b_s are read from the store under (weight, s, t),
+    s = 0 for the first run, all at once, or evaluated from the Witt counts
+    at the run ends in exact decimal, each checked, and kept
+    (``witt._kept_digits``).  The caller's ``decimal`` context is left
+    unchanged.  The class is checked by ``_check_ints``; the pairs of run
+    ends built from the chain go to ``witt._kept_digits`` unchecked.
 
     >>> formula_digits(InvariantFactors((12, 6, 2)), 1)
     ([('6', '1'), ('2', '2')], 24)
@@ -268,38 +252,37 @@ def formula_digits(
     _check_ints([nilpotency_class], "nilpotency class", 1)
     chain = group.chain
     weight = nilpotency_class + 1
-    if not _exact_decimal(weight, len(chain)):
+    if _small(weight, len(chain)):
         result = nilpotent_multiplier(group, nilpotency_class)
         return summand_digits(result), multiplier_order(result)
     ends = _run_ends(chain)  # increasing and positive, so passed unchecked
     mults = _kept_digits(weight, list(zip((0, *ends), ends)))
-    digits = [(decimal_str(chain[t - 1]), mult) for t, mult in zip(ends, mults)]
-    # The order is None: every order is at least 2, and the multiplicities
-    # add up to b_k > 2**(w * (bit_length(k) - 1) - bit_length(w) - 1),
-    # check_cap's bound on weight w = class + 1.  As _exact_decimal holds,
-    # w * L > _STR_MAX_BITS (2,048), L = bit_length(k - 1).  For k >= 2,
-    # bit_length(k) - 1 is at least 1 and at least L / 2, so that exponent is
-    # above max(1,024, w) - bit_length(w) - 1 > 1,000: b_k is above
-    # 2**1,000, far past _DECIMAL_BOUND_BITS (33,220), and so is the order.
-    return digits, None
+    orders = [chain[t - 1] for t in ends]
+    digits = list(zip(map(decimal_str, orders), mults))
+    # A multiplicity with more digits than _DECIMAL_BOUND_BITS (33,220: five)
+    # is at least 10**5 summands, each of order at least 2, so the order is
+    # past 2**_DECIMAL_BOUND_BITS: None.  Otherwise each is a small int.
+    if any(len(mult) > len(str(_DECIMAL_BOUND_BITS)) for mult in mults):
+        return digits, None
+    return digits, multiplier_order(MultiplierResult._derived(tuple(zip(orders, map(int, mults)))))
 
 
 def witt_count_digits(weight: int, letters: int) -> str:
     """The decimal digits of ``witt_count(weight, letters)``.
 
-    Past ``_STR_MAX_BITS`` by the estimate ``count_bits`` (``_exact_decimal``,
-    the rule ``formula_digits`` follows too) its digits are read from the
-    store under (weight, 0, letters), or evaluated in exact decimal, checked
-    as ``decimal_counts`` checks it, and kept: no int, no ``decimal_str``.
-    At or below it ``decimal_str`` prints the int by plain ``str()``.  The
-    arguments are checked as ``witt_count`` checks them, by ``_check_ints``.
+    Past a small table (``witt._small``, the rule ``formula_digits`` follows
+    too) its digits are read from the store under (weight, 0, letters), or
+    evaluated in exact decimal, checked, and kept: no int, no
+    ``decimal_str``.  Within it ``decimal_str`` prints the int by plain
+    ``str()``.  The arguments are checked as ``witt_count`` checks them, by
+    ``_check_ints``.
 
     >>> witt_count_digits(6, 4)
     '670'
     """
     _check_ints([weight], "weight", 1)
     _check_ints([letters], "letters", 0)
-    if not _exact_decimal(weight, letters):
+    if _small(weight, letters):
         return decimal_str(witt_count(weight, letters))
     return _kept_digits(weight, [(0, letters)])[0]
 

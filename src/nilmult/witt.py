@@ -11,42 +11,35 @@ All counts come from one routine, ``_witt_sums``, which evaluates the sum for
 several letter counts at once and shares the powers among them.  It makes
 the powers q^e one exponent at a time, the half of an exponent before the
 exponent, and keeps only the previous exponent's powers.  A power is made
-from one it already holds when that is cheaper than raising q afresh: an int
-q = r * 2^k with r odd is r^e shifted by k * e bits, q = m^2 is (m^e)^2, and
-q^e is (q^(e/2))^2 when e/2 was the previous exponent.  At weight 100000 on
-6 letters, the int powers of 2, 4 and 6 then cost a shift, and every other
-power of the top exponent one squaring.  On no letter or one, the count is
-the letter count at weight 1 and 0 past it, made without the terms, so a
-huge weight is not factored there.
+from one it already holds when that is cheaper than raising q afresh:
+q = m^2 is (m^e)^2, and q^e is (q^(e/2))^2 when e/2 was the previous
+exponent.  On no letter or one, the count is the letter count at weight 1
+and 0 past it, made without the terms, so a huge weight is not factored
+there.
 
-``witt_counts`` gives the counts on any increasing letter counts, such as the
-run ends of an invariant-factor chain that the closed form needs.  A small
-table b_1..b_k it keeps in a bounded per-process cache, keyed by (weight, k),
-and reads at the letter counts, so the formula makes it once for all the
-queries of one shape.  Past ``_TABLE_MEMO_BITS`` by the one size estimate,
-``count_bits``, it evaluates only the counts asked for and keeps each in one
-per-process store, keyed by (weight, q, int), so a count that several
-chains share, at one class, is evaluated once.
-``b_sequence`` is ``witt_counts`` at 1..k.
-
-``decimal_counts`` takes the letter counts ``witt_counts`` takes, increasing
-and positive, such as the run ends, and evaluates the same terms and the same
-checked sums, with the same routine, in exact ``decimal.Decimal`` arithmetic,
-inside ``exact_context()``.  str() of a Decimal integer is its digits, so a
-count is printed without a conversion from binary.  Each decimal count is
-checked against the same sum evaluated modulo a prime, ``_CHECK_PRIME``.
-``decimal`` is imported only when such a count is asked for.  The multiplier
-prints a count past the size at which converting an int stops being plain
-str() (2,048 bits, ``multiplier._STR_MAX_BITS``) from these counts, and only
-the difference b_t - b_s of two of them is ever printed: ``_kept_digits``
-keeps the digits of each such difference in the same store, keyed by
+One rule, ``_small``, picks ints or exact decimal: the table b_1..b_k of
+weight w is small when k * ``count_bits(w, k)`` is at most
+``_TABLE_MEMO_BITS`` (1,024 bits).  ``witt_counts`` gives the counts on any
+increasing letter counts, such as the run ends of an invariant-factor chain
+that the closed form needs.  A small table it keeps in a bounded
+per-process cache, keyed by (weight, k), and reads at the letter counts, so
+the formula makes it once for all the queries of one shape; past it, it
+evaluates the counts asked for on every call.  ``b_sequence`` is
+``witt_counts`` at 1..k.  Past a small table the multiplier prints from
+exact decimal instead: ``_decimal_sums`` evaluates the same terms and the
+same checked sums, with the same routine, in exact ``decimal.Decimal``
+arithmetic inside ``exact_context()``, and checks each count against the
+same sum evaluated modulo a prime, ``_CHECK_PRIME``.  str() of a Decimal
+integer is its digits, so a count is printed without a conversion from
+binary.  ``decimal`` is imported only when such a count is asked for.  Only
+the difference b_t - b_s of two counts is ever printed: ``_kept_digits``
+keeps the digits of each such difference in one per-process store, keyed by
 (weight, s, t), with b_0 = 0, so a query that repeats one does no Decimal
-arithmetic.  No Decimal is kept.
+arithmetic.  No Decimal and no int is kept.
 
-The store holds ints and digit strings.  It keeps an entry only after its
-checks pass: divisibility by the weight, and for digits also the residue of
-each count modulo ``_CHECK_PRIME``.  An int is charged its ``count_bits``, a
-digit string 8 bits per character.  The store holds at most ``_KEPT_BITS``
+The store keeps a digit string only after its checks pass: divisibility by
+the weight, and the residue of each count modulo ``_CHECK_PRIME``.  A string
+is charged 8 bits per character.  The store holds at most ``_KEPT_BITS``
 (4 MiB) by that charge, drops the least recently used entry first, never
 keeps one above that budget, and keeps none charged ``_TABLE_MEMO_BITS`` or
 fewer, which cost less to evaluate again.  One lock guards it; the counts
@@ -54,8 +47,8 @@ are evaluated outside it.
 
 Every public function here checks its int arguments where they enter, by the
 package's one rule (``abelian._check_ints``: ints, not bools, each at least a
-bound); ``witt_counts`` and ``decimal_counts`` check the types by the same
-rule (``abelian._check_types``) and word one bound for the weight and the
+bound); ``witt_counts`` checks the types by the same rule
+(``abelian._check_types``) and words one bound for the weight and the
 letters.  The private cores, ``_witt_counts`` and ``_kept_digits``, take
 arguments already checked, as the multiplier passes them.
 """
@@ -104,7 +97,7 @@ def _moebius_terms(weight: int) -> tuple[tuple[int, int], ...]:
 
 
 # How _witt_sums makes a power; see _recipes.
-_SHIFT, _SQUARE, _RAISE = 0, 1, 2
+_SQUARE, _RAISE = 0, 1
 
 
 def _witt_sums(weight: int, letters: Sequence[int], number=int) -> list:
@@ -126,10 +119,8 @@ def _witt_sums(weight: int, letters: Sequence[int], number=int) -> list:
     for mu, exponent in _moebius_terms(weight):
         halve = exponent == 2 * previous_exponent
         level: list = []
-        for rule, operand, shift in recipes:
-            if rule == _SHIFT:
-                power = (level[operand] if operand >= 0 else 1) << shift * exponent
-            elif rule == _SQUARE:
+        for rule, operand in recipes:
+            if rule == _SQUARE:
                 power = level[operand] * level[operand]
             elif halve:
                 power = previous[len(level)] * previous[len(level)]
@@ -156,28 +147,18 @@ def _witt_sums(weight: int, letters: Sequence[int], number=int) -> list:
 def _recipes(letters: Sequence[int], number) -> tuple[tuple, ...]:
     """How ``_witt_sums`` makes q**e for each q in ``letters``, at every exponent e.
 
-    A power is made from one already made at e when that is cheaper than
-    raising q afresh:
-
-    - ``(_SHIFT, i, k)``: an int q = r * 2**k with r odd and k >= 1 is r**e,
-      letter i (or 1 when i is -1, for r = 1 not listed), shifted left by
-      k * e bits;
-    - ``(_SQUARE, i, 0)``: q = m**2, with m >= 2 letter i, is (m**e)**2;
-    - ``(_RAISE, number(q), 0)``: q**e, or (q**(e/2))**2 when e / 2 is the
+    - ``(_SQUARE, i)``: q = m**2, with m >= 2 letter i, is (m**e)**2;
+    - ``(_RAISE, number(q))``: q**e, or (q**(e/2))**2 when e / 2 is the
       previous exponent.
     """
     position = {q: i for i, q in enumerate(letters)}
     recipes = []
     for q in letters:
-        k = (q & -q).bit_length() - 1  # the 2-adic valuation; -1 for q = 0
-        odd = q >> max(k, 0)
         root = math.isqrt(q)
-        if number is int and k > 0 and (odd == 1 or odd in position):
-            recipes.append((_SHIFT, position.get(odd, -1), k))
-        elif root > 1 and root * root == q and root in position:
-            recipes.append((_SQUARE, position[root], 0))
+        if root > 1 and root * root == q and root in position:
+            recipes.append((_SQUARE, position[root]))
         else:
-            recipes.append((_RAISE, number(q), 0))
+            recipes.append((_RAISE, number(q)))
     return tuple(recipes)
 
 
@@ -202,8 +183,9 @@ def count_bits(weight: int, letters: int) -> int:
 
     The count is below q**weight <= 2**(weight * bit_length(letters - 1)), so
     it has at most that many bits; the estimate is 0 for a single letter.
-    This one estimate sizes the counts the command line refuses, the route
-    the multiplier prints from, and the tables ``witt_counts`` keeps.
+    This one estimate sizes the counts the command line refuses, and the
+    tables ``_small`` admits: the ones ``witt_counts`` keeps, whose ints the
+    multiplier prints.
 
     >>> count_bits(6, 4)
     12
@@ -211,13 +193,26 @@ def count_bits(weight: int, letters: int) -> int:
     return weight * max(letters - 1, 0).bit_length()
 
 
-# witt_counts keeps a table b_1..b_k only if its counts take at most this many
-# bits by the estimate k * count_bits(weight, k): the small (class, rank)
-# shapes that sweeps and `--method both` queries repeat, on at most 73
-# letters, so that 256 kept tables hold under a megabyte.  For a deep one,
-# such as class 1000 on rank 2 (2002 bits), only the counts asked for are
-# evaluated, and kept in _kept.
+# A table b_1..b_k is small if its counts take at most this many bits by the
+# estimate k * count_bits(weight, k): the small (class, rank) shapes that
+# sweeps and `--method both` queries repeat, on at most 73 letters, so that
+# 256 kept tables hold under a megabyte.  A small table is made as ints and
+# kept; past it the multiplier prints from exact decimal (_small).  For a
+# deep one, such as class 1000 on rank 2 (2002 bits), witt_counts evaluates
+# only the counts asked for.
 _TABLE_MEMO_BITS = 1024
+
+
+def _small(weight: int, rank: int) -> bool:
+    """Whether the table b_1..b_rank of this weight is small: the one rule for ints or exact decimal.
+
+    At most ``_TABLE_MEMO_BITS`` by the estimate rank * ``count_bits``,
+    ``witt_counts`` keeps the table and the multiplier prints its ints;
+    past it, ``witt_counts`` evaluates the counts asked for, and
+    ``multiplier.formula_digits`` and ``multiplier.witt_count_digits`` print
+    exact-decimal digits kept by ``_kept_digits``.
+    """
+    return rank * count_bits(weight, rank) <= _TABLE_MEMO_BITS
 
 
 def _check_letters(weight: int, letters: Sequence[int]) -> None:
@@ -243,11 +238,10 @@ def witt_counts(weight: int, letters: Sequence[int]) -> list[int]:
 
     The letter counts are positive; empty or non-increasing letters raise
     ``ValueError``.  When the table of counts on 1..k letters, k the largest,
-    is within ``_TABLE_MEMO_BITS`` by its estimate, it is made once per
-    process for each (weight, k), kept in a bounded cache, and read at
-    ``letters``; otherwise only the counts asked for and not kept are
-    evaluated, with their powers shared, and kept per process under
-    (weight, q, int), as the module docstring says.
+    is small (``_small``), it is made once per process for each (weight, k),
+    kept in a bounded cache, and read at ``letters``; otherwise only the
+    counts asked for are evaluated, with their powers shared, and nothing is
+    kept.
 
     >>> witt_counts(6, (2, 4))
     [9, 670]
@@ -259,10 +253,10 @@ def witt_counts(weight: int, letters: Sequence[int]) -> list[int]:
 def _witt_counts(weight: int, letters: Sequence[int]) -> list[int]:
     """``witt_counts`` unchecked, for callers whose letters are increasing and positive."""
     rank = letters[-1]
-    if rank * count_bits(weight, rank) <= _TABLE_MEMO_BITS:
+    if _small(weight, rank):
         table = _small_table(weight, rank)
         return [table[q - 1] for q in letters]
-    return _kept_counts(weight, letters)
+    return _witt_sums(weight, letters)
 
 
 # Bounded and thread-safe, like hall.letter_profile.
@@ -271,35 +265,28 @@ def _small_table(weight: int, rank: int) -> tuple[int, ...]:
     return tuple(_witt_sums(weight, range(1, rank + 1)))
 
 
-# The store's budget, by its charge: four counts at the command line's
-# MAX_RESULT_BITS (2**23) by count_bits, or 4 MiB of digits.  A formula-deep
-# pass keeps 120 digit strings and 5 ints, charged 12.5 Mbit.  An entry
-# charged at most _TABLE_MEMO_BITS is not kept: it costs less to evaluate
-# again, and the count on one letter, estimated at 0 bits, would grow the
-# store without bound.  So the store has at most 2**25 / 1024 entries.
+# The store's budget, by its charge: 4 MiB of digits.  A formula-deep pass
+# keeps 120 digit strings, charged about 12 Mbit.  An entry charged at most
+# _TABLE_MEMO_BITS is not kept: it costs less to evaluate again.  So the
+# store has at most 2**25 / 1024 entries.
 _KEPT_BITS = 2**25
 
 
-def _charge(key: tuple, value) -> int:
-    """The bits a kept entry is charged: 8 per character of digits, ``count_bits`` of an int."""
-    return 8 * len(value) if isinstance(value, str) else count_bits(key[0], key[1])
-
-
 class _Kept:
-    """Checked int Witt counts by (weight, q, int) and digits of b_t - b_s by (weight, s, t).
+    """The checked digits of b_t - b_s by (weight, s, t).
 
     The least recently used entry comes first.  ``bits`` is their total
-    charge (``_charge``), at most ``_KEPT_BITS``.  One lock guards the
-    store, so threads share it.
+    charge, 8 bits per character, at most ``_KEPT_BITS``.  One lock guards
+    the store, so threads share it.
     """
 
     def __init__(self) -> None:
-        self.counts: OrderedDict = OrderedDict()
+        self.counts: OrderedDict[tuple, str] = OrderedDict()
         self.bits = 0
         self._lock = _thread.allocate_lock()
 
     def get(self, keys: list[tuple]) -> list:
-        """The entry kept under each key, or None; each one found becomes the most recent."""
+        """The digits kept under each key, or None; each one found becomes the most recent."""
         with self._lock:
             found = [self.counts.get(key) for key in keys]
             for key, value in zip(keys, found):
@@ -307,39 +294,21 @@ class _Kept:
                     self.counts.move_to_end(key)
         return found
 
-    def keep(self, key: tuple, value) -> None:
-        """Keep a checked entry, dropping the least recently used ones past the budget."""
-        bits = _charge(key, value)
+    def keep(self, key: tuple, digits: str) -> None:
+        """Keep checked digits, dropping the least recently used entries past the budget."""
+        bits = 8 * len(digits)
         if not _TABLE_MEMO_BITS < bits <= _KEPT_BITS:
             return
         with self._lock:
             if key in self.counts:  # another thread kept it first
                 return
-            self.counts[key] = value
+            self.counts[key] = digits
             self.bits += bits
             while self.bits > _KEPT_BITS:
-                self.bits -= _charge(*self.counts.popitem(last=False))
+                self.bits -= 8 * len(self.counts.popitem(last=False)[1])
 
 
 _kept = _Kept()
-
-
-def _kept_counts(weight: int, letters: Sequence[int]) -> list[int]:
-    """The counts of ``witt_counts`` through ``_kept``.
-
-    The counts not kept are evaluated together, so they share their powers,
-    and each is kept once it is checked.
-    """
-    keys = [(weight, q, int) for q in letters]
-    counts = _kept.get(keys)
-    missing = [q for q, count in zip(letters, counts) if count is None]
-    if missing:
-        fresh = iter(_witt_sums(weight, missing))
-        for i, count in enumerate(counts):
-            if count is None:
-                counts[i] = next(fresh)
-                _kept.keep(keys[i], counts[i])
-    return counts
 
 
 def _kept_digits(weight: int, pairs: Sequence[tuple[int, int]]) -> list[str]:
@@ -370,7 +339,7 @@ def b_sequence(nilpotency_class: int, rank: int) -> tuple[int, ...]:
     """The counts b_i = witt_count(class + 1, i) for i = 1..rank.
 
     ``witt_counts`` at 1..rank: a small table is made once per process and
-    kept; for a larger one, each count is evaluated once and kept in the store.
+    kept; a larger one is evaluated on every call.
 
     >>> b_sequence(1, 4)
     (0, 1, 3, 6)
@@ -403,26 +372,15 @@ def exact_context():
 _CHECK_PRIME = 2**61 - 1
 
 
-def decimal_counts(weight: int, letters: Sequence[int]) -> list:
-    """``witt_count(weight, q)`` for each q in ``letters``, as exact ``decimal.Decimal``.
-
-    ``letters`` is what ``witt_counts`` takes, an increasing sequence of
-    positive counts, and the counts come in its order.  The same terms,
-    powers and checked sums as ``witt_count``; weight * count must also equal
-    the Moebius sum evaluated modulo ``_CHECK_PRIME``, or ``ArithmeticError``
-    is raised.  Nothing is kept: each call evaluates its counts.  The caller's
-    ``decimal`` context is left unchanged.  Arithmetic on the results is
-    exact only inside ``exact_context()``.
-
-    >>> [str(count) for count in decimal_counts(6, (2, 4))]
-    ['9', '670']
-    """
-    _check_letters(weight, letters)
-    return _decimal_sums(weight, letters)
-
-
 def _decimal_sums(weight: int, letters: Sequence[int]) -> list:
-    """``_witt_sums`` as exact Decimals, each also checked modulo ``_CHECK_PRIME``."""
+    """``_witt_sums`` as exact Decimals, each also checked modulo ``_CHECK_PRIME``.
+
+    ``letters`` is what ``_witt_sums`` takes, and the counts come in its
+    order.  weight * count must equal the Moebius sum evaluated modulo
+    ``_CHECK_PRIME``, or ``ArithmeticError`` is raised.  Nothing is kept.
+    The caller's ``decimal`` context is left unchanged; arithmetic on the
+    results is exact only inside ``exact_context()``.
+    """
     import decimal
 
     with decimal.localcontext(exact_context()):

@@ -621,8 +621,8 @@ def compute_outcomes(draw):
     The fields are drawn independently, as the writer takes them.  A result
     is empty, has summands with multiplicities of up to 40,000 bits, or is
     the formula's on the drawn chain, whose digits the writer is given by
-    ``formula_digits``; at the large classes its multiplicities pass 2,048
-    bits (``multiplier._STR_MAX_BITS``) and their digits come from exact
+    ``formula_digits``; at the large classes its table is past 1,024 bits
+    (``witt._small``) and the digits of its multiplicities come from exact
     decimal.
     """
     orders = draw(st.lists(st.integers(1, abelian.MAX_ORDER), min_size=1, max_size=5))
@@ -811,8 +811,8 @@ def test_wide_mixed_output_is_pinned(capsys, fmt, digest):
 )
 def test_formula_deep_output_is_pinned(capsys, fmt, digest):
     # the output of formula-deep's seed-1 pass, byte for byte: --method
-    # formula on 120 strict chains of rank 2-6 at classes 10^3-10^5, most of
-    # them past the exact-decimal bound, in the given format
+    # formula on 120 strict chains of rank 2-6 at classes 10^3-10^5, all of
+    # them past a small table (1,024 bits), in the given format
     outputs = []
     for argv in bench_workloads().formula_deep(1):
         assert argv[-2:] == ["--format", "json"]
@@ -828,15 +828,15 @@ def test_formula_deep_output_is_pinned(capsys, fmt, digest):
     [
         ("oracle_sweep", {"cyclic order": 816, "nilpotency class": 2 * 816}),
         ("wide_mixed", {"cyclic order": 300, "nilpotency class": 2 * 300}),
-        ("formula_deep", {"cyclic order": 120, "nilpotency class": 120 + 6}),
+        ("formula_deep", {"cyclic order": 120, "nilpotency class": 120}),
     ],
 )
 def test_compute_checks_its_ints_where_they_enter(monkeypatch, workload, checks):
     # the _check_ints calls of a warm seed-1 pass: the group's orders once a
     # query, in CyclicDecomposition, and the class where the library takes
-    # it (tensor_oracle and nilpotent_multiplier for --method both,
-    # formula_digits for formula, and nilpotent_multiplier again on the 6
-    # formula queries at or below the exact-decimal bound).  cmd_compute
+    # it (tensor_oracle and nilpotent_multiplier for --method both, and
+    # formula_digits for formula: no formula-deep table is small, so none
+    # goes on to nilpotent_multiplier).  cmd_compute
     # gives check_result_size's core the weight and letters it built, unchecked
     queries = getattr(bench_workloads(), workload)(1)
     calls = collections.Counter()
@@ -855,6 +855,26 @@ def test_compute_checks_its_ints_where_they_enter(monkeypatch, workload, checks)
         for argv in queries:
             assert main(argv) == 0
     assert calls == checks
+
+
+def test_a_warm_formula_deep_pass_evaluates_no_witt_sum(monkeypatch):
+    # no formula-deep table is small (its least is 2,002 bits, rank 2 at
+    # class 1,000), so the first pass keeps the digits of every multiplicity
+    # and a second pass evaluates no Witt sum, int or Decimal
+    queries = bench_workloads().formula_deep(1)
+    calls = []
+    with contextlib.redirect_stdout(io.StringIO()):
+        for argv in queries:  # the warm-up pass fills the store
+            assert main(argv) == 0
+        for name in ("_witt_sums", "_decimal_sums"):
+            def counted(weight, letters, *rest, _name=name, _original=getattr(witt, name)):
+                calls.append((_name, weight, tuple(letters)))
+                return _original(weight, letters, *rest)
+
+            monkeypatch.setattr(witt, name, counted)
+        for argv in queries:
+            assert main(argv) == 0
+    assert calls == []
 
 
 def test_compute_oracle_method(capsys):

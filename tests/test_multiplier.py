@@ -30,7 +30,6 @@ from nilmult.multiplier import (
     _STR_MAX_BITS,
     _TENS_LEAF_DIGITS,
     _TENS_MAX_BITS,
-    _exact_decimal,
     MultiplierResult,
     VerificationReport,
     decimal_str,
@@ -44,6 +43,7 @@ from nilmult.multiplier import (
 )
 from nilmult.witt import b_sequence, exact_context, witt_count
 from test_acceptance import direct_sum
+from test_witt import decimal_counts
 
 small_decompositions = st.lists(st.integers(1, 12), min_size=1, max_size=3).map(
     lambda v: CyclicDecomposition(tuple(v))
@@ -115,19 +115,29 @@ def chains_with_runs(draw, max_rank=8):
     return chain_of(*[n for n, run in zip(entries, runs) for _ in range(run)][:max_rank])
 
 
-# small classes, and classes on both sides of the exact-decimal bound at
-# bit_length(rank - 1) = 3, 2 and 1 (weight * bits > _STR_MAX_BITS)
+def least_digits_class(rank):
+    """The least class whose table on ``rank`` letters is not small (``witt._small``).
+
+    Its weight c + 1 is the least with rank * (c + 1) * bit_length(rank - 1)
+    above ``witt._TABLE_MEMO_BITS``: from it on, ``formula_digits`` and
+    ``witt_count_digits`` print exact-decimal digits, and below it ints.
+    """
+    return witt._TABLE_MEMO_BITS // (rank * (rank - 1).bit_length())
+
+
+# small classes, and classes on both sides of the small-table bound at
+# ranks 2 to 8
 formula_classes = st.one_of(
     st.integers(1, 40),
-    *[st.integers(_STR_MAX_BITS // bits - 40, _STR_MAX_BITS // bits + 40)
-      for bits in (3, 2, 1)],
+    *[st.integers(least_digits_class(rank) - 20, least_digits_class(rank) + 20)
+      for rank in range(2, 9)],
 )
 
 
 @given(chains_with_runs(), formula_classes)
 @settings(max_examples=60, deadline=None)
-@example(chain_of(12, 6, 6, 2, 2), _STR_MAX_BITS // 3 - 1)  # a unique first entry, int route
-@example(chain_of(12, 6, 6, 2, 2), _STR_MAX_BITS // 3)  # the same past the bound
+@example(chain_of(12, 6, 6, 2, 2), least_digits_class(5) - 1)  # a unique first entry, ints
+@example(chain_of(12, 6, 6, 2, 2), least_digits_class(5))  # the same past the bound
 @example(chain_of(6, 6, 6, 6), 1)  # all entries equal
 @example(chain_of(6, 6, 6, 6), 15_000)
 @example(chain_of(), 3)  # rank 0
@@ -140,9 +150,9 @@ def test_run_ends_equal_the_full_table(chain, c):
 
 @pytest.fixture
 def no_kept_counts(monkeypatch):
-    """A fresh, empty store of kept Witt counts for the test.
+    """A fresh, empty store of kept digits for the test.
 
-    A count an earlier call kept is not evaluated again, so it would hide
+    Digits an earlier call kept are not evaluated again, so they would hide
     the evaluation, or the fault, that a test looks for.
     """
     monkeypatch.setattr(witt, "_kept", witt._Kept())
@@ -163,8 +173,9 @@ def test_only_the_run_ends_are_evaluated(monkeypatch, no_kept_counts, entries, e
 
     monkeypatch.setattr(witt, "_witt_sums", recording)
     chain = chain_of(*entries)
-    # class 1000 keeps no table on two letters or more; class 10**5 is past
-    # the exact-decimal bound on three
+    # class 1000 keeps no table on two letters or more, so the ints are
+    # evaluated at the run ends; formula_digits prints class 10**5 from
+    # exact decimal
     nilpotent_multiplier(chain, 1000)
     formula_digits(chain, 10**5)
     assert asked == [(1001, ends, True), (10**5 + 1, ends, False)]
@@ -522,10 +533,10 @@ def test_oracle_ignores_the_presentation(orders, c):
 @settings(deadline=None)
 def test_multiplier_order_law(entries, c):
     chain = canonicalize(CyclicDecomposition(tuple(entries)))
-    counts = b_sequence(c, max(len(chain), 1))
+    counts = b_sequence(c, max(len(chain.chain), 1))
     expected = math.prod(
         chain.chain[i - 1] ** (counts[i - 1] - counts[i - 2])
-        for i in range(2, len(chain) + 1)
+        for i in range(2, len(chain.chain) + 1)
     )
     assert multiplier_order(nilpotent_multiplier(chain, c)) == expected
 
@@ -542,7 +553,7 @@ def test_exponent_sum_is_b_k_when_all_orders_equal(n, c):
 def test_exponent_sum_never_exceeds_b_k(entries, c):
     chain = canonicalize(CyclicDecomposition(tuple(entries)))
     result = nilpotent_multiplier(chain, c)
-    assert sum(m for _, m in result.summands) <= witt_count(c + 1, len(chain))
+    assert sum(m for _, m in result.summands) <= witt_count(c + 1, len(chain.chain))
 
 
 # ---------------------------------------------------------------------------
@@ -719,28 +730,31 @@ def run_pairs(chain):
 @pytest.mark.parametrize("rank", range(2, 8))
 @pytest.mark.parametrize("make_chain", [with_repeats, strict])
 def test_summand_digits_equal_decimal_str(rank, make_chain, decimal_calls):
-    # classes on both sides of the exact-decimal threshold at every rank; the
+    # classes on both sides of the small-table bound at every rank; the
     # formula and summand_digits do no decimal arithmetic, and formula_digits
-    # does only past it, by the estimate (class + 1) * bit_length(rank - 1)
-    # that `witt` uses too, with the same digits and order, and keeps the
-    # digits of each multiplicity under (weight, s, t)
+    # does only past it, by the one rule witt._small, rank * (class + 1) *
+    # bit_length(rank - 1) bits against 1,024, with the same digits and
+    # order, and keeps the digits of each multiplicity past 1,024 bits under
+    # (weight, s, t)
     chain = chain_of(*make_chain(rank))
-    for c in (1, 2, 681, 682, 1023, 1024, 2047, 2048, 10**4, 10**5):
+    least = least_digits_class(rank)
+    for c in (1, 2, least - 1, least, 681, 682, 1023, 1024, 2047, 2048, 10**4, 10**5):
         result = nilpotent_multiplier(chain, c)
         digits = summand_digits(result)
         assert decimal_calls == []
         assert digits == [
             (decimal_str(order), decimal_str(mult)) for order, mult in result.summands
         ], (chain, c)
-        exact = (c + 1) * (rank - 1).bit_length() > _STR_MAX_BITS
-        assert exact == _exact_decimal(c + 1, rank)
+        exact = rank * (c + 1) * (rank - 1).bit_length() > witt._TABLE_MEMO_BITS
+        assert exact == (not witt._small(c + 1, rank)) == (c >= least)
         assert formula_digits(chain, c) == (digits, multiplier_order(result)), (chain, c)
         assert decimal_calls == ([c + 1] if exact else []), (chain, c)
         kept = [witt._kept.counts.get((c + 1, s, t)) for s, t in run_pairs(chain)]
-        assert kept == ([mult for _, mult in digits] if exact else [None] * len(digits))
-        # the least class past 2,048 bits: 2,049 * bit_length(1), 1,025 *
-        # bit_length(2..3) = 2,050 and 683 * bit_length(4..6) = 2,049
-        assert exact == (c >= {1: 2048, 2: 1024, 3: 682}[(rank - 1).bit_length()])
+        assert kept == [mult if exact and 8 * len(mult) > witt._TABLE_MEMO_BITS else None
+                        for _, mult in digits]
+        # the least class past 1,024 bits: 2 * 513 * bit_length(1), 3 * 171
+        # * bit_length(2), 4 * 129 * 2, 5 * 69 * 3, 6 * 57 * 3 and 7 * 49 * 3
+        assert least == {2: 512, 3: 170, 4: 128, 5: 68, 6: 56, 7: 48}[rank]
         decimal_calls.clear()
 
 
@@ -790,11 +804,11 @@ def test_capped_query_makes_no_int_table(capsys, int_sums):
 @pytest.mark.parametrize("rank", range(2, 65))
 def test_sourced_results_are_past_the_order_bound(rank, decimal_calls):
     # the smallest class whose digits formula_digits sources from exact
-    # decimal: the int route's order is too large too, so formula_digits may
-    # answer None for it without the ints
-    bits = (rank - 1).bit_length()
-    c = _STR_MAX_BITS // bits  # weight c + 1 is the least over the bound
-    assert _exact_decimal(c + 1, rank) and not _exact_decimal(c, rank)
+    # decimal: on these strict chains the int route's order is past the
+    # bound too, and formula_digits answers None for it without the ints,
+    # by its digit-count rule or by multiplier_order of the small ints
+    c = least_digits_class(rank)
+    assert not witt._small(c + 1, rank) and witt._small(c, rank)
     chain = chain_of(*strict(rank)) if rank <= 7 else chain_of(*[2**i for i in range(rank, 0, -1)])
     result = nilpotent_multiplier(chain, c)
     assert multiplier_order(result) is None
@@ -951,7 +965,7 @@ def test_values_match_positionally():
 
 def test_corrupted_decimal_count_raises(monkeypatch, no_kept_counts):
     # the Decimal Witt sums are corrupted inside witt, after their own
-    # divisibility check and before decimal_counts checks them modulo a prime
+    # divisibility check and before _decimal_sums checks them modulo a prime
     sums = witt._witt_sums
 
     def off_by_one(weight, letters, number=int):
@@ -1008,23 +1022,30 @@ def test_large_formula_leaves_the_callers_decimal_context_unchanged():
     "weight, letters",
     [(1, 0), (6, 4), (_STR_MAX_BITS, 2), (_STR_MAX_BITS + 1, 2), (_STR_MAX_BITS // 2, 3),
      (_STR_MAX_BITS // 2 + 1, 3), (_STR_MAX_BITS // 3, 7), (_STR_MAX_BITS // 3 + 1, 7),
-     (15_001, 3), (30_001, 2), (10**4, 7), (10**4 + 1, 7)],
+     (15_001, 3), (30_001, 2), (10**4, 7), (10**4 + 1, 7),
+     (512, 2), (513, 2), (170, 3), (171, 3), (48, 7), (49, 7)],
 )
 def test_witt_count_digits_equal_decimal_str(weight, letters):
-    # on both sides of the exact-decimal bound at bit_length(letters - 1) = 1, 2, 3
+    # on both sides of the small-table bound (witt._small) at 2, 3 and 7
+    # letters, and on both sides of decimal_str's plain-str() bound
     assert witt_count_digits(weight, letters) == decimal_str(witt_count(weight, letters))
+    edge = least_digits_class(letters) if letters > 1 else None
+    if edge in (weight, weight - 1):
+        assert witt._small(weight, letters) == (weight == edge)
 
 
 @pytest.mark.parametrize("rank", [2, 4, 5, 8, 64])
 @pytest.mark.parametrize("bits, past", [(_STR_MAX_BITS, 0), (_STR_MAX_BITS, 1), (2 * _STR_MAX_BITS, 1)])
 def test_no_multiplicity_is_split(monkeypatch, no_kept_counts, rank, bits, past):
-    # just under the bound a multiplicity is an int of at most _STR_MAX_BITS
-    # bits, which decimal_str writes by str(); past it, a Decimal written by
-    # str().  The orders are 4 and 2, so nothing is split.  Past the bound
-    # the store keeps the digits of both multiplicities, under the run ends
-    # (0, rank - 1) and (rank - 1, rank), and of the count, under
-    # (weight, 0, rank); under it the ints past witt._TABLE_MEMO_BITS.  So a
-    # warm repeat evaluates nothing.
+    # a count of weight * bit_length(rank - 1) bits on either side of
+    # decimal_str's plain-str() bound, _STR_MAX_BITS, is past a small table
+    # (witt._small): its digits and the multiplicities' are str() of
+    # Decimals.  At the small-table edge an int multiplicity has at most
+    # 1,024 / rank bits, which decimal_str writes by str().  The orders are 4
+    # and 2, so nothing is split.  The store keeps the digits of both
+    # multiplicities, under the run ends (0, rank - 1) and (rank - 1, rank),
+    # and of the count, under (weight, 0, rank).  So a warm repeat evaluates
+    # nothing.
     calls = Counter()
     for module, name in ((multiplier, "_split_by_tens"), (multiplier, "_split_by_twos"),
                          (witt, "_witt_sums")):
@@ -1034,9 +1055,8 @@ def test_no_multiplicity_is_split(monkeypatch, no_kept_counts, rank, bits, past)
 
         monkeypatch.setattr(module, name, counted)
     weight = bits // (rank - 1).bit_length() + past
-    assert _exact_decimal(weight, rank) == past
-    if bits == _STR_MAX_BITS:  # the least weight past the bound is weight + 1 - past
-        assert _exact_decimal(weight + 1 - past, rank) and not _exact_decimal(weight - past, rank)
+    assert (witt.count_bits(weight, rank) > _STR_MAX_BITS) == past
+    assert not witt._small(weight, rank)
     chain = chain_of(*[4] * (rank - 1), 2)
     digits = formula_digits(chain, weight - 1)
     count = witt_count_digits(weight, rank)
@@ -1044,10 +1064,16 @@ def test_no_multiplicity_is_split(monkeypatch, no_kept_counts, rank, bits, past)
     evaluated = calls["_witt_sums"]
     assert calls == {"_witt_sums": evaluated}  # no split
     assert formula_digits(chain, weight - 1) == digits
-    if past:  # under the bound witt_count evaluates afresh: it keeps nothing
-        assert witt_count_digits(weight, rank) == count
+    assert witt_count_digits(weight, rank) == count
     assert calls == {"_witt_sums": evaluated}
-    # the int route's digits
+    # at the small-table edge: ints just below it, Decimals from it on
+    edge = least_digits_class(rank)
+    for c in (edge - 1, edge):
+        result = nilpotent_multiplier(chain, c)
+        assert formula_digits(chain, c) == (summand_digits(result), multiplier_order(result))
+        assert witt_count_digits(c + 1, rank) == decimal_str(witt_count(c + 1, rank))
+    assert set(calls) == {"_witt_sums"}  # no split
+    # the int route's digits, which decimal_str splits past _STR_MAX_BITS
     assert digits == (summand_digits(nilpotent_multiplier(chain, weight - 1)), None)
     assert count == decimal_str(witt_count(weight, rank))
 
@@ -1089,8 +1115,7 @@ def test_chains_that_share_a_run_end_keep_their_own_digits(entries, no_kept_coun
     expected = [(summand_digits(nilpotent_multiplier(chain, 3000)), None) for chain in chains]
     for _ in ("cold", "warm"):
         assert [formula_digits(chain, 3000) for chain in chains] == expected
-    digit_keys = {key for key in witt._kept.counts if key[2] is not int}
-    assert digit_keys == {(3001, s, t) for chain in chains for s, t in run_pairs(chain)}
+    assert set(witt._kept.counts) == {(3001, s, t) for chain in chains for s, t in run_pairs(chain)}
 
 
 def test_a_count_that_fails_its_check_leaves_no_digits(monkeypatch, no_kept_counts):
@@ -1135,6 +1160,69 @@ def test_kept_digits_are_charged_8_bits_a_character(monkeypatch, no_kept_counts)
     witt._kept.keep((weight, 1, 2), "7" * (witt._TABLE_MEMO_BITS // 8 + 1))
     assert list(witt._kept.counts)[-1] == (weight, 1, 2)
     assert witt._kept.bits == charge[3] + charge[5] + witt._TABLE_MEMO_BITS + 8
+
+
+@pytest.mark.parametrize(
+    "rank, multiplicity, exact, multiplied",
+    [(90, 4005, True, True), (142, 10_011, True, True),
+     (447, 99_681, False, True), (448, 100_128, False, False)],
+)
+def test_the_digits_route_orders_by_its_multiplicities(
+        monkeypatch, capsys, decimal_calls, rank, multiplicity, exact, multiplied):
+    # Z2^rank at class 1: a table of rank * 2 * bit_length(rank - 1) bits,
+    # past 1,024 (1,260 at rank 90), so the one multiplicity, b_rank =
+    # rank * (rank - 1) / 2, comes from exact decimal, and the order is
+    # 2**b_rank.  A multiplicity of at most five digits is a small int,
+    # multiplied out by multiplier_order; one of six digits is at least
+    # 10**5 > 33,220 summands, past 10**10**4, and is not multiplied
+    order = 2**multiplicity if exact else None
+    orders = []
+    monkeypatch.setattr(multiplier, "multiplier_order",
+                        lambda result: orders.append(result) or multiplier_order(result))
+    chain = chain_of(*[2] * rank)
+    assert not witt._small(2, rank)
+    assert formula_digits(chain, 1) == ([("2", str(multiplicity))], order)
+    assert decimal_calls == [2]
+    assert orders == ([MultiplierResult(((2, multiplicity),))] if multiplied else [])
+    assert order == multiplier_order(nilpotent_multiplier(chain, 1))
+    # the command line prints the order in full, or only as a power
+    assert cli.main(["compute", "--group", f"Z2^{rank}", "--class", "1"]) == 0
+    line = capsys.readouterr().out.splitlines()[-1]
+    digits = f"{decimal_str(order)} = " if exact else ""
+    assert line == f"order: {digits}2^{multiplicity}"
+    if rank == 90:
+        assert len(digits) == 1_206 + len(" = ")
+
+
+@st.composite
+def tables_near_the_bound(draw):
+    """A chain of rank 2 to 85 and a class whose table is 900 to 1,200 bits by ``witt._small``'s estimate.
+
+    Ratios of 1 make runs of equal entries and small multiplicities, whose
+    order may be printed in full.
+    """
+    # at every rank from 2 to 85 some weight >= 2 lies in the range
+    rank = draw(st.integers(2, 85))
+    bits = rank * (rank - 1).bit_length()
+    weight = draw(st.integers(-(-900 // bits), 1200 // bits))
+    entries = [draw(st.sampled_from([2, 3, 4]))]
+    for ratio in draw(st.lists(st.sampled_from([1, 1, 1, 2, 3]), min_size=rank - 1,
+                               max_size=rank - 1)):
+        entries.append(entries[-1] * ratio)
+    return chain_of(*reversed(entries)), weight - 1
+
+
+@given(tables_near_the_bound())
+@example((chain_of(*[2] * 80), 1))  # 1,120 bits: the order 2**3160 in full
+@example((chain_of(12, 6), 511))  # 1,024 bits: the largest small table on two letters
+@example((chain_of(12, 6), 512))
+@settings(max_examples=60, deadline=None)
+def test_formula_digits_equal_the_result_near_the_table_bound(chain_and_class):
+    # on either side of witt._small's bound, formula_digits' digits and
+    # order are summand_digits and multiplier_order of the int result
+    chain, c = chain_and_class
+    result = nilpotent_multiplier(chain, c)
+    assert formula_digits(chain, c) == (summand_digits(result), multiplier_order(result))
 
 
 # ---------------------------------------------------------------------------
@@ -1240,7 +1328,7 @@ HUGE = -(10**5000)
         (b_sequence, (HUGE, 2), f"nilpotency class must be >= 1, got -1{ZEROS}"),
         (b_sequence, (1, HUGE), f"rank must be >= 1, got -1{ZEROS}"),
         (witt.witt_counts, (HUGE, (2,)), f"weight and letters must be >= 1, got -1{ZEROS} and 2"),
-        (witt.decimal_counts, (2, (HUGE,)),
+        (decimal_counts, (2, (HUGE,)),
          f"weight and letters must be >= 1, got 2 and -1{ZEROS}"),
         (witt.divisors, (HUGE,), f"n must be >= 1, got -1{ZEROS}"),
         (trial_division, (HUGE,), f"n must be >= 1, got -1{ZEROS}"),
@@ -1283,8 +1371,10 @@ def with_arg(args, value):
         pytest.param(witt_count, (3, ARG), "letters", id="witt_count-letters"),
         pytest.param(witt.witt_counts, (ARG, (2, 3)), "weight", id="witt_counts-weight"),
         pytest.param(witt.witt_counts, (3, (1, ARG)), "letters", id="witt_counts-letters"),
-        pytest.param(witt.decimal_counts, (ARG, (2, 3)), "weight", id="decimal_counts-weight"),
-        pytest.param(witt.decimal_counts, (3, (1, ARG)), "letters", id="decimal_counts-letters"),
+        # the test-local checked Decimal counts: witt_counts' check on the
+        # digits route's sums
+        pytest.param(decimal_counts, (ARG, (2, 3)), "weight", id="decimal_counts-weight"),
+        pytest.param(decimal_counts, (3, (1, ARG)), "letters", id="decimal_counts-letters"),
         pytest.param(b_sequence, (ARG, 2), "nilpotency class", id="b_sequence-class"),
         pytest.param(b_sequence, (1, ARG), "rank", id="b_sequence-rank"),
         pytest.param(witt.divisors, (ARG,), "n", id="divisors-n"),

@@ -10,17 +10,27 @@ from hypothesis import strategies as st
 from nilmult import witt
 from nilmult.abelian import CyclicDecomposition
 from nilmult.hall import check_cap, enumerate_basic
-from nilmult.multiplier import decimal_str, verify
+from nilmult.multiplier import decimal_str, verify, witt_count_digits
 from nilmult.witt import (
+    _decimal_sums,
     _moebius_terms,
     b_sequence,
     count_bits,
-    decimal_counts,
     divisors,
     exact_context,
     witt_count,
     witt_counts,
 )
+
+
+def decimal_counts(weight, letters):
+    """The exact-decimal Witt counts on arguments checked as ``witt_counts`` checks them.
+
+    A test-local reference: ``witt_counts``' argument check, then the sums
+    the multiplier prints from past a small table, ``_decimal_sums``.
+    """
+    witt._check_letters(weight, letters)
+    return _decimal_sums(weight, letters)
 
 
 @pytest.mark.parametrize(
@@ -143,14 +153,16 @@ def test_a_small_table_is_made_once(table_calls):
 
 def test_a_large_table_is_not_made_but_its_counts_are_kept(table_calls):
     # 6 * 10000 * bit_length(5) bits by the estimate, above _TABLE_MEMO_BITS:
-    # no table is made or kept, but each count past _TABLE_MEMO_BITS is, so
-    # the second call evaluates only the count on one letter, made without
-    # the terms
+    # no table is kept, and no int either, so each call evaluates the counts;
+    # their digits are kept, once witt_count_digits makes them in exact decimal
     first, second = b_sequence(9999, 6), b_sequence(9999, 6)
     assert first == second and first[1] == witt_count(10000, 2)
-    assert table_calls == []
+    assert table_calls == [10000, 10000]
     assert witt._small_table.cache_info().currsize == 0
-    assert list(witt._kept.counts) == [(10000, q, int) for q in range(2, 7)]
+    assert not witt._kept.counts
+    assert [witt_count_digits(10000, q) for q in range(2, 7)] == list(map(decimal_str, first[1:]))
+    assert table_calls == [10000, 10000]
+    assert list(witt._kept.counts) == [(10000, 0, q) for q in range(2, 7)]
 
 
 @pytest.mark.parametrize(
@@ -159,12 +171,15 @@ def test_a_large_table_is_not_made_but_its_counts_are_kept(table_calls):
      (2, 40, True), (4, 4, True), (511, 2, True), (512, 2, False), (999, 2, False)],
 )
 def test_a_table_is_kept_when_its_estimate_is_within_the_bound(table_calls, c, rank, kept):
-    # rank * (c + 1) * bit_length(rank - 1) bits against _TABLE_MEMO_BITS (1024)
+    # rank * (c + 1) * bit_length(rank - 1) bits against _TABLE_MEMO_BITS
+    # (1024): the one rule, _small
     assert (rank * (c + 1) * (rank - 1).bit_length() <= witt._TABLE_MEMO_BITS) == kept
+    assert witt._small(c + 1, rank) == kept
     assert b_sequence(c, rank) == b_sequence(c, rank)
-    # a table not kept is not made either: its counts are evaluated on their own
-    assert table_calls == ([c + 1] if kept else [])
+    # a table not kept is evaluated on each call, and none of its counts is kept
+    assert table_calls == ([c + 1] if kept else [c + 1, c + 1])
     assert witt._small_table.cache_info().currsize == kept
+    assert not witt._kept.counts
 
 
 @given(
@@ -246,7 +261,7 @@ increasing_letters = st.lists(st.integers(1, 40), min_size=1, max_size=5, unique
 @given(st.integers(1, 400), increasing_letters)
 @example(100001, (6,))
 def test_decimal_counts_equal_witt_count(weight, letters):
-    counts = decimal_counts(weight, letters)
+    counts = _decimal_sums(weight, letters)
     assert [str(count) for count in counts] == [
         decimal_str(witt_count(weight, q)) for q in letters
     ]
@@ -291,7 +306,7 @@ def test_b_sequence_and_witt_count_equal_the_per_letter_sum(weight):
 @pytest.mark.parametrize("weight", GRID_WEIGHTS)
 def test_decimal_counts_equal_the_per_letter_sum(weight):
     expected = per_letter_counts(weight)[1:]  # positive letter counts only
-    counts = decimal_counts(weight, GRID_LETTERS[1:])
+    counts = _decimal_sums(weight, GRID_LETTERS[1:])
     assert all(isinstance(count, decimal.Decimal) for count in counts)
     assert all(count.as_tuple().exponent == 0 for count in counts)
     if weight < 1000:
@@ -308,11 +323,12 @@ def test_decimal_counts_equal_the_per_letter_sum(weight):
 
 @pytest.mark.parametrize("weight", [1, 2, 3, 4, 100000])
 def test_decimal_counts_are_decimals_on_no_letter_and_one(weight):
-    # one letter is a count like any other; no letter is refused, as
-    # witt_counts refuses it
-    counts = decimal_counts(weight, (1,))
-    assert [type(count) for count in counts] == [decimal.Decimal]
-    assert counts == [1 if weight == 1 else 0]
+    # no letter and one are counts like any other to the sums; the checked
+    # counts refuse no letter, as witt_counts refuses it
+    counts = _decimal_sums(weight, (0, 1))
+    assert [type(count) for count in counts] == [decimal.Decimal] * 2
+    assert counts == [0, 1 if weight == 1 else 0]
+    assert decimal_counts(weight, (1,)) == counts[1:]
     with pytest.raises(ValueError):
         decimal_counts(weight, (0,))
 
@@ -336,8 +352,8 @@ def test_fewer_than_two_letters_factor_no_weight(monkeypatch):
     assert check_cap(PRIME_WEIGHT, 1) == 0
     assert witt_counts(PRIME_WEIGHT, (1,)) == [0]
     assert b_sequence(PRIME_WEIGHT - 1, 1) == (0,)
-    assert decimal_counts(PRIME_WEIGHT, (1,)) == [0]
-    assert decimal_counts(1, (1,)) == [1]
+    assert _decimal_sums(PRIME_WEIGHT, (1,)) == [0]
+    assert _decimal_sums(1, (1,)) == [1]
     with pytest.raises(AssertionError, match="factored"):
         witt_count(PRIME_WEIGHT, 2)  # two letters do need the terms
 
@@ -368,9 +384,8 @@ def test_the_store_holds_4_mib():
 
 
 def kept_bits():
-    """The store's total charge: 8 bits per character of digits, count_bits of an int."""
-    return sum(8 * len(value) if isinstance(value, str) else count_bits(weight, q)
-               for (weight, q, _), value in witt._kept.counts.items())
+    """The store's total charge: 8 bits per character of digits."""
+    return sum(8 * len(value) for value in witt._kept.counts.values())
 
 
 # 2001 * bit_length(q - 1) bits: 2001 on two letters, 4002 on 3 or 4, 6003 on 5 to 8
@@ -386,31 +401,22 @@ def fresh_digits(pairs):
 
 @pytest.mark.parametrize("counts, number", [(witt_counts, int), (decimal_counts, decimal.Decimal)])
 def test_kept_counts_equal_fresh_ones(evaluated, counts, number):
-    # ranks that share counts: witt_counts evaluates only what no earlier call
-    # kept, and a kept count equals a fresh one; decimal_counts evaluates
-    # every count it is asked for and keeps none
-    for letters, missing in [
-        ((2, 3), (2, 3)),
-        ((2, 3, 5), (5,)),
-        ((3, 6), (6,)),
-        ((2, 4, 5, 6), (4,)),
-        ((2, 3, 4, 5, 6), ()),
-    ]:
+    # past a small table neither kind of count is kept: each call evaluates
+    # every count it is asked for, equal to the fresh one; only the digits
+    # of differences are kept, and reading them leaves both routes as they were
+    for letters in [(2, 3), (2, 3, 5), (3, 6), (2, 4, 5, 6), (2, 3, 4, 5, 6)]:
         result = counts(KEPT_WEIGHT, letters)
-        if number is decimal.Decimal:
-            missing = letters
-        assert evaluated == ([missing] if missing else []), letters
+        assert evaluated == [letters], letters
         evaluated.clear()
         assert [type(count) for count in result] == [number] * len(letters)
         assert [str(count) for count in result] == [str(FRESH[q]) for q in letters]
-    # in the order of their last use, the call that read them all
-    kept = [(KEPT_WEIGHT, q, int) for q in (2, 3, 4, 5, 6)] if number is int else []
-    assert list(witt._kept.counts) == kept
-    # the other function evaluates its counts afresh: an int is never read as
-    # a Decimal, nor a Decimal kept for witt_counts
-    other = decimal_counts if number is int else witt_counts
-    assert [str(count) for count in other(KEPT_WEIGHT, (2, 3))] == [str(FRESH[2]), str(FRESH[3])]
-    assert evaluated == [(2, 3)]
+    assert not witt._kept.counts
+    pairs = [(0, 2), (2, 5), (5, 6)]
+    assert witt._kept_digits(KEPT_WEIGHT, pairs) == fresh_digits(pairs)
+    assert list(witt._kept.counts) == [(KEPT_WEIGHT, s, t) for s, t in pairs]
+    evaluated.clear()
+    assert [str(count) for count in counts(KEPT_WEIGHT, (2, 5))] == [str(FRESH[2]), str(FRESH[5])]
+    assert evaluated == [(2, 5)]
 
 
 def test_kept_digits_are_differences_keyed_by_both_ends(evaluated):
@@ -443,51 +449,55 @@ def test_a_count_that_fails_its_check_is_not_kept(evaluated, monkeypatch):
     with pytest.raises(ArithmeticError, match="disagrees with its Witt sum modulo"):
         witt._kept_digits(KEPT_WEIGHT, [(0, 2), (2, 3)])
     assert not witt._kept.counts and witt._kept.bits == 0
-    # an int sum that is not divisible by the weight: a term left out
+    # a sum that is not divisible by the weight: a term left out
     terms = witt._moebius_terms
     monkeypatch.setattr(witt, "_witt_sums", sums)
     monkeypatch.setattr(witt, "_moebius_terms", lambda weight: terms(weight)[1:])
     with pytest.raises(ArithmeticError, match="is not divisible by 2001"):
-        witt_counts(KEPT_WEIGHT, (2, 3))
+        witt._kept_digits(KEPT_WEIGHT, [(0, 2), (2, 3)])
     assert not witt._kept.counts and witt._kept.bits == 0
-    # the next clean calls evaluate them again, and keep them: digits and ints apart
+    # the next clean call evaluates them again, and keeps their digits; the
+    # int counts are evaluated and not kept
     monkeypatch.setattr(witt, "_moebius_terms", terms)
     evaluated.clear()
     assert witt._kept_digits(KEPT_WEIGHT, [(0, 2), (2, 3)]) == fresh_digits([(0, 2), (2, 3)])
     assert witt_counts(KEPT_WEIGHT, (2, 3)) == [FRESH[2], FRESH[3]]
     assert evaluated == [(2, 3), (2, 3)]
-    assert list(witt._kept.counts) == [
-        (KEPT_WEIGHT, 0, 2), (KEPT_WEIGHT, 2, 3), (KEPT_WEIGHT, 2, int), (KEPT_WEIGHT, 3, int)]
+    assert list(witt._kept.counts) == [(KEPT_WEIGHT, 0, 2), (KEPT_WEIGHT, 2, 3)]
 
 
 def test_the_store_keeps_its_budget_least_recently_used_first(evaluated, monkeypatch):
-    monkeypatch.setattr(witt, "_KEPT_BITS", 10_005)
+    # b_t - b_s at weight 2001 has 600 digits at (0, 2), 952 at (0, 3), 1,202
+    # at (0, 4) and 1,396 at (4, 5)
+    charge = {pair: 8 * len(fresh_digits([pair])[0]) for pair in [(0, 2), (0, 3), (0, 4), (4, 5)]}
+    assert charge == {(0, 2): 4800, (0, 3): 7616, (0, 4): 9616, (4, 5): 11168}
+    monkeypatch.setattr(witt, "_KEPT_BITS", 22_032)
 
-    def holds(*keys):
-        assert list(witt._kept.counts) == [(weight, q, int) for weight, q in keys]
+    def holds(*pairs):
+        assert list(witt._kept.counts) == [(KEPT_WEIGHT, s, t) for s, t in pairs]
         assert witt._kept.bits == kept_bits() <= witt._KEPT_BITS
 
-    assert witt_counts(KEPT_WEIGHT, (2, 3, 4)) == [FRESH[2], FRESH[3], FRESH[4]]
-    holds((KEPT_WEIGHT, 2), (KEPT_WEIGHT, 3), (KEPT_WEIGHT, 4))  # 10,005 bits
-    assert witt_counts(KEPT_WEIGHT, (2,)) == [FRESH[2]]  # a hit makes it the most recent
-    holds((KEPT_WEIGHT, 3), (KEPT_WEIGHT, 4), (KEPT_WEIGHT, 2))
-    # 2,002 bits more: the least recently used count goes, not the first kept
-    assert witt_counts(1001, (3,)) == [witt_count(1001, 3)]
-    holds((KEPT_WEIGHT, 4), (KEPT_WEIGHT, 2), (1001, 3))
-    # 6,003 bits more: two go
-    assert witt_counts(KEPT_WEIGHT, (5,)) == [FRESH[5]]
-    holds((1001, 3), (KEPT_WEIGHT, 5))
-    # a count above the budget (12,003 bits) is never kept, and drops nothing
-    assert witt_counts(4001, (5,)) == [witt_count(4001, 5)]
-    holds((1001, 3), (KEPT_WEIGHT, 5))
-    # nor is a count of at most _TABLE_MEMO_BITS, here on rank 74 at weight 2
-    assert witt_counts(2, (2, 74)) == [1, witt_count(2, 74)]
-    holds((1001, 3), (KEPT_WEIGHT, 5))
+    def read(*pairs):
+        assert witt._kept_digits(KEPT_WEIGHT, list(pairs)) == fresh_digits(pairs)
+
+    read((0, 2), (0, 3), (0, 4))
+    holds((0, 2), (0, 3), (0, 4))  # 22,032 bits: the whole budget
+    read((0, 2))  # a hit makes it the most recent
+    holds((0, 3), (0, 4), (0, 2))
+    # 11,168 bits more: the two least recently used go, not the first kept
+    read((4, 5))
+    holds((0, 2), (4, 5))
+    # digits above the budget are never kept, and drop nothing
+    witt._kept.keep((KEPT_WEIGHT, 1, 2), "7" * (22_032 // 8 + 1))
+    holds((0, 2), (4, 5))
+    # nor are digits charged at most _TABLE_MEMO_BITS, here b_74 at weight 2
+    assert witt._kept_digits(2, [(0, 74)]) == [str(witt_count(2, 74))] == ["2701"]
+    holds((0, 2), (4, 5))
     evaluated.clear()
-    assert witt_counts(KEPT_WEIGHT, (2, 5)) == [FRESH[2], FRESH[5]]
-    assert evaluated == [(2,)]
-    # 2,002 + 6,003 + 2,001 is one bit over the budget: the least recent goes
-    holds((KEPT_WEIGHT, 5), (KEPT_WEIGHT, 2))
+    read((0, 2), (0, 3))
+    assert evaluated == [(3,)]
+    # 11,168 + 4,800 + 7,616 is past the budget: the least recent, (4, 5), goes
+    holds((0, 2), (0, 3))
 
 
 def test_a_hit_leaves_the_callers_decimal_context_unchanged(evaluated):
@@ -517,9 +527,10 @@ def test_threads_share_the_store(evaluated, monkeypatch):
         try:
             for i in range(400):
                 chosen = letters[(k + i) % len(letters)]
-                if (k + i) % 2:
-                    assert witt_counts(KEPT_WEIGHT, chosen) == [FRESH[q] for q in chosen]
-                else:  # the digits of differences share the store with the ints
+                if (k + i) % 2:  # the digits of counts, b_q - b_0
+                    assert [witt_count_digits(KEPT_WEIGHT, q) for q in chosen] == [
+                        str(FRESH[q]) for q in chosen]
+                else:  # the digits of differences share the store with them
                     pairs = list(zip((0, *chosen), chosen))
                     assert witt._kept_digits(KEPT_WEIGHT, pairs) == fresh_digits(pairs)
         except Exception as exc:  # an assertion in a thread is reported here
