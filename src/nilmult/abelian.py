@@ -26,7 +26,7 @@ Outside input is checked once, by one rule (``_check_ints``: ints, not bools,
 each at least a bound), where it enters: in the public constructors, and at
 every int argument of a public function in this package.  ``_check_types``
 is the rule without the bound, for a check that words its own bound, as
-``factorize`` and ``witt.witt_counts`` do.  A value the package derives from
+``factorize`` does.  A value the package derives from
 checked values, such as ``canonicalize``'s chain, is built by
 ``_Value._derived`` and not checked again; likewise a private caller that
 holds checked ints calls an unchecked core, such as ``witt._witt_counts``.

@@ -6,7 +6,7 @@ i = 2..k of (b_i - b_{i-1}) copies of Z_{n_i}, where b_i counts basic
 commutators of weight c+1 on i letters.  Over a run of equal factors n that
 ends at position t, after a run that ended at s, the sum telescopes to
 b_t - b_s copies of Z_n, so the formula evaluates one Witt count per run
-(``witt.witt_counts`` at the run ends), with b_1 = 0.  A small table of
+(``witt._witt_counts`` at the run ends), with b_1 = 0.  A small table of
 counts is kept per process; a larger one is evaluated on every call.
 
 ``tensor_oracle`` recomputes the same group from first principles: each
@@ -26,23 +26,25 @@ other work, then canonicalizes the input once, runs the formula and compares.
 A result's value is its summands, which are always ints.  Its text is the
 command line's job, but the digits come from here: ``summand_digits`` renders
 a result's orders and multiplicities through ``decimal_str``, the one writer
-of an int of any size, which every value's repr uses too.  One rule,
-``witt._small``, picks the route: for a small table of Witt counts (at most
-1,024 bits by its estimate) the digits are the ints' plain ``str()``; past
-it, ``formula_digits`` makes the closed form's digits without a result, and
-``witt_count_digits`` a count's.  Each multiplicity b_t - b_s depends only
-on the weight and its run's ends s and t (s = 0 for the first run, as
-b_0 = b_1 = 0 past weight 1), so its digits are kept in one per-process
-store under (weight, s, t), and ``witt_count_digits`` reads b_q there as
-(weight, 0, q).  On a miss, ``witt._kept_digits`` evaluates the Witt counts
-at the run ends as exact ``decimal.Decimal`` integers (``witt._decimal_sums``,
-each checked against the same sum modulo a prime), whose digits need no
-conversion from binary, and keeps the digits of their differences.  A
-repeated query does no Decimal arithmetic and renders no multiplicity.  No
-int multiplicity is ever split: a small table's counts are far below
-``_STR_MAX_BITS``, where ``decimal_str`` stops being plain ``str()``.
-str() of a Decimal integer costs a fifth of ``decimal_str`` of the same int
-just past that bound, and a fiftieth at 30,000 bits (CPython 3.11, x86-64).
+of an int of any size, which every value's repr uses too.
+``formula_digits`` makes the closed form's digits without a result, and
+``witt_count_digits`` a count's, each on one path: both ask
+``witt._kept_digits`` for the digits of differences b_t - b_s, and the
+``witt`` module alone decides between ints and exact decimal.  Each
+multiplicity b_t - b_s depends only on the weight and its run's ends s and
+t (s = 0 for the first run, as b_0 = b_1 = 0 past weight 1), and
+``witt_count_digits`` asks for b_q as (0, q).  A small table of Witt counts
+(at most 1,024 bits by its estimate) gives the ints' plain ``str()``.  Past
+it, the digits are kept in one per-process store under (weight, s, t); on a
+miss, ``witt._kept_digits`` evaluates the Witt counts at the run ends as
+exact ``decimal.Decimal`` integers (``witt._decimal_sums``, each checked
+against the same sum modulo a prime), whose digits need no conversion from
+binary, and keeps the digits of their differences.  A repeated query does no
+Decimal arithmetic and renders no multiplicity.  No int multiplicity is ever
+split: a small table's counts are far below ``_STR_MAX_BITS``, where
+``decimal_str`` stops being plain ``str()``.  str() of a Decimal integer
+costs a fifth of ``decimal_str`` of the same int just past that bound, and
+a fiftieth at 30,000 bits (CPython 3.11, x86-64).
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ from .abelian import (
     canonicalize,
 )
 from .hall import letter_profile
-from .witt import _kept_digits, _small, _witt_counts, exact_context, witt_count
+from .witt import _kept_digits, _witt_counts, exact_context
 
 # multiplier_order gives the exact order only up to this many decimal digits;
 # beyond it, callers fall back to the factored form.
@@ -238,25 +240,22 @@ def formula_digits(
 ) -> tuple[list[tuple[str, str]], int | None]:
     """``summand_digits`` and ``multiplier_order`` of ``nilpotent_multiplier(group, class)``.
 
-    Past a small table (``witt._small``) no result is made: the digits of
-    each multiplicity b_t - b_s are read from the store under (weight, s, t),
-    s = 0 for the first run, all at once, or evaluated from the Witt counts
-    at the run ends in exact decimal, each checked, and kept
-    (``witt._kept_digits``).  The caller's ``decimal`` context is left
-    unchanged.  The class is checked by ``_check_ints``; the pairs of run
-    ends built from the chain go to ``witt._kept_digits`` unchecked.
+    No result is made: the digits of each multiplicity b_t - b_s, s = 0 for
+    the first run, come from ``witt._kept_digits`` all at once, which alone
+    decides between a small table's ints and checked exact-decimal digits
+    it keeps.  The caller's ``decimal`` context is left unchanged.  The
+    class is checked by ``_check_ints``; the pairs of run ends built from
+    the chain go to ``witt._kept_digits`` unchecked.
 
     >>> formula_digits(InvariantFactors((12, 6, 2)), 1)
     ([('6', '1'), ('2', '2')], 24)
     """
     _check_ints([nilpotency_class], "nilpotency class", 1)
     chain = group.chain
-    weight = nilpotency_class + 1
-    if _small(weight, len(chain)):
-        result = nilpotent_multiplier(group, nilpotency_class)
-        return summand_digits(result), multiplier_order(result)
+    if len(chain) <= 1:
+        return [], 1
     ends = _run_ends(chain)  # increasing and positive, so passed unchecked
-    mults = _kept_digits(weight, list(zip((0, *ends), ends)))
+    mults = _kept_digits(nilpotency_class + 1, list(zip((0, *ends), ends)))
     orders = [chain[t - 1] for t in ends]
     digits = list(zip(map(decimal_str, orders), mults))
     # A multiplicity with more digits than _DECIMAL_BOUND_BITS (33,220: five)
@@ -268,22 +267,19 @@ def formula_digits(
 
 
 def witt_count_digits(weight: int, letters: int) -> str:
-    """The decimal digits of ``witt_count(weight, letters)``.
+    """The decimal digits of the Witt count b_q of this weight on q = ``letters`` letters.
 
-    Past a small table (``witt._small``, the rule ``formula_digits`` follows
-    too) its digits are read from the store under (weight, 0, letters), or
-    evaluated in exact decimal, checked, and kept: no int, no
-    ``decimal_str``.  Within it ``decimal_str`` prints the int by plain
-    ``str()``.  The arguments are checked as ``witt_count`` checks them, by
-    ``_check_ints``.
+    b_q - b_0 by ``witt._kept_digits``: a small table's int is printed by
+    ``str()``; past it the digits are read from the store under
+    (weight, 0, letters), or evaluated in exact decimal, checked, and kept.
+    No letter is the pair (0, 0), "0".  The weight (at least 1) and the
+    letters (at least 0) are checked by ``_check_ints``.
 
     >>> witt_count_digits(6, 4)
     '670'
     """
     _check_ints([weight], "weight", 1)
     _check_ints([letters], "letters", 0)
-    if _small(weight, letters):
-        return decimal_str(witt_count(weight, letters))
     return _kept_digits(weight, [(0, letters)])[0]
 
 
@@ -330,7 +326,7 @@ def _letter_total(profile: tuple[int, ...], letters: int) -> int:
     """T(letters) = sum_k p_k * C(letters, k): the commutators on ``letters`` letters.
 
     ``profile`` is a ``letter_profile`` on at least ``letters`` letters, so T
-    is counted off the Hall recursion, never taken from ``witt_count``.
+    is counted off the Hall recursion, never taken from the Witt formula.
     """
     return sum(p * comb(letters, k) for k, p in enumerate(profile, 1))
 

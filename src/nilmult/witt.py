@@ -17,25 +17,26 @@ exponent.  On no letter or one, the count is the letter count at weight 1
 and 0 past it, made without the terms, so a huge weight is not factored
 there.
 
-One rule, ``_small``, picks ints or exact decimal: the table b_1..b_k of
-weight w is small when k * ``count_bits(w, k)`` is at most
-``_TABLE_MEMO_BITS`` (1,024 bits).  ``witt_counts`` gives the counts on any
-increasing letter counts, such as the run ends of an invariant-factor chain
-that the closed form needs.  A small table it keeps in a bounded
-per-process cache, keyed by (weight, k), and reads at the letter counts, so
-the formula makes it once for all the queries of one shape; past it, it
-evaluates the counts asked for on every call.  ``b_sequence`` is
-``witt_counts`` at 1..k.  Past a small table the multiplier prints from
-exact decimal instead: ``_decimal_sums`` evaluates the same terms and the
-same checked sums, with the same routine, in exact ``decimal.Decimal``
-arithmetic inside ``exact_context()``, and checks each count against the
-same sum evaluated modulo a prime, ``_CHECK_PRIME``.  str() of a Decimal
-integer is its digits, so a count is printed without a conversion from
-binary.  ``decimal`` is imported only when such a count is asked for.  Only
-the difference b_t - b_s of two counts is ever printed: ``_kept_digits``
-keeps the digits of each such difference in one per-process store, keyed by
-(weight, s, t), with b_0 = 0, so a query that repeats one does no Decimal
-arithmetic.  No Decimal and no int is kept.
+One rule, ``_small``, picks ints or exact decimal, and only this module
+reads it: the table b_1..b_k of weight w is small when k * ``count_bits(w, k)``
+is at most ``_TABLE_MEMO_BITS`` (1,024 bits).  ``_witt_counts`` gives the
+counts on any increasing positive letter counts, such as the run ends of an
+invariant-factor chain that the closed form needs.  A small table it keeps
+in a bounded per-process cache, keyed by (weight, k), and reads at the
+letter counts, so the formula makes it once for all the queries of one
+shape; past it, it evaluates the counts asked for on every call.
+``b_sequence`` is ``_witt_counts`` at 1..k.  Only the difference b_t - b_s
+of two counts is ever printed, by ``_kept_digits``, with b_0 = 0: from a
+small table, as the ``str()`` of the int difference; past it, from exact
+decimal.  ``_decimal_sums`` evaluates the same terms and the same checked
+sums, with the same routine, in exact ``decimal.Decimal`` arithmetic inside
+``exact_context()``, and checks each count against the same sum evaluated
+modulo a prime, ``_CHECK_PRIME``.  str() of a Decimal integer is its digits,
+so a count is printed without a conversion from binary.  ``decimal`` is
+imported only when such a count is asked for.  ``_kept_digits`` keeps the
+digits of each such difference in one per-process store, keyed by
+(weight, s, t), so a query that repeats one does no Decimal arithmetic.  No
+Decimal and no int is kept there.
 
 The store keeps a digit string only after its checks pass: divisibility by
 the weight, and the residue of each count modulo ``_CHECK_PRIME``.  A string
@@ -47,9 +48,7 @@ are evaluated outside it.
 
 Every public function here checks its int arguments where they enter, by the
 package's one rule (``abelian._check_ints``: ints, not bools, each at least a
-bound); ``witt_counts`` checks the types by the same rule
-(``abelian._check_types``) and words one bound for the weight and the
-letters.  The private cores, ``_witt_counts`` and ``_kept_digits``, take
+bound).  The private cores, ``_witt_counts`` and ``_kept_digits``, take
 arguments already checked, as the multiplier passes them.
 """
 
@@ -62,7 +61,7 @@ import operator
 from collections import OrderedDict
 from collections.abc import Sequence
 
-from .abelian import _check_ints, _check_types, _decimal, trial_division
+from .abelian import _check_ints, trial_division
 
 
 def divisors(n: int) -> list[int]:
@@ -184,8 +183,8 @@ def count_bits(weight: int, letters: int) -> int:
     The count is below q**weight <= 2**(weight * bit_length(letters - 1)), so
     it has at most that many bits; the estimate is 0 for a single letter.
     This one estimate sizes the counts the command line refuses, and the
-    tables ``_small`` admits: the ones ``witt_counts`` keeps, whose ints the
-    multiplier prints.
+    tables ``_small`` admits: the ones ``_small_table`` keeps, whose ints
+    ``_kept_digits`` prints.
 
     >>> count_bits(6, 4)
     12
@@ -197,9 +196,9 @@ def count_bits(weight: int, letters: int) -> int:
 # estimate k * count_bits(weight, k): the small (class, rank) shapes that
 # sweeps and `--method both` queries repeat, on at most 73 letters, so that
 # 256 kept tables hold under a megabyte.  A small table is made as ints and
-# kept; past it the multiplier prints from exact decimal (_small).  For a
-# deep one, such as class 1000 on rank 2 (2002 bits), witt_counts evaluates
-# only the counts asked for.
+# kept; past it _kept_digits prints from exact decimal (_small).  For a deep
+# one, such as class 1000 on rank 2 (2002 bits), _witt_counts evaluates only
+# the counts asked for.
 _TABLE_MEMO_BITS = 1024
 
 
@@ -207,51 +206,22 @@ def _small(weight: int, rank: int) -> bool:
     """Whether the table b_1..b_rank of this weight is small: the one rule for ints or exact decimal.
 
     At most ``_TABLE_MEMO_BITS`` by the estimate rank * ``count_bits``,
-    ``witt_counts`` keeps the table and the multiplier prints its ints;
-    past it, ``witt_counts`` evaluates the counts asked for, and
-    ``multiplier.formula_digits`` and ``multiplier.witt_count_digits`` print
-    exact-decimal digits kept by ``_kept_digits``.
+    ``_small_table`` keeps the table, ``_witt_counts`` reads its ints and
+    ``_kept_digits`` prints their differences by ``str()``; past it,
+    ``_witt_counts`` evaluates the counts asked for, and ``_kept_digits``
+    prints exact-decimal digits, which it keeps.
     """
     return rank * count_bits(weight, rank) <= _TABLE_MEMO_BITS
 
 
-def _check_letters(weight: int, letters: Sequence[int]) -> None:
-    """Refuse a weight below 1, and letters that are not increasing positive counts.
-
-    The types first, by ``_check_ints``' rule; then one bound, worded for both.
-    """
-    _check_types([weight], "weight")
-    _check_types(letters, "letters")
-    if not letters:
-        raise ValueError("letters must not be empty")
-    if weight < 1 or letters[0] < 1:
-        raise ValueError(
-            f"weight and letters must be >= 1, got {_decimal(weight)} and {_decimal(letters[0])}"
-        )
-    for previous, q in zip(letters, letters[1:]):
-        if previous >= q:
-            raise ValueError(f"letters must increase, got {_decimal(previous)} then {_decimal(q)}")
-
-
-def witt_counts(weight: int, letters: Sequence[int]) -> list[int]:
-    """``witt_count(weight, q)`` for each q in ``letters``, an increasing sequence.
-
-    The letter counts are positive; empty or non-increasing letters raise
-    ``ValueError``.  When the table of counts on 1..k letters, k the largest,
-    is small (``_small``), it is made once per process for each (weight, k),
-    kept in a bounded cache, and read at ``letters``; otherwise only the
-    counts asked for are evaluated, with their powers shared, and nothing is
-    kept.
-
-    >>> witt_counts(6, (2, 4))
-    [9, 670]
-    """
-    _check_letters(weight, letters)
-    return _witt_counts(weight, letters)
-
-
 def _witt_counts(weight: int, letters: Sequence[int]) -> list[int]:
-    """``witt_counts`` unchecked, for callers whose letters are increasing and positive."""
+    """``witt_count(weight, q)`` for each q in ``letters``, increasing and positive, unchecked.
+
+    When the table on 1..k letters, k the largest, is small (``_small``), it
+    is made once per process for each (weight, k), kept in a bounded cache,
+    and read at ``letters``; otherwise only the counts asked for are
+    evaluated, with their powers shared, and nothing is kept.
+    """
     rank = letters[-1]
     if _small(weight, rank):
         table = _small_table(weight, rank)
@@ -314,11 +284,17 @@ _kept = _Kept()
 def _kept_digits(weight: int, pairs: Sequence[tuple[int, int]]) -> list[str]:
     """The digits of b_t - b_s, b_q = ``witt_count(weight, q)``, for each (s, t) in ``pairs``.
 
-    Each pair has 0 <= s < t, and b_0 = 0.  The digits are read from
-    ``_kept``; for the pairs not kept, the Decimal counts at their ends are
-    evaluated together and checked by ``_decimal_sums``, and each
-    difference's digits are kept.
+    Each pair has 0 <= s <= t, and b_0 = 0, so (0, 0) gives "0"; the last
+    pair's t is the largest, the rank of the table ``_small`` judges.  A
+    small table is read from ``_small_table`` and each difference printed by
+    ``str()``.  Past it, the digits are read from ``_kept``; for the pairs
+    not kept, the Decimal counts at their ends are evaluated together and
+    checked by ``_decimal_sums``, and each difference's digits are kept.
     """
+    rank = pairs[-1][1]
+    if _small(weight, rank):
+        table = (0, *_small_table(weight, rank))
+        return [str(table[t] - table[s]) for s, t in pairs]
     keys = [(weight, s, t) for s, t in pairs]
     digits = _kept.get(keys)
     # the ends, but 0, of the pairs not kept: empty only if every pair is kept
@@ -338,7 +314,7 @@ def _kept_digits(weight: int, pairs: Sequence[tuple[int, int]]) -> list[str]:
 def b_sequence(nilpotency_class: int, rank: int) -> tuple[int, ...]:
     """The counts b_i = witt_count(class + 1, i) for i = 1..rank.
 
-    ``witt_counts`` at 1..rank: a small table is made once per process and
+    ``_witt_counts`` at 1..rank: a small table is made once per process and
     kept; a larger one is evaluated on every call.
 
     >>> b_sequence(1, 4)

@@ -395,15 +395,22 @@ def test_compute_canonicalizes_once(capsys, monkeypatch, method):
     [
         (("--group", "12,6,2", "--class", "1", "--method", "both"),
          [6, 1, 2, 2, 12, 6, 2, 24]),
-        (("--group", "2,2", "--class", "40"), [2, 53634713550, 2, 2]),
+        (("--group", "2,2", "--class", "40"), [2, 2, 2]),
         (("--group", "Z5", "--class", "7"), [5, 1]),
     ],
 )
 def test_compute_renders_each_integer_once(capsys, monkeypatch, fmt, argv, rendered):
+    # the chain entries, the orders and a result's multiplicities go through
+    # decimal_str; the formula's multiplicity of 2,2 at class 40, from a small
+    # table, is the str() of its int in witt._kept_digits, and no query here
+    # evaluates an exact-decimal Witt sum
     calls = record_calls(monkeypatch, multiplier, "decimal_str")
-    code, _, _ = run(capsys, "compute", *argv, "--format", fmt)
+    sums = record_calls(monkeypatch, witt, "_decimal_sums")
+    code, out, _ = run(capsys, "compute", *argv, "--format", fmt)
     assert code == 0
-    assert calls == rendered
+    assert (calls, sums) == (rendered, [])
+    if argv[1] == "2,2":
+        assert out.count("53634713550") == 2
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -835,9 +842,9 @@ def test_compute_checks_its_ints_where_they_enter(monkeypatch, workload, checks)
     # the _check_ints calls of a warm seed-1 pass: the group's orders once a
     # query, in CyclicDecomposition, and the class where the library takes
     # it (tensor_oracle and nilpotent_multiplier for --method both, and
-    # formula_digits for formula: no formula-deep table is small, so none
-    # goes on to nilpotent_multiplier).  cmd_compute
-    # gives check_result_size's core the weight and letters it built, unchecked
+    # formula_digits alone for formula, which goes on to the unchecked
+    # witt._kept_digits).  cmd_compute gives check_result_size's core the
+    # weight and letters it built, unchecked
     queries = getattr(bench_workloads(), workload)(1)
     calls = collections.Counter()
     original = abelian._check_ints

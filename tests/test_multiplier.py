@@ -25,7 +25,7 @@ from nilmult.abelian import (
     trial_division,
 )
 from nilmult.hall import CapExceeded, enumerate_basic, letter_profile
-from nilmult import cli, hall, multiplier, witt
+from nilmult import abelian, cli, hall, multiplier, witt
 from nilmult.multiplier import (
     _STR_MAX_BITS,
     _TENS_LEAF_DIGITS,
@@ -43,7 +43,6 @@ from nilmult.multiplier import (
 )
 from nilmult.witt import b_sequence, exact_context, witt_count
 from test_acceptance import direct_sum
-from test_witt import decimal_counts
 
 small_decompositions = st.lists(st.integers(1, 12), min_size=1, max_size=3).map(
     lambda v: CyclicDecomposition(tuple(v))
@@ -703,20 +702,20 @@ def strict(rank):
 
 @pytest.fixture
 def decimal_calls(monkeypatch):
-    """The weights of the exact-decimal digit lookups the multiplier module makes, with a fresh store.
+    """The weights of the exact-decimal Witt sums evaluated, with a fresh store.
 
-    It makes them through ``witt._kept_digits``, which reads the digits of
-    each multiplicity from the store, or evaluates them from checked exact
-    decimal counts and keeps them.
+    ``witt._kept_digits`` evaluates them, by ``witt._decimal_sums``, only
+    past a small table and only for the multiplicities the store does not
+    hold; a small table's digits are its ints' ``str()``.
     """
     calls = []
-    original = multiplier._kept_digits
+    original = witt._decimal_sums
 
-    def counted(weight, pairs):
+    def counted(weight, letters):
         calls.append(weight)
-        return original(weight, pairs)
+        return original(weight, letters)
 
-    monkeypatch.setattr(multiplier, "_kept_digits", counted)
+    monkeypatch.setattr(witt, "_decimal_sums", counted)
     monkeypatch.setattr(witt, "_kept", witt._Kept())
     return calls
 
@@ -1034,6 +1033,55 @@ def test_witt_count_digits_equal_decimal_str(weight, letters):
         assert witt._small(weight, letters) == (weight == edge)
 
 
+@pytest.mark.parametrize("weight", [1, 2, 10**24 + 7])
+def test_witt_count_digits_on_no_letter_and_one(monkeypatch, weight):
+    # the pairs (0, 0) and (0, 1) of a small table: 0, and 1 only at weight
+    # 1, made without the Moebius terms, so a prime weight of 80 bits is not
+    # factored
+    def refuse(n):
+        raise AssertionError(f"factored {n}")
+
+    monkeypatch.setattr(witt, "trial_division", refuse)
+    witt._moebius_terms.cache_clear()
+    assert witt_count_digits(weight, 0) == "0"
+    assert witt_count_digits(weight, 1) == ("1" if weight == 1 else "0")
+
+
+@pytest.mark.parametrize("c", [1, 2, 10**5])
+@pytest.mark.parametrize("entries", [(), (5,)], ids=["rank-0", "rank-1"])
+def test_formula_digits_of_a_chain_below_rank_2_is_the_trivial_group(entries, c):
+    # no run ends past position 1, so no summand, and the order is 1
+    chain = chain_of(*entries)
+    assert formula_digits(chain, c) == ([], 1)
+    result = nilpotent_multiplier(chain, c)
+    assert (summand_digits(result), multiplier_order(result)) == ([], 1)
+
+
+def test_the_digits_check_their_ints_once(monkeypatch):
+    # formula_digits checks the class and witt_count_digits the weight and
+    # the letters, then each calls the unchecked core witt._kept_digits: no
+    # int is checked again by another public function
+    calls = []
+    original = witt._check_ints
+
+    def spy(values, what, least):
+        calls.append(what)
+        return original(values, what, least)
+
+    chain = chain_of(12, 6, 2)  # its constructor checks the entries
+    # a first call makes the tables and the Moebius terms, whose
+    # factorization checks its n once per weight
+    formula_digits(chain, 1)
+    witt_count_digits(6, 4)
+    for module in (abelian, multiplier, witt):
+        monkeypatch.setattr(module, "_check_ints", spy)
+    assert formula_digits(chain, 1) == ([("6", "1"), ("2", "2")], 24)
+    assert calls == ["nilpotency class"]
+    calls.clear()
+    assert witt_count_digits(6, 4) == "670"
+    assert calls == ["weight", "letters"]
+
+
 @pytest.mark.parametrize("rank", [2, 4, 5, 8, 64])
 @pytest.mark.parametrize("bits, past", [(_STR_MAX_BITS, 0), (_STR_MAX_BITS, 1), (2 * _STR_MAX_BITS, 1)])
 def test_no_multiplicity_is_split(monkeypatch, no_kept_counts, rank, bits, past):
@@ -1327,15 +1375,17 @@ HUGE = -(10**5000)
         (witt_count, (3, HUGE), f"letters must be >= 0, got -1{ZEROS}"),
         (b_sequence, (HUGE, 2), f"nilpotency class must be >= 1, got -1{ZEROS}"),
         (b_sequence, (1, HUGE), f"rank must be >= 1, got -1{ZEROS}"),
-        (witt.witt_counts, (HUGE, (2,)), f"weight and letters must be >= 1, got -1{ZEROS} and 2"),
-        (decimal_counts, (2, (HUGE,)),
-         f"weight and letters must be >= 1, got 2 and -1{ZEROS}"),
+        (formula_digits, (InvariantFactors((4, 2)), HUGE),
+         f"nilpotency class must be >= 1, got -1{ZEROS}"),
+        (witt_count_digits, (HUGE, 2), f"weight must be >= 1, got -1{ZEROS}"),
+        (witt_count_digits, (3, HUGE), f"letters must be >= 0, got -1{ZEROS}"),
         (witt.divisors, (HUGE,), f"n must be >= 1, got -1{ZEROS}"),
         (trial_division, (HUGE,), f"n must be >= 1, got -1{ZEROS}"),
         (factorize, (HUGE,), f"can only factor integers in [1, 1000000000000], got -1{ZEROS}"),
     ],
     ids=["formula-class", "oracle-class", "witt-weight", "witt-letters", "b-class", "b-rank",
-         "counts", "decimal-counts", "divisors", "trial-division", "factorize"],
+         "formula-digits-class", "digits-weight", "digits-letters", "divisors", "trial-division",
+         "factorize"],
 )
 def test_huge_arguments_get_their_message(call, args, message):
     with pytest.raises(ValueError) as raised:
@@ -1343,16 +1393,15 @@ def test_huge_arguments_get_their_message(call, args, message):
     assert str(raised.value) == message
 
 
-ARG = object()  # where the value under test goes in a call's arguments, tuples included
+ARG = object()  # where the value under test goes in a call's arguments
 
 
 def with_arg(args, value):
-    """``args`` with ``value`` in place of ``ARG``, inside tuples too."""
-    return tuple(with_arg(arg, value) if type(arg) is tuple else value if arg is ARG else arg
-                 for arg in args)
+    """``args`` with ``value`` in place of ``ARG``."""
+    return tuple(value if arg is ARG else arg for arg in args)
 
 
-# 5000.0 takes formula_digits past the exact-decimal bound
+# 5000.0 is a class past the small-table bound, refused all the same
 @pytest.mark.parametrize("c", [True, 2.0, "3", None, decimal.Decimal(3), 5000.0])
 @pytest.mark.parametrize(
     "call, args, what",
@@ -1369,12 +1418,6 @@ def with_arg(args, value):
         pytest.param(witt_count_digits, (3, ARG), "letters", id="witt_count_digits-letters"),
         pytest.param(witt_count, (ARG, 3), "weight", id="witt_count-weight"),
         pytest.param(witt_count, (3, ARG), "letters", id="witt_count-letters"),
-        pytest.param(witt.witt_counts, (ARG, (2, 3)), "weight", id="witt_counts-weight"),
-        pytest.param(witt.witt_counts, (3, (1, ARG)), "letters", id="witt_counts-letters"),
-        # the test-local checked Decimal counts: witt_counts' check on the
-        # digits route's sums
-        pytest.param(decimal_counts, (ARG, (2, 3)), "weight", id="decimal_counts-weight"),
-        pytest.param(decimal_counts, (3, (1, ARG)), "letters", id="decimal_counts-letters"),
         pytest.param(b_sequence, (ARG, 2), "nilpotency class", id="b_sequence-class"),
         pytest.param(b_sequence, (1, ARG), "rank", id="b_sequence-rank"),
         pytest.param(witt.divisors, (ARG,), "n", id="divisors-n"),

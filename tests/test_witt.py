@@ -19,18 +19,7 @@ from nilmult.witt import (
     divisors,
     exact_context,
     witt_count,
-    witt_counts,
 )
-
-
-def decimal_counts(weight, letters):
-    """The exact-decimal Witt counts on arguments checked as ``witt_counts`` checks them.
-
-    A test-local reference: ``witt_counts``' argument check, then the sums
-    the multiplier prints from past a small table, ``_decimal_sums``.
-    """
-    witt._check_letters(weight, letters)
-    return _decimal_sums(weight, letters)
 
 
 @pytest.mark.parametrize(
@@ -190,17 +179,17 @@ def test_a_table_is_kept_when_its_estimate_is_within_the_bound(table_calls, c, r
 @example(2, (74,))  # the smallest not kept
 @example(1000, (2, 3))
 def test_witt_counts_equal_witt_count(weight, letters):
-    assert witt_counts(weight, letters) == [witt_count(weight, q) for q in letters]
+    assert witt._witt_counts(weight, letters) == [witt_count(weight, q) for q in letters]
 
 
 def test_witt_counts_read_a_kept_table_and_evaluate_only_the_rest(table_calls):
     # weight 3 on 40 letters: 40 * count_bits(3, 40) = 720 bits, kept
-    assert count_bits(3, 40) == 18 and witt_counts(3, (7, 40)) == [112, 21320]
-    assert witt_counts(3, (2, 40)) == [2, 21320]
+    assert count_bits(3, 40) == 18 and witt._witt_counts(3, (7, 40)) == [112, 21320]
+    assert witt._witt_counts(3, (2, 40)) == [2, 21320]
     assert table_calls == [3]
     assert witt._small_table.cache_info().currsize == 1
     # weight 1001 on 2 letters: 2002 bits, not kept; no table is made
-    assert witt_counts(1001, (2,)) == [witt_count(1001, 2)]
+    assert witt._witt_counts(1001, (2,)) == [witt_count(1001, 2)]
     assert table_calls == [3]
     assert witt._small_table.cache_info().currsize == 1
 
@@ -224,10 +213,10 @@ def test_count_bits_bounds_the_counts(weight, letters, bits):
         lambda: b_sequence(2, 0),
         lambda: _moebius_terms(0),
         lambda: divisors(0),
-        lambda: decimal_counts(0, [3]),
-        lambda: decimal_counts(2, (0, 1)),
-        lambda: witt_counts(0, (3,)),
-        lambda: witt_counts(2, (0, 1)),
+        lambda: witt_count_digits(0, 3),
+        lambda: witt_count_digits(2, -1),
+        lambda: check_cap(0, 3),
+        lambda: check_cap(2, -1),
     ],
 )
 def test_input_validation(call):
@@ -235,24 +224,7 @@ def test_input_validation(call):
         call()
 
 
-@pytest.mark.parametrize("counts", [witt_counts, decimal_counts])
-def test_letters_must_be_a_nonempty_increasing_sequence(counts):
-    with pytest.raises(ValueError, match="^letters must not be empty$"):
-        counts(2, ())
-    with pytest.raises(ValueError, match="^letters must increase, got 3 then 2$"):
-        counts(2, (3, 2))
-    with pytest.raises(ValueError, match="^letters must increase, got 4 then 4$"):
-        counts(2, [1, 4, 4])
-    with pytest.raises(ValueError, match="^letters must increase, got 5 then 4$"):
-        counts(2, range(5, 3, -1))
-    # the message of a count below 1 stays as it was
-    with pytest.raises(ValueError, match="^weight and letters must be >= 1, got 2 and 0$"):
-        counts(2, (0, 1))
-    with pytest.raises(ValueError, match="^weight and letters must be >= 1, got 0 and 3$"):
-        counts(0, (3,))
-
-
-# what witt_counts takes too: increasing positive letter counts
+# what _witt_counts takes too: increasing positive letter counts
 increasing_letters = st.lists(st.integers(1, 40), min_size=1, max_size=5, unique=True).map(
     lambda letters: tuple(sorted(letters))
 )
@@ -323,14 +295,12 @@ def test_decimal_counts_equal_the_per_letter_sum(weight):
 
 @pytest.mark.parametrize("weight", [1, 2, 3, 4, 100000])
 def test_decimal_counts_are_decimals_on_no_letter_and_one(weight):
-    # no letter and one are counts like any other to the sums; the checked
-    # counts refuse no letter, as witt_counts refuses it
+    # no letter and one are counts like any other to the sums, alone too
     counts = _decimal_sums(weight, (0, 1))
     assert [type(count) for count in counts] == [decimal.Decimal] * 2
     assert counts == [0, 1 if weight == 1 else 0]
-    assert decimal_counts(weight, (1,)) == counts[1:]
-    with pytest.raises(ValueError):
-        decimal_counts(weight, (0,))
+    assert _decimal_sums(weight, (1,)) == counts[1:]
+    assert _decimal_sums(weight, (0,)) == counts[:1]
 
 
 # a prime weight of 80 bits: trial division would run to its square root
@@ -350,7 +320,7 @@ def test_fewer_than_two_letters_factor_no_weight(monkeypatch):
     assert witt_count(1, 1) == 1
     assert witt_count(1, 0) == 0
     assert check_cap(PRIME_WEIGHT, 1) == 0
-    assert witt_counts(PRIME_WEIGHT, (1,)) == [0]
+    assert witt._witt_counts(PRIME_WEIGHT, (1,)) == [0]
     assert b_sequence(PRIME_WEIGHT - 1, 1) == (0,)
     assert _decimal_sums(PRIME_WEIGHT, (1,)) == [0]
     assert _decimal_sums(1, (1,)) == [1]
@@ -399,7 +369,8 @@ def fresh_digits(pairs):
     return [str(FRESH[t] - FRESH[s]) for s, t in pairs]
 
 
-@pytest.mark.parametrize("counts, number", [(witt_counts, int), (decimal_counts, decimal.Decimal)])
+@pytest.mark.parametrize(
+    "counts, number", [(witt._witt_counts, int), (_decimal_sums, decimal.Decimal)])
 def test_kept_counts_equal_fresh_ones(evaluated, counts, number):
     # past a small table neither kind of count is kept: each call evaluates
     # every count it is asked for, equal to the fresh one; only the digits
@@ -436,6 +407,24 @@ def test_kept_digits_are_differences_keyed_by_both_ends(evaluated):
         [(0, 2), (2, 5), (5, 6), (0, 5)])))
 
 
+def test_a_small_tables_digits_are_its_int_differences(table_calls, monkeypatch):
+    # weight 3 on 40 letters is a small table (720 bits): _kept_digits reads
+    # its ints from _small_table and prints each difference by str(), with no
+    # Decimal sum and nothing kept; the pair (0, 0) is "0"
+    def refuse(*args):
+        raise AssertionError(f"a Decimal sum was evaluated: {args}")
+
+    monkeypatch.setattr(witt, "_decimal_sums", refuse)
+    assert witt._small(3, 40)
+    pairs = [(0, 2), (2, 7), (7, 40)]
+    assert witt._kept_digits(3, pairs) == [
+        str(witt_count(3, t) - witt_count(3, s)) for s, t in pairs] == ["2", "110", "21208"]
+    assert witt._kept_digits(3, [(0, 40)]) == ["21320"]
+    assert table_calls == [3]
+    assert witt._kept_digits(PRIME_WEIGHT, [(0, 0)]) == ["0"]
+    assert not witt._kept.counts and witt._kept.bits == 0
+
+
 def test_a_count_that_fails_its_check_is_not_kept(evaluated, monkeypatch):
     sums = witt._witt_sums
 
@@ -461,7 +450,7 @@ def test_a_count_that_fails_its_check_is_not_kept(evaluated, monkeypatch):
     monkeypatch.setattr(witt, "_moebius_terms", terms)
     evaluated.clear()
     assert witt._kept_digits(KEPT_WEIGHT, [(0, 2), (2, 3)]) == fresh_digits([(0, 2), (2, 3)])
-    assert witt_counts(KEPT_WEIGHT, (2, 3)) == [FRESH[2], FRESH[3]]
+    assert witt._witt_counts(KEPT_WEIGHT, (2, 3)) == [FRESH[2], FRESH[3]]
     assert evaluated == [(2, 3), (2, 3)]
     assert list(witt._kept.counts) == [(KEPT_WEIGHT, 0, 2), (KEPT_WEIGHT, 2, 3)]
 
